@@ -1,8 +1,9 @@
 """Shared configuration of the benchmark harness.
 
 Each benchmark file regenerates one artefact of the paper's evaluation
-(a Table 1 row, an impossibility theorem or a figure-style sweep); see the
-experiment index in DESIGN.md and the measured results in EXPERIMENTS.md.
+(a Table 1 row, an impossibility theorem or a figure-style sweep).
+``python -m repro table1`` prints the paper-vs-measured comparison, and the
+README's "Tests and benchmarks" section shows how to run the harness.
 
 The simulations are deterministic, so every benchmark runs its experiment
 exactly once (``rounds=1, iterations=1``) and asserts the qualitative

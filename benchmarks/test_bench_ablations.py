@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §6.
+"""Ablation benchmarks for three design choices of the paper's algorithms.
 
 A1 — *Energy caps vs. the uncapped baselines*: how much latency the energy
      cap costs relative to RRW/MBTF with every station switched on.

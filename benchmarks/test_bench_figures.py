@@ -1,4 +1,4 @@
-"""Benchmarks F1–F5: the figure-style simulation sweeps (see DESIGN.md).
+"""Benchmarks F1–F5: the figure-style simulation sweeps.
 
 Each benchmark regenerates one figure's data series, writes it to a CSV
 file under ``benchmarks/results/`` and asserts the qualitative shape the
@@ -37,8 +37,7 @@ def test_f1_latency_vs_injection_rate(run_once, benchmark):
     # Orchestra (throughput 1) is stable across the whole sweep, including 0.9.
     assert all(series["Orchestra"].stabilities())
     # Count-Hop is stable well past the oblivious thresholds (up to 0.7 within
-    # this run length; at 0.9 its phases are still converging — see
-    # EXPERIMENTS.md for the longer-run confirmation).
+    # this run length; at 0.9 its phases are still converging).
     assert all(series["Count-Hop"].stabilities()[:-1])
     # The oblivious algorithms have long since diverged: 0.9 is far above both
     # k/n and k(k-1)/(n(n-1)) for n=8, k=4.

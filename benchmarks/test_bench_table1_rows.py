@@ -1,9 +1,9 @@
-"""Benchmarks T1.1–T1.9: regenerate every row of Table 1 (see DESIGN.md).
+"""Benchmarks T1.1–T1.9: regenerate every row of Table 1 (as ``repro table1 --full``).
 
 Each benchmark runs the corresponding experiment once at its full size,
 asserts the paper's qualitative claim (the *shape* check) and reports the
 key measured quantities through ``benchmark.extra_info`` so they appear in
-``pytest-benchmark``'s JSON output and can be copied into EXPERIMENTS.md.
+``pytest-benchmark``'s JSON output next to the paper's bounds.
 """
 
 import pytest

@@ -2,9 +2,10 @@
 """Regenerate Table 1 of the paper as a paper-vs-measured comparison.
 
 Runs one scaled-down experiment per Table 1 row (algorithms and
-impossibility results) and prints the comparison table.  The full-size
-versions live in ``benchmarks/`` and their measured values are recorded in
-EXPERIMENTS.md; this script finishes in a couple of minutes on a laptop.
+impossibility results) and prints the comparison table, like
+``python -m repro table1``.  The full-size versions (``--full``) are the
+ones ``benchmarks/test_bench_table1_rows.py`` runs; the quick table
+finishes in seconds on a laptop.
 
 Run with:  python examples/regenerate_table1.py [--full]
 """

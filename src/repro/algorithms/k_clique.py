@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
-
-import numpy as np
 
 from ..channel.feedback import ChannelOutcome, Feedback
 from ..channel.message import Message
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import LoweredSegment, RoundBlockDriver
+from ..core.blocks import RoundBlockDriver
 from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
 from ..core.schedule import PeriodicSchedule, rounds_in_congruence_class
@@ -137,26 +134,15 @@ class _KCliqueBlockDriver(RoundBlockDriver):
     outcome leaves the token in place).
     """
 
-    def __init__(self, controllers: list[_KCliqueController], half: int) -> None:
+    def __init__(self, controllers: list[_KCliqueController]) -> None:
         super().__init__(len(controllers))
         self._controllers = controllers
         pairs = controllers[0].pairs
-        self._pairs = pairs
         self._num_pairs = len(pairs)
-        self._half = half
         self._pair_replicas = [
             [controllers[i].replicas[p] for i in members]
             for p, members in enumerate(pairs)
         ]
-        # Pair index -> the two half-group ids it joins, in the same
-        # combinations order clique_pairs uses; a packet is transmittable
-        # inside pair (a, b) exactly when its destination's half-group
-        # (``destination // half``) is a or b.
-        num_blocks = math.ceil(len(controllers) / half)
-        if num_blocks < 2:
-            self._pair_blocks = [(0, 0)]
-        else:
-            self._pair_blocks = list(itertools.combinations(range(num_blocks), 2))
 
     def transmitter(self, t: int) -> int:
         return self._pair_replicas[t % self._num_pairs][0].holder
@@ -171,149 +157,6 @@ class _KCliqueBlockDriver(RoundBlockDriver):
             sender_ctrl.queue.remove(sender_ctrl._in_flight)
             sender_ctrl._in_flight = None
         return (sender,)
-
-    def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
-        """Silent-span lowering: absorb arrivals while no holder may act.
-
-        k-Clique has no aging and routes directly, so the only in-span
-        queue mutations are the planned arrivals themselves, and a round
-        is heard exactly when the active pair's holder has a packet whose
-        destination half-group belongs to the pair — including a packet
-        injected that same round.  The driver keeps a per-station count
-        of queued destination half-groups, walks the pair rotation and
-        tokens, and cuts immediately before the first heard round.
-        """
-        controllers = self._controllers
-        pairs = self._pairs
-        num_pairs = self._num_pairs
-        half = self._half
-        pair_blocks = self._pair_blocks
-        pair_replicas = self._pair_replicas
-
-        offsets = plan.offsets
-        plan_base = plan.start
-        sources = plan.sources
-        plan_dests = plan.destinations
-        ai = offsets[start - plan_base]
-        inj_rounds = plan.injection_rounds()
-        ip = bisect_left(inj_rounds, start)
-        n_inj = len(inj_rounds)
-        next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-
-        # Lazily snapshotted per-station destination-half counts (the
-        # queue only grows in a silent span, so counts never decrease).
-        halves: dict[int, dict[int, int]] = {}
-
-        def half_counts(s: int) -> dict[int, int]:
-            counts = halves.get(s)
-            if counts is None:
-                counts = {}
-                for packet in controllers[s].queue:
-                    hb = packet.destination // half
-                    counts[hb] = counts.get(hb, 0) + 1
-                halves[s] = counts
-            return counts
-
-        # Absolute token state per touched pair: [pos, advancements,
-        # phase_no]; all member replicas agree, so one state suffices.
-        pstate: dict[int, list[int]] = {}
-        arrivals: dict[int, list[int]] = {}  # station -> plan indices
-        delta_stations: list[int] = []
-        delta_values: list[int] = []
-        delta_offsets: list[int] = [0]
-        t = start
-        cut = stop
-        while t < stop:
-            p = t % num_pairs
-            members = pairs[p]
-            state = pstate.get(p)
-            if state is None:
-                source = pair_replicas[p][0]
-                state = [source.token_pos, source.advancements, source.phase_no]
-                pstate[p] = state
-            holder = members[state[0]]
-            a, b = pair_blocks[p]
-            counts = half_counts(holder)
-            if counts.get(a) or counts.get(b):
-                cut = t
-                break
-            if t == next_arrival:
-                hi = offsets[t - plan_base + 1]
-                # An arrival landing at the holder with an in-pair
-                # destination makes this very round heard (eligibility
-                # spans old and new packets): cut without absorbing.
-                induced = False
-                for j in range(ai, hi):
-                    if sources[j] == holder:
-                        hb = plan_dests[j] // half
-                        if hb == a or hb == b:
-                            induced = True
-                            break
-                if induced:
-                    cut = t
-                    break
-                row_start = len(delta_stations)
-                while ai < hi:
-                    s = sources[ai]
-                    counts = half_counts(s)
-                    hb = plan_dests[ai] // half
-                    counts[hb] = counts.get(hb, 0) + 1
-                    arrivals.setdefault(s, []).append(ai)
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == s:
-                            delta_values[k] += 1
-                            break
-                    else:
-                        delta_stations.append(s)
-                        delta_values.append(1)
-                    ai += 1
-                ip += 1
-                next_arrival = (
-                    inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-                )
-            # Silent round: the active pair's token advances.
-            pos = state[0] + 1
-            if pos == len(members):
-                pos = 0
-            state[0] = pos
-            adv = state[1] + 1
-            if adv >= len(members):
-                state[1] = 0
-                state[2] += 1
-            else:
-                state[1] = adv
-            delta_offsets.append(len(delta_stations))
-            t += 1
-        if cut == start:
-            return None
-        span = cut - start
-        j0 = offsets[start - plan_base]
-
-        def commit(packets: list) -> None:
-            for s, entries in arrivals.items():
-                push = controllers[s].queue.push
-                for e in entries:
-                    push(packets[e - j0])
-            for p, state in pstate.items():
-                members = pairs[p]
-                pos = state[0]
-                holder = members[pos]
-                for replica in pair_replicas[p]:
-                    replica.token_pos = pos
-                    replica.advancements = state[1]
-                    replica.phase_no = state[2]
-                    replica.holder = holder
-
-        return LoweredSegment(
-            start=start,
-            stop=cut,
-            transmitters=np.full(span, -1, dtype=np.int64),
-            delta_stations=np.asarray(delta_stations, dtype=np.int64),
-            delta_values=np.asarray(delta_values, dtype=np.int64),
-            delta_offsets=np.asarray(delta_offsets, dtype=np.int64),
-            deliveries=[],
-            commit=commit,
-        )
 
 
 @register_algorithm("k-clique")
@@ -346,7 +189,7 @@ class KClique(RoutingAlgorithm):
 
     def build_controllers(self) -> list[_KCliqueController]:
         controllers = [_KCliqueController(i, self.n, self.pairs) for i in range(self.n)]
-        driver = _KCliqueBlockDriver(controllers, self.half)
+        driver = _KCliqueBlockDriver(controllers)
         for ctrl in controllers:
             ctrl.block_driver = driver
         return controllers

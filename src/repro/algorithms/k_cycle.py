@@ -29,14 +29,11 @@ is stable for ``rho > k/n``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-
-import numpy as np
 
 from ..channel.feedback import ChannelOutcome, Feedback
 from ..channel.message import Message
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import LoweredSegment, RoundBlockDriver
+from ..core.blocks import RoundBlockDriver
 from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
 from ..core.schedule import PeriodicSchedule
@@ -362,198 +359,6 @@ class _KCycleBlockDriver(RoundBlockDriver):
             self._controllers[self._connector].adopt(packet)
             return (sender, self._connector)
         return (sender,)
-
-    def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
-        """Silent-span lowering: absorb arrivals while no holder may act.
-
-        k-Cycle transmits *old* packets only, so a planned arrival never
-        makes its own round heard — eligibility changes only at group
-        switches and phase-end promotions, both deterministic.  The
-        driver walks the group rotation and each active group's token,
-        absorbing arrivals as ``+1`` queue deltas and replaying phase-end
-        aging, and cuts immediately before the first round whose holder
-        holds an eligible old packet (an in-group destination, or any old
-        packet when the holder is not the forward connector); the
-        per-round path takes over there.  Between activity bursts most
-        rounds are exactly such silent rounds — packets parked at
-        inactive stations keep the total queue positive, so the engine's
-        quiescent-span elision cannot take them.
-        """
-        controllers = self._controllers
-        groups = self._groups
-        delta = self._delta
-        num_groups = self._num_groups
-        member_sets = self._member_sets
-        forward_connector = self._forward_connector
-
-        offsets = plan.offsets
-        plan_base = plan.start
-        sources = plan.sources
-        plan_dests = plan.destinations
-        ai = offsets[start - plan_base]
-        inj_rounds = plan.injection_rounds()
-        ip = bisect_left(inj_rounds, start)
-        n_inj = len(inj_rounds)
-        next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-
-        # Lazily snapshotted per-station queue views: old packets, the
-        # combined new tail (Packet | plan index) with its destinations,
-        # and how much of that tail phase ends have promoted so far.
-        st_old: dict[int, list] = {}
-        st_new: dict[int, list] = {}
-        st_new_dests: dict[int, list[int]] = {}
-        promoted: dict[int, int] = {}
-        dirty: set[int] = set()
-
-        def snapshot(s: int) -> None:
-            if s not in st_old:
-                queue = controllers[s].queue
-                new = queue.new_packets()
-                st_old[s] = queue.old_packets()
-                st_new[s] = new
-                st_new_dests[s] = [p.destination for p in new]
-                promoted[s] = 0
-
-        # Absolute token state per touched group: [pos, advancements,
-        # phase_no].  The driver's canonical copy is authoritative for
-        # the group it currently mirrors; member replicas for the rest.
-        gstate: dict[int, list[int]] = {}
-
-        def group_state(g: int) -> list[int]:
-            state = gstate.get(g)
-            if state is None:
-                canonical = self._canonical
-                if canonical is not None and g == self._group:
-                    state = [
-                        canonical.token_pos,
-                        canonical.advancements,
-                        canonical.phase_no,
-                    ]
-                else:
-                    source = controllers[groups[g][0]].replicas[g]
-                    state = [source.token_pos, source.advancements, source.phase_no]
-                gstate[g] = state
-            return state
-
-        delta_stations: list[int] = []
-        delta_values: list[int] = []
-        delta_offsets: list[int] = [0]
-        t = start
-        cut = stop
-        while t < stop:
-            g = (t // delta) % num_groups
-            members = groups[g]
-            state = group_state(g)
-            holder = members[state[0]]
-            snapshot(holder)
-            if len(st_old[holder]) + promoted[holder] > 0:
-                if holder != forward_connector[g]:
-                    cut = t
-                    break
-                member_set = member_sets[g]
-                eligible = False
-                for packet in st_old[holder]:
-                    if packet.destination in member_set:
-                        eligible = True
-                        break
-                if not eligible:
-                    dests = st_new_dests[holder]
-                    for i in range(promoted[holder]):
-                        if dests[i] in member_set:
-                            eligible = True
-                            break
-                if eligible:
-                    cut = t
-                    break
-            if t == next_arrival:
-                row_start = len(delta_stations)
-                hi = offsets[t - plan_base + 1]
-                while ai < hi:
-                    s = sources[ai]
-                    snapshot(s)
-                    st_new[s].append(ai)
-                    st_new_dests[s].append(plan_dests[ai])
-                    dirty.add(s)
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == s:
-                            delta_values[k] += 1
-                            break
-                    else:
-                        delta_stations.append(s)
-                        delta_values.append(1)
-                    ai += 1
-                ip += 1
-                next_arrival = (
-                    inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-                )
-            # Silent round: the active group's token advances; a phase
-            # end promotes every member's new packets to old.
-            pos = state[0] + 1
-            if pos == len(members):
-                pos = 0
-            state[0] = pos
-            adv = state[1] + 1
-            if adv >= len(members):
-                state[1] = 0
-                state[2] += 1
-                for s in members:
-                    snapshot(s)
-                    if len(st_new[s]) > promoted[s]:
-                        promoted[s] = len(st_new[s])
-                        dirty.add(s)
-            else:
-                state[1] = adv
-            delta_offsets.append(len(delta_stations))
-            t += 1
-        if cut == start:
-            return None
-        span = cut - start
-        j0 = offsets[start - plan_base]
-
-        def commit(packets: list) -> None:
-            # The per-round path may hold unsynced token advances in the
-            # driver's canonical replica (for whatever group it last
-            # mirrored): flush them to the member replicas *before*
-            # overwriting with the segment's final states — gstate read
-            # the canonical as its base, so same-group writes below stay
-            # authoritative, and other groups keep their advances.
-            self._write_back()
-            for s in dirty:
-                tail = st_new[s]
-                pn = promoted[s]
-                final_old = st_old[s] + [
-                    packets[e - j0] if type(e) is int else e for e in tail[:pn]
-                ]
-                final_new = [
-                    packets[e - j0] if type(e) is int else e for e in tail[pn:]
-                ]
-                controllers[s].queue.replace(final_old, final_new)
-            for g, state in gstate.items():
-                members = groups[g]
-                pos = state[0]
-                holder = members[pos]
-                for s in members:
-                    replica = controllers[s].replicas[g]
-                    replica.token_pos = pos
-                    replica.advancements = state[1]
-                    replica.phase_no = state[2]
-                    replica.holder = holder
-            # Force the per-round path to reload from the (now
-            # authoritative) member replicas instead of writing back a
-            # stale canonical copy.
-            self._canonical = None
-            self._seg_start = self._seg_end = 0
-
-        return LoweredSegment(
-            start=start,
-            stop=cut,
-            transmitters=np.full(span, -1, dtype=np.int64),
-            delta_stations=np.asarray(delta_stations, dtype=np.int64),
-            delta_values=np.asarray(delta_values, dtype=np.int64),
-            delta_offsets=np.asarray(delta_offsets, dtype=np.int64),
-            deliveries=[],
-            commit=commit,
-        )
 
 
 @register_algorithm("k-cycle")

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -47,7 +46,7 @@ from ..channel.message import Message
 from ..channel.packet import Packet
 from ..channel.station import StationController
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import LoweredSegment, RoundBlockDriver
+from ..core.blocks import RoundBlockDriver
 from ..core.registry import register_algorithm
 from ..core.schedule import PeriodicSchedule, WakeOracle, rounds_in_congruence_class
 from ..protocols.token_ring import MoveBigToFrontReplica
@@ -302,102 +301,6 @@ class _KSubsetsBlockDriver(RoundBlockDriver):
         for replica in self._replicas_for(t % self._gamma):
             replica.observe(ChannelOutcome.HEARD, message)
         return (sender,)
-
-    def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
-        """Silent-span lowering within one phase of the thread rotation.
-
-        Mid-phase, arrivals only accumulate in ``_unassigned`` (they
-        join thread queues at the next phase boundary's reassignment),
-        so a span is silent exactly while each visited thread's MBTF
-        holder has an empty thread queue — a pure lookup per round.  The
-        driver absorbs arrivals as ``+1`` deltas and cuts at the first
-        round whose holder could transmit, or at the phase boundary
-        (where reassignment, run by the shared clock tick on the
-        per-round path, changes the thread queues).
-        """
-        controllers = self._controllers
-        gamma = self._gamma
-        # The engine probes before its per-round tick: bring the phase
-        # clock (idempotently) up to date so thread queues reflect any
-        # reassignment due exactly at ``start``.
-        controllers[0].wake_oracle.tick(start)
-        hard_stop = (start // gamma + 1) * gamma
-        if hard_stop < stop:
-            stop = hard_stop
-
-        offsets = plan.offsets
-        plan_base = plan.start
-        sources = plan.sources
-        ai = offsets[start - plan_base]
-        inj_rounds = plan.injection_rounds()
-        ip = bisect_left(inj_rounds, start)
-        n_inj = len(inj_rounds)
-        next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-
-        replicas_for = self._replicas_for
-        advanced: list[int] = []  # threads whose token moved (once each)
-        arrivals: dict[int, list[int]] = {}  # station -> plan indices
-        delta_stations: list[int] = []
-        delta_values: list[int] = []
-        delta_offsets: list[int] = [0]
-        t = start
-        cut = stop
-        while t < stop:
-            thread = t % gamma
-            holder = replicas_for(thread)[0].holder
-            queue = controllers[holder].thread_queues.get(thread)
-            if queue:
-                cut = t
-                break
-            if t == next_arrival:
-                row_start = len(delta_stations)
-                hi = offsets[t - plan_base + 1]
-                while ai < hi:
-                    s = sources[ai]
-                    arrivals.setdefault(s, []).append(ai)
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == s:
-                            delta_values[k] += 1
-                            break
-                    else:
-                        delta_stations.append(s)
-                        delta_values.append(1)
-                    ai += 1
-                ip += 1
-                next_arrival = (
-                    inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-                )
-            # Silent round: the visited thread's MBTF token advances
-            # (each thread runs at most once per phase, so once in-span).
-            advanced.append(thread)
-            delta_offsets.append(len(delta_stations))
-            t += 1
-        if cut == start:
-            return None
-        span = cut - start
-        j0 = offsets[start - plan_base]
-        subset_size = len(self._subsets[0])
-
-        def commit(packets: list) -> None:
-            for s, entries in arrivals.items():
-                unassigned = controllers[s]._unassigned
-                for e in entries:
-                    unassigned.append(packets[e - j0])
-            for thread in advanced:
-                for replica in replicas_for(thread):
-                    replica.advance_silence(1)
-
-        return LoweredSegment(
-            start=start,
-            stop=cut,
-            transmitters=np.full(span, -1, dtype=np.int64),
-            delta_stations=np.asarray(delta_stations, dtype=np.int64),
-            delta_values=np.asarray(delta_values, dtype=np.int64),
-            delta_offsets=np.asarray(delta_offsets, dtype=np.int64),
-            deliveries=[],
-            commit=commit,
-            awake_counts=np.full(span, subset_size, dtype=np.int64),
-        )
 
 
 @register_algorithm("k-subsets")

@@ -35,21 +35,22 @@ run, never an error) to the inherited kernel loop, which remains
 bit-identical and resumable mid-chunk.
 
 On top of the per-round driver protocol sits the *segment-lowering*
-tier: a driver that can prove its outcome sequence in closed form
-exports whole spans as :class:`~repro.core.blocks.LoweredSegment` arrays
-and the engine flushes outcome counts, the total-queue series,
-per-station maxima, energy, injections and deliveries with the
-vectorised kernels in :mod:`repro._accel` — no per-round Python at all.
-The span's injections are no obstacle: they come from the adversary's
-plan, so the driver simulates the arrivals too (referencing the
-to-be-created packets by plan index) and only cuts the segment when an
-injection actually invalidates its closed form — e.g. a restricted
-driver whose phase schedule was fixed from queue state.  The engine
-materialises the span's packets (in plan order, preserving packet-id
-assignment) only *after* accepting a segment, so a rejected segment
-(None, or a failed energy-cap pre-check) leaves no trace and the same
-rounds re-run through the per-round path.  Results are bit-identical to
-both other engines; the equivalence property suites enforce it.
+tier of the always-on token rings (RRW, OF-RRW, MBTF): a driver that can
+prove its outcome sequence in closed form exports whole spans as
+:class:`~repro.core.blocks.LoweredSegment` arrays and the engine flushes
+outcome counts, the total-queue series, per-station maxima, energy,
+injections and deliveries with the vectorised kernels in
+:mod:`repro._accel` — no per-round Python at all.  The span's
+injections are no obstacle: they come from the adversary's plan, so the
+driver simulates the arrivals too (referencing the to-be-created packets
+by plan index) and only cuts the segment when an injection actually
+invalidates its closed form.  Lowering runs only on the cap-safe static
+tier, whose precomputed series supplies the span's energy counts.  The
+engine materialises the span's packets (in plan order, preserving
+packet-id assignment) only *after* the driver returns a segment, so a
+driver answering None leaves no trace and the same rounds run through
+the per-round path.  Results are bit-identical to both other engines;
+the equivalence property suites enforce it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ import numpy as np
 from .._accel import count_transmitting, per_station_flow, segment_round_totals
 from .energy import EnergyCapViolation
 from .engine import EngineConfig, check_message
-from .feedback import ChannelOutcome
 from .kernel import KernelEngine
 from .message import Message
 from .station import StationController
@@ -152,17 +152,6 @@ class BlockEngine(KernelEngine):
         #: execution knob, not negotiated state, so results stay
         #: bit-identical either way.
         self.lowering_enabled = True
-        #: Shortest segment worth accepting from ``lower_segment``.  A
-        #: lowered segment pays a fixed commit cost (queue rebuilds,
-        #: array classification) that the per-round savings must
-        #: amortise; short silent spans — e.g. k-Cycle between activity
-        #: bursts, where the token walk cuts every few dozen rounds —
-        #: run faster through the per-round protocol, so proofs below
-        #: this span are discarded like a failed cap pre-check (nothing
-        #: was materialised, so a discard leaves no trace).  Execution
-        #: knob like :attr:`lowering_enabled`: results are bit-identical
-        #: for every value.
-        self.lower_min_span = 32
 
     # -- negotiated capabilities ----------------------------------------------
     @property
@@ -262,104 +251,64 @@ class BlockEngine(KernelEngine):
         queue_sizes = self._queue_sizes
         total_queue = self._total_queue
         silence_capable = self._silence_capable
-        advance_silent = (
-            [ctrl.advance_silent_span for ctrl in self.controllers]
-            if silence_capable
-            else ()
-        )
-        record_queue_span = collector.record_queue_span
-        observe_span = energy.observe_span
         energy_per_round = energy.per_round
         total_queue_series = collector.total_queue_series
         energy_series = collector.energy_series
         per_station_max = collector.per_station_max_queue
         cap = energy.cap
         enforce_cap = energy.enforce
-        silence = ChannelOutcome.SILENCE
-        heard_outcome = ChannelOutcome.HEARD
         transmitter = driver.transmitter
         silent_round = driver.silent_round
         heard_round = driver.heard_round
-        advance_span = driver.advance_span
         lower_segment = driver.lower_segment
         act_unconditional = self._act_unconditional
-        # The lowered path bypasses per-message validation, so checked
-        # configurations (plain-packet or control-bit budgets) keep the
-        # per-round loop, where check_message runs for every message.
-        lowering = self.lowering_enabled and not checked_messages
-        lower_min_span = self.lower_min_span
-        next_probe = start
         n_silence = n_heard = 0
         rounds_done = 0
-        # Per-call energy accumulators, folded into the monitor once in
-        # the ``finally`` — recomputing sum/max over the monitor's whole
-        # history per block would be quadratic across many short blocks.
         run_station_rounds = 0
         run_peak_awake = 0
-        counts_list: list[int] | None = None
+        counts_list = self._static_counts(start, stop)
         energized = 0
-        if period is not None and self._period_counts is not None and stop > start:
-            counts_list = self._period_counts[
-                np.arange(start, stop, dtype=np.int64) % period_len
-            ].tolist()
+        # Lowered segments flush their energy from the cap-safe static
+        # series (without it the per-round path owns the cap accounting
+        # and must raise at the exact violating round).  They also bypass
+        # per-message validation, so checked configurations (plain-packet
+        # or control-bit budgets) keep the per-round loop, where
+        # check_message runs for every message.
+        lowering = (
+            self.lowering_enabled and counts_list is not None and not checked_messages
+        )
+        next_probe = start
 
         plan = self._next_plan(start, stop)
         plan_offsets = plan.offsets
         plan_sources = plan.sources
         plan_destinations = plan.destinations
         plan_base = plan.start
-        plan_stop = plan.stop
         try:
             t = start
             while t < stop:
-                # 0. Quiescent-span elision (same conditions and
-                #    bookkeeping as the kernel; the driver's advance_span
-                #    hook additionally keeps any canonical state current).
+                # 0. Quiescent-span elision (shared with the kernel loop;
+                #    the driver's advance_span hook additionally keeps any
+                #    canonical state current).
                 if silence_capable and total_queue == 0:
-                    plan_nonzero = plan.injection_rounds()
-                    pos = bisect_left(plan_nonzero, t)
-                    next_injection = (
-                        plan_nonzero[pos] if pos < len(plan_nonzero) else plan_stop
+                    span_end = self._elide_quiescent_span(
+                        t, stop, plan, driver.advance_span
                     )
-                    span_end = next_injection if next_injection < stop else stop
-                    span_counts: np.ndarray | None = None
                     if span_end > t:
+                        span = span_end - t
                         if counts_list is not None:
-                            eligible = True
-                        else:
-                            span_counts = oracle.quiescent_awake_counts(t, span_end)
-                            eligible = span_counts is not None and (
-                                cap is None or int(span_counts.max()) <= cap
-                            )
-                            if not eligible:
-                                silence_capable = False
-                                self._silence_capable = False
-                        if eligible:
-                            span = span_end - t
-                            for advance in advance_silent:
-                                advance(t, span_end)
-                            advance_span(t, span_end)
-                            if counts_list is not None:
-                                energized += span
-                            else:
-                                oracle.advance_span(t, span_end)
-                                span_ints = span_counts.tolist()
-                                observe_span(span_ints)
-                                energy_series.extend(span_ints)
-                            record_queue_span(total_queue, span)
-                            n_silence += span
-                            rounds_done += span
-                            self.quiescent_rounds_elided += span
-                            t = span_end
-                            continue
+                            energized += span
+                        n_silence += span
+                        rounds_done += span
+                        t = span_end
+                        continue
+                    silence_capable = self._silence_capable
 
                 # 0b. Segment lowering: ask the driver to prove a span —
                 #     planned injections included — in closed form and
-                #     execute it with the vectorised kernels.  Rejections
-                #     (None, or a failed cap pre-check) back off to the
-                #     per-round protocol below and re-probe later; no
-                #     packets are materialised before acceptance, so a
-                #     rejection leaves no trace.
+                #     execute it with the vectorised kernels.  A driver
+                #     declining (None) backs off to the per-round protocol
+                #     below and is re-probed later.
                 if lowering and t >= next_probe:
                     seg = lower_segment(t, stop, plan)
                     if seg is None:
@@ -369,90 +318,65 @@ class BlockEngine(KernelEngine):
                             f"driver lowered [{seg.start}, {seg.stop}) "
                             f"for requested span [{t}, {stop})"
                         )
-                    elif seg.stop - t < lower_min_span:
-                        # Too short to amortise the commit cost: run the
-                        # proved span per-round and re-probe at its end.
-                        next_probe = seg.stop
                     else:
-                        seg_counts = seg.awake_counts
-                        if period is not None:
-                            # Static tier: cap-safe batch counts required
-                            # (without them the per-round path owns the
-                            # cap accounting and must raise at the exact
-                            # violating round).
-                            cap_safe = counts_list is not None
-                        else:
-                            cap_safe = seg_counts is not None and (
-                                cap is None
-                                or not seg_counts.shape[0]
-                                or int(seg_counts.max()) <= cap
+                        span = seg.stop - t
+                        values = seg.delta_values
+                        heard = count_transmitting(seg.transmitters)
+                        n_heard += heard
+                        n_silence += span - heard
+                        totals = segment_round_totals(
+                            seg.delta_offsets, values, total_queue
+                        )
+                        collector.record_round_totals(totals.tolist())
+                        if values.shape[0]:
+                            base = np.asarray(queue_sizes, dtype=np.int64)
+                            sizes, peaks = per_station_flow(
+                                seg.delta_stations, values, base
                             )
-                        if not cap_safe:
-                            next_probe = seg.stop
-                        else:
-                            span = seg.stop - t
-                            values = seg.delta_values
-                            heard = count_transmitting(seg.transmitters)
-                            n_heard += heard
-                            n_silence += span - heard
-                            totals = segment_round_totals(
-                                seg.delta_offsets, values, total_queue
-                            )
-                            collector.record_round_totals(totals.tolist())
-                            if values.shape[0]:
-                                base = np.asarray(queue_sizes, dtype=np.int64)
-                                sizes, peaks = per_station_flow(
-                                    seg.delta_stations, values, base
-                                )
-                                for i in np.unique(seg.delta_stations).tolist():
-                                    queue_sizes[i] = int(sizes[i])
-                                    if peaks[i] > per_station_max[i]:
-                                        per_station_max[i] = int(peaks[i])
-                                total_queue = int(totals[-1])
-                            if counts_list is not None:
-                                energized += span
-                            else:
-                                span_ints = seg_counts.tolist()
-                                observe_span(span_ints)
-                                energy_series.extend(span_ints)
-                            # Materialise the span's planned injections in
-                            # plan order — identical packet-id assignment
-                            # to the per-round path — then resolve the
-                            # plan-index delivery references against them.
-                            j0 = plan_offsets[t - plan_base]
-                            j1 = plan_offsets[seg.stop - plan_base]
-                            packets: list = []
-                            if j1 > j0:
-                                plan_nonzero = plan.injection_rounds()
-                                pos = bisect_left(plan_nonzero, t)
-                                while (
-                                    pos < len(plan_nonzero)
-                                    and plan_nonzero[pos] < seg.stop
+                            for i in np.unique(seg.delta_stations).tolist():
+                                queue_sizes[i] = int(sizes[i])
+                                if peaks[i] > per_station_max[i]:
+                                    per_station_max[i] = int(peaks[i])
+                            total_queue = int(totals[-1])
+                        energized += span
+                        # Materialise the span's planned injections in
+                        # plan order — identical packet-id assignment to
+                        # the per-round path — then resolve the
+                        # plan-index delivery references against them.
+                        j0 = plan_offsets[t - plan_base]
+                        j1 = plan_offsets[seg.stop - plan_base]
+                        packets: list = []
+                        if j1 > j0:
+                            plan_nonzero = plan.injection_rounds()
+                            pos = bisect_left(plan_nonzero, t)
+                            while (
+                                pos < len(plan_nonzero)
+                                and plan_nonzero[pos] < seg.stop
+                            ):
+                                r = plan_nonzero[pos]
+                                rel = r - plan_base
+                                for j in range(
+                                    plan_offsets[rel], plan_offsets[rel + 1]
                                 ):
-                                    r = plan_nonzero[pos]
-                                    rel = r - plan_base
-                                    for j in range(
-                                        plan_offsets[rel], plan_offsets[rel + 1]
-                                    ):
-                                        packet = factory_make(
-                                            destination=plan_destinations[j],
-                                            injected_at=r,
-                                            origin=plan_sources[j],
-                                        )
-                                        record_injection(packet, r)
-                                        packets.append(packet)
-                                    pos += 1
-                            for rnd, delivered in seg.deliveries:
-                                if type(delivered) is int:
-                                    delivered = packets[delivered - j0]
-                                record_delivery(delivered, delivered.destination, rnd)
-                            seg.commit(packets)
-                            rounds_done += span
-                            self.lowered_segments += 1
-                            self.lowered_rounds += span
-                            t = seg.stop
-                            next_probe = t
-                            continue
+                                    packet = factory_make(
+                                        destination=plan_destinations[j],
+                                        injected_at=r,
+                                        origin=plan_sources[j],
+                                    )
+                                    record_injection(packet, r)
+                                    packets.append(packet)
+                                pos += 1
+                        for rnd, delivered in seg.deliveries:
+                            if type(delivered) is int:
+                                delivered = packets[delivered - j0]
+                            record_delivery(delivered, delivered.destination, rnd)
+                        seg.commit(packets)
+                        rounds_done += span
+                        self.lowered_segments += 1
+                        self.lowered_rounds += span
+                        t = seg.stop
+                        next_probe = t
+                        continue
 
                 # 1. Adversarial injections (plan slices; block capability
                 #    implies a planning adversary).
@@ -565,27 +489,12 @@ class BlockEngine(KernelEngine):
                 #  oblivious adversary — there is no view to update.)
                 t += 1
         finally:
-            self.round_no += rounds_done
-            self._total_queue = total_queue
-            if self._plan_state is not None and self.round_no >= self._plan_state.stop:
-                self._plan_state = None
-            if counts_list is not None:
-                flushed = counts_list[:energized]
-                energy_per_round.extend(flushed)
-                run_station_rounds += sum(flushed)
-                if flushed:
-                    peak = max(flushed)
-                    if peak > run_peak_awake:
-                        run_peak_awake = peak
-                collector.record_energy_series(counts_list[:rounds_done])
-            collector.rounds_observed += rounds_done
-            counts = collector.outcome_counts
-            for outcome, count in ((silence, n_silence), (heard_outcome, n_heard)):
-                if count:
-                    counts[outcome] = counts.get(outcome, 0) + count
-            # The span paths (quiescent elision, lowered segments) fold
-            # their counts in through EnergyMonitor.observe_span; this
-            # covers the per-round appends and the static-tier flush.
-            energy.total_station_rounds += run_station_rounds
-            if run_peak_awake > energy.max_awake:
-                energy.max_awake = run_peak_awake
+            self._fold_run(
+                rounds_done,
+                total_queue,
+                (n_silence, n_heard, 0),
+                counts_list,
+                energized,
+                run_station_rounds,
+                run_peak_awake,
+            )

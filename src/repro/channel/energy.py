@@ -79,21 +79,14 @@ class EnergyMonitor:
             if self.enforce:
                 raise EnergyCapViolation(round_no, awake_count, self.cap)
 
-    def observe_span(self, awake_counts: "list[int]") -> None:
+    def observe_span(self, awake_counts: list[int]) -> None:
         """Batch-record per-round awake counts for a cap-safe span.
 
-        The kernel engine's quiescent-span fast path flushes a whole
-        span's counts in one call; the caller has already verified that
-        no count exceeds the cap (spans whose counts could violate it are
-        not elided), so no per-round violation check is needed.  Accepts
-        any sequence of ints, including a numpy array (the block engine's
-        lowered segments export counts as int64 arrays); this module
-        deliberately stays numpy-free, so the conversion duck-types on
-        ``tolist``.
+        The engines' quiescent-span fast path flushes a whole span's
+        counts in one call; the caller has already verified that no
+        count exceeds the cap (spans whose counts could violate it are
+        not elided), so no per-round violation check is needed.
         """
-        tolist = getattr(awake_counts, "tolist", None)
-        if tolist is not None:
-            awake_counts = tolist()
         if not awake_counts:
             return
         self.per_round.extend(awake_counts)

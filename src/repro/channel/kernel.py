@@ -319,6 +319,124 @@ class KernelEngine:
         self._plan_state = plan
         return plan
 
+    # -- span and end-of-run bookkeeping (shared with the block engine) -------
+    def _static_counts(self, start: int, stop: int) -> list[int] | None:
+        """Awake counts of rounds ``[start, stop)`` on the cap-safe static tier.
+
+        None off that tier (or for an empty window): the loop then
+        accounts energy per round.  The loops flush the list in one
+        batch through :meth:`_fold_run`.
+        """
+        counts = self._period_counts
+        if counts is None or stop <= start:
+            return None
+        return counts[np.arange(start, stop, dtype=np.int64) % len(counts)].tolist()
+
+    def _elide_quiescent_span(
+        self, t: int, stop: int, plan: "InjectionPlan", hook=None
+    ) -> int:
+        """Elide the silent span starting at round ``t``; return its end.
+
+        Requires every queue empty and the silence invariant negotiated.
+        All rounds up to the plan's next injection (capped at ``stop``)
+        are then silent and state-predictable: controllers fast-forward
+        via ``advance_silent_span``, ``hook`` (the block driver's
+        ``advance_span``) keeps private canonical state current, the
+        ticked tier's oracle jumps via ``advance_span``, and the span's
+        energy counts and flat queue series are flushed as batch
+        appends.  On the cap-safe static tier the caller's
+        :meth:`_static_counts` list already holds the span's energy
+        counts.
+
+        Returns ``t`` when nothing was elided: an injection lands at
+        ``t``, or the oracle's span counts are missing or break the cap.
+        That rejection is sticky (span skipping turns off for the run):
+        the counts are a pure function of the round window, so
+        re-probing every quiescent round would rebuild O(span) arrays
+        without ever succeeding.  The caller owns the span's SILENCE
+        count and ``rounds_done``.
+        """
+        plan_nonzero = plan.injection_rounds()
+        pos = bisect_left(plan_nonzero, t)
+        next_injection = plan_nonzero[pos] if pos < len(plan_nonzero) else plan.stop
+        span_end = next_injection if next_injection < stop else stop
+        if span_end <= t:
+            return t
+        oracle = self._wake_oracle
+        span_counts = None
+        if self._period_counts is None:
+            span_counts = oracle.quiescent_awake_counts(t, span_end)
+            cap = self.energy.cap
+            if span_counts is None or (
+                cap is not None and int(span_counts.max()) > cap
+            ):
+                self._silence_capable = False
+                return t
+        for ctrl in self.controllers:
+            ctrl.advance_silent_span(t, span_end)
+        if hook is not None:
+            hook(t, span_end)
+        if span_counts is not None:
+            oracle.advance_span(t, span_end)
+            span_ints = span_counts.tolist()
+            self.energy.observe_span(span_ints)
+            self.collector.energy_series.extend(span_ints)
+        self.collector.record_queue_span(0, span_end - t)
+        self.quiescent_rounds_elided += span_end - t
+        return span_end
+
+    def _fold_run(
+        self,
+        rounds_done: int,
+        total_queue: int,
+        outcomes: tuple[int, int, int],
+        counts_list: list[int] | None,
+        energized: int,
+        station_rounds: int,
+        peak_awake: int,
+    ) -> None:
+        """Reconcile one loop call's locals with the engine, collector and monitor.
+
+        Runs in the loops' ``finally`` blocks, so after an exception the
+        aggregate counters match what the reference loop would have
+        recorded up to the failing round.  ``outcomes`` are the SILENCE,
+        HEARD and COLLISION counts.  ``counts_list`` is the cap-safe
+        static series: the energy monitor takes it up to the last round
+        that reached step 2 (``energized``), the collector up to the last
+        completed round — exactly what per-round appends would have
+        recorded.  The quiescent-span path folds its own energy through
+        :meth:`EnergyMonitor.observe_span`; ``station_rounds`` and
+        ``peak_awake`` cover the per-round appends (per-call
+        accumulators: recomputing sum/max over the monitor's whole
+        history per call would be quadratic across many short blocks).
+        """
+        collector = self.collector
+        energy = self.energy
+        self.round_no += rounds_done
+        self._total_queue = total_queue
+        if self._plan_state is not None and self.round_no >= self._plan_state.stop:
+            # The cached plan is fully consumed; only aborted runs leave
+            # a remainder for the next call to replay.
+            self._plan_state = None
+        if counts_list is not None:
+            flushed = counts_list[:energized]
+            energy.per_round.extend(flushed)
+            station_rounds += sum(flushed)
+            if flushed:
+                peak_awake = max(peak_awake, max(flushed))
+            collector.record_energy_series(counts_list[:rounds_done])
+        collector.rounds_observed += rounds_done
+        counts = collector.outcome_counts
+        for outcome, count in zip(
+            (ChannelOutcome.SILENCE, ChannelOutcome.HEARD, ChannelOutcome.COLLISION),
+            outcomes,
+        ):
+            if count:
+                counts[outcome] = counts.get(outcome, 0) + count
+        energy.total_station_rounds += station_rounds
+        if peak_awake > energy.max_awake:
+            energy.max_awake = peak_awake
+
     # -- main loop ------------------------------------------------------------
     def run(self, rounds: int) -> None:
         """Simulate ``rounds`` further rounds.
@@ -368,13 +486,6 @@ class KernelEngine:
         record_injection = collector.record_injection
         inject = adversary.inject
         silence_capable = self._silence_capable
-        advance_silent = (
-            [ctrl.advance_silent_span for ctrl in controllers]
-            if silence_capable
-            else ()
-        )
-        record_queue_span = collector.record_queue_span
-        observe_span = energy.observe_span
         pool = self._feedback_pool
         pool_heard = pool.heard
         silence_feedback = pool.silence()
@@ -392,25 +503,17 @@ class KernelEngine:
         collision = ChannelOutcome.COLLISION
         n_silence = n_heard = n_collision = 0
         rounds_done = 0
-        # Per-call energy accumulators, folded into the monitor once in
-        # the ``finally`` — recomputing sum/max over the monitor's whole
-        # history per call would be quadratic across many resumed runs
-        # (e.g. as the block engine's per-block fallback).
+        # Per-call energy accumulators, folded in by _fold_run.
         run_station_rounds = 0
         run_peak_awake = 0
         # Vectorised energy bookkeeping (schedule fast path, cap-safe):
         # the whole run's awake counts are materialised once from the
-        # per-period numpy series and flushed in the finally block.
+        # per-period numpy series and flushed by _fold_run.
         # ``energized`` mirrors the reference loop's accounting point
         # (step 2): the round that raises after it still has its count
         # recorded in the energy monitor, but not in the collector.
-        counts_list: list[int] | None = None
+        counts_list = self._static_counts(self.round_no, self.round_no + rounds)
         energized = 0
-        if period is not None and self._period_counts is not None and rounds > 0:
-            start = self.round_no
-            counts_list = self._period_counts[
-                np.arange(start, start + rounds, dtype=np.int64) % period_len
-            ].tolist()
 
         # Chunked machinery: injection plans are fetched (and the
         # schedule-backed view's history ring refreshed) every ``chunk``
@@ -443,58 +546,18 @@ class KernelEngine:
                         plan_base = plan.start
                         next_chunk = plan.stop
                     if silence_capable and total_queue == 0:
-                        # -- quiescent-span fast path: with every queue
-                        # empty and the silence invariant declared, all
-                        # rounds up to the chunk's next injection are
-                        # silent and state-predictable — elide them in
-                        # one step instead of looping.
-                        plan_nonzero = plan.injection_rounds()
-                        pos = bisect_left(plan_nonzero, t)
-                        next_injection = (
-                            plan_nonzero[pos]
-                            if pos < len(plan_nonzero)
-                            else next_chunk
-                        )
-                        span_end = next_injection if next_injection < end else end
-                        span_counts: np.ndarray | None = None
+                        # Quiescent-span fast path: elide every silent
+                        # round up to the chunk's next injection at once.
+                        span_end = self._elide_quiescent_span(t, end, plan)
                         if span_end > t:
+                            span = span_end - t
                             if counts_list is not None:
-                                # Static tier: per-round counts flush from
-                                # the precomputed (cap-safe) series in the
-                                # finally block.
-                                eligible = True
-                            else:
-                                span_counts = oracle.quiescent_awake_counts(
-                                    t, span_end
-                                )
-                                eligible = span_counts is not None and (
-                                    cap is None or int(span_counts.max()) <= cap
-                                )
-                                if not eligible:
-                                    # Sticky rejection: the counts are a
-                                    # pure function of the round window,
-                                    # so re-probing every quiescent round
-                                    # would rebuild O(span) arrays without
-                                    # ever succeeding.
-                                    silence_capable = False
-                                    self._silence_capable = False
-                            if eligible:
-                                span = span_end - t
-                                for advance in advance_silent:
-                                    advance(t, span_end)
-                                if counts_list is not None:
-                                    energized += span
-                                else:
-                                    oracle.advance_span(t, span_end)
-                                    span_ints = span_counts.tolist()
-                                    observe_span(span_ints)
-                                    energy_series.extend(span_ints)
-                                record_queue_span(total_queue, span)
-                                n_silence += span
-                                rounds_done += span
-                                self.quiescent_rounds_elided += span
-                                t = span_end
-                                continue
+                                energized += span
+                            n_silence += span
+                            rounds_done += span
+                            t = span_end
+                            continue
+                        silence_capable = self._silence_capable
                     rel = t - plan_base
                     lo = plan_offsets[rel]
                     hi = plan_offsets[rel + 1]
@@ -678,49 +741,18 @@ class KernelEngine:
                         )
                 t += 1
         finally:
-            # Reconcile the aggregate counters with the rounds actually
-            # completed (exceptions included).
-            self.round_no += rounds_done
             self._queue_sizes = queue_sizes
-            self._total_queue = total_queue
-            if (
-                planned
-                and self._plan_state is not None
-                and self.round_no >= self._plan_state.stop
-            ):
-                # The cached plan is fully consumed; only aborted runs
-                # leave a remainder for the next run() to replay.
-                self._plan_state = None
             if scheduled_view:
                 # Bring the lazily maintained history ring current so
                 # post-run inspection sees the same window the
                 # incremental path would have left behind.
                 view.flush_window()
-            if counts_list is not None:
-                # Flush the precomputed awake-count series: the energy
-                # monitor up to the last round that reached step 2, the
-                # collector only up to the last completed round — exactly
-                # what the per-round appends would have recorded.
-                flushed = counts_list[:energized]
-                energy_per_round.extend(flushed)
-                run_station_rounds += sum(flushed)
-                if flushed:
-                    peak = max(flushed)
-                    if peak > run_peak_awake:
-                        run_peak_awake = peak
-                collector.record_energy_series(counts_list[:rounds_done])
-            collector.rounds_observed += rounds_done
-            counts = collector.outcome_counts
-            for outcome, count in (
-                (silence, n_silence),
-                (heard_outcome, n_heard),
-                (collision, n_collision),
-            ):
-                if count:
-                    counts[outcome] = counts.get(outcome, 0) + count
-            # The quiescent-span path folds its counts in through
-            # EnergyMonitor.observe_span; this covers the per-round
-            # appends and the static-tier flush.
-            energy.total_station_rounds += run_station_rounds
-            if run_peak_awake > energy.max_awake:
-                energy.max_awake = run_peak_awake
+            self._fold_run(
+                rounds_done,
+                total_queue,
+                (n_silence, n_heard, n_collision),
+                counts_list,
+                energized,
+                run_station_rounds,
+                run_peak_awake,
+            )

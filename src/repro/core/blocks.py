@@ -38,6 +38,8 @@ Contract (all rounds ``t`` are absolute round numbers):
   engine replays it with vectorised kernels from :mod:`repro._accel`
   instead of round-at-a-time Python.  Returning ``None`` is always safe —
   the engine falls back to the per-round protocol and probes again later.
+  The engine only asks on the cap-safe static wake tier (RRW, OF-RRW and
+  MBTF lower; the other drivers keep the default None).
 """
 
 from __future__ import annotations
@@ -89,17 +91,13 @@ class LoweredSegment:
       packet-id assignment) only after accepting the segment and
       resolves the indices.  Lowered segments must only be produced
       when the driver can prove awakeness of every delivery destination
-      (always-on schedules, or clock-published receiver sets).
-    * ``awake_counts`` is required on the ticked tier (one entry per
-      round, each respecting the energy cap); static-schedule drivers
-      leave it ``None``.
+      (always-on schedules).
     * ``commit(packets)`` applies all controller/replica state
       mutations of the span in one step; ``packets`` are the span's
       materialised injections ordered by plan index (commit replays the
       arrivals into the right queues alongside removals and aging).
-      ``lower_segment`` itself must be pure apart from idempotent clock
-      ticks at ``start`` — the engine may discard a segment and re-run
-      the same rounds through the per-round path.
+      ``lower_segment`` itself must be pure: a driver returning None
+      leaves the same rounds to the per-round path.
     """
 
     start: int
@@ -110,7 +108,6 @@ class LoweredSegment:
     delta_offsets: "np.ndarray"
     deliveries: "list[tuple[int, Packet | int]]"
     commit: "Callable[[list[Packet]], None]"
-    awake_counts: "np.ndarray | None" = None
 
 
 class RoundBlockDriver(abc.ABC):

@@ -1,7 +1,7 @@
 """Experiment entry points: one per Table 1 row, impossibility and figure.
 
 Each ``experiment_*`` function reproduces one artefact of the paper's
-evaluation (see the experiment index in DESIGN.md) and returns an
+evaluation (``repro table1`` runs the Table 1 rows) and returns an
 :class:`ExperimentResult` holding the paper's bound, the measured value
 and a boolean *shape check* — the qualitative property that must hold for
 the reproduction to count (stability where the paper proves stability,
@@ -201,7 +201,7 @@ def experiment_count_hop_latency(
     explicit Report and an explicit Assign slot for every station) where
     the paper's accounting charges only ``n - 1``; the measured latency is
     therefore compared against twice the paper's bound, and the 1/(1-rho)
-    and n^2 scaling is exercised by the F1/F2 sweeps.  See EXPERIMENTS.md.
+    and n^2 scaling is exercised by the F1/F2 sweeps.
     """
     family = default_adversary_family(rho, beta, as_specs=True)
     worst, runs = worst_case_over(

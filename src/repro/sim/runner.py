@@ -215,7 +215,7 @@ def worst_case_over(
     Returns the worst run (by observed latency, then max queue, with the
     adversary description as a final deterministic tie-break) and the full
     list of per-adversary results.  The paper's bounds are worst-case
-    statements, so measured values reported in EXPERIMENTS.md are maxima
+    statements, so the measured values ``repro table1`` reports are maxima
     over an adversary family.
 
     Factories may return live objects or declarative

@@ -349,10 +349,9 @@ def test_block_engine_requires_shared_driver():
 # ---------------------------------------------------------------------------
 
 #: (algorithm, params, adversary, adversary_params) grids on which the
-#: drivers provably lower spans (dense arrival absorption for the
-#: token-ring family, silent-span lowering for the schedule-driven
-#: family) — each case must produce lowered_rounds > 0, so a regression
-#: that silently stops lowering fails loudly here.
+#: always-on token-ring drivers provably lower spans (drain spans and
+#: dense arrival absorption) — each case must produce lowered_rounds > 0,
+#: so a regression that silently stops lowering fails loudly here.
 LOWERING_CASES = [
     ("rrw", {"n": 16}, "bursty", {"rho": 0.5, "beta": 8.0, "idle_rounds": 200}),
     ("rrw", {"n": 32}, "random", {"rho": 0.9, "beta": 2.0, "seed": 9}),
@@ -360,19 +359,6 @@ LOWERING_CASES = [
     ("of-rrw", {"n": 8}, "spray", {"rho": 0.25, "beta": 4.0}),
     ("mbtf", {"n": 32}, "random", {"rho": 0.95, "beta": 2.0, "seed": 9}),
     ("mbtf", {"n": 16}, "bursty", {"rho": 0.6, "beta": 8.0, "idle_rounds": 200}),
-    (
-        "k-cycle",
-        {"n": 16, "k": 4},
-        "bursty",
-        {"rho": 0.05, "beta": 4.0, "idle_rounds": 150},
-    ),
-    (
-        "k-clique",
-        {"n": 16, "k": 6},
-        "bursty",
-        {"rho": 0.03, "beta": 4.0, "idle_rounds": 150},
-    ),
-    ("k-subsets", {"n": 8, "k": 3}, "random", {"rho": 0.05, "beta": 2.0, "seed": 9}),
 ]
 
 
@@ -383,18 +369,6 @@ def _lowering_common(algorithm, params, adversary, adversary_params):
         adversary=adversary,
         adversary_params=adversary_params,
     )
-
-
-def _build_lowered(common):
-    """A block engine accepting every proved segment, however short.
-
-    The correctness tests deliberately exercise the segment-cut edges
-    (single-round proofs, cuts right before activity) that the
-    perf-oriented default :attr:`~BlockEngine.lower_min_span` would
-    discard; pinning the knob to 1 keeps them on the lowered path."""
-    engine = _build_engine(common, BlockEngine)
-    engine.lower_min_span = 1
-    return engine
 
 
 @pytest.mark.parametrize(
@@ -409,7 +383,7 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
     plan); the bursty cases interleave quiescent-span elision with
     lowered segments inside the same blocks."""
     common = _lowering_common(algorithm, params, adversary, adversary_params)
-    lowered = _build_lowered(common)
+    lowered = _build_engine(common, BlockEngine)
     per_round = _build_engine(common, BlockEngine)
     per_round.lowering_enabled = False
     lowered.run(1500)
@@ -432,13 +406,66 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
     )
 
 
+#: Sparse-traffic grids for the schedule-driven k-family: mostly silent
+#: rounds, which these drivers leave to the quiescent-span elision the
+#: kernel and block loops share instead of lowering them.
+SILENT_SPAN_CASES = [
+    (
+        "k-cycle",
+        {"n": 16, "k": 4},
+        "bursty",
+        {"rho": 0.05, "beta": 4.0, "idle_rounds": 150},
+    ),
+    (
+        "k-clique",
+        {"n": 16, "k": 6},
+        "bursty",
+        {"rho": 0.03, "beta": 4.0, "idle_rounds": 150},
+    ),
+    ("k-subsets", {"n": 8, "k": 3}, "random", {"rho": 0.05, "beta": 2.0, "seed": 9}),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, adversary, adversary_params", SILENT_SPAN_CASES
+)
+def test_k_family_silent_spans_take_the_shared_elision_path(
+    algorithm, params, adversary, adversary_params
+):
+    """With lowering enabled the k-family drivers still lower nothing;
+    the block loop elides their silent spans through the kernel's span
+    method (plus the driver's ``advance_span`` hook), so block and
+    kernel elide the same rounds and match the reference bit for bit."""
+    common = _lowering_common(algorithm, params, adversary, adversary_params)
+    block = _build_engine(common, BlockEngine)
+    kernel = _build_engine(common, KernelEngine)
+    block.run(700)
+    block.run(800)
+    kernel.run(1500)
+    assert block.lowering_enabled
+    assert block.lowered_segments == 0
+    assert block.quiescent_rounds_elided > 0, (algorithm, adversary)
+    assert block.quiescent_rounds_elided == kernel.quiescent_rounds_elided
+    assert _collector_state(block.collector) == _collector_state(kernel.collector)
+    assert block.energy.report() == kernel.energy.report()
+
+    reference = execute_spec(
+        RunSpec(
+            engine="reference", rounds=1500, enforce_energy_cap=False, **common
+        )
+    )
+    assert _collector_state(block.collector) == _collector_state(
+        reference.collector
+    )
+
+
 def test_lowering_interleaves_with_span_elision():
     """A bursty run alternates quiescent spans (elided) with busy drain
     spans (lowered); both fast paths must engage in the same run."""
     common = _lowering_common(
         "rrw", {"n": 16}, "bursty", {"rho": 0.5, "beta": 8.0, "idle_rounds": 200}
     )
-    engine = _build_lowered(common)
+    engine = _build_engine(common, BlockEngine)
     engine.run(2000)
     assert engine.quiescent_rounds_elided > 0
     assert engine.lowered_rounds > 0
@@ -451,7 +478,7 @@ def test_dense_lowering_absorbs_mid_segment_injections():
     common = _lowering_common(
         "rrw", {"n": 32}, "random", {"rho": 0.9, "beta": 2.0, "seed": 9}
     )
-    engine = _build_lowered(common)
+    engine = _build_engine(common, BlockEngine)
     engine.run(1500)
     assert engine.collector.injected_count > 500
     assert engine.lowered_rounds > 1000
@@ -461,15 +488,16 @@ def test_dense_lowering_absorbs_mid_segment_injections():
 def test_lowered_equivalence_on_both_rng_versions(rng_version):
     """The seeded adversaries' RNG protocol (per-round draws vs batched
     plan-time draws) must not affect lowered-vs-reference equivalence."""
-    for algorithm, params in [("rrw", {"n": 16}), ("k-subsets", {"n": 6, "k": 2})]:
+    for algorithm, params in [("rrw", {"n": 16}), ("mbtf", {"n": 16})]:
         common = _lowering_common(
             algorithm,
             params,
             "random",
             {"rho": 0.4, "beta": 2.0, "seed": 31, "rng_version": rng_version},
         )
-        engine = _build_lowered(common)
+        engine = _build_engine(common, BlockEngine)
         engine.run(800)
+        assert engine.lowered_rounds > 0, (algorithm, rng_version)
         reference = execute_spec(
             RunSpec(
                 engine="reference", rounds=800, enforce_energy_cap=False, **common
@@ -495,28 +523,6 @@ def test_lowering_toggle_is_reported_in_negotiation():
     off.run(300)
     assert off.negotiation()["segment_lowering"] is False
     assert off.negotiation()["lowered_rounds"] == 0
-
-
-def test_lower_min_span_discards_short_proofs_without_changing_results():
-    """The minimum-span knob is a pure execution strategy: a prohibitive
-    span discards every proof (segments never engage) and the default
-    discards only short ones (mid-block re-probes), yet all three
-    settings must collect identical statistics."""
-    common = _lowering_common(
-        "rrw", {"n": 16}, "bursty", {"rho": 0.5, "beta": 8.0, "idle_rounds": 200}
-    )
-    eager = _build_lowered(common)
-    default = _build_engine(common, BlockEngine)
-    picky = _build_engine(common, BlockEngine)
-    picky.lower_min_span = 10_000
-    for engine in (eager, default, picky):
-        engine.run(1500)
-    assert eager.lowered_segments > 0
-    assert picky.lowered_segments == 0
-    state = _collector_state(eager.collector)
-    assert _collector_state(default.collector) == state
-    assert _collector_state(picky.collector) == state
-    assert eager.energy.report() == picky.energy.report()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.channel.block import BlockEngine
-from repro.channel.engine import EngineConfig
+from repro.channel.engine import EngineConfig, RoundEngine
 from repro.channel.kernel import KernelEngine
 from repro.channel.packet import PacketFactory
 from repro.metrics.collector import MetricsCollector
@@ -208,6 +208,43 @@ def test_aborted_mid_span_run_resumes_from_plan_remainder(splits, engine_cls):
     assert _collector_state(engine.collector) == _collector_state(
         reference.collector
     )
+
+
+def _capped_k_subsets(engine_cls):
+    """k-Subsets n=8 (3 stations awake per round) under a recorded cap of 2."""
+    algorithm = make_algorithm("k-subsets", n=8, k=3)
+    adversary = make_adversary("bursty", rho=0.1, beta=6.0, idle_rounds=50)
+    adversary.bind(algorithm.n, PacketFactory())
+    config = EngineConfig(energy_cap=2, enforce_energy_cap=False, plan_chunk=64)
+    controllers = algorithm.build_controllers()
+    if engine_cls is RoundEngine:
+        return RoundEngine(controllers, adversary, config=config)
+    return engine_cls(
+        controllers, adversary, config=config, schedule=algorithm.oblivious_schedule()
+    )
+
+
+def test_cap_rejected_span_runs_per_round_on_every_engine():
+    """The first quiescent span's batch counts (3 awake) fail the cap of
+    2, so elision is rejected for the rest of the run — across run()
+    calls — and the per-round path records every round's violation."""
+    reference, kernel, block = (
+        _capped_k_subsets(cls) for cls in (RoundEngine, KernelEngine, BlockEngine)
+    )
+    # Negotiation cannot see the cap conflict; only the first probe can.
+    assert kernel.uses_quiescence_skipping and block.uses_quiescence_skipping
+    for engine in (reference, kernel, block):
+        engine.run(1234)
+        engine.run(1766)
+    assert reference.energy.violations == 3000
+    for engine in (kernel, block):
+        assert _collector_state(engine.collector) == _collector_state(
+            reference.collector
+        )
+        assert engine.energy.violations == reference.energy.violations
+        assert engine.energy.report() == reference.energy.report()
+        assert engine.quiescent_rounds_elided == 0
+        assert engine.negotiation()["quiescence_skipping"] is False
 
 
 def test_exception_mid_chunk_leaves_resumable_state():
