@@ -16,23 +16,21 @@ invocations (defaults to ``~/.cache/repro-sim`` when ``--cache`` is set).
 The distributed trio turns the harness into a service::
 
     python -m repro serve  --queue-dir Q --cache-dir C --port 8750
-    python -m repro worker --queue-dir Q &   # any number, any machine
+    python -m repro worker --server http://host:8750 &   # any number, any machine
     python -m repro submit --server http://host:8750 --algorithm rrw --n 8 ...
 
-``serve`` shards submitted batches into a lease-based work queue,
-``worker`` processes claim/execute/heartbeat them (crash-safe: expired
-leases are stolen and finished idempotently against the shared cache),
-and ``submit`` posts a sweep and streams progress until the results are
-in.  ``sweep --shard i/k`` is the manual alternative: a deterministic
-spec-hash partition for splitting one sweep across machines by hand.
-
-Workers can also run with **no shared filesystem**: ``repro worker
---server URL`` claims shards and heartbeats leases over HTTP, and
-publishes results to the server's cache endpoints (``--cache-url``
-defaults to the server).  Every RPC goes through a resilient client —
-timeouts, deterministic retry/backoff, a circuit breaker that degrades
-to a local spill cache and reconciles on recovery — and both sides can
-deterministically inject network faults (``--fault-net-*``) for testing.
+``serve`` shards submitted batches into its in-memory lease-based work
+queue, ``worker`` processes claim/execute/heartbeat them over HTTP and
+publish results to the server's cache endpoints (crash-safe: expired
+leases are stolen and finished idempotently against the cache), and
+``submit`` posts a sweep and streams progress until the results are in.
+Workers share no filesystem with the server.  Every RPC goes through a
+resilient client — timeouts, deterministic retry/backoff, a circuit
+breaker that degrades to a local spill cache and reconciles on
+recovery — and both sides can deterministically inject network faults
+(``--fault-net-*``) for testing.  ``sweep --shard i/k`` is the manual
+alternative: a deterministic spec-hash partition for splitting one
+sweep across machines by hand.
 """
 
 from __future__ import annotations
@@ -264,25 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker_p = sub.add_parser(
         "worker",
-        help="claim and execute shards from a distributed sweep queue",
+        help="claim and execute shards from a repro serve instance",
     )
-    worker_p.add_argument("--queue-dir", default=None,
-                          help="work queue directory (shared with repro serve); "
-                          "mutually exclusive with --server")
-    worker_p.add_argument("--server", default=None, metavar="URL",
-                          help="claim shards over HTTP from this repro serve "
-                          "URL instead of a shared queue directory")
-    worker_p.add_argument("--cache-url", default=None, metavar="URL",
-                          help="publish results to this remote cache "
-                          "(default: --server when given); with --server this "
-                          "worker needs no shared filesystem at all")
+    worker_p.add_argument("--server", required=True, metavar="URL",
+                          help="base URL of the repro serve instance: shards "
+                          "are claimed and results published over HTTP")
     worker_p.add_argument("--spill-dir", default=None,
                           help="local spill directory for results while the "
-                          "remote cache is unreachable (default: a private "
-                          "temp dir)")
-    worker_p.add_argument("--cache-dir", default=None,
-                          help="shared result cache (default: the queue's "
-                          "recorded cache dir; ignored with --cache-url)")
+                          "server is unreachable (default: a private temp dir)")
     worker_p.add_argument("--rpc-timeout", type=float, default=10.0,
                           help="per-request timeout for remote queue/cache RPCs")
     worker_p.add_argument("--rpc-max-attempts", type=int, default=4,
@@ -303,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit as soon as no shard is pending or leased")
     worker_p.add_argument("--wait-for-queue", type=float, default=0.0,
                           metavar="SECONDS",
-                          help="wait up to SECONDS for the queue to be created "
-                          "before opening it")
+                          help="wait up to SECONDS for the server to come up "
+                          "and hold work")
     worker_p.add_argument("--max-retries", type=int, default=2,
                           help="per-spec retry budget inside this worker")
     worker_p.add_argument("--fault-seed", type=int, default=0,
@@ -330,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stream progress",
     )
     serve_p.add_argument("--queue-dir", required=True,
-                         help="work queue directory (shared with repro worker)")
+                         help="directory for per-job manifests "
+                         "(jobs/<id>.manifest.json)")
     serve_p.add_argument("--cache-dir", default=None,
                          help="shared result cache "
                          "(default: ~/.cache/repro-sim or $REPRO_CACHE_DIR)")
@@ -504,8 +492,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .sim.netclient import RpcPolicy
 
-    if (args.queue_dir is None) == (args.server is None):
-        raise SystemExit("exactly one of --queue-dir or --server is required")
     try:
         fault_plan = _fault_plan_from_args(args)
         policy = ExecutionPolicy(max_retries=args.max_retries)
@@ -523,12 +509,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     # they do to pool workers in a local supervised sweep.
     mark_worker_process()
     stats = run_worker(
-        args.queue_dir,
-        server_url=args.server,
-        cache_url=args.cache_url,
+        args.server,
         spill_dir=args.spill_dir,
         rpc_policy=rpc_policy,
-        cache_dir=args.cache_dir,
         owner=args.owner,
         policy=policy,
         fault_plan=fault_plan,

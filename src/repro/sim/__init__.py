@@ -9,21 +9,22 @@ replayable failures (worker kills, transient exceptions, cache
 corruption, stalls), an :class:`ExecutionPolicy` retries/quarantines
 them, and a :class:`SweepManifest` checkpoints sweep status for resume.
 
-The distributed layer turns that harness into a service: a filesystem
-:class:`WorkQueue` shards spec batches into lease-based work items
-(atomic rename-to-claim, TTL heartbeats, expired-lease stealing),
-:func:`run_worker` is the ``repro worker`` loop executing claimed shards
-through the supervised executor into a shared cache, and
+The distributed layer turns that harness into a service:
 :class:`SweepService` is the ``repro serve`` front end accepting spec
-batches over HTTP with graceful local fallback when no worker is alive.
+batches over HTTP, sharding them into its private in-memory
+:class:`WorkQueue` (token-addressed leases, TTL heartbeats,
+expired-lease stealing) and draining them itself when no worker is
+alive; :func:`run_worker` is the ``repro worker`` loop that claims
+shards over HTTP and executes them through the supervised executor.
 
-The network itself is a fault domain: :class:`ResilientClient` wraps
-every RPC with timeouts, deterministic retry/backoff and a circuit
-breaker, :class:`RemoteCacheBackend` + :class:`RemoteWorkQueue` let
-workers run with **no shared filesystem** (spilling locally and
-reconciling when an open circuit closes), and :class:`FaultPlan` network
-coins inject refused/torn/corrupt/500 exchanges deterministically on
-both client and server.
+The network is the only link between them, and a fault domain:
+:class:`ResilientClient` wraps every RPC with timeouts, deterministic
+retry/backoff and a circuit breaker, :class:`RemoteWorkQueue` +
+:class:`RemoteCacheBackend` give workers the queue and the cache with
+**no shared filesystem** (spilling locally and reconciling when an open
+circuit closes), and :class:`FaultPlan` network coins inject
+refused/torn/corrupt/500 exchanges deterministically on both client and
+server.
 """
 
 from .cache import (

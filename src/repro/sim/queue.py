@@ -1,46 +1,28 @@
-"""Filesystem work queue with lease-based claims and work stealing.
+"""Lease-based work queue with token-addressed claims and work stealing.
 
-The distributed sweep layer needs a coordination substrate that any
-number of worker processes — on one machine or many sharing a filesystem
-— can use without a broker, a database or any new dependency.  This
-module provides it with nothing but directories and atomic renames:
+``repro serve`` owns one :class:`WorkQueue`: an in-memory store, guarded
+by one lock, that coordinates every ``repro worker`` through the
+server's ``/api/queue`` endpoints (:class:`RemoteWorkQueue` is the
+worker's HTTP client for them):
 
 * a sweep is **enqueued** as shards (a few :class:`~repro.sim.specs.RunSpec`
-  dicts per JSON payload) dropped into ``pending/``;
-* a worker **claims** a shard by renaming it into ``leased/`` — rename is
-  atomic on POSIX, so of any number of racing claimants exactly one wins
-  and the losers see :class:`FileNotFoundError` and move on;
-* the lease carries a **TTL** encoded in its filename; the worker
-  **heartbeats** by renaming the lease onto a fresh expiry while it
-  executes;
+  each), claimed first in, first out;
+* a worker **claims** a shard and receives an opaque lease *token*;
+  the lease carries a **TTL** (measured on the server's monotonic
+  clock) that the worker **heartbeats** while it executes;
 * a lease whose TTL lapses (worker crashed, stalled, or was killed) is
-  **reclaimed**: any process may rename it back into ``pending/`` with
-  the shard's *takeover counter* bumped — this is work stealing, and the
-  counter survives crashes because it lives in the filename, not in any
-  process's memory;
-* a finished shard publishes per-spec status records into ``done/`` and
-  drops its lease.
-
-Every transition is a single ``os.rename``/``os.replace``; there are no
-lock files and no read-modify-write windows.  The payload *content* never
-changes after enqueue — all mutable state (takeovers, owner, expiry) is
-encoded in filenames:
-
-.. code-block:: text
-
-    pending/{shard}.t{takeovers}.json
-    leased/{shard}.t{takeovers}.{owner}.{expires_ms}.json
-    done/{shard}.json
-
-Shard ids and owner names are sanitised to ``[A-Za-z0-9_-]`` so the
-dot-separated grammar parses unambiguously.
+  **reclaimed**: the shard returns to the front of the pending line
+  with its *takeover counter* bumped — this is work stealing, and the
+  counter survives worker crashes because the server holds it;
+* a finished shard publishes per-spec status records (plus optional
+  per-shard RPC counters) and retires.
 
 Delivery is **at least once**: a stolen shard may still be finished by
 its original (slow, not dead) owner, so two workers can execute the same
 spec.  That is safe because results land in the content-addressed,
 checksummed :class:`~repro.sim.cache.ResultCache` — both workers compute
-the bit-identical payload and the last atomic rename wins — and because
-``done/`` records are whole-file replacements.  The takeover counter
+the bit-identical payload — and because the first completion retires
+the shard and spends every token issued for it.  The takeover counter
 doubles as the shard's global attempt clock for deterministic fault
 injection: :meth:`FaultPlan.with_offset(takeovers)
 <repro.sim.faults.FaultPlan.with_offset>` lets a stolen shard resume the
@@ -50,13 +32,10 @@ budget bounds faults per spec across the whole fleet, not per process.
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import tempfile
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .faults import FailedResult
@@ -83,19 +62,6 @@ __all__ = [
 #: Default lease TTL in seconds before a claimed shard may be stolen.
 DEFAULT_LEASE_TTL = 15.0
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_-]+")
-
-
-def _sanitize(name: str, fallback: str) -> str:
-    """Restrict ``name`` to the filename-grammar alphabet."""
-    cleaned = _NAME_RE.sub("-", name).strip("-")
-    return cleaned or fallback
-
-
-def _now_ms() -> int:
-    """Wall-clock milliseconds — lease expiries must compare across processes."""
-    return int(time.time() * 1000)
-
 
 def shard_index(spec_hash: str, shards: int) -> int:
     """Deterministic shard assignment for a canonical spec hash.
@@ -111,17 +77,30 @@ def shard_index(spec_hash: str, shards: int) -> int:
 
 
 class LeaseLostError(RuntimeError):
-    """The lease vanished mid-heartbeat: it expired and was stolen."""
+    """The lease token is no longer live: it expired and was stolen, or
+    its shard is already done."""
+
+
+@dataclass
+class _Shard:
+    shard_id: str
+    specs: list[RunSpec]
+    takeovers: int = 0
+    #: Token of the live lease (None while pending).
+    token: str | None = None
+    #: ``time.monotonic()`` deadline of the live lease.
+    expires: float = 0.0
+    #: Every token issued on this shard, spent together when it retires.
+    tokens: list[str] = field(default_factory=list)
 
 
 @dataclass
 class WorkLease:
-    """One claimed shard: the specs to run plus the lease lifecycle.
+    """In-process handle on one claimed shard (the server's fallback drain).
 
-    All mutating methods are filename renames.  Exactly one of
-    :meth:`complete` / :meth:`abandon` / losing the lease ends the
-    lifecycle; a lost lease (stolen after expiry) flips :attr:`lost` and
-    all later operations become no-ops that report the loss.
+    Same three methods as :class:`RemoteWorkLease`, so
+    :func:`~repro.sim.worker.process_lease` runs either.  Once the lease
+    is stolen, :attr:`lost` flips and the handle reports the loss.
     """
 
     queue: "WorkQueue"
@@ -129,162 +108,54 @@ class WorkLease:
     takeovers: int
     owner: str
     specs: list[RunSpec]
-    path: Path
-    expires_ms: int
+    token: str
     lost: bool = field(default=False)
 
-    def _leased_name(self, expires_ms: int) -> str:
-        return f"{self.shard_id}.t{self.takeovers}.{self.owner}.{expires_ms}.json"
-
     def heartbeat(self, ttl: float | None = None) -> None:
-        """Push the lease expiry ``ttl`` seconds into the future.
-
-        Raises :class:`LeaseLostError` if the lease file is gone — the
-        TTL lapsed and another process reclaimed the shard.  The caller
-        should stop working on it (any results already cached remain
-        valid; the thief recomputes idempotently).
-        """
-        if self.lost:
-            raise LeaseLostError(f"lease on {self.shard_id} already lost")
-        ttl = self.queue.lease_ttl if ttl is None else ttl
-        expires = _now_ms() + int(ttl * 1000)
-        target = self.queue.leased_dir / self._leased_name(expires)
+        """Renew the lease; :class:`LeaseLostError` once it was stolen."""
         try:
-            os.rename(self.path, target)
-        except FileNotFoundError:
+            self.queue.heartbeat(self.token, ttl)
+        except LeaseLostError:
             self.lost = True
-            raise LeaseLostError(
-                f"lease on {self.shard_id} expired and was stolen from {self.owner}"
-            ) from None
-        self.path = target
-        self.expires_ms = expires
+            raise
 
     def complete(self, statuses: Sequence[dict], extra: dict | None = None) -> bool:
-        """Publish per-spec status records and release the lease.
-
-        The ``done/`` record is written (atomically, last-writer-wins —
-        racing completions of a stolen-and-finished-twice shard converge
-        on one whole file) *before* the lease is dropped, so a crash in
-        between leaves a completed shard with a stale lease that any
-        claimant will recognise as done.  ``extra`` (e.g. the worker's
-        RPC/spill counter deltas for this shard) rides along in the done
-        record under ``"rpc"``.  Returns False when the lease had
-        already been stolen; the statuses are published either way.
-        """
-        self.queue._write_done(self.shard_id, list(statuses), extra=extra)
+        """Publish the statuses; False when the lease had been stolen."""
         try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            self.lost = True
-            return False
-        return True
+            held = self.queue.complete(self.token, statuses, extra)
+        except LeaseLostError:
+            held = False
+        self.lost = self.lost or not held
+        return held
 
     def abandon(self) -> bool:
-        """Hand the shard back to ``pending/`` with the takeover bumped.
-
-        Used by a worker shutting down cleanly mid-shard; the bump keeps
-        the fault-coin stream advancing exactly as a crash-and-steal
-        would.  Returns False if the lease was already stolen.
-        """
-        target = self.queue.pending_dir / f"{self.shard_id}.t{self.takeovers + 1}.json"
-        try:
-            os.rename(self.path, target)
-        except FileNotFoundError:
-            self.lost = True
-            return False
-        return True
+        """Hand the shard back; False when the lease had been stolen."""
+        released = self.queue.abandon(self.token)
+        self.lost = self.lost or not released
+        return released
 
 
 class WorkQueue:
-    """A directory tree of shard files coordinating sweep workers.
+    """The ``repro serve`` process's shard store: pending, leased, done.
 
-    Parameters
-    ----------
-    root:
-        Queue directory; created (with its ``queue.json`` config) if
-        absent.  Reopening an existing root inherits its recorded
-        ``lease_ttl``/``cache_dir`` unless overridden explicitly.
-    lease_ttl:
-        Seconds before an unrenewed lease may be stolen.
-    cache_dir:
-        Shared :class:`~repro.sim.cache.ResultCache` directory recorded
-        in the config so workers and the server agree on where results
-        land without passing the path out of band.
+    Every method takes the one lock, so racing claims from the HTTP
+    handler threads and the fallback drain have exactly one winner.
+    ``lease_ttl`` is the seconds before an unrenewed lease may be stolen.
     """
 
-    CONFIG_VERSION = 1
-
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        lease_ttl: float | None = None,
-        cache_dir: str | Path | None = None,
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        config = self._load_config()
-        if lease_ttl is None:
-            lease_ttl = config.get("lease_ttl", DEFAULT_LEASE_TTL)
+    def __init__(self, *, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        if cache_dir is None:
-            recorded = config.get("cache_dir")
-            cache_dir = Path(recorded) if recorded else None
         self.lease_ttl = float(lease_ttl)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        for sub in (self.pending_dir, self.leased_dir, self.done_dir):
-            sub.mkdir(parents=True, exist_ok=True)
-        self._save_config()
+        self._lock = threading.Lock()
+        self._pending: OrderedDict[str, _Shard] = OrderedDict()
+        self._leased: dict[str, _Shard] = {}
+        self._tokens: dict[str, _Shard] = {}
+        #: shard id → the RPC counters its done record carried.
+        self._done: dict[str, dict] = {}
+        self._statuses: dict[str, dict] = {}
+        self._token_seq = 0
 
-    # -- layout ---------------------------------------------------------------
-    @property
-    def pending_dir(self) -> Path:
-        return self.root / "pending"
-
-    @property
-    def leased_dir(self) -> Path:
-        return self.root / "leased"
-
-    @property
-    def done_dir(self) -> Path:
-        return self.root / "done"
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / "queue.json"
-
-    def _load_config(self) -> dict:
-        try:
-            data = json.loads(self.config_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return {}
-        return data if isinstance(data, dict) else {}
-
-    def _save_config(self) -> None:
-        self._atomic_json(
-            self.config_path,
-            {
-                "version": self.CONFIG_VERSION,
-                "lease_ttl": self.lease_ttl,
-                "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            },
-        )
-
-    def _atomic_json(self, path: Path, payload: object) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- enqueue --------------------------------------------------------------
     def enqueue(
         self,
         specs: Iterable[RunSpec | dict],
@@ -295,160 +166,146 @@ class WorkQueue:
         """Shard ``specs`` into pending work items; return the shard ids.
 
         Order is preserved within and across shards, so shard contents
-        are deterministic for a given spec sequence.  Payloads are
-        written to a temp name and renamed in, so a claimant never sees
-        a half-written shard.
+        are deterministic for a given spec sequence.
         """
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
-        prefix = _sanitize(prefix, "shard")
         batch = [s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in specs]
-        shard_ids: list[str] = []
-        for n, start in enumerate(range(0, len(batch), shard_size)):
-            shard_id = f"{prefix}-{n:04d}"
-            payload = {
-                "shard": shard_id,
-                "specs": [spec.to_dict() for spec in batch[start : start + shard_size]],
-            }
-            self._atomic_json(self.pending_dir / f"{shard_id}.t0.json", payload)
-            shard_ids.append(shard_id)
-        return shard_ids
-
-    # -- claim / steal --------------------------------------------------------
-    @staticmethod
-    def _parse_pending(name: str) -> tuple[str, int] | None:
-        parts = name.split(".")
-        if len(parts) != 3 or parts[2] != "json" or not parts[1].startswith("t"):
-            return None
-        try:
-            return parts[0], int(parts[1][1:])
-        except ValueError:
-            return None
-
-    @staticmethod
-    def _parse_leased(name: str) -> tuple[str, int, str, int] | None:
-        parts = name.split(".")
-        if len(parts) != 5 or parts[4] != "json" or not parts[1].startswith("t"):
-            return None
-        try:
-            return parts[0], int(parts[1][1:]), parts[2], int(parts[3])
-        except ValueError:
-            return None
+        shards = [
+            _Shard(f"{prefix}-{n:04d}", batch[start : start + shard_size])
+            for n, start in enumerate(range(0, len(batch), shard_size))
+        ]
+        ids = [shard.shard_id for shard in shards]
+        with self._lock:
+            if any(i in self._pending or i in self._leased or i in self._done for i in ids):
+                raise ValueError(f"shard prefix {prefix!r} is already in use")
+            self._pending.update(zip(ids, shards))
+        return ids
 
     def claim(self, owner: str) -> WorkLease | None:
-        """Atomically claim one pending shard for ``owner``, or None.
+        """Lease the oldest pending shard to ``owner``, or None.
 
-        Expired leases are reclaimed first (so a lone worker can steal
-        back its own abandoned shard), and pending shards that already
-        have a ``done/`` record — a steal the original owner finished
-        anyway — are retired instead of re-executed.
+        Expired leases are reclaimed first, so a lone worker can steal
+        back its own abandoned shard.
         """
-        owner = _sanitize(owner, "worker")
-        self.reclaim_expired()
-        for entry in sorted(os.listdir(self.pending_dir)):
-            parsed = self._parse_pending(entry)
-            if parsed is None:
-                continue
-            shard_id, takeovers = parsed
-            source = self.pending_dir / entry
-            if (self.done_dir / f"{shard_id}.json").exists():
-                try:
-                    os.unlink(source)
-                except FileNotFoundError:
-                    pass
-                continue
-            expires = _now_ms() + int(self.lease_ttl * 1000)
-            target = (
-                self.leased_dir / f"{shard_id}.t{takeovers}.{owner}.{expires}.json"
-            )
-            try:
-                os.rename(source, target)
-            except FileNotFoundError:
-                continue  # lost the race to another claimant
-            try:
-                payload = json.loads(target.read_text("utf-8"))
-                specs = [RunSpec.from_dict(d) for d in payload["specs"]]
-            except (OSError, ValueError, KeyError, TypeError):
-                # Unreadable shard payload: retire it rather than letting
-                # every claimant trip over it forever.
-                target.unlink(missing_ok=True)
-                continue
+        with self._lock:
+            self._reclaim_expired()
+            if not self._pending:
+                return None
+            _, shard = self._pending.popitem(last=False)
+            self._token_seq += 1
+            token = f"{shard.shard_id}.t{shard.takeovers}.{self._token_seq}"
+            shard.token = token
+            shard.expires = time.monotonic() + self.lease_ttl
+            shard.tokens.append(token)
+            self._tokens[token] = shard
+            self._leased[shard.shard_id] = shard
             return WorkLease(
                 queue=self,
-                shard_id=shard_id,
-                takeovers=takeovers,
+                shard_id=shard.shard_id,
+                takeovers=shard.takeovers,
                 owner=owner,
-                specs=specs,
-                path=target,
-                expires_ms=expires,
+                specs=list(shard.specs),
+                token=token,
             )
-        return None
+
+    def _live(self, token: str) -> _Shard:
+        shard = self._tokens.get(token)
+        if shard is None or shard.token != token:
+            raise LeaseLostError(f"lease {token} expired and was stolen, or is spent")
+        return shard
+
+    def _requeue(self, shard: _Shard) -> None:
+        """Put a leased shard back at the front, takeover bumped."""
+        del self._leased[shard.shard_id]
+        shard.token = None
+        shard.takeovers += 1
+        self._pending[shard.shard_id] = shard
+        self._pending.move_to_end(shard.shard_id, last=False)
+
+    def heartbeat(self, token: str, ttl: float | None = None) -> None:
+        """Push the lease expiry ``ttl`` seconds (default: the queue TTL)
+        into the future.
+
+        Raises :class:`LeaseLostError` if the lease was reclaimed — the
+        caller should stop working on it (results already cached stay
+        valid; the thief recomputes idempotently).
+        """
+        with self._lock:
+            shard = self._live(token)
+            shard.expires = time.monotonic() + (self.lease_ttl if ttl is None else ttl)
+
+    def complete(
+        self, token: str, statuses: Sequence[dict], extra: dict | None = None
+    ) -> bool:
+        """Publish per-spec status records and retire the shard.
+
+        A token whose lease was stolen still publishes (its owner was
+        slow, not dead) and retires the shard, spending the thief's
+        token too; that case returns False.  ``extra`` (the worker's
+        RPC/spill counter deltas for this shard) is summed by
+        :meth:`rpc_totals`.  Raises :class:`LeaseLostError`, publishing
+        nothing, when the token is unknown or its shard already done.
+        """
+        with self._lock:
+            shard = self._tokens.get(token)
+            if shard is None:
+                raise LeaseLostError(f"lease {token} is unknown or its shard is done")
+            held = shard.token == token
+            self._pending.pop(shard.shard_id, None)
+            self._leased.pop(shard.shard_id, None)
+            for spent in shard.tokens:
+                del self._tokens[spent]
+            # Only integer counters: a worker's NaN would crash the sum.
+            self._done[shard.shard_id] = {
+                k: v for k, v in (extra or {}).items() if isinstance(v, int)
+            }
+            for record in statuses:
+                if isinstance(record, dict) and "spec_hash" in record:
+                    self._statuses[record["spec_hash"]] = record
+            return held
+
+    def abandon(self, token: str) -> bool:
+        """Hand the shard back to pending with the takeover bumped.
+
+        Used by a worker that cannot finish a shard; the bump keeps the
+        fault-coin stream advancing exactly as a crash-and-steal would.
+        Returns False if the lease was already stolen.
+        """
+        with self._lock:
+            try:
+                shard = self._live(token)
+            except LeaseLostError:
+                return False
+            self._requeue(shard)
+            return True
 
     def reclaim_expired(self) -> int:
-        """Steal every lease whose TTL lapsed back into ``pending/``.
+        """Steal every lease whose TTL lapsed back into pending; return
+        how many were reclaimed."""
+        with self._lock:
+            return self._reclaim_expired()
 
-        Any process may call this; racing reclaims of the same lease are
-        resolved by the rename (one winner).  Returns the number of
-        shards reclaimed.  A lease whose shard is already done is
-        retired instead of requeued.
-        """
-        now = _now_ms()
-        reclaimed = 0
-        for entry in os.listdir(self.leased_dir):
-            parsed = self._parse_leased(entry)
-            if parsed is None:
-                continue
-            shard_id, takeovers, _owner, expires = parsed
-            if expires > now:
-                continue
-            source = self.leased_dir / entry
-            if (self.done_dir / f"{shard_id}.json").exists():
-                try:
-                    os.unlink(source)
-                except FileNotFoundError:
-                    pass
-                continue
-            target = self.pending_dir / f"{shard_id}.t{takeovers + 1}.json"
-            try:
-                os.rename(source, target)
-            except FileNotFoundError:
-                continue
-            reclaimed += 1
-        return reclaimed
-
-    # -- completion / inspection ----------------------------------------------
-    def _write_done(
-        self, shard_id: str, statuses: list[dict], *, extra: dict | None = None
-    ) -> None:
-        payload: dict = {"shard": shard_id, "statuses": statuses}
-        if extra:
-            payload["rpc"] = extra
-        self._atomic_json(self.done_dir / f"{shard_id}.json", payload)
+    def _reclaim_expired(self) -> int:
+        now = time.monotonic()
+        expired = [s for s in self._leased.values() if s.expires <= now]
+        for shard in expired:
+            self._requeue(shard)
+        return len(expired)
 
     def done_statuses(self) -> dict[str, dict]:
-        """Merge every ``done/`` record into one ``spec_hash → status`` map."""
-        merged: dict[str, dict] = {}
-        for path in sorted(self.done_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text("utf-8"))
-            except (OSError, ValueError):
-                continue
-            for record in payload.get("statuses", []):
-                if isinstance(record, dict) and "spec_hash" in record:
-                    merged[record["spec_hash"]] = record
-        return merged
+        """Every published status record as one ``spec_hash → status`` map."""
+        with self._lock:
+            return dict(self._statuses)
 
     def counts(self) -> dict[str, int]:
         """``{"pending": n, "leased": n, "done": n}`` shard counts."""
-        return {
-            "pending": sum(
-                1 for e in os.listdir(self.pending_dir) if self._parse_pending(e)
-            ),
-            "leased": sum(
-                1 for e in os.listdir(self.leased_dir) if self._parse_leased(e)
-            ),
-            "done": sum(1 for _ in self.done_dir.glob("*.json")),
-        }
+        with self._lock:
+            return {
+                "pending": len(self._pending),
+                "leased": len(self._leased),
+                "done": len(self._done),
+            }
 
     def drained(self) -> bool:
         """True when no shard is pending or leased (not even an expired one)."""
@@ -456,26 +313,22 @@ class WorkQueue:
         return counts["pending"] == 0 and counts["leased"] == 0
 
     def rpc_totals(self, *, prefix: str | None = None) -> dict[str, int]:
-        """Sum the per-shard ``"rpc"`` extras across done records.
+        """Sum the per-shard RPC counters across done shards.
 
         ``prefix`` restricts the sum to one job's shards (shard ids are
         ``{job_id}-{n:04d}``), so concurrent jobs on one queue report
         their own worker RPC/spill totals.
         """
         totals: dict[str, int] = {}
-        for path in sorted(self.done_dir.glob("*.json")):
-            if prefix is not None and not path.name.startswith(f"{prefix}-"):
-                continue
-            try:
-                payload = json.loads(path.read_text("utf-8"))
-            except (OSError, ValueError):
-                continue
-            extra = payload.get("rpc")
-            if not isinstance(extra, dict):
-                continue
+        with self._lock:
+            extras = [
+                extra
+                for shard_id, extra in self._done.items()
+                if prefix is None or shard_id.startswith(f"{prefix}-")
+            ]
+        for extra in extras:
             for name, value in extra.items():
-                if isinstance(value, (int, float)):
-                    totals[name] = totals.get(name, 0) + int(value)
+                totals[name] = totals.get(name, 0) + value
         return totals
 
 
@@ -582,26 +435,13 @@ class RemoteWorkQueue:
             if client is not None
             else ResilientClient(policy, fault_plan=fault_plan)
         )
-        self._lease_ttl: float | None = None
 
     def _post(self, action: str, body: dict, *, key: str) -> dict:
         return self.client.post_json(
             f"{self.base_url}/{action}", body, key=f"queue/{action}/{key}"
         )
 
-    @property
-    def lease_ttl(self) -> float:
-        """The server queue's TTL (fetched lazily, cached; default on error)."""
-        if self._lease_ttl is None:
-            try:
-                info = self.client.get_json(self.base_url, key="queue/info")
-            except RpcError:
-                return DEFAULT_LEASE_TTL
-            self._lease_ttl = float(info.get("lease_ttl", DEFAULT_LEASE_TTL))
-        return self._lease_ttl
-
     def claim(self, owner: str) -> RemoteWorkLease | None:
-        owner = _sanitize(owner, "worker")
         try:
             payload = self._post("claim", {"owner": owner}, key=owner)
         except RpcError:
@@ -655,7 +495,7 @@ class RemoteWorkQueue:
 def status_record(
     spec: RunSpec, result: RunResult | FailedResult, *, attempts: int = 0
 ) -> dict:
-    """The per-spec record a completed shard publishes into ``done/``."""
+    """The per-spec record a completed shard publishes."""
     if isinstance(result, FailedResult):
         return {
             "spec_hash": spec.spec_hash(),

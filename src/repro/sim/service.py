@@ -1,21 +1,20 @@
 """``repro serve``: an HTTP front end over the distributed sweep queue.
 
 Stdlib only (``http.server`` + ``urllib``) — the service accepts batches
-of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into a
-:class:`~repro.sim.queue.WorkQueue` for ``repro worker`` processes to
-claim, tracks progress in a server-side
-:class:`~repro.sim.manifest.SweepManifest`, and streams newline-delimited
-JSON progress snapshots.  It is also the **cache and queue authority**
-for workers running with no shared filesystem: the ``/api/cache``
-endpoints serve and accept checksummed result payloads, and the
-``/api/queue`` endpoints expose claim/heartbeat/complete/abandon over
-HTTP (token-addressed leases backed by the same on-disk queue, so
-HTTP and shared-filesystem workers can mix freely).  Robustness posture:
+of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into
+its private in-memory :class:`~repro.sim.queue.WorkQueue`, tracks
+progress in a server-side :class:`~repro.sim.manifest.SweepManifest`,
+and streams newline-delimited JSON progress snapshots.  It is the
+**cache and queue authority** for ``repro worker`` processes, which
+share no filesystem with it: the ``/api/cache`` endpoints serve and
+accept checksummed result payloads, and the ``/api/queue`` endpoints
+expose claim/heartbeat/complete/abandon on token-addressed leases.
+Robustness posture:
 
 * **Work stealing** — the monitor thread reclaims expired leases, so a
-  killed worker's shard returns to ``pending/`` for the survivors.
-  Remote leases are ordinary leases: a worker whose heartbeats stop
-  (crash, partition, open circuit) lapses its TTL and is stolen.
+  killed worker's shard returns to the pending line for the survivors:
+  a worker whose heartbeats stop (crash, partition, open circuit)
+  lapses its TTL and is stolen.
 * **Local fallback** — when a job stalls (work pending, nothing leased,
   no progress for ``fallback_after`` seconds) the server claims shards
   itself and executes them in-process.  A sweep submitted with *zero*
@@ -23,8 +22,9 @@ HTTP and shared-filesystem workers can mix freely).  Robustness posture:
   execution never injects faults and never marks the server a worker
   process, so a stray ``kill`` coin can only degrade to a transient.
 * **Idempotent results** — results live in the content-addressed cache;
-  the server assembles a job's result set from cache + ``done/``
-  records, so at-least-once shard execution is invisible to clients.
+  the server assembles a job's result set from cache + published
+  status records, so at-least-once shard execution is invisible to
+  clients.
   Duplicate concurrent cache PUTs of the same key carry bit-identical
   bodies and converge through atomic rename, last writer wins.
 * **Verified payloads** — cache bodies carry SHA-256 checksums at two
@@ -50,7 +50,7 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ``PUT /api/cache/<hash>``       publish one payload (sidecar + pickle body)
 ``GET /api/queue``              shard counts, drained flag, lease TTL
 ``POST /api/queue/claim``       ``{"owner"}`` → token-addressed lease or null
-``POST /api/queue/heartbeat``   ``{"token", "ttl"?}`` (410 when lost)
+``POST /api/queue/heartbeat``   ``{"token", "ttl"?}`` (410 when lost; ttl > 0)
 ``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}``
 ``POST /api/queue/abandon``     ``{"token"}``
 ==============================  ===============================================
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import re
 import threading
 import time
@@ -86,7 +87,7 @@ from .netclient import (
     payload_digest,
 )
 from .parallel import ExecutionPolicy
-from .queue import DEFAULT_LEASE_TTL, LeaseLostError, WorkLease, WorkQueue, collect_results
+from .queue import DEFAULT_LEASE_TTL, LeaseLostError, WorkQueue, collect_results
 from .runner import RunResult
 from .specs import RunSpec
 from .worker import process_lease
@@ -139,15 +140,15 @@ class SweepService:
     Usable without HTTP too (the in-process tests drive it directly):
     :meth:`submit` shards a batch and starts a monitor thread;
     :meth:`wait` blocks until the job completes; :meth:`results`
-    assembles the final per-spec outcomes.  The HTTP handler additionally
-    routes remote-worker traffic through :meth:`claim_lease` /
-    :meth:`lease_heartbeat` / :meth:`lease_complete` /
-    :meth:`lease_abandon` (a token → :class:`WorkLease` registry over the
-    same on-disk queue) and serves the cache endpoints straight from the
-    service's local cache backend.
+    assembles the final per-spec outcomes.  The HTTP handler routes
+    worker traffic to :attr:`queue` by lease token and serves the cache
+    endpoints straight from the service's local cache backend.
 
     Parameters
     ----------
+    queue_root:
+        Directory for the per-job manifests (``jobs/<id>.manifest.json``);
+        the queue itself lives in this process's memory.
     fault_plan:
         Optional *server-side* network fault injector: cache and queue
         endpoint responses draw ``net_fault(f"srv:{key}", attempt)``
@@ -170,7 +171,8 @@ class SweepService:
     ) -> None:
         if cache_dir is None:
             cache_dir = default_cache_dir()
-        self.queue = WorkQueue(queue_root, lease_ttl=lease_ttl, cache_dir=cache_dir)
+        self.root = Path(queue_root)
+        self.queue = WorkQueue(lease_ttl=lease_ttl)
         self.cache = ResultCache(cache_dir)
         self.shard_size = shard_size
         self.fallback_after = fallback_after
@@ -180,9 +182,6 @@ class SweepService:
         self._lock = threading.Lock()
         self._next_id = 1
         self._closed = threading.Event()
-        #: Token → live lease for remote (HTTP) workers.
-        self._leases: dict[str, WorkLease] = {}
-        self._lease_seq = 0
         #: Per-key attempt clocks for server-side net fault coins.
         self._net_attempts: dict[str, int] = {}
         #: Cache endpoint counters (merged into job snapshots).
@@ -248,80 +247,6 @@ class SweepService:
         with self._lock:
             self.cache_counters["put_rejects"] += 1
 
-    # -- queue authority (token-addressed leases for remote workers) -----------
-    def claim_lease(self, owner: str) -> dict | None:
-        """Claim one shard on behalf of a remote worker.
-
-        Returns the wire record (token, shard, takeovers, spec dicts) or
-        None when nothing is claimable.  Registry entries whose on-disk
-        lease vanished (expired and stolen) are pruned here so the map
-        cannot grow without bound.
-        """
-        lease = self.queue.claim(owner)
-        if lease is None:
-            return None
-        with self._lock:
-            self._lease_seq += 1
-            token = f"{lease.shard_id}.t{lease.takeovers}.{self._lease_seq}"
-            self._leases[token] = lease
-            for stale_token, stale in list(self._leases.items()):
-                if stale.lost or not stale.path.exists():
-                    del self._leases[stale_token]
-        return {
-            "token": token,
-            "shard": lease.shard_id,
-            "takeovers": lease.takeovers,
-            "specs": [spec.to_dict() for spec in lease.specs],
-            "lease_ttl": self.queue.lease_ttl,
-        }
-
-    def _lease_for(self, token: str) -> WorkLease | None:
-        with self._lock:
-            return self._leases.get(token)
-
-    def _drop_lease(self, token: str) -> None:
-        with self._lock:
-            self._leases.pop(token, None)
-
-    def lease_heartbeat(self, token: str, ttl: float | None = None) -> bool:
-        lease = self._lease_for(token)
-        if lease is None:
-            return False
-        try:
-            lease.heartbeat(ttl)
-        except LeaseLostError:
-            self._drop_lease(token)
-            return False
-        return True
-
-    def lease_complete(
-        self, token: str, statuses: list[dict], rpc: dict | None = None
-    ) -> bool:
-        lease = self._lease_for(token)
-        if lease is None:
-            return False
-        # Statuses are published even when the lease was stolen
-        # (WorkLease.complete's contract); either way the token is spent.
-        lease.complete(statuses, extra=rpc)
-        self._drop_lease(token)
-        return True
-
-    def lease_abandon(self, token: str) -> bool:
-        lease = self._lease_for(token)
-        if lease is None:
-            return False
-        released = lease.abandon()
-        self._drop_lease(token)
-        return released
-
-    def queue_info(self) -> dict:
-        counts = self.queue.counts()
-        return {
-            "counts": counts,
-            "drained": counts["pending"] == 0 and counts["leased"] == 0,
-            "lease_ttl": self.queue.lease_ttl,
-        }
-
     # -- job lifecycle --------------------------------------------------------
     def submit(
         self, spec_dicts: list[dict | RunSpec], *, shard_size: int | None = None
@@ -335,7 +260,7 @@ class SweepService:
         with self._lock:
             job_id = f"job-{self._next_id}"
             self._next_id += 1
-        jobs_dir = self.queue.root / "jobs"
+        jobs_dir = self.root / "jobs"
         jobs_dir.mkdir(parents=True, exist_ok=True)
         manifest = SweepManifest(jobs_dir / f"{job_id}.manifest.json")
         for spec in specs:
@@ -562,7 +487,13 @@ def make_server(
                 fault = self._pre_fault("queue/info")
                 if fault == "refuse":
                     return
-                self._send_json(service.queue_info(), fault=fault)
+                counts = service.queue.counts()
+                info = {
+                    "counts": counts,
+                    "drained": counts["pending"] == 0 and counts["leased"] == 0,
+                    "lease_ttl": service.queue.lease_ttl,
+                }
+                self._send_json(info, fault=fault)
                 return
             if len(parts) >= 2 and parts[:1] == ["api"] and parts[1] == "jobs":
                 if len(parts) == 3:
@@ -743,9 +674,17 @@ def make_server(
                 self._send_json({"error": "bad request body"}, 400)
                 return
             if action == "claim":
-                owner = str(payload.get("owner", "worker"))
-                lease = service.claim_lease(owner)
-                self._send_json({"lease": lease}, fault=fault)
+                lease = service.queue.claim(str(payload.get("owner", "worker")))
+                record = None
+                if lease is not None:
+                    record = {
+                        "token": lease.token,
+                        "shard": lease.shard_id,
+                        "takeovers": lease.takeovers,
+                        "specs": [spec.to_dict() for spec in lease.specs],
+                        "lease_ttl": service.queue.lease_ttl,
+                    }
+                self._send_json({"lease": record}, fault=fault)
                 return
             token = payload.get("token")
             if not isinstance(token, str) or not token:
@@ -753,10 +692,19 @@ def make_server(
                 return
             if action == "heartbeat":
                 ttl = payload.get("ttl")
-                ok = service.lease_heartbeat(
-                    token, float(ttl) if ttl is not None else None
-                )
-                if not ok:
+                if ttl is not None and (
+                    isinstance(ttl, bool)
+                    or not isinstance(ttl, (int, float))
+                    or not math.isfinite(ttl)
+                    or ttl <= 0
+                ):
+                    # A NaN or infinite expiry would never lapse and
+                    # would strand the shard.
+                    self._send_json({"error": "ttl must be a finite number > 0"}, 400)
+                    return
+                try:
+                    service.queue.heartbeat(token, ttl)
+                except LeaseLostError:
                     self._send_json({"error": "lease lost"}, 410)
                     return
                 self._send_json({"ok": True}, fault=fault)
@@ -767,17 +715,18 @@ def make_server(
                     self._send_json({"error": "statuses must be a list"}, 400)
                     return
                 rpc = payload.get("rpc")
-                ok = service.lease_complete(
-                    token, statuses, rpc if isinstance(rpc, dict) else None
-                )
-                if not ok:
+                try:
+                    service.queue.complete(
+                        token, statuses, rpc if isinstance(rpc, dict) else None
+                    )
+                except LeaseLostError:
                     self._send_json({"error": "lease lost"}, 410)
                     return
                 self._send_json({"ok": True}, fault=fault)
                 return
             if action == "abandon":
-                ok = service.lease_abandon(token)
-                self._send_json({"ok": True, "released": ok}, fault=fault)
+                released = service.queue.abandon(token)
+                self._send_json({"ok": True, "released": released}, fault=fault)
                 return
             self._send_json({"error": "not found"}, 404)
 

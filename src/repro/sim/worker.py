@@ -1,24 +1,22 @@
 """The distributed sweep worker: claim shards, execute, heartbeat, publish.
 
 ``repro worker`` runs this loop.  Each iteration claims one shard from a
-:class:`~repro.sim.queue.WorkQueue` (shared filesystem) or a
-:class:`~repro.sim.queue.RemoteWorkQueue` (HTTP, no shared mount),
+``repro serve`` process over HTTP (:class:`~repro.sim.queue.RemoteWorkQueue`),
 executes its specs through the supervised
 :class:`~repro.sim.parallel.ParallelExecutor` (serial in-process — the
 worker *is* the parallelism unit; retries, backoff and poison-spec
 quarantine all behave exactly as in a local sweep), renews the lease
-after every finished spec, publishes results into the shared
-:class:`~repro.sim.cache.ResultCache`, and posts per-spec status records
-into the queue's ``done/`` records.
+after every finished spec, publishes results to the server's cache
+(:class:`~repro.sim.cache.RemoteCacheBackend`), and posts per-spec
+status records when the shard completes.
 
-In the remote topology every coordination step is an RPC through one
+Every coordination step is an RPC through one
 :class:`~repro.sim.netclient.ResilientClient` shared by the queue client
-and the :class:`~repro.sim.cache.RemoteCacheBackend` — one circuit
-breaker per server, so a dead server fails everything fast and a
-recovered one reopens everything at once.  Results spilled locally while
-the circuit was open are **reconciled** (re-published) before the shard's
-done record is posted: a "done" status must never point at a result the
-server does not hold.
+and the cache backend — one circuit breaker per server, so a dead
+server fails everything fast and a recovered one reopens everything at
+once.  Results spilled locally while the circuit was open are
+**reconciled** (re-published) before the shard's done record is posted:
+a "done" status must never point at a result the server does not hold.
 
 Crash semantics are the point:
 
@@ -45,15 +43,15 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .cache import RemoteCacheBackend, ResultCache, default_cache_dir
+from .cache import RemoteCacheBackend, ResultCache
 from .faults import FaultPlan
 from .netclient import ResilientClient, RpcPolicy
 from .parallel import ExecutionPolicy, ParallelExecutor
 from .queue import (
     LeaseLostError,
+    RemoteWorkLease,
     RemoteWorkQueue,
     WorkLease,
-    WorkQueue,
     status_record,
 )
 
@@ -70,7 +68,7 @@ class WorkerStats:
     specs_failed: int = 0
     lease_deaths: int = 0
     leases_lost: int = 0
-    # RPC health (remote topology only; zero for shared-filesystem runs).
+    # RPC health (zero for the server's in-process fallback drain).
     rpc_retries: int = 0
     rpc_giveups: int = 0
     circuit_opens: int = 0
@@ -117,11 +115,6 @@ class WorkerStats:
         return text
 
 
-def _backend_stats(cache: ResultCache) -> dict[str, int]:
-    getter = getattr(cache, "rpc_stats", None)
-    return dict(getter()) if callable(getter) else {}
-
-
 def _stats_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
     """Counter deltas between two backend snapshots (gauges pass through)."""
     delta: dict[str, int] = {}
@@ -149,7 +142,7 @@ def _merge_rpc(carry: dict, delta: dict[str, int]) -> dict[str, int]:
 
 def _take_rpc_delta(stats: WorkerStats, cache: ResultCache) -> dict[str, int]:
     """This worker's RPC activity since the last taken delta."""
-    current = _backend_stats(cache)
+    current = cache.rpc_stats()
     delta = _stats_delta(stats.rpc_watermark, current)
     stats.rpc_watermark = current
     return delta
@@ -163,7 +156,10 @@ def _carry_rpc(stats: WorkerStats, cache: ResultCache) -> None:
 
 
 def _flush_spill_before_complete(
-    lease: WorkLease, cache: ResultCache, stats: WorkerStats, timeout: float = 10.0
+    lease: WorkLease | RemoteWorkLease,
+    cache: ResultCache,
+    stats: WorkerStats,
+    timeout: float = 10.0,
 ) -> bool:
     """Reconcile spilled results to the server before posting ``done``.
 
@@ -173,14 +169,10 @@ def _flush_spill_before_complete(
     half-open; gives up (False) when the lease is lost or ``timeout``
     elapses with the server still unreachable.
     """
-    pending = getattr(cache, "pending_spill", None)
-    flush = getattr(cache, "flush_spill", None)
-    if not callable(pending) or not callable(flush):
-        return True
     deadline = time.monotonic() + timeout
-    while pending():
-        flush()
-        if not pending():
+    while cache.pending_spill():
+        cache.flush_spill()
+        if not cache.pending_spill():
             break
         if time.monotonic() >= deadline:
             return False
@@ -194,7 +186,7 @@ def _flush_spill_before_complete(
 
 
 def process_lease(
-    lease: WorkLease,
+    lease: WorkLease | RemoteWorkLease,
     cache: ResultCache,
     policy: ExecutionPolicy | None = None,
     *,
@@ -275,13 +267,10 @@ def process_lease(
 
 
 def run_worker(
-    queue_root: str | os.PathLike | None = None,
+    server_url: str,
     *,
-    server_url: str | None = None,
-    cache_url: str | None = None,
     spill_dir: str | os.PathLike | None = None,
     rpc_policy: RpcPolicy | None = None,
-    cache_dir: str | os.PathLike | None = None,
     owner: str | None = None,
     policy: ExecutionPolicy | None = None,
     fault_plan: FaultPlan | None = None,
@@ -291,34 +280,23 @@ def run_worker(
     exit_when_drained: bool = False,
     wait_for_queue: float = 0.0,
 ) -> WorkerStats:
-    """Pull and execute shards until there is no work.
-
-    Exactly one of ``queue_root`` (shared-filesystem queue) or
-    ``server_url`` (HTTP queue — no shared mount) must be given.
+    """Pull and execute shards from a ``repro serve`` process until there
+    is no work.
 
     Parameters
     ----------
     server_url:
-        ``repro serve`` base URL; shard claims, heartbeats and done
-        records go over HTTP through the resilient client.
-    cache_url:
-        Remote cache base URL (defaults to ``server_url`` when serving
-        over HTTP).  When set, results are published with ``PUT
-        /api/cache`` instead of a shared cache directory, spilling
-        locally while the server is unreachable.
+        ``repro serve`` base URL; shard claims, heartbeats, done records
+        and result payloads all go over HTTP through the resilient
+        client.
     spill_dir:
-        Local spill directory for the remote cache backend (a private
-        temp directory when omitted).
+        Local spill directory for results while the server is
+        unreachable (a private temp directory when omitted).
     rpc_policy:
         Timeout/retry/circuit-breaker tuning for all RPCs
         (:class:`~repro.sim.netclient.RpcPolicy`).
-    cache_dir:
-        Shared result cache for the filesystem topology; defaults to the
-        directory recorded in the queue's config, then to the process
-        default.
     owner:
-        Lease owner name (defaults to ``worker-<pid>``); shows up in
-        lease filenames for debugging.
+        Lease owner name (defaults to ``worker-<pid>``), for debugging.
     poll:
         Seconds between claim attempts while the queue is empty.
     max_idle:
@@ -328,51 +306,21 @@ def run_worker(
         Exit after claiming this many shards (tests).
     exit_when_drained:
         Exit as soon as no shard is pending *or* leased — i.e. the sweep
-        is finished, not merely contended.  A remote queue only reports
+        is finished, not merely contended.  The queue only reports
         drained on a positive server answer, so a partition cannot make
         a worker exit early.
     wait_for_queue:
-        Seconds to wait for the queue to exist (filesystem: the
-        ``queue.json`` config; remote: the server reachable with at
-        least one shard ever enqueued) before entering the claim loop.
+        Seconds to wait for the server to be reachable with at least one
+        shard ever enqueued before entering the claim loop.
     """
-    if (queue_root is None) == (server_url is None):
-        raise ValueError("exactly one of queue_root or server_url is required")
-
-    client: ResilientClient | None = None
-    if server_url is not None or cache_url is not None:
-        client = ResilientClient(rpc_policy, fault_plan=fault_plan)
-
-    queue: WorkQueue | RemoteWorkQueue
-    if server_url is not None:
-        queue = RemoteWorkQueue(server_url, client=client)
-        if wait_for_queue > 0:
-            deadline = time.monotonic() + wait_for_queue
-            while not queue.ready():
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(min(poll, 0.05))
-    else:
-        root = os.fspath(queue_root)
-        if wait_for_queue > 0:
-            deadline = time.monotonic() + wait_for_queue
-            while not os.path.exists(os.path.join(root, "queue.json")):
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(min(poll, 0.05))
-        queue = WorkQueue(root)
-
-    if cache_url is not None or server_url is not None:
-        backend = RemoteCacheBackend(
-            cache_url if cache_url is not None else server_url,
-            client=client,
-            spill_dir=spill_dir,
-        )
-        cache = ResultCache(backend=backend)
-    else:
-        if cache_dir is None:
-            cache_dir = queue.cache_dir or default_cache_dir()
-        cache = ResultCache(cache_dir)
+    client = ResilientClient(rpc_policy, fault_plan=fault_plan)
+    queue = RemoteWorkQueue(server_url, client=client)
+    deadline = time.monotonic() + wait_for_queue
+    while time.monotonic() < deadline and not queue.ready():
+        time.sleep(min(poll, 0.05))
+    cache = ResultCache(
+        backend=RemoteCacheBackend(server_url, client=client, spill_dir=spill_dir)
+    )
 
     owner = owner or f"worker-{os.getpid()}"
     stats = WorkerStats()
@@ -402,5 +350,5 @@ def run_worker(
     # Last-chance reconciliation: don't exit with results stranded in
     # the spill directory if the server is reachable again.
     cache.flush_spill()
-    stats.apply_rpc(_backend_stats(cache))
+    stats.apply_rpc(cache.rpc_stats())
     return stats

@@ -2,12 +2,13 @@
 
 The headline contract of the distributed layer extends the fault-tolerance
 discipline across process boundaries: a localhost topology — HTTP server,
-multiple worker processes, a shared filesystem queue and cache — with
-fault-injected worker kills (hard ``os._exit`` mid-shard) and forced
-lease expiries must produce results *bit-identical* to a serial,
-fault-free sweep.  Reclaimed (stolen) shards resume the global fault-coin
-stream via their takeover count, so retry budgets are never re-burned,
-and poison specs quarantine as structured ``FailedResult`` records.
+multiple worker processes reaching its queue and cache over HTTP, each
+with a private spill directory — with fault-injected worker kills (hard
+``os._exit`` mid-shard) and forced lease expiries must produce results
+*bit-identical* to a serial, fault-free sweep.  Reclaimed (stolen)
+shards resume the global fault-coin stream via their takeover count, so
+retry budgets are never re-burned, and poison specs quarantine as
+structured ``FailedResult`` records.
 
 The CI fault-injection leg sets ``REPRO_FAULT_SEED`` to vary the
 schedule across runs; locally the default seed keeps runs reproducible.
@@ -31,6 +32,7 @@ from repro.sim import (
     ExecutionPolicy,
     FailedResult,
     FaultPlan,
+    LeaseLostError,
     ResultCache,
     RunSpec,
     SweepService,
@@ -78,14 +80,15 @@ def _baseline(specs):
     return {s.spec_hash(): execute_spec(s).summary for s in specs}
 
 
-def _spawn_worker(queue_dir: Path, *, extra=()) -> subprocess.Popen:
+def _spawn_worker(base_url: str, spill_dir: Path, *, extra=()) -> subprocess.Popen:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC_DIR + (os.pathsep + existing if existing else "")
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--queue-dir", str(queue_dir),
+            "--server", base_url,
+            "--spill-dir", str(spill_dir),
             "--poll", "0.05",
             "--exit-when-drained",
             "--wait-for-queue", "10",
@@ -131,7 +134,8 @@ class TestLocalhostTopology:
             "--max-retries", "2",
         )
         workers = [
-            _spawn_worker(tmp_path / "queue", extra=fault_flags) for _ in range(2)
+            _spawn_worker(base, tmp_path / f"spill{i}", extra=fault_flags)
+            for i in range(2)
         ]
         kills = 0
         try:
@@ -149,7 +153,7 @@ class TestLocalhostTopology:
                         if status == 86:
                             kills += 1
                         workers[i] = _spawn_worker(
-                            tmp_path / "queue", extra=fault_flags
+                            base, tmp_path / f"spill{i}", extra=fault_flags
                         )
                 snap = json.loads(
                     urllib.request.urlopen(
@@ -212,6 +216,26 @@ class TestLocalhostTopology:
         finally:
             service.close()
 
+    def test_restarted_server_on_a_used_queue_dir_completes_new_jobs(self, tmp_path):
+        # A restarted server numbers its jobs from job-1 again; none of
+        # the first server's shard state may shadow the new job's shards.
+        first_specs, second_specs = _specs(4)[:2], _specs(4)[2:]
+        for specs in (first_specs, second_specs):
+            service = SweepService(
+                tmp_path / "queue",
+                tmp_path / "cache",
+                shard_size=1,
+                fallback_after=0.2,
+                poll=0.05,
+            )
+            try:
+                job = service.submit([s.to_dict() for s in specs])
+                assert job.job_id == "job-1"
+                assert service.wait(job, timeout=30), service.queue.counts()
+                assert [r["status"] for r in service.results(job)] == ["done"] * 2
+            finally:
+                service.close()
+
 
 class TestLeaseRecovery:
     def test_single_worker_survives_its_own_lease_deaths(self, tmp_path):
@@ -224,20 +248,34 @@ class TestLeaseRecovery:
         """
         specs = _specs(4)
         baseline = _baseline(specs)
-        queue = WorkQueue(
-            tmp_path / "queue", lease_ttl=0.1, cache_dir=tmp_path / "cache"
-        )
-        queue.enqueue(specs, shard_size=2)
-        plan = FaultPlan(seed=FAULT_SEED, lease_death_rate=1.0, fault_budget=1)
-        stats = run_worker(
+        service = SweepService(
             tmp_path / "queue",
-            fault_plan=plan,
+            tmp_path / "cache",
+            lease_ttl=0.1,
+            fallback_after=60.0,  # the worker does the work
             poll=0.05,
-            exit_when_drained=True,
         )
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            job = service.submit([s.to_dict() for s in specs], shard_size=2)
+            plan = FaultPlan(seed=FAULT_SEED, lease_death_rate=1.0, fault_budget=1)
+            stats = run_worker(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                spill_dir=tmp_path / "spill",
+                fault_plan=plan,
+                poll=0.05,
+                exit_when_drained=True,
+            )
+            assert service.wait(job, timeout=30)
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
         assert stats.lease_deaths == 2  # every shard died once
         assert stats.shards_completed == 2
-        assert queue.drained()
+        assert service.queue.drained()
+        assert job.served_locally == 0
         cache = ResultCache(tmp_path / "cache")
         for spec in specs:
             hit = cache.get(spec)
@@ -254,9 +292,7 @@ class TestLeaseRecovery:
         """
         specs = _specs(2)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(
-            tmp_path / "queue", lease_ttl=0.05, cache_dir=tmp_path / "cache"
-        )
+        queue = WorkQueue(lease_ttl=0.05)
         queue.enqueue(specs, shard_size=2)
         victim = queue.claim("victim")
         # The victim "finished" one spec before dying mid-shard.
@@ -278,7 +314,8 @@ class TestLeaseRecovery:
         assert outcome == "completed"
         assert stats.specs_failed == 0
         assert thief_cache.hits >= 1  # the victim's finished spec was reused
-        assert victim.lost or not victim.path.exists()
+        with pytest.raises(LeaseLostError):
+            victim.heartbeat()
         assert queue.drained()
 
 

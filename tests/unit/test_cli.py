@@ -275,13 +275,11 @@ class TestShardFlag:
 
 
 class TestDistributedCommands:
-    def test_worker_requires_queue_dir_or_server(self):
-        # --queue-dir and --server are mutually exclusive and exactly one
-        # is required; the check lives in the command (both flags parse).
+    def test_worker_requires_server(self):
         with pytest.raises(SystemExit):
-            main(["worker"])
-        with pytest.raises(SystemExit):
-            main(["worker", "--queue-dir", "q", "--server", "http://x:1"])
+            build_parser().parse_args(["worker"])
+        with pytest.raises(SystemExit):  # the shared-directory mode is gone
+            build_parser().parse_args(["worker", "--queue-dir", "q"])
 
     def test_serve_requires_queue_dir(self):
         with pytest.raises(SystemExit):
@@ -294,15 +292,22 @@ class TestDistributedCommands:
             )
 
     def test_worker_drains_an_enqueued_sweep(self, capsys, tmp_path, monkeypatch):
-        from repro.sim import ResultCache, RunSpec, WorkQueue, spec_fragment
+        import threading
+
+        from repro.sim import (
+            ResultCache, RunSpec, SweepService, make_server, spec_fragment,
+        )
 
         # The real CLI marks its whole process a disposable worker (so
         # kill coins os._exit it); running in-process here, that flag
         # would leak into every later test in this pytest process.
         monkeypatch.setattr("repro.cli.mark_worker_process", lambda: None)
-        queue = WorkQueue(
-            tmp_path / "q", lease_ttl=5.0, cache_dir=tmp_path / "cache"
+        service = SweepService(
+            tmp_path / "q", tmp_path / "cache",
+            lease_ttl=5.0, fallback_after=60.0, poll=0.05,
         )
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
         specs = [
             RunSpec.from_fragments(
                 spec_fragment("k-cycle", n=4, k=2),
@@ -310,14 +315,21 @@ class TestDistributedCommands:
                 300,
             )
         ]
-        queue.enqueue(specs, shard_size=1)
-        code = main(
-            ["worker", "--queue-dir", str(tmp_path / "q"),
-             "--poll", "0.05", "--exit-when-drained"]
-        )
+        try:
+            service.submit(specs, shard_size=1)
+            code = main(
+                ["worker",
+                 "--server", f"http://127.0.0.1:{server.server_address[1]}",
+                 "--spill-dir", str(tmp_path / "spill"),
+                 "--poll", "0.05", "--exit-when-drained"]
+            )
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
         assert code == 0
         assert "1/1 shards" in capsys.readouterr().err
-        assert queue.drained()
+        assert service.queue.drained()
         assert ResultCache(tmp_path / "cache").get(specs[0]) is not None
 
     def test_submit_round_trips_through_a_live_server(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -43,8 +45,8 @@ class TestShardIndex:
 
 
 class TestEnqueueClaim:
-    def test_enqueue_shards_preserve_order(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+    def test_enqueue_shards_preserve_order(self):
+        queue = WorkQueue()
         specs = _specs(5)
         ids = queue.enqueue(specs, shard_size=2)
         assert ids == ["shard-0000", "shard-0001", "shard-0002"]
@@ -55,48 +57,77 @@ class TestEnqueueClaim:
             lease.complete([])
         assert claimed == [s.spec_hash() for s in specs]
 
-    def test_claim_is_exclusive(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+    def test_claim_is_exclusive(self):
+        queue = WorkQueue()
         queue.enqueue(_specs(2), shard_size=2)
         first = queue.claim("alice")
         assert first is not None
         assert queue.claim("bob") is None  # the only shard is leased
         assert queue.counts()["leased"] == 1
 
-    def test_owner_names_are_sanitised(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue(_specs(1), shard_size=1)
-        lease = queue.claim("host.example.com/worker 1")
-        assert lease is not None
-        assert "." not in lease.owner and "/" not in lease.owner
-        lease.heartbeat()  # the lease filename still parses
+    def test_concurrent_claims_lease_each_shard_once(self):
+        # 4 threads race to claim 8 one-spec shards with a tiny switch
+        # interval, round after round, so an unguarded check-then-pop
+        # would hand some shard out twice, mint a duplicate token or pop
+        # an emptied line.
+        specs = _specs(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                queue = WorkQueue(lease_ttl=60.0)
+                ids = queue.enqueue(specs, shard_size=1)
+                claimed: list[list] = [[] for _ in range(4)]
+                errors: list[BaseException] = []
+                start = threading.Barrier(4)
 
-    def test_unreadable_payload_is_retired(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        (queue.pending_dir / "bad-0000.t0.json").write_text("not json {")
-        assert queue.claim("w") is None
-        assert queue.counts() == {"pending": 0, "leased": 0, "done": 0}
+                def claimant(out: list) -> None:
+                    start.wait()
+                    try:
+                        while (lease := queue.claim("w")) is not None:
+                            out.append(lease)
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
 
-    def test_config_round_trips_cache_dir_and_ttl(self, tmp_path):
-        WorkQueue(tmp_path / "q", lease_ttl=3.5, cache_dir=tmp_path / "c")
-        reopened = WorkQueue(tmp_path / "q")
-        assert reopened.lease_ttl == 3.5
-        assert reopened.cache_dir == tmp_path / "c"
+                threads = [
+                    threading.Thread(target=claimant, args=(out,)) for out in claimed
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert errors == []
+                leases = [lease for out in claimed for lease in out]
+                assert sorted(lease.shard_id for lease in leases) == ids  # each once
+                assert len({lease.token for lease in leases}) == 8
+                for lease in leases:
+                    lease.heartbeat()  # every token still addresses its lease
+                assert queue.counts() == {"pending": 0, "leased": 8, "done": 0}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_reused_prefix_is_rejected(self):
+        queue = WorkQueue()
+        queue.enqueue(_specs(1), shard_size=1, prefix="job-1")
+        lease = queue.claim("w")
+        lease.complete([])
+        with pytest.raises(ValueError, match="already in use"):
+            queue.enqueue(_specs(2)[1:], shard_size=1, prefix="job-1")
 
 
 class TestLeaseLifecycle:
-    def test_heartbeat_extends_expiry(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_ttl=5.0)
+    def test_heartbeat_extends_expiry(self):
+        queue = WorkQueue(lease_ttl=0.01)
         queue.enqueue(_specs(1), shard_size=1)
         lease = queue.claim("w")
-        before = lease.expires_ms
-        time.sleep(0.01)
-        lease.heartbeat()
-        assert lease.expires_ms > before
-        assert lease.path.exists()
+        lease.heartbeat(ttl=30.0)
+        time.sleep(0.05)  # well past the claim-time expiry
+        assert queue.reclaim_expired() == 0
+        assert queue.counts()["leased"] == 1
 
-    def test_heartbeat_after_steal_raises_lease_lost(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_ttl=0.01)
+    def test_heartbeat_after_steal_raises_lease_lost(self):
+        queue = WorkQueue(lease_ttl=0.01)
         queue.enqueue(_specs(1), shard_size=1)
         lease = queue.claim("slow")
         time.sleep(0.05)
@@ -105,8 +136,8 @@ class TestLeaseLifecycle:
             lease.heartbeat()
         assert lease.lost
 
-    def test_reclaim_bumps_takeovers(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_ttl=0.01)
+    def test_reclaim_bumps_takeovers(self):
+        queue = WorkQueue(lease_ttl=0.01)
         queue.enqueue(_specs(1), shard_size=1)
         assert queue.claim("victim").takeovers == 0
         time.sleep(0.05)
@@ -115,24 +146,24 @@ class TestLeaseLifecycle:
         assert thief.takeovers == 1
         assert thief.shard_id == "shard-0000"
 
-    def test_abandon_requeues_with_bumped_takeover(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+    def test_abandon_requeues_with_bumped_takeover(self):
+        queue = WorkQueue()
         queue.enqueue(_specs(1), shard_size=1)
         lease = queue.claim("w")
         assert lease.abandon()
         again = queue.claim("w")
         assert again is not None and again.takeovers == 1
 
-    def test_live_lease_is_not_reclaimed(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_ttl=30.0)
+    def test_live_lease_is_not_reclaimed(self):
+        queue = WorkQueue(lease_ttl=30.0)
         queue.enqueue(_specs(1), shard_size=1)
         queue.claim("w")
         assert queue.reclaim_expired() == 0
 
 
 class TestCompletion:
-    def test_complete_publishes_statuses_and_drains(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+    def test_complete_publishes_statuses_and_drains(self):
+        queue = WorkQueue()
         specs = _specs(2)
         queue.enqueue(specs, shard_size=2)
         lease = queue.claim("w")
@@ -143,21 +174,21 @@ class TestCompletion:
         assert set(statuses) == {s.spec_hash() for s in specs}
         assert all(r["status"] == "done" for r in statuses.values())
 
-    def test_stolen_shard_completed_by_original_owner(self, tmp_path):
+    def test_stolen_shard_completed_by_original_owner(self):
         # Slow-but-alive owner completes after the steal: its statuses
         # publish, complete() reports the loss, and the thief's pending
-        # copy is retired on the next claim instead of re-executed.
-        queue = WorkQueue(tmp_path / "q", lease_ttl=0.01)
+        # copy is retired instead of re-executed.
+        queue = WorkQueue(lease_ttl=0.01)
         queue.enqueue(_specs(1), shard_size=1)
         slow = queue.claim("slow")
         time.sleep(0.05)
         queue.reclaim_expired()  # shard back in pending for a thief
         assert not slow.complete([status_record(s, execute_spec(s)) for s in slow.specs])
-        assert queue.claim("thief") is None  # done record retires the copy
+        assert queue.claim("thief") is None  # the completion retired the copy
         assert queue.drained()
 
-    def test_failed_status_records_survive(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+    def test_failed_status_records_survive(self):
+        queue = WorkQueue()
         specs = _specs(1)
         queue.enqueue(specs, shard_size=1)
         lease = queue.claim("w")
@@ -170,16 +201,27 @@ class TestCompletion:
         assert record["error_type"] == "ValueError"
         assert record["attempts"] == 3
 
+    def test_rpc_totals_sum_integer_counters_per_job(self):
+        queue = WorkQueue()
+        for job, extra in (
+            ("job-1", {"requests": 3, "junk": float("nan"), "note": "x"}),
+            ("job-2", {"requests": 4}),
+        ):
+            queue.enqueue(_specs(1), shard_size=1, prefix=job)
+            queue.claim("w").complete([], extra)
+        assert queue.rpc_totals(prefix="job-1") == {"requests": 3}
+        assert queue.rpc_totals() == {"requests": 7}
+
 
 class TestCollectResults:
     def test_done_failed_and_missing(self, tmp_path):
         specs = _specs(3)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(tmp_path / "q")
+        queue = WorkQueue()
         done = execute_spec(specs[0])
         cache.put(specs[0], done)
-        queue._write_done(
-            "s-0000",
+        queue.enqueue(specs[1:2], shard_size=1, prefix="s")
+        queue.claim("w").complete(
             [
                 status_record(
                     specs[1],

@@ -418,6 +418,30 @@ class TestRemoteQueueProtocol:
         twin = queue.claim("unit-worker")  # nothing left to claim
         assert twin is None
 
+    @pytest.mark.parametrize(
+        "ttl", ['"abc"', "[1]", "NaN", "Infinity", "-Infinity", "-5", "0", "true"]
+    )
+    def test_heartbeat_rejects_a_ttl_that_is_not_a_finite_positive_number(
+        self, live_server, ttl
+    ):
+        service, base = live_server
+        service.submit([_spec().to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        # Raw JSON: NaN/Infinity are what Python's json module emits for
+        # non-finite floats, so a buggy client can really send them.
+        body = f'{{"token": "{lease.token}", "ttl": {ttl}}}'.encode("utf-8")
+        request = urllib.request.Request(
+            f"{base}/api/queue/heartbeat",
+            data=body,
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urlerror.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        lease.heartbeat(ttl=5.0)  # the lease is untouched and still live
+        assert service.queue.counts()["leased"] == 1
+
     def test_unreachable_server_degrades_not_lies(self):
         queue = RemoteWorkQueue(f"http://127.0.0.1:{_dead_port()}", policy=_FAST)
         assert queue.claim("w") is None
