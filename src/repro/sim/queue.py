@@ -111,10 +111,10 @@ class WorkLease:
     token: str
     lost: bool = field(default=False)
 
-    def heartbeat(self, ttl: float | None = None) -> None:
+    def heartbeat(self) -> None:
         """Renew the lease; :class:`LeaseLostError` once it was stolen."""
         try:
-            self.queue.heartbeat(self.token, ttl)
+            self.queue.heartbeat(self.token)
         except LeaseLostError:
             self.lost = True
             raise
@@ -223,9 +223,8 @@ class WorkQueue:
         self._pending[shard.shard_id] = shard
         self._pending.move_to_end(shard.shard_id, last=False)
 
-    def heartbeat(self, token: str, ttl: float | None = None) -> None:
-        """Push the lease expiry ``ttl`` seconds (default: the queue TTL)
-        into the future.
+    def heartbeat(self, token: str) -> None:
+        """Push the lease expiry :attr:`lease_ttl` seconds into the future.
 
         Raises :class:`LeaseLostError` if the lease was reclaimed — the
         caller should stop working on it (results already cached stay
@@ -233,7 +232,7 @@ class WorkQueue:
         """
         with self._lock:
             shard = self._live(token)
-            shard.expires = time.monotonic() + (self.lease_ttl if ttl is None else ttl)
+            shard.expires = time.monotonic() + self.lease_ttl
 
     def complete(
         self, token: str, statuses: Sequence[dict], extra: dict | None = None
@@ -247,6 +246,9 @@ class WorkQueue:
         :meth:`rpc_totals`.  Raises :class:`LeaseLostError`, publishing
         nothing, when the token is unknown or its shard already done.
         """
+        # Index before touching any state: a malformed record raises here
+        # and leaves the lease live, never a half-published retired shard.
+        published = {record["spec_hash"]: record for record in statuses}
         with self._lock:
             shard = self._tokens.get(token)
             if shard is None:
@@ -260,9 +262,7 @@ class WorkQueue:
             self._done[shard.shard_id] = {
                 k: v for k, v in (extra or {}).items() if isinstance(v, int)
             }
-            for record in statuses:
-                if isinstance(record, dict) and "spec_hash" in record:
-                    self._statuses[record["spec_hash"]] = record
+            self._statuses.update(published)
             return held
 
     def abandon(self, token: str) -> bool:
@@ -354,13 +354,11 @@ class RemoteWorkLease:
     token: str
     lost: bool = field(default=False)
 
-    def heartbeat(self, ttl: float | None = None) -> None:
+    def heartbeat(self) -> None:
         if self.lost:
             raise LeaseLostError(f"lease on {self.shard_id} already lost")
         try:
-            self.queue._post(
-                "heartbeat", {"token": self.token, "ttl": ttl}, key=self.token
-            )
+            self.queue._post("heartbeat", {"token": self.token}, key=self.token)
         except RpcHttpError as exc:
             if exc.status in (404, 410):
                 self.lost = True

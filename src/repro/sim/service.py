@@ -50,8 +50,8 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ``PUT /api/cache/<hash>``       publish one payload (sidecar + pickle body)
 ``GET /api/queue``              shard counts, drained flag, lease TTL
 ``POST /api/queue/claim``       ``{"owner"}`` → token-addressed lease or null
-``POST /api/queue/heartbeat``   ``{"token", "ttl"?}`` (410 when lost; ttl > 0)
-``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}``
+``POST /api/queue/heartbeat``   ``{"token"}`` renews by lease TTL (410 when lost)
+``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}`` (410 when lost)
 ``POST /api/queue/abandon``     ``{"token"}``
 ==============================  ===============================================
 """
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import re
 import threading
 import time
@@ -102,6 +101,17 @@ __all__ = [
 ]
 
 _CACHE_KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
+
+
+def _is_status_record(record: object) -> bool:
+    """Whether a worker's status has the :func:`~repro.sim.queue.status_record`
+    shape in every field the job monitor reads, so it cannot crash it."""
+    return (
+        isinstance(record, dict)
+        and isinstance(record.get("spec_hash"), str)
+        and isinstance(record.get("attempts", 0), int)
+        and isinstance(record.get("fault_events") or [], list)
+    )
 
 
 @dataclass
@@ -691,19 +701,13 @@ def make_server(
                 self._send_json({"error": "missing lease token"}, 400)
                 return
             if action == "heartbeat":
-                ttl = payload.get("ttl")
-                if ttl is not None and (
-                    isinstance(ttl, bool)
-                    or not isinstance(ttl, (int, float))
-                    or not math.isfinite(ttl)
-                    or ttl <= 0
-                ):
-                    # A NaN or infinite expiry would never lapse and
-                    # would strand the shard.
-                    self._send_json({"error": "ttl must be a finite number > 0"}, 400)
+                if payload.get("ttl") is not None:
+                    # Leases renew by the server's TTL only: a client expiry
+                    # could be one that never lapses and strands the shard.
+                    self._send_json({"error": "ttl is not accepted"}, 400)
                     return
                 try:
-                    service.queue.heartbeat(token, ttl)
+                    service.queue.heartbeat(token)
                 except LeaseLostError:
                     self._send_json({"error": "lease lost"}, 410)
                     return
@@ -711,8 +715,10 @@ def make_server(
                 return
             if action == "complete":
                 statuses = payload.get("statuses")
-                if not isinstance(statuses, list):
-                    self._send_json({"error": "statuses must be a list"}, 400)
+                if not isinstance(statuses, list) or not all(
+                    map(_is_status_record, statuses)
+                ):
+                    self._send_json({"error": "malformed status records"}, 400)
                     return
                 rpc = payload.get("rpc")
                 try:

@@ -5,9 +5,11 @@ import os
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.sim.queue as queue_module
 from repro.sim import (
     FailedResult,
     LeaseLostError,
@@ -117,14 +119,20 @@ class TestEnqueueClaim:
 
 
 class TestLeaseLifecycle:
-    def test_heartbeat_extends_expiry(self):
-        queue = WorkQueue(lease_ttl=0.01)
+    def test_heartbeat_extends_expiry(self, monkeypatch):
+        now = [100.0]  # the queue's monotonic clock, advanced by hand
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(queue_module, "time", clock)
+        queue = WorkQueue(lease_ttl=10.0)
         queue.enqueue(_specs(1), shard_size=1)
         lease = queue.claim("w")
-        lease.heartbeat(ttl=30.0)
-        time.sleep(0.05)  # well past the claim-time expiry
+        now[0] += 6.0
+        lease.heartbeat()
+        now[0] += 6.0  # past the claim-time expiry, inside the renewed one
         assert queue.reclaim_expired() == 0
         assert queue.counts()["leased"] == 1
+        now[0] += 6.0  # past the renewed expiry too
+        assert queue.reclaim_expired() == 1
 
     def test_heartbeat_after_steal_raises_lease_lost(self):
         queue = WorkQueue(lease_ttl=0.01)
@@ -162,6 +170,18 @@ class TestLeaseLifecycle:
 
 
 class TestCompletion:
+    def test_malformed_status_leaves_the_lease_live(self):
+        queue = WorkQueue()
+        specs = _specs(1)
+        queue.enqueue(specs, shard_size=1)
+        lease = queue.claim("w")
+        with pytest.raises(TypeError):
+            queue.complete(lease.token, [{"spec_hash": ["unhashable"]}])
+        assert queue.counts() == {"pending": 0, "leased": 1, "done": 0}
+        lease.heartbeat()  # nothing was spent
+        assert lease.complete([status_record(specs[0], execute_spec(specs[0]))])
+        assert set(queue.done_statuses()) == {specs[0].spec_hash()}
+
     def test_complete_publishes_statuses_and_drains(self):
         queue = WorkQueue()
         specs = _specs(2)

@@ -52,6 +52,18 @@ def _dead_port() -> int:
         return sock.getsockname()[1]
 
 
+def _post_status(url: str, body: bytes) -> int:
+    """POST raw JSON bytes; return the HTTP status code."""
+    request = urllib.request.Request(
+        url, data=body, method="POST", headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urlerror.HTTPError as exc:
+        return exc.code
+
+
 _FAST = RpcPolicy(
     timeout=5.0, max_attempts=2, backoff_base=0.001, backoff_cap=0.01,
     breaker_threshold=100,
@@ -419,28 +431,42 @@ class TestRemoteQueueProtocol:
         assert twin is None
 
     @pytest.mark.parametrize(
-        "ttl", ['"abc"', "[1]", "NaN", "Infinity", "-Infinity", "-5", "0", "true"]
+        "ttl",
+        ['"abc"', "[1]", "NaN", "Infinity", "-Infinity", "-5", "0", "true",
+         "1e300", pytest.param("1" + "0" * 400, id="400-digit-int"), "5"],
     )
-    def test_heartbeat_rejects_a_ttl_that_is_not_a_finite_positive_number(
-        self, live_server, ttl
-    ):
+    def test_heartbeat_rejects_a_client_ttl(self, live_server, ttl):
         service, base = live_server
         service.submit([_spec().to_dict()], shard_size=1)
         lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
         # Raw JSON: NaN/Infinity are what Python's json module emits for
         # non-finite floats, so a buggy client can really send them.
         body = f'{{"token": "{lease.token}", "ttl": {ttl}}}'.encode("utf-8")
-        request = urllib.request.Request(
-            f"{base}/api/queue/heartbeat",
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urlerror.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=10)
-        assert info.value.code == 400
-        lease.heartbeat(ttl=5.0)  # the lease is untouched and still live
+        assert _post_status(f"{base}/api/queue/heartbeat", body) == 400
+        lease.heartbeat()  # the lease is untouched and still live
         assert service.queue.counts()["leased"] == 1
+
+    @pytest.mark.parametrize(
+        "statuses",
+        ['[{"spec_hash": [1]}]', '[{"spec_hash": {}}]', '[{"status": "done"}]',
+         '["done"]', '{"spec_hash": "x"}',
+         '[{"spec_hash": "HASH", "status": "failed", "attempts": "abc"}]',
+         '[{"spec_hash": "HASH", "status": "failed", "fault_events": 5}]'],
+    )
+    def test_complete_rejects_malformed_statuses(self, live_server, statuses):
+        service, base = live_server
+        spec = _spec()
+        job = service.submit([spec.to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        statuses = statuses.replace("HASH", spec.spec_hash())
+        body = f'{{"token": "{lease.token}", "statuses": {statuses}}}'
+        assert _post_status(f"{base}/api/queue/complete", body.encode("utf-8")) == 400
+        assert service.queue.counts() == {"pending": 0, "leased": 1, "done": 0}
+        # Nothing was spent: the owner still completes, and the job with it.
+        result = execute_spec(spec)
+        ResultCache(backend=RemoteCacheBackend(base, policy=_FAST)).put(spec, result)
+        assert lease.complete([status_record(spec, result)])
+        assert service.wait(job, timeout=60)
 
     def test_unreachable_server_degrades_not_lies(self):
         queue = RemoteWorkQueue(f"http://127.0.0.1:{_dead_port()}", policy=_FAST)
