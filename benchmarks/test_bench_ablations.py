@@ -22,7 +22,7 @@ from repro.adversary import (
 from repro.algorithms import CountHop, KCycle, Orchestra
 from repro.analysis import bounds
 from repro.protocols import MoveBigToFront, RoundRobinWithholding
-from repro.sim import run_simulation, worst_case_over
+from repro.sim import run_simulation, spec_fragment, worst_case_over
 from repro.sim.experiments import default_adversary_family
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -95,7 +95,9 @@ def test_a4_adversary_family_width(run_once, benchmark):
     def run():
         n, rho, beta, rounds = 6, 0.6, 2.0, 6000
         family = default_adversary_family(rho, beta)
-        worst, results = worst_case_over(lambda: CountHop(n), family, rounds)
+        worst, results = worst_case_over(
+            lambda: spec_fragment("count-hop", n=n), family, rounds
+        )
         single = run_simulation(CountHop(n), SingleTargetAdversary(rho, beta), rounds)
         return worst, single
 

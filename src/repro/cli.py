@@ -15,7 +15,7 @@ invocations (defaults to ``~/.cache/repro-sim`` when ``--cache`` is set).
 
 The distributed trio turns the harness into a service::
 
-    python -m repro serve  --queue-dir Q --cache-dir C --port 8750
+    python -m repro serve  --cache-dir C --port 8750
     python -m repro worker --server http://host:8750 &   # any number, any machine
     python -m repro submit --server http://host:8750 --algorithm rrw --n 8 ...
 
@@ -28,9 +28,7 @@ Workers share no filesystem with the server.  Every RPC goes through a
 resilient client — timeouts, deterministic retry/backoff, a circuit
 breaker that degrades to a local spill cache and reconciles on
 recovery — and both sides can deterministically inject network faults
-(``--fault-net-*``) for testing.  ``sweep --shard i/k`` is the manual
-alternative: a deterministic spec-hash partition for splitting one
-sweep across machines by hand.
+(``--fault-net-*``) for testing.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .sim import (
     ResultCache,
     RunSpec,
     SweepManifest,
-    run_simulation,
+    execute_spec,
     run_worker,
     spec_fragment,
     sweep,
@@ -58,12 +56,7 @@ from .sim import (
 from .sim.faults import mark_worker_process
 from .sim.runner import ENGINE_KINDS
 from .sim.reporting import sweep_table
-from .sim.specs import (
-    adversary_entry,
-    materialize_adversary,
-    materialize_algorithm,
-    rate_adversaries,
-)
+from .sim.specs import adversary_entry, rate_adversaries
 
 __all__ = ["main", "build_parser"]
 
@@ -117,22 +110,6 @@ def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
     if getattr(args, "cache", False):
         return ResultCache()
     return None
-
-
-def _parse_shard(text: str) -> tuple[int, int]:
-    """Parse ``i/k`` into a (index, total) shard selector."""
-    try:
-        index_text, total_text = text.split("/", 1)
-        index, total = int(index_text), int(total_text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"invalid shard {text!r}: expected i/k (e.g. 0/4)"
-        ) from exc
-    if total < 1 or not 0 <= index < total:
-        raise argparse.ArgumentTypeError(
-            f"invalid shard {text!r}: need 0 <= i < k"
-        )
-    return index, total
 
 
 def _fault_plan_from_args(args: argparse.Namespace) -> FaultPlan | None:
@@ -254,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "it records as failed are skipped without burning a "
                          "new retry budget (done points come back as cache "
                          "hits when --cache/--cache-dir is set)")
-    sweep_p.add_argument("--shard", type=_parse_shard, default=None, metavar="i/k",
-                         help="run only the points whose canonical spec hash "
-                         "falls in shard i of k — a deterministic partition, "
-                         "so k machines running shards 0/k..k-1/k against a "
-                         "shared --cache-dir cover exactly the full sweep")
 
     worker_p = sub.add_parser(
         "worker",
@@ -316,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP front end: accept spec batches, shard them into the queue, "
         "stream progress",
     )
-    serve_p.add_argument("--queue-dir", required=True,
-                         help="directory for per-job manifests "
-                         "(jobs/<id>.manifest.json)")
+    serve_p.add_argument("--queue-dir", default=None,
+                         help="accepted and ignored: the queue lives in the "
+                         "serve process's memory")
     serve_p.add_argument("--cache-dir", default=None,
                          help="shared result cache "
                          "(default: ~/.cache/repro-sim or $REPRO_CACHE_DIR)")
@@ -392,12 +364,13 @@ def _engine_from_args(args: argparse.Namespace) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = _effective_seed(args.adversary, args.seed)
-    algorithm = materialize_algorithm(_algorithm_fragment(args.algorithm, args.n, args.k))
-    adversary = materialize_adversary(
-        _adversary_fragment(args.adversary, args.rho, args.beta, seed), algorithm
-    )
-    result = run_simulation(
-        algorithm, adversary, args.rounds, engine=_engine_from_args(args)
+    result = execute_spec(
+        RunSpec.from_fragments(
+            _algorithm_fragment(args.algorithm, args.n, args.k),
+            _adversary_fragment(args.adversary, args.rho, args.beta, seed),
+            args.rounds,
+            engine=_engine_from_args(args),
+        )
     )
     if args.negotiation:
         print(f"engine: {result.engine_used}")
@@ -474,7 +447,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             executor=executor,
             engine=_engine_from_args(args),
             progress=ticker,
-            shard=args.shard,
         )
     print(sweep_table(series))
     failed = series.failed_points()
@@ -528,7 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .sim import SweepService, make_server
 
     service = SweepService(
-        args.queue_dir,
         args.cache_dir,
         lease_ttl=args.lease_ttl,
         shard_size=args.shard_size,

@@ -66,7 +66,6 @@ from .queue import (
     WorkLease,
     WorkQueue,
     collect_results,
-    shard_index,
     status_record,
 )
 from .runner import RunResult, resolve_engine, run_simulation, worst_case_over
@@ -135,7 +134,6 @@ __all__ = [
     "resolve_engine",
     "run_simulation",
     "run_specs",
-    "shard_index",
     "spec_fragment",
     "status_record",
     "sweep",

@@ -18,17 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..adversary import (
-    Adversary,
-    AlternatingPairAdversary,
-    BurstThenIdleAdversary,
-    RoundRobinAdversary,
-    SingleSourceSprayAdversary,
-    SingleTargetAdversary,
-    UniformRandomAdversary,
-)
-from ..algorithms import AdjustWindow, KClique, KCycle, KSubsets
+from ..algorithms import AdjustWindow, KClique, KSubsets
 from ..analysis import bounds
+from .parallel import ParallelExecutor, run_specs
 from .runner import RunResult, worst_case_over
 from .specs import RunSpec, spec_fragment
 from .sweep import SweepSeries, sweep
@@ -91,35 +83,22 @@ def default_adversary_family(
     *,
     include_stochastic: bool = True,
     seed: int = 7,
-    as_specs: bool = False,
-) -> list[Callable[[], Adversary | dict]]:
+) -> list[Callable[[], dict]]:
     """The adversary family over which worst-case metrics are maximised.
 
-    With ``as_specs=True`` the factories return declarative
-    :func:`~repro.sim.specs.spec_fragment` dicts instead of live objects,
-    which lets :func:`~repro.sim.runner.worst_case_over` fan the family out
-    over parallel worker processes (and cache results on disk).
+    Each factory returns a fresh :func:`~repro.sim.specs.spec_fragment`
+    dict, so :func:`~repro.sim.runner.worst_case_over` can fan the family
+    out over parallel worker processes (and cache results on disk).
     """
-    if as_specs:
-        family: list[Callable[[], Adversary | dict]] = [
-            lambda: spec_fragment("single-target", rho=rho, beta=beta),
-            lambda: spec_fragment("spray", rho=rho, beta=beta),
-            lambda: spec_fragment("round-robin", rho=rho, beta=beta),
-            lambda: spec_fragment("alternating-pair", rho=rho, beta=beta),
-            lambda: spec_fragment("bursty", rho=rho, beta=beta),
-        ]
-        if include_stochastic:
-            family.append(lambda: spec_fragment("random", rho=rho, beta=beta, seed=seed))
-        return family
-    family = [
-        lambda: SingleTargetAdversary(rho, beta),
-        lambda: SingleSourceSprayAdversary(rho, beta),
-        lambda: RoundRobinAdversary(rho, beta),
-        lambda: AlternatingPairAdversary(rho, beta),
-        lambda: BurstThenIdleAdversary(rho, beta),
+    family: list[Callable[[], dict]] = [
+        lambda: spec_fragment("single-target", rho=rho, beta=beta),
+        lambda: spec_fragment("spray", rho=rho, beta=beta),
+        lambda: spec_fragment("round-robin", rho=rho, beta=beta),
+        lambda: spec_fragment("alternating-pair", rho=rho, beta=beta),
+        lambda: spec_fragment("bursty", rho=rho, beta=beta),
     ]
     if include_stochastic:
-        family.append(lambda: UniformRandomAdversary(rho, beta, seed=seed))
+        family.append(lambda: spec_fragment("random", rho=rho, beta=beta, seed=seed))
     return family
 
 
@@ -132,7 +111,7 @@ def experiment_orchestra_queue(
     *, workers: int = 1, executor=None, cache=None,
 ) -> ExperimentResult:
     """T1.1 — Orchestra keeps queues below ``2 n^3 + beta`` at injection rate 1."""
-    family = default_adversary_family(1.0, beta, as_specs=True)
+    family = default_adversary_family(1.0, beta)
     family.append(lambda: spec_fragment("saturating", rho=1.0, beta=beta))
     worst, runs = worst_case_over(
         lambda: spec_fragment("orchestra", n=n), family, rounds,
@@ -203,7 +182,7 @@ def experiment_count_hop_latency(
     therefore compared against twice the paper's bound, and the 1/(1-rho)
     and n^2 scaling is exercised by the F1/F2 sweeps.
     """
-    family = default_adversary_family(rho, beta, as_specs=True)
+    family = default_adversary_family(rho, beta)
     worst, runs = worst_case_over(
         lambda: spec_fragment("count-hop", n=n), family, rounds,
         workers=workers, executor=executor, cache=cache,
@@ -241,7 +220,7 @@ def experiment_adjust_window_latency(
     algorithm = AdjustWindow(n)
     if rounds is None:
         rounds = 4 * algorithm.initial_window
-    family = default_adversary_family(rho, beta, include_stochastic=False, as_specs=True)
+    family = default_adversary_family(rho, beta, include_stochastic=False)
     worst, runs = worst_case_over(
         lambda: spec_fragment("adjust-window", n=n), family, rounds,
         workers=workers, executor=executor, cache=cache,
@@ -277,7 +256,7 @@ def experiment_k_cycle_latency(
 ) -> ExperimentResult:
     """T1.5 — k-Cycle is stable below ``(k-1)/(n-1)`` with latency O(n)."""
     rho = rate_fraction * bounds.k_cycle_rate_threshold(n, k)
-    family = default_adversary_family(rho, beta, as_specs=True)
+    family = default_adversary_family(rho, beta)
     worst, runs = worst_case_over(
         lambda: spec_fragment("k-cycle", n=n, k=k), family, rounds,
         workers=workers, executor=executor, cache=cache,
@@ -317,17 +296,13 @@ def experiment_oblivious_impossibility(
     through the shared :class:`~repro.sim.parallel.ParallelExecutor` —
     cache-aware and batched with the other rows' runs.
     """
-    from .parallel import dispatch_specs
-
     rho = min(1.0, rate_margin * bounds.oblivious_rate_upper_bound(n, k))
     spec = RunSpec.from_fragments(
         spec_fragment("k-cycle", n=n, k=k),
         spec_fragment("least-on-station", rho=rho, beta=beta, horizon=rounds),
         rounds,
     )
-    [result] = dispatch_specs(
-        [spec], workers=workers, executor=executor, cache=cache
-    )
+    [result] = run_specs([spec], workers=workers, executor=executor, cache=cache)
     return ExperimentResult(
         experiment_id="T1.6",
         label="Impossibility: oblivious above k/n",
@@ -350,7 +325,7 @@ def experiment_k_clique_latency(
 ) -> ExperimentResult:
     """T1.7 — k-Clique latency within ``8 (n^2/k)(1 + beta/2k)`` below its threshold."""
     rho = rate_fraction * bounds.k_clique_latency_rate_threshold(n, k)
-    family = default_adversary_family(rho, beta, as_specs=True)
+    family = default_adversary_family(rho, beta)
     family.append(
         lambda: spec_fragment("group-local", rho=rho, beta=beta, group_size=max(2, k // 2))
     )
@@ -386,7 +361,7 @@ def experiment_k_subsets_stability(
 ) -> ExperimentResult:
     """T1.8 — k-Subsets is stable at rate ``k(k-1)/(n(n-1))`` with bounded queues."""
     rho = bounds.k_subsets_rate_threshold(n, k)
-    family = default_adversary_family(rho, beta, as_specs=True)
+    family = default_adversary_family(rho, beta)
     worst, runs = worst_case_over(
         lambda: spec_fragment("k-subsets", n=n, k=k), family, rounds,
         workers=workers, executor=executor, cache=cache,
@@ -420,8 +395,6 @@ def experiment_oblivious_direct_impossibility(
     ``least-on-pair`` registry key and dispatched as one batch through the
     shared :class:`~repro.sim.parallel.ParallelExecutor`.
     """
-    from .parallel import dispatch_specs
-
     rho = min(1.0, rate_margin * bounds.oblivious_direct_rate_upper_bound(n, k))
     subsets_horizon = KSubsets(n, k).oblivious_schedule().period_length
     clique_horizon = KClique(n, k).num_pairs
@@ -437,7 +410,7 @@ def experiment_oblivious_direct_impossibility(
             rounds,
         ),
     ]
-    result, clique_result = dispatch_specs(
+    result, clique_result = run_specs(
         specs, workers=workers, executor=executor, cache=cache
     )
     unstable = (not result.stable) or (not clique_result.stable)
@@ -569,9 +542,6 @@ def figure_energy_usage(
     workers: int = 1, cache=None,
 ) -> dict[str, RunResult]:
     """F4 — energy per round / per delivered packet for every algorithm."""
-    from .parallel import run_specs
-    from .specs import RunSpec
-
     adversary = spec_fragment("round-robin", rho=rho, beta=beta)
     configs: dict[str, dict] = {
         "Orchestra": spec_fragment("orchestra", n=n),
@@ -595,9 +565,6 @@ def figure_queue_trajectories(
     workers: int = 1, cache=None,
 ) -> dict[str, RunResult]:
     """F5 — queue-size trajectories below, at and above the oblivious threshold."""
-    from .parallel import run_specs
-    from .specs import RunSpec
-
     threshold = bounds.k_cycle_rate_threshold(n, k)
     impossibility = bounds.oblivious_rate_upper_bound(n, k)
     rates = {
@@ -636,7 +603,6 @@ def regenerate_table1(
     family as its runs finish.
     """
     from ..analysis.table1 import render_comparison
-    from .parallel import ParallelExecutor
 
     with ParallelExecutor(workers, cache=cache, progress=progress) as executor:
         fan = {"executor": executor}

@@ -16,9 +16,9 @@ Design constraints:
   inherited state, works identically on Linux/macOS/Windows); the unit of
   work, :func:`repro.sim.specs.execute_spec`, is a module-level function,
   so it pickles cleanly.
-* **Serial fallback** — ``workers=1`` executes in-process with no pool at
-  all, which keeps single-run debugging (pdb, profilers, exceptions with
-  full local state) trivial.
+* **Serial fallback** — ``workers=1`` (and a lone spec without a policy)
+  executes in-process with no pool at all, which keeps single-run
+  debugging (pdb, profilers, exceptions with full local state) trivial.
 * **Caching** — an optional :class:`~repro.sim.cache.ResultCache` is
   consulted before any work is scheduled and updated as results arrive.
 * **Chunking** — small specs are batched per worker dispatch
@@ -26,19 +26,21 @@ Design constraints:
   overhead is amortised over several runs; result ordering and cache
   semantics are unchanged.
 * **Progress** — any ``progress(done, total)`` callable (e.g.
-  :class:`~repro.sim.progress.ProgressTicker`) is invoked as results
-  arrive, cache hits included.
-* **Supervision** — with an :class:`ExecutionPolicy` (or a
-  :class:`~repro.sim.manifest.SweepManifest`) attached, the executor runs
-  a supervised loop instead of the bare dispatch: failed attempts retry
-  with deterministic exponential backoff, specs exceeding their deadline
-  are timed out (the pool is terminated and respawned), dead pools are
+  :class:`~repro.sim.progress.ProgressTicker`) is invoked once per
+  finished spec, cache hits included.
+* **One loop** — every batch runs through the same supervised loop.
+  Without an :class:`ExecutionPolicy` or a
+  :class:`~repro.sim.manifest.SweepManifest` it runs *fail-fast*: the
+  first failed attempt re-raises its exception and cancels the dispatches
+  still in flight.  With either attached, failed attempts retry with
+  deterministic exponential backoff, specs exceeding their deadline are
+  timed out (the pool is terminated and respawned), dead pools are
   respawned with in-flight work requeued, poison specs are quarantined
   as structured :class:`~repro.sim.faults.FailedResult` entries after the
   retry budget instead of aborting the batch, and a pool that keeps
   dying degrades gracefully to in-process serial execution.  Fault
   injection (:class:`~repro.sim.faults.FaultPlan`) rides the same loop,
-  and the per-spec results are bit-identical to an unsupervised run
+  and the per-spec results are bit-identical to a fault-free run
   (property-tested by ``tests/property/test_fault_tolerance.py``).
 """
 
@@ -54,7 +56,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    as_completed,
     wait as futures_wait,
 )
 from dataclasses import dataclass
@@ -73,7 +74,6 @@ __all__ = [
     "WorkerCrashError",
     "default_chunk_size",
     "default_worker_count",
-    "dispatch_specs",
     "run_specs",
 ]
 
@@ -170,12 +170,6 @@ class ExecutorStats:
     resumed_failures: int = 0
     cache_corruptions: int = 0
     serial_degraded: bool = False
-    # RPC health, synced from a remote cache backend when one is attached.
-    rpc_retries: int = 0
-    circuit_opens: int = 0
-    circuit_closes: int = 0
-    spilled: int = 0
-    reconciled: int = 0
 
     def summary(self) -> str:
         """Short human summary, empty when nothing noteworthy happened."""
@@ -194,14 +188,6 @@ class ExecutorStats:
             parts.append(f"{self.pool_respawns} respawns")
         if self.serial_degraded:
             parts.append("serial degrade")
-        if self.rpc_retries:
-            parts.append(f"{self.rpc_retries} rpc retries")
-        if self.circuit_opens:
-            parts.append(
-                f"{self.circuit_opens} circuit opens/{self.circuit_closes} closes"
-            )
-        if self.spilled:
-            parts.append(f"{self.spilled} spilled/{self.reconciled} reconciled")
         return ", ".join(parts)
 
 
@@ -233,7 +219,8 @@ class ParallelExecutor:
     ----------
     workers:
         Number of worker processes.  ``1`` (the default) runs everything
-        serially in the calling process; ``None`` uses the CPU count.
+        serially in the calling process, as does a lone spec without a
+        policy or manifest; ``None`` uses the CPU count.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely and
         fresh results are written back.
@@ -248,11 +235,12 @@ class ParallelExecutor:
         batch this executor runs (a per-``run`` callback can override it).
     policy:
         Optional :class:`ExecutionPolicy`.  When set (or when a manifest
-        is attached) batches run through the supervised loop: bounded
-        retries with deterministic backoff, per-spec timeouts, pool
-        respawn, poison-spec quarantine and serial degradation.  Without
-        it the executor keeps the original fail-fast semantics (the
-        first worker exception propagates).
+        is attached) the loop supervises its batches: bounded retries
+        with deterministic backoff, per-spec timeouts, pool respawn,
+        poison-spec quarantine and serial degradation.  Without either
+        the same loop runs fail-fast: the first failed attempt re-raises
+        its exception, with no retry and no quarantine (a broken pool
+        raises :class:`WorkerCrashError`).
     manifest:
         Optional :class:`SweepManifest` checkpoint, updated incrementally
         as specs finish, fail or retry; a *resumed* manifest short-cuts
@@ -290,35 +278,6 @@ class ParallelExecutor:
         self.stats = ExecutorStats()
         self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
-        self._rpc_seen: dict[str, int] = {}
-
-    def _sync_rpc_stats(self) -> None:
-        """Fold the remote cache backend's counter deltas into stats.
-
-        No-op for local caches; cheap enough to call per finished spec
-        so the progress ticker reflects spill/reconcile activity live.
-        """
-        if self.cache is None:
-            return
-        getter = getattr(self.cache, "rpc_stats", None)
-        if not callable(getter):
-            return
-        totals = getter()
-        if not totals:
-            return
-        seen = self._rpc_seen
-        self.stats.rpc_retries += totals.get("retries", 0) - seen.get("retries", 0)
-        self.stats.circuit_opens += totals.get("circuit_opens", 0) - seen.get(
-            "circuit_opens", 0
-        )
-        self.stats.circuit_closes += totals.get("circuit_closes", 0) - seen.get(
-            "circuit_closes", 0
-        )
-        self.stats.spilled += totals.get("spilled", 0) - seen.get("spilled", 0)
-        self.stats.reconciled += totals.get("reconciled", 0) - seen.get(
-            "reconciled", 0
-        )
-        self._rpc_seen = dict(totals)
 
     # -- lifecycle ------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -370,17 +329,14 @@ class ParallelExecutor:
     ) -> list[RunResult | FailedResult]:
         """Execute every spec and return results in input order.
 
-        Unsupervised (no policy/manifest): the first worker exception
-        propagates and aborts the batch.  Supervised: exceptions are
-        retried and, past the budget, quarantined — every slot of the
-        returned list is then either a :class:`RunResult` or a
-        :class:`FailedResult`, and the batch always completes.
+        Fail-fast (no policy/manifest): the first failed attempt
+        re-raises its exception and aborts the batch.  Supervised:
+        exceptions are retried and, past the budget, quarantined — every
+        slot of the returned list is then either a :class:`RunResult` or
+        a :class:`FailedResult`, and the batch always completes.
         """
         batch = _coerce_specs(specs)
         results: list[RunResult | FailedResult | None] = [None] * len(batch)
-        progress = progress if progress is not None else self.progress
-        total = len(batch)
-
         pending: list[int] = []
         corruptions_before = self.cache.quarantined if self.cache is not None else 0
         for i, spec in enumerate(batch):
@@ -394,69 +350,26 @@ class ParallelExecutor:
             # silently recomputed; surface them so corrupted-cache
             # re-runs are visible in the stats/ticker.
             self.stats.cache_corruptions += self.cache.quarantined - corruptions_before
-            self._sync_rpc_stats()
 
-        done = total - len(pending)
-        if self.policy is not None or self.manifest is not None:
-            run = _SupervisedRun(self, batch, results, progress, done, total)
-            run.execute(pending)
-            if self.manifest is not None:
-                # Leave a plain JSON snapshot behind (fold the event log).
-                self.manifest.compact()
-            return results  # type: ignore[return-value]
-
-        if progress is not None and (done or not pending):
-            progress(done, total)
-        if not pending:
-            return results  # type: ignore[return-value]
-
-        if self.workers == 1 or len(pending) == 1:
-            for i in pending:
-                results[i] = self._finish(batch[i], execute_spec(batch[i]))
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-        else:
-            size = self.chunk_size or default_chunk_size(len(pending), self.workers)
-            chunks = [pending[j : j + size] for j in range(0, len(pending), size)]
-            pool = self._ensure_pool()
-            futures = {
-                pool.submit(execute_spec_batch, [batch[i] for i in chunk]): chunk
-                for chunk in chunks
-            }
-            try:
-                for future in as_completed(futures):
-                    chunk_results = future.result()
-                    for i, result in zip(futures[future], chunk_results):
-                        results[i] = self._finish(batch[i], result)
-                    done += len(futures[future])
-                    if progress is not None:
-                        progress(done, total)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-
+        run = _SupervisedRun(
+            self, batch, results, progress if progress is not None else self.progress
+        )
+        run.execute(pending)
+        if self.manifest is not None:
+            # Leave a plain JSON snapshot behind (fold the event log).
+            self.manifest.compact()
         return results  # type: ignore[return-value]
-
-    def run_one(self, spec: RunSpec | Mapping) -> RunResult:
-        """Execute a single spec (always serial, but cache-aware)."""
-        return self.run([spec])[0]
-
-    def _finish(self, spec: RunSpec, result: RunResult) -> RunResult:
-        if self.cache is not None and isinstance(result, RunResult):
-            self.cache.put(spec, result)
-            self._sync_rpc_stats()
-        return result
 
 
 class _SupervisedRun:
-    """State of one supervised batch: attempts, events, requeue logic.
+    """State of one batch: attempts, events, requeue logic.
 
     The contract the fault-tolerance property suite pins: whatever faults
     fire, every result slot ends up holding either the bit-identical
     :class:`RunResult` a fault-free run computes, or — only once the
     retry budget is truly exhausted — a structured :class:`FailedResult`.
+    A fail-fast run (no policy, no manifest) has no budget: its first
+    failed attempt re-raises.
     """
 
     def __init__(
@@ -465,18 +378,17 @@ class _SupervisedRun:
         batch: list[RunSpec],
         results: list,
         progress: ProgressCallback | None,
-        done: int,
-        total: int,
     ) -> None:
         self.executor = executor
+        self.fail_fast = executor.policy is None and executor.manifest is None
         self.policy = executor.policy or ExecutionPolicy()
         self.manifest = executor.manifest
         self.stats = executor.stats
         self.batch = batch
         self.results = results
         self.progress = progress
-        self.done = done
-        self.total = total
+        self.done = sum(result is not None for result in results)
+        self.total = len(batch)
         self.attempts: dict[int, int] = {}
         self.events: dict[int, list[str]] = {}
 
@@ -497,7 +409,6 @@ class _SupervisedRun:
         self.results[i] = result
         if self.executor.cache is not None:
             self.executor.cache.put(self.batch[i], result)
-            self.executor._sync_rpc_stats()
         if self.manifest is not None:
             self.manifest.record_done(self.batch[i], attempts=self.attempts.get(i, 0))
         self.done += 1
@@ -521,8 +432,11 @@ class _SupervisedRun:
     def _register_failure(self, i: int, exc: BaseException) -> bool:
         """Count a failed attempt; quarantine past the budget.
 
-        Returns True when the spec should be retried.
+        Returns True when the spec should be retried.  A fail-fast run
+        re-raises ``exc`` instead.
         """
+        if self.fail_fast:
+            raise exc
         attempt = self.attempts.get(i, 0)
         self.attempts[i] = attempt + 1
         event = f"attempt {attempt}: {type(exc).__name__}: {exc}"
@@ -561,7 +475,7 @@ class _SupervisedRun:
             self._tick()
         if not pending:
             return
-        if self.executor.workers == 1:
+        if self.executor.workers == 1 or (self.fail_fast and len(pending) == 1):
             self._execute_serial(pending)
         else:
             self._execute_parallel(pending)
@@ -588,15 +502,27 @@ class _SupervisedRun:
     # -- parallel supervised path ----------------------------------------------
     def _execute_parallel(self, pending: list[int]) -> None:
         executor = self.executor
-        policy = self.policy
         size = executor.chunk_size or default_chunk_size(len(pending), executor.workers)
         queue: deque[_Dispatch] = deque(
             _Dispatch(indices=pending[j : j + size])
             for j in range(0, len(pending), size)
         )
         window: dict = {}
-        breakages = 0
+        try:
+            self._pump(queue, window)
+        finally:
+            # A fail-fast raise (or an interrupt) leaves dispatches in
+            # flight: cancel those not yet running, so the executor's
+            # next batch does not queue behind them.
+            for future in window:
+                future.cancel()
 
+    def _pump(self, queue: deque, window: dict) -> None:
+        """Keep up to ``workers`` dispatches in flight until ``queue`` and
+        ``window`` (future → dispatch) are both empty."""
+        executor = self.executor
+        policy = self.policy
+        breakages = 0
         while queue or window:
             if breakages >= policy.serial_degrade_after:
                 # The pool keeps dying: stop paying respawn costs and
@@ -674,19 +600,17 @@ class _SupervisedRun:
                     executor._teardown_pool(terminate=True)
                     for future in expired:
                         dispatch = window.pop(future)
-                        self.stats.timeouts += len(dispatch.indices)
-                        for i in dispatch.indices:
-                            exc = SpecTimeoutError(
+                        # Split like a failed chunk: only a spec that
+                        # overruns on its own burns an attempt.
+                        if len(dispatch.indices) == 1:
+                            self.stats.timeouts += 1
+                        self._dispatch_failed(
+                            dispatch,
+                            SpecTimeoutError(
                                 f"exceeded the {policy.spec_timeout}s deadline"
-                            )
-                            if self._register_failure(i, exc):
-                                queue.append(
-                                    _Dispatch(
-                                        [i],
-                                        ready_at=time.monotonic()
-                                        + policy.backoff_delay(self.attempts[i]),
-                                    )
-                                )
+                            ),
+                            queue,
+                        )
                     # Collateral: the pool died under the other in-flight
                     # dispatches too; requeue them without burning an
                     # attempt (the fault was not theirs).
@@ -718,18 +642,24 @@ class _SupervisedRun:
     def _dispatch_failed(
         self, dispatch: _Dispatch, exc: BaseException, queue: deque
     ) -> None:
-        """An ordinary exception came back from a dispatch.
+        """An exception (or an expired deadline) came back from a dispatch.
 
         A multi-spec chunk fails as a unit (``execute_spec_batch`` raises
-        at the first bad spec), so it is split and re-dispatched singly —
-        attempts unchanged — to attribute the failure; a single-spec
-        dispatch is the attribution, and burns an attempt.
+        at the first bad spec, a deadline covers the whole chunk), so it
+        is split and re-dispatched singly — attempts unchanged — to
+        attribute the failure; a single-spec dispatch is the attribution,
+        and burns an attempt.  A fail-fast run re-raises at once.
         """
+        if self.fail_fast:
+            raise exc
         if len(dispatch.indices) > 1:
             for i in dispatch.indices:
                 queue.append(_Dispatch([i]))
             return
-        i = dispatch.indices[0]
+        self._retry_singly(dispatch.indices[0], exc, queue)
+
+    def _retry_singly(self, i: int, exc: BaseException, queue: deque) -> None:
+        """Burn an attempt of spec ``i``; requeue it alone after its backoff."""
         if self._register_failure(i, exc):
             queue.append(
                 _Dispatch(
@@ -761,14 +691,7 @@ class _SupervisedRun:
                     attributed = kind == "kill"
                 if attributed:
                     exc = WorkerCrashError("worker process died mid-dispatch")
-                    if self._register_failure(i, exc):
-                        queue.append(
-                            _Dispatch(
-                                [i],
-                                ready_at=time.monotonic()
-                                + self.policy.backoff_delay(self.attempts[i]),
-                            )
-                        )
+                    self._retry_singly(i, exc, queue)
                 else:
                     queue.append(_Dispatch([i]))
 
@@ -777,53 +700,23 @@ def run_specs(
     specs: Sequence[RunSpec | Mapping],
     *,
     workers: int | None = 1,
+    executor: ParallelExecutor | None = None,
     cache: ResultCache | None = None,
     chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
     policy: ExecutionPolicy | None = None,
     manifest: SweepManifest | None = None,
 ) -> list[RunResult | FailedResult]:
-    """One-shot convenience wrapper: execute ``specs`` and tear the pool down."""
-    with ParallelExecutor(
-        workers, cache=cache, chunk_size=chunk_size, policy=policy, manifest=manifest
-    ) as executor:
-        return executor.run(specs, progress=progress)
+    """Execute ``specs`` on ``executor``, or on a one-shot executor.
 
-
-def dispatch_specs(
-    specs: Sequence[RunSpec | Mapping],
-    *,
-    workers: int | None = 1,
-    executor: ParallelExecutor | None = None,
-    cache: ResultCache | None = None,
-    progress: ProgressCallback | None = None,
-    policy: ExecutionPolicy | None = None,
-    manifest: SweepManifest | None = None,
-) -> list[RunResult | FailedResult]:
-    """Run a spec batch on a caller-provided executor, or a one-shot pool.
-
-    The shared dispatch step behind every fragment-based entry point
-    (``sweep``, ``worst_case_over``): an explicit ``executor`` wins (its
-    own workers/cache/chunking/policy apply); otherwise a pool is spun up
-    and torn down around this one batch.  ``progress`` is forwarded
-    either way.
+    An explicit ``executor`` wins: its own workers, cache, chunking,
+    policy and manifest apply, and only ``progress`` is forwarded.
+    Otherwise an executor is built from the other options and its pool
+    torn down after this one batch.
     """
     if executor is not None:
         return executor.run(specs, progress=progress)
-    return run_specs(
-        specs,
-        workers=workers,
-        cache=cache,
-        progress=progress,
-        policy=policy,
-        manifest=manifest,
-    )
-
-
-def require_serial_factories(context: str, workers: int, executor) -> None:
-    """Raise the shared error when live-object factories meet parallel options."""
-    if workers != 1 or executor is not None:
-        raise ValueError(
-            f"parallel {context} needs declarative factories: return "
-            "spec_fragment(...) dicts instead of live objects"
-        )
+    with ParallelExecutor(
+        workers, cache=cache, chunk_size=chunk_size, policy=policy, manifest=manifest
+    ) as one_shot:
+        return one_shot.run(specs, progress=progress)

@@ -55,25 +55,11 @@ __all__ = [
     "WorkLease",
     "WorkQueue",
     "collect_results",
-    "shard_index",
     "status_record",
 ]
 
 #: Default lease TTL in seconds before a claimed shard may be stolen.
 DEFAULT_LEASE_TTL = 15.0
-
-
-def shard_index(spec_hash: str, shards: int) -> int:
-    """Deterministic shard assignment for a canonical spec hash.
-
-    Folds the first 64 bits of the hex hash modulo ``shards`` — stable
-    across processes, machines and Python versions (no ``hash()``
-    randomisation), so ``repro sweep --shard i/k`` partitions identically
-    everywhere and the union of the *k* shards is exactly the full sweep.
-    """
-    if shards < 1:
-        raise ValueError("shard count must be at least 1")
-    return int(spec_hash[:16], 16) % shards
 
 
 class LeaseLostError(RuntimeError):

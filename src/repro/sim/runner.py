@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..adversary.base import Adversary
 from ..channel.block import BlockEngine
@@ -199,8 +199,8 @@ def run_simulation(
 
 
 def worst_case_over(
-    algorithm_factory: Callable[[], RoutingAlgorithm],
-    adversary_factories: Sequence[Callable[[], Adversary]],
+    algorithm_factory: Callable[[], Mapping],
+    adversary_factories: Sequence[Callable[[], Mapping]],
     rounds: int,
     *,
     enforce_energy_cap: bool = True,
@@ -218,10 +218,11 @@ def worst_case_over(
     statements, so the measured values ``repro table1`` reports are maxima
     over an adversary family.
 
-    Factories may return live objects or declarative
-    :func:`~repro.sim.specs.spec_fragment` dicts; with fragments the family
-    fans out over the parallel executor (``workers`` processes, optional
-    on-disk ``cache``), and ``workers=1`` is the serial fallback.  An
+    Factories return declarative :func:`~repro.sim.specs.spec_fragment`
+    dicts; the family runs as one spec batch through
+    :func:`~repro.sim.parallel.run_specs` (on ``executor`` when given,
+    else on ``workers`` processes with an optional on-disk ``cache``;
+    ``workers=1`` is the serial fallback).  An
     :class:`~repro.sim.parallel.ExecutionPolicy` (or a supervised
     ``executor``) makes the family fault-tolerant; quarantined
     :class:`~repro.sim.faults.FailedResult` entries stay in the returned
@@ -229,40 +230,22 @@ def worst_case_over(
     picking the worst run (a quarantined spec must never silently *be*
     the worst case).
     """
-    from .specs import RunSpec, materialize_adversary, materialize_algorithm
+    from .parallel import run_specs
+    from .specs import RunSpec
 
-    jobs = [(algorithm_factory(), factory()) for factory in adversary_factories]
-    all_fragments = all(
-        isinstance(algo, Mapping) and isinstance(adv, Mapping) for algo, adv in jobs
-    )
-    results: list[RunResult] = []
-    if all_fragments:
-        specs = [
-            RunSpec.from_fragments(
-                algo, adv, rounds, enforce_energy_cap=enforce_energy_cap, engine=engine
-            )
-            for algo, adv in jobs
-        ]
-        from .parallel import dispatch_specs
-
-        results = dispatch_specs(
-            specs, workers=workers, executor=executor, cache=cache, policy=policy
+    specs = [
+        RunSpec.from_fragments(
+            algorithm_factory(),
+            factory(),
+            rounds,
+            enforce_energy_cap=enforce_energy_cap,
+            engine=engine,
         )
-    else:
-        from .parallel import require_serial_factories
-
-        require_serial_factories("worst_case_over", workers, executor)
-        for algo, adv in jobs:
-            algorithm = materialize_algorithm(algo)
-            results.append(
-                run_simulation(
-                    algorithm,
-                    materialize_adversary(adv, algorithm),
-                    rounds,
-                    enforce_energy_cap=enforce_energy_cap,
-                    engine=engine,
-                )
-            )
+        for factory in adversary_factories
+    ]
+    results = run_specs(
+        specs, workers=workers, executor=executor, cache=cache, policy=policy
+    )
     completed = [r for r in results if not r.failed]
     skipped = [r for r in results if r.failed]
     if skipped:

@@ -3,8 +3,8 @@
 Stdlib only (``http.server`` + ``urllib``) — the service accepts batches
 of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into
 its private in-memory :class:`~repro.sim.queue.WorkQueue`, tracks
-progress in a server-side :class:`~repro.sim.manifest.SweepManifest`,
-and streams newline-delimited JSON progress snapshots.  It is the
+per-job progress in memory, and streams newline-delimited JSON progress
+snapshots.  It is the
 **cache and queue authority** for ``repro worker`` processes, which
 share no filesystem with it: the ``/api/cache`` endpoints serve and
 accept checksummed result payloads, and the ``/api/queue`` endpoints
@@ -77,7 +77,6 @@ from .cache import (
     payload_checksum_ok,
 )
 from .faults import FailedResult, FaultPlan
-from .manifest import SweepManifest
 from .netclient import (
     CHECKSUM_MISMATCH_HEADER,
     PAYLOAD_CHECKSUM_HEADER,
@@ -120,7 +119,6 @@ class SweepJob:
 
     job_id: str
     specs: list[RunSpec]
-    manifest: SweepManifest
     shard_ids: list[str]
     #: spec hash → "done" | "failed", filled in by the monitor.
     state: dict[str, str] = field(default_factory=dict)
@@ -156,9 +154,10 @@ class SweepService:
 
     Parameters
     ----------
-    queue_root:
-        Directory for the per-job manifests (``jobs/<id>.manifest.json``);
-        the queue itself lives in this process's memory.
+    cache_dir:
+        The result cache the service owns and serves (default:
+        :func:`~repro.sim.cache.default_cache_dir`); the queue and the
+        job records live in this process's memory.
     fault_plan:
         Optional *server-side* network fault injector: cache and queue
         endpoint responses draw ``net_fault(f"srv:{key}", attempt)``
@@ -170,7 +169,6 @@ class SweepService:
 
     def __init__(
         self,
-        queue_root: str | Path,
         cache_dir: str | Path | None = None,
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -181,7 +179,6 @@ class SweepService:
     ) -> None:
         if cache_dir is None:
             cache_dir = default_cache_dir()
-        self.root = Path(queue_root)
         self.queue = WorkQueue(lease_ttl=lease_ttl)
         self.cache = ResultCache(cache_dir)
         self.shard_size = shard_size
@@ -270,17 +267,10 @@ class SweepService:
         with self._lock:
             job_id = f"job-{self._next_id}"
             self._next_id += 1
-        jobs_dir = self.root / "jobs"
-        jobs_dir.mkdir(parents=True, exist_ok=True)
-        manifest = SweepManifest(jobs_dir / f"{job_id}.manifest.json")
-        for spec in specs:
-            manifest.record_pending(spec)
         shard_ids = self.queue.enqueue(
             specs, shard_size=shard_size or self.shard_size, prefix=job_id
         )
-        job = SweepJob(
-            job_id=job_id, specs=specs, manifest=manifest, shard_ids=shard_ids
-        )
+        job = SweepJob(job_id=job_id, specs=specs, shard_ids=shard_ids)
         with self._lock:
             self.jobs[job_id] = job
         threading.Thread(
@@ -299,35 +289,20 @@ class SweepService:
             record = statuses.get(key)
             if record is not None and record.get("status") == "failed":
                 job.state[key] = "failed"
-                job.manifest.record_failed(
-                    spec,
-                    FailedResult(
-                        spec=spec,
-                        error=str(record.get("error", "unknown failure")),
-                        error_type=str(record.get("error_type", "Exception")),
-                        attempts=int(record.get("attempts", 0)),
-                        fault_events=list(record.get("fault_events") or []),
-                    ),
-                )
                 advanced = True
             elif (record is not None and record.get("status") == "done") or (
                 spec in self.cache
             ):
                 job.state[key] = "done"
-                job.manifest.record_done(spec)
                 advanced = True
         if advanced:
             job.rpc = self.queue.rpc_totals(prefix=job.job_id)
-        if len(job.state) == len(job.specs) and not job.complete:
-            job.rpc = self.queue.rpc_totals(prefix=job.job_id)
-            job.complete = True
-            job.manifest.compact()
-            advanced = True
+            job.complete = len(job.state) == len(job.specs)
         return advanced
 
     def _drive(self, job: SweepJob) -> None:
-        """Monitor thread: reclaim expired leases, fall back to local
-        execution when no worker is making progress, finish the manifest."""
+        """Monitor thread: reclaim expired leases and fall back to local
+        execution when no worker is making progress."""
         last_advance = time.monotonic()
         while not self._closed.is_set():
             self.queue.reclaim_expired()

@@ -56,8 +56,6 @@ __all__ = [
     "execute_spec",
     "execute_spec_batch",
     "make_adversary",
-    "materialize_adversary",
-    "materialize_algorithm",
     "rate_adversaries",
     "register_adversary",
     "spec_fragment",
@@ -184,9 +182,9 @@ def make_adversary(name: str, *, schedule=None, **params) -> Adversary:
 def spec_fragment(key: str, **params) -> dict:
     """A declarative piece of a :class:`RunSpec`: a registry key plus kwargs.
 
-    Sweep and worst-case factories may return fragments instead of live
-    objects; the harness then assembles full :class:`RunSpec` objects and can
-    execute them in parallel worker processes.
+    Sweep and worst-case factories return fragments; the harness then
+    assembles full :class:`RunSpec` objects and can execute them in
+    parallel worker processes.
     """
     return {"key": key, "params": dict(params)}
 
@@ -445,42 +443,6 @@ class RunSpec:
                 self.adversary, schedule=schedule, **self.adversary_params
             )
         return make_adversary(self.adversary, **self.adversary_params)
-
-
-def materialize_algorithm(obj: RoutingAlgorithm | Mapping[str, Any]) -> RoutingAlgorithm:
-    """Turn a live algorithm or a :func:`spec_fragment` into a live algorithm."""
-    fragment = _as_fragment(obj)
-    if fragment is not None:
-        return make_algorithm(fragment[0], **fragment[1])
-    if isinstance(obj, RoutingAlgorithm):
-        return obj
-    raise TypeError(f"expected RoutingAlgorithm or fragment, got {type(obj).__name__}")
-
-
-def materialize_adversary(
-    obj: Adversary | Mapping[str, Any],
-    algorithm: RoutingAlgorithm | None = None,
-) -> Adversary:
-    """Turn a live adversary or a :func:`spec_fragment` into a live adversary.
-
-    Schedule-aware fragments read ``algorithm``'s published oblivious
-    schedule, mirroring :meth:`RunSpec.build_adversary`.
-    """
-    fragment = _as_fragment(obj)
-    if fragment is not None:
-        key, params = fragment
-        entry = adversary_entry(key)
-        if entry.needs_schedule:
-            schedule = algorithm.oblivious_schedule() if algorithm is not None else None
-            if schedule is None:
-                raise ValueError(
-                    f"adversary {key!r} needs an algorithm with an oblivious schedule"
-                )
-            return make_adversary(key, schedule=schedule, **params)
-        return make_adversary(key, **params)
-    if isinstance(obj, Adversary):
-        return obj
-    raise TypeError(f"expected Adversary or fragment, got {type(obj).__name__}")
 
 
 def execute_spec(spec: RunSpec | Mapping[str, Any]) -> RunResult:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from ..adversary.base import Adversary
-from ..core.algorithm import RoutingAlgorithm
-from .runner import RunResult, run_simulation
-from .specs import RunSpec, materialize_adversary, materialize_algorithm
+from .parallel import run_specs
+from .runner import RunResult
+from .specs import RunSpec
 
 __all__ = ["SweepPoint", "SweepSeries", "sweep"]
 
@@ -120,8 +119,8 @@ def sweep(
     name: str,
     parameter: str,
     values: Sequence[float],
-    algorithm_factory: Callable[[float], RoutingAlgorithm | Mapping],
-    adversary_factory: Callable[[float], Adversary | Mapping],
+    algorithm_factory: Callable[[float], Mapping],
+    adversary_factory: Callable[[float], Mapping],
     rounds: int | Callable[[float], int],
     *,
     enforce_energy_cap: bool = True,
@@ -134,20 +133,19 @@ def sweep(
     progress=None,
     policy=None,
     manifest=None,
-    shard: tuple[int, int] | None = None,
 ) -> SweepSeries:
     """Run one simulation per swept value and collect the results.
 
     ``algorithm_factory`` and ``adversary_factory`` receive the swept
-    value and return either live objects or declarative
-    :func:`~repro.sim.specs.spec_fragment` dicts; ``rounds`` may be a
-    constant or a function of the value (larger systems typically need
-    longer runs).
+    value and return declarative :func:`~repro.sim.specs.spec_fragment`
+    dicts; ``rounds`` may be a constant or a function of the value
+    (larger systems typically need longer runs).
 
-    With fragments, the sweep runs through the parallel executor
-    (``workers`` processes, optional on-disk ``cache``); ``workers=1`` is
-    the serial fallback and produces bit-identical results.  Live objects
-    cannot cross process boundaries, so they require ``workers=1``.
+    The sweep runs as one :class:`~repro.sim.specs.RunSpec` batch through
+    :func:`~repro.sim.parallel.run_specs`: on ``executor`` when given,
+    else on ``workers`` processes with an optional on-disk ``cache``
+    (``workers=1`` is the serial fallback and produces bit-identical
+    results).
 
     An :class:`~repro.sim.parallel.ExecutionPolicy` (``policy``) makes
     the sweep fault-tolerant — worker crashes, transient exceptions and
@@ -155,94 +153,32 @@ def sweep(
     quarantined points instead of aborting the series — and a
     :class:`~repro.sim.manifest.SweepManifest` (``manifest``) checkpoints
     per-spec status incrementally so an interrupted sweep resumes.
-
-    ``shard=(i, k)`` keeps only the points whose canonical spec hash
-    falls in shard ``i`` of ``k`` (:func:`~repro.sim.queue.shard_index`):
-    a deterministic partition, so running the same sweep with shards
-    ``0/k .. k-1/k`` on different machines against a shared cache covers
-    exactly the full sweep with no overlap.  Requires declarative
-    fragment factories (live objects have no canonical hash).
     """
-    if shard is not None:
-        index, total_shards = shard
-        if not 0 <= index < total_shards:
-            raise ValueError(f"shard index {index} out of range for {total_shards}")
-    series = SweepSeries(name=name, parameter=parameter)
-    jobs = []
-    for value in values:
-        run_rounds = rounds(value) if callable(rounds) else rounds
-        jobs.append(
-            (value, algorithm_factory(value), adversary_factory(value), run_rounds)
-        )
-
-    all_fragments = all(
-        isinstance(algo, Mapping) and isinstance(adv, Mapping)
-        for _, algo, adv, _ in jobs
-    )
-    if all_fragments:
-        specs = [
-            RunSpec.from_fragments(
-                algo,
-                adv,
-                run_rounds,
-                enforce_energy_cap=enforce_energy_cap,
-                energy_cap=energy_cap,
-                record_trace=record_trace,
-                label=f"{name}[{parameter}={value}]",
-                engine=engine,
-            )
-            for value, algo, adv, run_rounds in jobs
-        ]
-        if shard is not None:
-            from .queue import shard_index
-
-            index, total_shards = shard
-            kept = [
-                (job, spec)
-                for job, spec in zip(jobs, specs)
-                if shard_index(spec.spec_hash(), total_shards) == index
-            ]
-            jobs = [job for job, _ in kept]
-            specs = [spec for _, spec in kept]
-        from .parallel import dispatch_specs
-
-        results = dispatch_specs(
-            specs,
-            workers=workers,
-            executor=executor,
-            cache=cache,
-            progress=progress,
-            policy=policy,
-            manifest=manifest,
-        )
-        for (value, _, _, _), result in zip(jobs, results):
-            series.points.append(SweepPoint(value=value, result=result))
-        return series
-
-    from .parallel import require_serial_factories
-
-    require_serial_factories("sweep", workers, executor)
-    if shard is not None:
-        raise ValueError(
-            "sharded sweep needs declarative factories: return "
-            "spec_fragment(...) dicts instead of live objects"
-        )
-    if policy is not None or manifest is not None:
-        raise ValueError(
-            "fault-tolerant sweep needs declarative factories: return "
-            "spec_fragment(...) dicts instead of live objects"
-        )
-    for value, algorithm, adversary, run_rounds in jobs:
-        algorithm = materialize_algorithm(algorithm)
-        result = run_simulation(
-            algorithm,
-            materialize_adversary(adversary, algorithm),
-            run_rounds,
+    values = list(values)
+    specs = [
+        RunSpec.from_fragments(
+            algorithm_factory(value),
+            adversary_factory(value),
+            rounds(value) if callable(rounds) else rounds,
             enforce_energy_cap=enforce_energy_cap,
             energy_cap=energy_cap,
             record_trace=record_trace,
             label=f"{name}[{parameter}={value}]",
             engine=engine,
         )
-        series.points.append(SweepPoint(value=value, result=result))
-    return series
+        for value in values
+    ]
+    results = run_specs(
+        specs,
+        workers=workers,
+        executor=executor,
+        cache=cache,
+        progress=progress,
+        policy=policy,
+        manifest=manifest,
+    )
+    return SweepSeries(
+        name=name,
+        parameter=parameter,
+        points=[SweepPoint(value=v, result=r) for v, r in zip(values, results)],
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import experiments as exp
+from repro.sim import spec_fragment
 
 
 class TestExperimentResults:
@@ -18,9 +19,10 @@ class TestExperimentResults:
         assert len(family) == 6
         family = exp.default_adversary_family(0.5, 1.0, include_stochastic=False)
         assert len(family) == 5
-        # Factories produce fresh, unbound adversaries each call.
+        # Factories produce fresh fragment dicts each call.
         a, b = family[0](), family[0]()
-        assert a is not b and a.n is None
+        assert a is not b
+        assert a == b == spec_fragment("single-target", rho=0.5, beta=1.0)
 
 
 class TestFigureHarness:

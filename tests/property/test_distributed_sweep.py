@@ -41,9 +41,7 @@ from repro.sim import (
     make_server,
     process_lease,
     run_worker,
-    shard_index,
     spec_fragment,
-    sweep,
 )
 from repro.sim.service import fetch_results, submit_batch, wait_for_job
 from repro.sim.worker import WorkerStats
@@ -116,7 +114,6 @@ class TestLocalhostTopology:
         baseline = _baseline(specs)
 
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "cache",
             lease_ttl=1.0,
             shard_size=2,
@@ -199,7 +196,6 @@ class TestLocalhostTopology:
         specs = _specs(5)
         baseline = _baseline(specs)
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "cache",
             shard_size=2,
             fallback_after=0.2,
@@ -222,7 +218,6 @@ class TestLocalhostTopology:
         first_specs, second_specs = _specs(4)[:2], _specs(4)[2:]
         for specs in (first_specs, second_specs):
             service = SweepService(
-                tmp_path / "queue",
                 tmp_path / "cache",
                 shard_size=1,
                 fallback_after=0.2,
@@ -249,7 +244,6 @@ class TestLeaseRecovery:
         specs = _specs(4)
         baseline = _baseline(specs)
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "cache",
             lease_ttl=0.1,
             fallback_after=60.0,  # the worker does the work
@@ -317,61 +311,3 @@ class TestLeaseRecovery:
         with pytest.raises(LeaseLostError):
             victim.heartbeat()
         assert queue.drained()
-
-
-class TestShardedSweepUnion:
-    def test_sharded_union_is_exactly_the_unsharded_sweep(self, tmp_path):
-        algo = lambda rho: spec_fragment("k-cycle", n=4, k=2)  # noqa: E731
-        adv = lambda rho: spec_fragment("spray", rho=rho, beta=1.5)  # noqa: E731
-        rates = [round(0.1 + 0.1 * i, 2) for i in range(7)]
-        full = sweep("union", "rho", rates, algo, adv, 300)
-
-        k = 3
-        shard_points: dict[float, object] = {}
-        sizes = []
-        for index in range(k):
-            part = sweep(
-                "union", "rho", rates, algo, adv, 300, shard=(index, k)
-            )
-            sizes.append(len(part.points))
-            for point in part.points:
-                assert point.value not in shard_points  # disjoint
-                shard_points[point.value] = point
-
-        assert sum(sizes) == len(full.points)  # exhaustive
-        for point in full.points:
-            twin = shard_points[point.value]
-            assert twin.result.summary == point.result.summary  # bit-identical
-
-    def test_shard_assignment_matches_shard_index(self):
-        algo = lambda rho: spec_fragment("k-cycle", n=4, k=2)  # noqa: E731
-        adv = lambda rho: spec_fragment("spray", rho=rho, beta=1.5)  # noqa: E731
-        rates = [0.1, 0.2, 0.3, 0.4]
-        specs = [
-            RunSpec.from_fragments(
-                algo(r), adv(r), 300, label=f"union[rho={r}]"
-            )
-            for r in rates
-        ]
-        part = sweep("union", "rho", rates, algo, adv, 300, shard=(0, 2))
-        expected = [
-            r
-            for r, s in zip(rates, specs)
-            if shard_index(s.spec_hash(), 2) == 0
-        ]
-        assert part.values() == expected
-
-    def test_sharding_requires_fragments(self):
-        from repro.sim.specs import materialize_algorithm, make_adversary
-
-        def algo(rho):
-            return materialize_algorithm(spec_fragment("k-cycle", n=4, k=2))
-
-        with pytest.raises(ValueError, match="declarative factories"):
-            sweep(
-                "live", "rho", [0.2],
-                algo,
-                lambda rho: make_adversary("spray", rho=rho, beta=1.5),
-                200,
-                shard=(0, 2),
-            )

@@ -13,6 +13,7 @@ The CI fault-injection leg sets ``REPRO_FAULT_SEED`` to vary the
 schedule across runs; locally the default seed keeps runs reproducible.
 """
 
+import itertools
 import os
 
 import pytest
@@ -353,6 +354,42 @@ class TestParallelFaultTolerance:
             1 for s in specs if plan.worker_fault(s.spec_hash(), 0) == "stall"
         )
         assert executor.stats.timeouts >= expected_stalls
+
+    @pytest.mark.slow
+    def test_a_timed_out_chunk_charges_only_the_spec_that_overran(self):
+        # One chunk of three specs, exactly one of which stalls past its
+        # deadline: the expired chunk is split and requeued singly with
+        # attempts unchanged, so only the staller burns an attempt (and,
+        # at max_retries=0, is quarantined).
+        specs = _specs(count=3, rounds=100)
+        baseline = _baseline(specs)
+
+        def stalls(seed):
+            plan = FaultPlan(
+                seed=seed, stall_rate=0.4, stall_seconds=10.0, fault_budget=1
+            )
+            return plan, [plan.worker_fault(s.spec_hash(), 0) == "stall" for s in specs]
+
+        plan, stalled = next(
+            (plan, flags)
+            for plan, flags in map(stalls, itertools.count(FAULT_SEED))
+            if sum(flags) == 1
+        )
+        # A deadline of at least 2 s keeps a respawned pool's start-up
+        # from expiring a clean single.
+        policy = ExecutionPolicy(
+            max_retries=0, spec_timeout=2.0, backoff_base=0.0, fault_plan=plan
+        )
+        with ParallelExecutor(2, chunk_size=3, policy=policy) as executor:
+            results = executor.run(specs)
+        for spec, result, stall in zip(specs, results, stalled):
+            if stall:
+                assert result.failed and result.error_type == "SpecTimeoutError"
+            else:
+                assert not result.failed, result.describe()
+                assert result.summary == baseline[spec.spec_hash()]
+        assert executor.stats.timeouts == 1
+        assert executor.stats.quarantined == 1
 
     def test_repeatedly_dying_pool_degrades_to_serial(self):
         specs = _specs(count=6)

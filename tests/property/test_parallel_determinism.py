@@ -9,11 +9,20 @@ generates random batches over the algorithm/adversary registries
 from their spec'd seeds inside each worker).
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import ParallelExecutor, RunSpec, execute_spec, run_specs
+from repro.sim import (
+    FaultPlan,
+    ParallelExecutor,
+    RunSpec,
+    WorkerCrashError,
+    execute_spec,
+    run_specs,
+)
 
 pytestmark = pytest.mark.parallel
 
@@ -107,25 +116,74 @@ def test_stochastic_seeds_reproduce_across_processes(pool):
     assert a.summary == b.summary == execute_spec(spec).summary
 
 
+GOOD = RunSpec(
+    algorithm="count-hop",
+    algorithm_params={"n": 4},
+    adversary="spray",
+    adversary_params={"rho": 0.2, "beta": 1.0},
+    rounds=100,
+)
+# destination == n is out of range: the worker must raise, and the
+# executor must surface that error rather than hang or swallow it.
+BAD = RunSpec(
+    algorithm="count-hop",
+    algorithm_params={"n": 4},
+    adversary="single-target",
+    adversary_params={"rho": 0.2, "beta": 1.0, "source": 3, "destination": 4},
+    rounds=100,
+)
+
+
 def test_worker_exception_propagates(pool):
-    good = RunSpec(
+    with pytest.raises(ValueError):
+        pool.run([GOOD, BAD, GOOD])
+
+
+def test_executor_recovers_after_a_fail_fast_raise():
+    specs = [
+        RunSpec(
+            algorithm="orchestra",
+            algorithm_params={"n": 4},
+            adversary="round-robin",
+            adversary_params={"rho": rho, "beta": 1.0},
+            rounds=120,
+        )
+        for rho in (0.2, 0.4, 0.6)
+    ]
+    with ParallelExecutor(workers=2) as executor:
+        with pytest.raises(ValueError):
+            executor.run([GOOD, BAD, GOOD])
+        # The raise cancelled or abandoned the dispatches still in flight;
+        # none of them may leak into the next batch's results.
+        results = executor.run(specs)
+    assert [r.summary for r in results] == [execute_spec(s).summary for s in specs]
+
+
+def test_fail_fast_pool_crash_raises_worker_crash_error():
+    # A spec carrying its own kill stamp hard-exits the worker that runs it.
+    doomed = dataclasses.replace(
+        GOOD, fault_plan=FaultPlan(seed=1, kill_rate=1.0).stamp(0)
+    )
+    with ParallelExecutor(workers=2) as executor:
+        with pytest.raises(WorkerCrashError):
+            executor.run([doomed, GOOD])
+        assert executor._pool is None  # the broken pool was torn down
+        results = executor.run([GOOD, GOOD])
+    assert [r.summary for r in results] == [execute_spec(GOOD).summary] * 2
+
+
+def test_lone_unsupervised_spec_runs_in_process():
+    spec = RunSpec(
         algorithm="count-hop",
         algorithm_params={"n": 4},
         adversary="spray",
-        adversary_params={"rho": 0.2, "beta": 1.0},
+        adversary_params={"rho": 0.3, "beta": 1.0},
         rounds=100,
     )
-    bad = RunSpec(
-        algorithm="count-hop",
-        algorithm_params={"n": 4},
-        adversary="single-target",
-        # destination == n is out of range: the worker must raise, and the
-        # executor must surface that error rather than hang or swallow it.
-        adversary_params={"rho": 0.2, "beta": 1.0, "source": 3, "destination": 4},
-        rounds=100,
-    )
-    with pytest.raises(ValueError):
-        pool.run([good, bad, good])
+    with ParallelExecutor(workers=2) as executor:
+        (result,) = executor.run([spec])
+        assert executor._pool is None  # one spec is not worth a pool
+    assert result.summary == execute_spec(spec).summary
 
 
 def test_serial_fallback_needs_no_pool():

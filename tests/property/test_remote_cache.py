@@ -106,7 +106,6 @@ class TestRemoteCacheTopology:
         baseline = _baseline(specs)
 
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "server-cache",
             lease_ttl=1.0,
             shard_size=2,
@@ -205,7 +204,6 @@ class TestRemoteCacheTopology:
         specs = _specs(4)
         baseline = _baseline(specs)
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "server-cache",
             lease_ttl=5.0,
             shard_size=2,

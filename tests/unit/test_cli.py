@@ -235,45 +235,6 @@ class TestCommands:
             assert name in out
 
 
-class TestShardFlag:
-    def test_parse_shard_accepts_i_slash_k(self):
-        args = build_parser().parse_args(
-            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
-             "--shard", "1/3"]
-        )
-        assert args.shard == (1, 3)
-
-    @pytest.mark.parametrize("bad", ["3/3", "-1/3", "0/0", "abc", "1"])
-    def test_parse_shard_rejects_invalid(self, bad):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
-                 "--shard", bad]
-            )
-
-    def test_sweep_shards_union_to_the_full_sweep(self, capsys, tmp_path):
-        """CLI shards against a shared cache cover exactly the full sweep."""
-        base = [
-            "sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
-            "--rates", "0.1,0.2,0.3,0.4,0.5", "--rounds", "400",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]
-        rows = []
-        for i in range(2):
-            assert main(base + ["--shard", f"{i}/2"]) == 0
-            out = capsys.readouterr().out
-            rows.extend(
-                line for line in out.splitlines() if line.strip().startswith("0.")
-            )
-        assert main(base) == 0  # full sweep: every point is a cache hit
-        full_out = capsys.readouterr().out
-        full_rows = [
-            line for line in full_out.splitlines() if line.strip().startswith("0.")
-        ]
-        assert sorted(rows) == sorted(full_rows)
-        assert len(full_rows) == 5
-
-
 class TestDistributedCommands:
     def test_worker_requires_server(self):
         with pytest.raises(SystemExit):
@@ -281,9 +242,10 @@ class TestDistributedCommands:
         with pytest.raises(SystemExit):  # the shared-directory mode is gone
             build_parser().parse_args(["worker", "--queue-dir", "q"])
 
-    def test_serve_requires_queue_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
+    def test_serve_queue_dir_is_optional_and_still_accepted(self):
+        assert build_parser().parse_args(["serve"]).queue_dir is None
+        args = build_parser().parse_args(["serve", "--queue-dir", "q"])
+        assert args.queue_dir == "q"
 
     def test_submit_requires_server(self):
         with pytest.raises(SystemExit):
@@ -303,8 +265,7 @@ class TestDistributedCommands:
         # would leak into every later test in this pytest process.
         monkeypatch.setattr("repro.cli.mark_worker_process", lambda: None)
         service = SweepService(
-            tmp_path / "q", tmp_path / "cache",
-            lease_ttl=5.0, fallback_after=60.0, poll=0.05,
+            tmp_path / "cache", lease_ttl=5.0, fallback_after=60.0, poll=0.05,
         )
         server = make_server(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -338,8 +299,7 @@ class TestDistributedCommands:
         from repro.sim import SweepService, make_server
 
         service = SweepService(
-            tmp_path / "q", tmp_path / "cache",
-            shard_size=2, fallback_after=0.2, poll=0.05,
+            tmp_path / "cache", shard_size=2, fallback_after=0.2, poll=0.05,
         )
         server = make_server(service, "127.0.0.1", 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -18,7 +18,6 @@ from repro.sim import (
     WorkQueue,
     collect_results,
     execute_spec,
-    shard_index,
     spec_fragment,
     status_record,
 )
@@ -34,16 +33,6 @@ def _specs(count=4, rounds=200):
         )
         for i in range(count)
     ]
-
-
-class TestShardIndex:
-    def test_deterministic_partition(self):
-        hashes = [s.spec_hash() for s in _specs(8)]
-        for k in (1, 2, 3, 5):
-            first = [shard_index(h, k) for h in hashes]
-            assert [shard_index(h, k) for h in hashes] == first
-            assert all(0 <= i < k for i in first)
-        assert pytest.raises(ValueError, shard_index, hashes[0], 0)
 
 
 class TestEnqueueClaim:

@@ -73,7 +73,6 @@ _FAST = RpcPolicy(
 @pytest.fixture()
 def live_server(tmp_path):
     service = SweepService(
-        tmp_path / "queue",
         tmp_path / "server-cache",
         lease_ttl=5.0,
         shard_size=1,
@@ -349,7 +348,6 @@ class TestSubmitBatchStartupRace:
         spec = _spec()
         port = _dead_port()
         service = SweepService(
-            tmp_path / "queue",
             tmp_path / "cache",
             fallback_after=0.1,
             poll=0.05,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.adversary import RoundRobinAdversary, SingleTargetAdversary
+from repro.adversary import SingleTargetAdversary
 from repro.algorithms import CountHop, KCycle
-from repro.sim import RunResult, run_simulation, sweep, worst_case_over
+from repro.sim import RunResult, run_simulation, spec_fragment, sweep, worst_case_over
 from repro.sim.reporting import (
     queue_trajectory_sparkline,
     series_to_csv,
@@ -52,10 +52,12 @@ class TestRunner:
 
     def test_worst_case_over_family(self):
         factories = [
-            lambda: SingleTargetAdversary(0.5, 1.0),
-            lambda: RoundRobinAdversary(0.5, 1.0),
+            lambda: spec_fragment("single-target", rho=0.5, beta=1.0),
+            lambda: spec_fragment("round-robin", rho=0.5, beta=1.0),
         ]
-        worst, results = worst_case_over(lambda: CountHop(4), factories, 1000)
+        worst, results = worst_case_over(
+            lambda: spec_fragment("count-hop", n=4), factories, 1000
+        )
         assert len(results) == 2
         assert worst.latency == max(r.latency for r in results)
 
@@ -66,8 +68,8 @@ class TestSweep:
             "demo",
             "rho",
             [0.1, 0.3],
-            lambda rho: CountHop(4),
-            lambda rho: SingleTargetAdversary(rho, 1.0),
+            lambda rho: spec_fragment("count-hop", n=4),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             800,
         )
         assert series.values() == [0.1, 0.3]
@@ -80,8 +82,8 @@ class TestSweep:
             "demo",
             "n",
             [4, 5],
-            lambda n: KCycle(int(n), 2),
-            lambda n: SingleTargetAdversary(0.1, 1.0),
+            lambda n: spec_fragment("k-cycle", n=int(n), k=2),
+            lambda n: spec_fragment("single-target", rho=0.1, beta=1.0),
             lambda n: int(100 * n),
         )
         assert series.points[0].result.rounds == 400
@@ -92,8 +94,8 @@ class TestSweep:
             "count-hop",
             "rho",
             [0.2, 0.8],
-            lambda rho: CountHop(5),
-            lambda rho: SingleTargetAdversary(rho, 2.0),
+            lambda rho: spec_fragment("count-hop", n=5),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=2.0),
             4000,
         )
         low, high = series.latencies()
@@ -118,8 +120,8 @@ class TestReporting:
             "demo",
             "rho",
             [0.1, 0.2],
-            lambda rho: CountHop(4),
-            lambda rho: SingleTargetAdversary(rho, 1.0),
+            lambda rho: spec_fragment("count-hop", n=4),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             400,
         )
         text = sweep_table(series)
@@ -133,8 +135,8 @@ class TestReporting:
             "demo",
             "rho",
             [0.1],
-            lambda rho: CountHop(4),
-            lambda rho: SingleTargetAdversary(rho, 1.0),
+            lambda rho: spec_fragment("count-hop", n=4),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             200,
         )
         path = write_csv({"demo": series}, tmp_path / "figure.csv")

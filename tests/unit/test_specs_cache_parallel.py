@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.adversary import NoInjectionAdversary, SingleTargetAdversary
+from repro.adversary import SingleTargetAdversary
 from repro.algorithms import CountHop
 from repro.sim import (
     ParallelExecutor,
@@ -23,8 +23,6 @@ from repro.sim.runner import ENGINE_KINDS
 from repro.sim.specs import (
     available_adversaries,
     make_adversary,
-    materialize_adversary,
-    materialize_algorithm,
     rate_adversaries,
     register_adversary,
 )
@@ -187,16 +185,6 @@ class TestAdversaryRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_adversary("single-target", SingleTargetAdversary)
-
-    def test_materialize_passthrough_and_fragments(self):
-        live = NoInjectionAdversary()
-        assert materialize_adversary(live) is live
-        built = materialize_adversary(spec_fragment("no-injection"))
-        assert isinstance(built, NoInjectionAdversary)
-        algo = materialize_algorithm(spec_fragment("count-hop", n=4))
-        assert algo.n == 4
-        with pytest.raises(TypeError):
-            materialize_algorithm(42)
 
 
 class TestResultCache:
@@ -375,8 +363,8 @@ class TestSweepForwarding:
             "demo",
             "rho",
             [0.2],
-            lambda rho: CountHop(4),
-            lambda rho: SingleTargetAdversary(rho, 1.0),
+            lambda rho: spec_fragment("count-hop", n=4),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             150,
             record_trace=True,
         )
@@ -388,8 +376,8 @@ class TestSweepForwarding:
             "demo",
             "rho",
             [0.2],
-            lambda rho: CountHop(4),
-            lambda rho: SingleTargetAdversary(rho, 1.0),
+            lambda rho: spec_fragment("count-hop", n=4),
+            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             150,
             energy_cap=3,
         )
@@ -409,8 +397,9 @@ class TestSweepForwarding:
         result = series.points[0].result
         assert result.energy.cap == 3 and result.trace is not None
 
-    def test_parallel_sweep_requires_fragments(self):
-        with pytest.raises(ValueError, match="declarative factories"):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rejects_live_objects(self, workers):
+        with pytest.raises(TypeError, match="fragments"):
             sweep(
                 "demo",
                 "rho",
@@ -418,7 +407,7 @@ class TestSweepForwarding:
                 lambda rho: CountHop(4),
                 lambda rho: SingleTargetAdversary(rho, 1.0),
                 100,
-                workers=2,
+                workers=workers,
             )
 
 
@@ -427,14 +416,13 @@ class TestWorstCaseTieBreak:
         # Neither adversary injects within the 100-round run (the burst one
         # first wakes at round 200), so both runs tie on (latency, max_queue)
         # and only the description tie-break decides.
-        from repro.adversary import BurstThenIdleAdversary
-
         factories = [
-            lambda: BurstThenIdleAdversary(0.5, 1.0, idle_rounds=200),
-            lambda: NoInjectionAdversary(),
+            lambda: spec_fragment("bursty", rho=0.5, beta=1.0, idle_rounds=200),
+            lambda: spec_fragment("no-injection"),
         ]
-        worst_fwd, _ = worst_case_over(lambda: CountHop(4), factories, 100)
-        worst_rev, _ = worst_case_over(lambda: CountHop(4), factories[::-1], 100)
+        algorithm = lambda: spec_fragment("count-hop", n=4)  # noqa: E731
+        worst_fwd, _ = worst_case_over(algorithm, factories, 100)
+        worst_rev, _ = worst_case_over(algorithm, factories[::-1], 100)
         assert worst_fwd.adversary == worst_rev.adversary
 
     def test_parallel_worst_case_matches_serial(self):
@@ -522,9 +510,9 @@ class TestChunkedParallelDispatch:
         assert [r.summary.as_dict() for r in parallel] == [
             r.summary.as_dict() for r in serial
         ]
-        # Three chunks of two specs: progress advances in chunk steps.
-        assert [t for _, t in calls] == [6, 6, 6]
-        assert sorted(d for d, _ in calls) == [2, 4, 6]
+        # Three chunks of two specs: progress still ticks once per spec.
+        assert [t for _, t in calls] == [6] * 6
+        assert sorted(d for d, _ in calls) == [1, 2, 3, 4, 5, 6]
 
     def test_chunked_dispatch_fills_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
