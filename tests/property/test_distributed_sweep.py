@@ -212,6 +212,20 @@ class TestLocalhostTopology:
         finally:
             service.close()
 
+    def test_jobs_live_in_memory_and_only_the_cache_touches_disk(self, tmp_path):
+        specs = _specs(2)
+        service = SweepService(
+            tmp_path / "cache", shard_size=1, fallback_after=0.2, poll=0.05
+        )
+        try:
+            job = service.submit([s.to_dict() for s in specs])
+            assert service.wait(job, timeout=30), service.queue.counts()
+            assert [r["status"] for r in service.results(job)] == ["done"] * 2
+        finally:
+            service.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        assert not list(tmp_path.rglob("*manifest*"))
+
     def test_restarted_server_on_a_used_queue_dir_completes_new_jobs(self, tmp_path):
         # A restarted server numbers its jobs from job-1 again; none of
         # the first server's shard state may shadow the new job's shards.

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
+    ExecutorStats,
     FaultPlan,
     ParallelExecutor,
     RunSpec,
@@ -137,6 +138,19 @@ BAD = RunSpec(
 def test_worker_exception_propagates(pool):
     with pytest.raises(ValueError):
         pool.run([GOOD, BAD, GOOD])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fail_fast_neither_retries_nor_quarantines(workers):
+    calls = []
+    with ParallelExecutor(workers=workers) as executor:
+        with pytest.raises(ValueError):
+            executor.run(
+                [GOOD, BAD, GOOD], progress=lambda d, t: calls.append((d, t))
+            )
+    assert executor.stats == ExecutorStats()
+    if workers == 1:
+        assert calls == [(1, 3)]  # the spec after BAD never ran
 
 
 def test_executor_recovers_after_a_fail_fast_raise():

@@ -41,6 +41,17 @@ class TestCommands:
         assert code == 0
         assert "STABLE" in out
 
+    def test_run_matches_run_simulation_with_the_same_defaults(self, capsys):
+        from repro.adversary import SingleSourceSprayAdversary
+        from repro.algorithms import CountHop
+        from repro.sim import run_simulation
+
+        assert main(["run", "--algorithm", "count-hop", "--n", "5", "--rounds", "800"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        # Defaults: spray adversary at rho=0.5, beta=2.0, energy cap enforced.
+        direct = run_simulation(CountHop(5), SingleSourceSprayAdversary(0.5, 2.0), 800)
+        assert rows[-1] == direct.summary.format_row()
+
     def test_run_unstable_configuration_returns_two(self):
         code = main(
             [

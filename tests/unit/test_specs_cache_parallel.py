@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.adversary import SingleTargetAdversary
-from repro.algorithms import CountHop
+from repro.adversary import (
+    LeastOnStationAdversary,
+    NoInjectionAdversary,
+    SingleTargetAdversary,
+)
+from repro.algorithms import CountHop, KCycle
 from repro.sim import (
     ParallelExecutor,
     ResultCache,
@@ -166,6 +170,27 @@ class TestRunSpec:
         direct = run_simulation(CountHop(4), SingleTargetAdversary(0.4, 1.0), 200)
         via_spec = execute_spec(_spec())
         assert via_spec.summary == direct.summary
+
+    def test_builds_live_objects_from_fragments(self):
+        spec = RunSpec.from_fragments(
+            spec_fragment("count-hop", n=4), spec_fragment("no-injection"), 100
+        )
+        algorithm = spec.build_algorithm()
+        assert isinstance(algorithm, CountHop) and algorithm.n == 4
+        assert isinstance(spec.build_adversary(algorithm), NoInjectionAdversary)
+        with pytest.raises(TypeError, match="fragments"):
+            RunSpec.from_fragments(42, spec_fragment("no-injection"), 100)
+
+    def test_schedule_aware_fragment_reads_the_algorithm_schedule(self):
+        adversary = spec_fragment("least-on-station", rho=0.8, beta=1.0, horizon=60)
+        spec = RunSpec.from_fragments(spec_fragment("k-cycle", n=4, k=2), adversary, 60)
+        algorithm = spec.build_algorithm()
+        built = spec.build_adversary(algorithm)
+        assert isinstance(built, LeastOnStationAdversary)
+        assert built.schedule.period == algorithm.oblivious_schedule().period
+        adaptive = RunSpec.from_fragments(spec_fragment("count-hop", n=4), adversary, 60)
+        with pytest.raises(ValueError, match="oblivious schedule"):
+            adaptive.build_adversary(adaptive.build_algorithm())
 
 
 class TestAdversaryRegistry:
@@ -437,6 +462,16 @@ class TestWorstCaseTieBreak:
         assert [r.summary for r in runs_s] == [r.summary for r in runs_p]
         assert worst_s.summary == worst_p.summary
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worst_case_over_rejects_live_objects(self, workers):
+        with pytest.raises(TypeError, match="fragments"):
+            worst_case_over(
+                lambda: CountHop(4),
+                [lambda: SingleTargetAdversary(0.5, 1.0)],
+                100,
+                workers=workers,
+            )
+
 
 class TestChunkingAndProgress:
     def test_default_chunk_size_bounds(self):
@@ -476,6 +511,13 @@ class TestChunkingAndProgress:
         with ParallelExecutor(1, progress=lambda d, t: calls.append(d)) as executor:
             executor.run([_spec(rounds=21)])
         assert calls == [1]
+
+    def test_executor_stats_summary_names_only_nonzero_counters(self):
+        from repro.sim import ExecutorStats
+
+        assert ExecutorStats().summary() == ""
+        stats = ExecutorStats(retries=2, timeouts=1, serial_degraded=True)
+        assert stats.summary() == "2 retries, 1 timeouts, serial degrade"
 
     def test_chunk_size_validated(self):
         with pytest.raises(ValueError, match="chunk_size"):
