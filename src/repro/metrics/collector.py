@@ -12,6 +12,16 @@ to the packet's destination, and no packet is delivered more than once —
 and exposes the two performance measures the paper uses: the **queue
 size** (total packets stored in a round) and **packet delay / latency**
 (delivery round minus injection round), plus energy statistics.
+
+Per-packet state lives only while a packet is queued: the ledger
+(:attr:`MetricsCollector.records`) holds the undelivered packets, so a
+collector — and every result, cache payload and remote-cache upload that
+carries one — scales with the backlog, not with the horizon.  A delivery
+pops its packet's entry, which is all the exactly-once check needs: an
+id that is not pending was either delivered already or never injected.
+The one check this cannot keep is against re-injecting an id *after*
+its delivery, which is accepted (ids are not monotone in injection
+order, so no high-water mark can stand in for the delivered set).
 """
 
 from __future__ import annotations
@@ -28,21 +38,25 @@ __all__ = ["DeliveryError", "MetricsCollector"]
 
 
 class DeliveryError(RuntimeError):
-    """A correctness violation: wrong destination or duplicate delivery."""
-
-
-@dataclass(slots=True)
-class _PacketRecord:
-    packet: Packet
-    injected_at: int
-    delivered_at: int | None = None
+    """A correctness violation: wrong destination, a delivery of a packet
+    that is not pending, or an injection of a pending packet's id."""
 
 
 @dataclass
 class MetricsCollector:
-    """Accumulates per-round and per-packet statistics of one execution."""
+    """Accumulates per-round statistics and the pending-packet ledger.
 
-    records: dict[int, _PacketRecord] = field(default_factory=dict)
+    These raise :class:`DeliveryError`: a delivery to a station other
+    than the packet's destination, a delivery of an id that is not in
+    the ledger (delivered before or never injected), and an injection of
+    an id that is still pending.  An id injected again after its
+    delivery is accepted.
+    """
+
+    #: Ledger of undelivered packets, ``packet_id → (packet, injection
+    #: round)``: added on injection, popped on delivery, so its size is
+    #: the backlog (``len(records) == pending_count``).
+    records: dict[int, tuple[Packet, int]] = field(default_factory=dict)
     total_queue_series: list[int] = field(default_factory=list)
     per_station_max_queue: list[int] = field(default_factory=list)
     energy_series: list[int] = field(default_factory=list)
@@ -54,10 +68,10 @@ class MetricsCollector:
 
     # -- engine-facing API ---------------------------------------------------
     def record_injection(self, packet: Packet, round_no: int) -> None:
-        """Register an adversarial injection."""
+        """Register an adversarial injection (rejects a still-pending id)."""
         if packet.packet_id in self.records:
-            raise DeliveryError(f"packet {packet.packet_id} injected twice")
-        self.records[packet.packet_id] = _PacketRecord(packet, round_no)
+            raise DeliveryError(f"packet {packet.packet_id} injected while pending")
+        self.records[packet.packet_id] = (packet, round_no)
         self.injected_count += 1
 
     def record_delivery(self, packet: Packet, station: int, round_no: int) -> None:
@@ -67,19 +81,14 @@ class MetricsCollector:
                 f"packet {packet.packet_id} consumed by station {station}, "
                 f"but its destination is {packet.destination}"
             )
-        record = self.records.get(packet.packet_id)
-        if record is None:
+        entry = self.records.pop(packet.packet_id, None)
+        if entry is None:
             raise DeliveryError(
-                f"packet {packet.packet_id} delivered but never injected"
+                f"packet {packet.packet_id} delivered in round {round_no} but "
+                "not pending (delivered before or never injected)"
             )
-        if record.delivered_at is not None:
-            raise DeliveryError(
-                f"packet {packet.packet_id} delivered twice "
-                f"(rounds {record.delivered_at} and {round_no})"
-            )
-        record.delivered_at = round_no
         self.delivered_count += 1
-        self.delays.append(round_no - record.injected_at)
+        self.delays.append(round_no - entry[1])
 
     def record_round(
         self,
@@ -179,12 +188,7 @@ class MetricsCollector:
         if self.rounds_observed == 0:
             return 0
         now = self.rounds_observed
-        ages = [
-            now - rec.injected_at
-            for rec in self.records.values()
-            if rec.delivered_at is None
-        ]
-        return max(ages, default=0)
+        return max((now - at for _, at in self.records.values()), default=0)
 
     def observed_latency(self) -> int:
         """Latency measure of the execution.
@@ -232,12 +236,9 @@ class MetricsCollector:
         return np.asarray(self.total_queue_series, dtype=np.int64)
 
     def undelivered_packets(self) -> list[Packet]:
-        """Packets injected but never delivered, in injection order."""
-        pending = [
-            rec for rec in self.records.values() if rec.delivered_at is None
-        ]
-        pending.sort(key=lambda rec: (rec.injected_at, rec.packet.packet_id))
-        return [rec.packet for rec in pending]
+        """Packets injected but never delivered, by (injection round, id)."""
+        pending = sorted(self.records.values(), key=lambda e: (e[1], e[0].packet_id))
+        return [packet for packet, _ in pending]
 
     def summary(self, label: str = "") -> RunSummary:
         """Condense the collected statistics into a :class:`RunSummary`."""

@@ -40,7 +40,9 @@ Robustness contract (the distributed-sweep substrate relies on it):
   ``corrupt/`` subdirectory (payload + sidecar, preserved for forensics)
   and the read falls through to a recompute: :meth:`ResultCache.get`
   returns None, it never raises — including when two processes race to
-  quarantine the same entry and the loser's rename finds it gone.
+  quarantine the same entry and the loser's rename finds it gone.  A
+  payload whose checksum verifies but which no longer unpickles was
+  written by another code version; it reads as a plain miss instead.
 * **Fault injection** — a seeded :class:`~repro.sim.faults.FaultPlan`
   can deterministically truncate payloads at read time, so the whole
   detect → quarantine → recompute path is replayable in tests.
@@ -90,7 +92,13 @@ __all__ = [
 # they cannot be trusted against the re-normalised spec hashes.  (The
 # checksum header added later is a *file-format* wrapper, detected per
 # file, and did not invalidate version-2 entries.)
-CACHE_VERSION = 2
+# Version 3: the metrics collector's ``records`` became a ledger of
+# undelivered packets, ``packet_id → (packet, injection round)``, in place
+# of one record object per injected packet.  A version-2 payload names a
+# record class that no longer exists, so it no longer unpickles; its
+# checksum still verifies, and :func:`verify_payload` reads it as a plain
+# miss that the next put overwrites.
+CACHE_VERSION = 3
 
 #: Length of the payload checksum header: 64 hex chars + ``\n``.
 _CHECKSUM_HEADER_LEN = 65
@@ -143,10 +151,14 @@ def verify_payload(raw: bytes, name: str) -> object:
     """Verify and unpickle one payload's bytes.
 
     Raises :class:`CacheCorruptionError` on anything that means the
-    bytes cannot be trusted: checksum mismatch, truncation, or an
-    unpicklable body.  (Unpickling raises a zoo of types —
-    UnpicklingError, EOFError, ValueError, AttributeError, ... — all of
-    which are corruption from the caller's point of view.)
+    bytes cannot be trusted: a checksum mismatch (which covers
+    truncation), or an unpicklable body with no checksum header.
+    (Unpickling raises a zoo of types — UnpicklingError, EOFError,
+    ValueError, AttributeError, ... — all of which are corruption when
+    nothing vouches for the bytes.)  A body whose checksum verifies but
+    which fails to unpickle is intact bytes written by another code
+    version (say, naming a class that has since gone): it returns None,
+    which the caller reads as a plain miss.
     """
     digest, body = split_checksum_header(raw)
     if digest is not None:
@@ -159,6 +171,8 @@ def verify_payload(raw: bytes, name: str) -> object:
     try:
         return pickle.loads(body)
     except Exception as exc:
+        if digest is not None:
+            return None
         raise CacheCorruptionError(
             f"unreadable payload in {name}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -535,10 +549,13 @@ class ResultCache:
 
     Corrupt, unreadable or version-mismatched entries are treated as
     misses, never as errors: the cache must always be safe to delete.
-    Entries that fail *verification* (checksum mismatch, truncated or
-    unpicklable payload) are additionally quarantined into ``corrupt/``
-    so repeated sweeps do not re-read known-bad bytes and the evidence
-    survives for inspection.
+    Entries that fail *verification* (checksum mismatch, truncated
+    payload, or an unpicklable payload with no checksum header) are
+    additionally quarantined into ``corrupt/`` so repeated sweeps do not
+    re-read known-bad bytes and the evidence survives for inspection.
+    An intact payload written by another code version — its checksum
+    verifies but it does not unpickle — is a plain miss, left in place
+    for the next :meth:`put` to overwrite.
 
     Parameters
     ----------

@@ -45,7 +45,13 @@ def resolve_engine(engine: str, record_trace: bool) -> str:
 
 @dataclass(slots=True)
 class RunResult:
-    """Everything produced by one simulated execution."""
+    """Everything produced by one simulated execution.
+
+    ``collector`` keeps the per-round series and delays, but per-packet
+    state only for the packets still queued at the end (its ``records``
+    ledger), so a pickled result grows with the backlog and the per-round
+    series, not with the number of packets ever injected.
+    """
 
     algorithm: str
     adversary: str

@@ -120,6 +120,9 @@ class SweepJob:
     job_id: str
     specs: list[RunSpec]
     shard_ids: list[str]
+    #: ``specs[i].spec_hash()``, computed once at submit; a batch may
+    #: hold the same spec twice, so counts go per spec, not per hash.
+    hashes: list[str]
     #: spec hash → "done" | "failed", filled in by the monitor.
     state: dict[str, str] = field(default_factory=dict)
     complete: bool = False
@@ -128,8 +131,9 @@ class SweepJob:
     rpc: dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> dict:
-        done = sum(1 for s in self.state.values() if s == "done")
-        failed = sum(1 for s in self.state.values() if s == "failed")
+        states = [self.state.get(key) for key in self.hashes]
+        done = states.count("done")
+        failed = states.count("failed")
         return {
             "job": self.job_id,
             "total": len(self.specs),
@@ -270,7 +274,12 @@ class SweepService:
         shard_ids = self.queue.enqueue(
             specs, shard_size=shard_size or self.shard_size, prefix=job_id
         )
-        job = SweepJob(job_id=job_id, specs=specs, shard_ids=shard_ids)
+        job = SweepJob(
+            job_id=job_id,
+            specs=specs,
+            shard_ids=shard_ids,
+            hashes=[spec.spec_hash() for spec in specs],
+        )
         with self._lock:
             self.jobs[job_id] = job
         threading.Thread(
@@ -279,25 +288,26 @@ class SweepService:
         return job
 
     def _refresh(self, job: SweepJob) -> bool:
-        """Fold queue/cache state into the job; True if anything advanced."""
+        """Fold the queue's status records into the job; True if anything
+        advanced.
+
+        Only a status record marks a spec done: workers and the local
+        fallback publish one for every spec, cache hits included, and a
+        cache entry alone may be stale (another cache version) and read
+        as a miss.
+        """
         statuses = self.queue.done_statuses()
         advanced = False
-        for spec in job.specs:
-            key = spec.spec_hash()
+        for key in job.hashes:
             if key in job.state:
                 continue
-            record = statuses.get(key)
-            if record is not None and record.get("status") == "failed":
-                job.state[key] = "failed"
-                advanced = True
-            elif (record is not None and record.get("status") == "done") or (
-                spec in self.cache
-            ):
-                job.state[key] = "done"
+            status = statuses.get(key, {}).get("status")
+            if status in ("done", "failed"):
+                job.state[key] = status
                 advanced = True
         if advanced:
             job.rpc = self.queue.rpc_totals(prefix=job.job_id)
-            job.complete = len(job.state) == len(job.specs)
+            job.complete = all(key in job.state for key in job.hashes)
         return advanced
 
     def _drive(self, job: SweepJob) -> None:
@@ -339,11 +349,11 @@ class SweepService:
     def results(self, job: SweepJob) -> list[dict]:
         """Per-spec outcome records for a completed job."""
         out = []
-        for spec, result in zip(
-            job.specs, collect_results(job.specs, self.cache, self.queue)
+        for spec, key, result in zip(
+            job.specs, job.hashes, collect_results(job.specs, self.cache, self.queue)
         ):
             record: dict = {
-                "spec_hash": spec.spec_hash(),
+                "spec_hash": key,
                 "label": spec.label or f"{spec.algorithm} vs {spec.adversary}",
             }
             if isinstance(result, RunResult):

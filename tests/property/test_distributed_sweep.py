@@ -16,8 +16,10 @@ The dev box has 1 CPU, so these tests prove correctness by equivalence,
 not wall-clock speedup.
 """
 
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -43,6 +45,7 @@ from repro.sim import (
     run_worker,
     spec_fragment,
 )
+from repro.sim.cache import CACHE_VERSION
 from repro.sim.service import fetch_results, submit_batch, wait_for_job
 from repro.sim.worker import WorkerStats
 
@@ -225,6 +228,45 @@ class TestLocalhostTopology:
             service.close()
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
         assert not list(tmp_path.rglob("*manifest*"))
+
+    def test_a_batch_holding_the_same_spec_twice_completes(self, tmp_path):
+        spec = _specs(1)[0]
+        service = SweepService(
+            tmp_path / "cache", shard_size=1, fallback_after=0.2, poll=0.05
+        )
+        try:
+            job = service.submit([spec.to_dict(), spec.to_dict()])
+            assert service.wait(job, timeout=30), job.snapshot()
+            snap = job.snapshot()
+            assert (snap["total"], snap["done"], snap["pending"]) == (2, 2, 0)
+            assert [r["status"] for r in service.results(job)] == ["done"] * 2
+        finally:
+            service.close()
+
+    def test_a_cache_entry_from_another_cache_version_is_recomputed(self, tmp_path):
+        # Intact, checksummed payloads stamped with the previous cache
+        # version: the job must not count them done on sight and then
+        # report them missing, but recompute them like any other miss.
+        specs = _specs(3)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        for spec in specs:
+            body = pickle.dumps(
+                {
+                    "version": CACHE_VERSION - 1,
+                    "spec": spec.to_dict(),
+                    "result": execute_spec(spec),
+                }
+            )
+            header = hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+            (cache_dir / f"{spec.spec_hash()}.pkl").write_bytes(header + body)
+        service = SweepService(cache_dir, shard_size=1, fallback_after=0.2, poll=0.05)
+        try:
+            job = service.submit([s.to_dict() for s in specs])
+            assert service.wait(job, timeout=30), service.queue.counts()
+            assert [r["status"] for r in service.results(job)] == ["done"] * 3
+        finally:
+            service.close()
 
     def test_restarted_server_on_a_used_queue_dir_completes_new_jobs(self, tmp_path):
         # A restarted server numbers its jobs from job-1 again; none of

@@ -52,6 +52,7 @@ def test_packet_conservation_and_causality(builder_index, n, k, rho, beta, seed)
     # at some station (never lost, never duplicated).
     assert collector.delivered_count + _total_queued(result) == collector.injected_count
     assert len(collector.undelivered_packets()) == collector.pending_count
+    assert len(collector.records) == collector.pending_count
     # Causality: delays are non-negative and bounded by the run length.
     assert all(0 <= d <= result.rounds for d in collector.delays)
     # Energy: the recorded maximum respects the algorithm's declared cap

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.feedback import ChannelOutcome
+from repro.channel.packet import Packet
 from repro.metrics import (
     DeliveryError,
     MetricsCollector,
@@ -108,6 +109,83 @@ class TestMetricsCollector:
         assert as_dict["max_queue"] == summary.max_queue
         assert "STABLE" in summary.format_row()
         assert "max queue" in RunSummary.header()
+
+
+class TestPendingLedger:
+    """``records`` holds the undelivered packets, nothing else."""
+
+    def test_delivery_empties_the_ledger(self, make_packet):
+        c = MetricsCollector()
+        p = make_packet(2)
+        c.record_injection(p, 0)
+        assert c.records == {p.packet_id: (p, 0)}
+        c.record_delivery(p, 2, 4)
+        assert c.records == {} and c.pending_count == 0
+        with pytest.raises(DeliveryError, match="not pending"):
+            c.record_delivery(p, 2, 5)
+        assert c.delivered_count == 1 and c.delays == [4]
+
+    def test_delivery_of_a_never_injected_packet_raises(self, make_packet):
+        c = MetricsCollector()
+        queued = make_packet(1)
+        c.record_injection(queued, 0)
+        with pytest.raises(DeliveryError, match="not pending"):
+            c.record_delivery(make_packet(1), 1, 3)
+        assert c.records == {queued.packet_id: (queued, 0)}
+        assert c.delivered_count == 0
+
+    def test_wrong_station_leaves_the_packet_pending(self, make_packet):
+        c = MetricsCollector()
+        p = make_packet(2)
+        c.record_injection(p, 0)
+        with pytest.raises(DeliveryError, match="destination"):
+            c.record_delivery(p, 1, 3)
+        assert c.records == {p.packet_id: (p, 0)}
+
+    def test_injecting_a_pending_id_raises(self, make_packet):
+        c = MetricsCollector()
+        p = make_packet(1)
+        c.record_injection(p, 0)
+        with pytest.raises(DeliveryError, match="pending"):
+            c.record_injection(p, 1)
+        assert c.injected_count == 1 and c.records == {p.packet_id: (p, 0)}
+
+    def test_reinjecting_a_delivered_id_is_accepted(self, make_packet):
+        # The narrowed check: delivered ids leave the ledger, so nothing
+        # remembers them.
+        c = MetricsCollector()
+        p = make_packet(1)
+        c.record_injection(p, 0)
+        c.record_delivery(p, 1, 2)
+        c.record_injection(p, 5)
+        assert c.records == {p.packet_id: (p, 5)}
+        assert (c.injected_count, c.delivered_count) == (2, 1)
+
+    def test_undelivered_packets_in_round_then_id_order(self):
+        def packet(packet_id, round_no):
+            return Packet(
+                destination=1, injected_at=round_no, origin=0, packet_id=packet_id
+            )
+
+        late, early_high, early_low, gone = (
+            packet(1, 3), packet(9, 0), packet(4, 0), packet(2, 0)
+        )
+        c = MetricsCollector()
+        for p in (late, early_high, gone, early_low):
+            c.record_injection(p, p.injected_at)
+        c.record_delivery(gone, 1, 1)
+        assert c.undelivered_packets() == [early_low, early_high, late]
+
+    def test_max_pending_age_reads_only_pending_packets(self, make_packet):
+        c = MetricsCollector()
+        old, young = make_packet(1, injected_at=0), make_packet(1, injected_at=6)
+        c.record_injection(old, 0)
+        c.record_injection(young, 6)
+        c.record_delivery(old, 1, 7)
+        for t in range(10):
+            c.record_round(t, [1, 0], 1, ChannelOutcome.SILENCE)
+        assert c.max_pending_age() == 4  # the delivered packet's age is gone
+        assert c.observed_latency() == 7  # its delay still counts
 
 
 class TestStability:

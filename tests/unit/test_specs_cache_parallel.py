@@ -1,7 +1,9 @@
 """Unit tests for the orchestration layer: specs, cache, executor wiring."""
 
 import dataclasses
+import hashlib
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -336,6 +338,48 @@ class TestResultCache:
         assert (cache.quarantine_dir / path.name).exists()
         assert not path.exists()
         assert cache.quarantined_entries() == 1
+
+    def test_unpicklable_payload_without_header_quarantines(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = _spec()
+        cache.put(spec, execute_spec(spec))
+        cache._payload_path(spec).write_bytes(b"garbage")
+        assert cache.get(spec) is None
+        assert cache.quarantined == 1 and cache.quarantined_entries() == 1
+
+    def test_verified_payload_from_another_code_version_is_a_plain_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # The checksum vouches for the bytes, but the body names a class
+        # that no longer exists — as a payload written before a result
+        # class was renamed away does.  That is a stale entry, not a
+        # corrupt one: a plain miss that the next put() overwrites.
+        from repro.sim.cache import CACHE_VERSION
+
+        class Retired:
+            pass
+
+        Retired.__qualname__ = "Retired"
+        monkeypatch.setattr(sys.modules[__name__], "Retired", Retired, raising=False)
+        spec = _spec()
+        body = pickle.dumps(
+            {"version": CACHE_VERSION, "spec": spec.to_dict(), "result": Retired()}
+        )
+        monkeypatch.undo()
+        header = hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+
+        cache = ResultCache(tmp_path)
+        path = cache._payload_path(spec)
+        path.write_bytes(header + body)
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 0)
+        assert path.exists() and not cache.quarantine_dir.exists()
+
+        result = execute_spec(spec)
+        cache.put(spec, result)
+        hit = cache.get(spec)
+        assert hit is not None and hit.summary == result.summary
+        assert (cache.hits, cache.quarantined) == (1, 0)
 
     def test_clear_reports_quarantined_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
