@@ -19,16 +19,16 @@ The distributed trio turns the harness into a service::
     python -m repro worker --server http://host:8750 &   # any number, any machine
     python -m repro submit --server http://host:8750 --algorithm rrw --n 8 ...
 
-``serve`` shards submitted batches into its in-memory lease-based work
-queue, ``worker`` processes claim/execute/heartbeat them over HTTP and
-publish results to the server's cache endpoints (crash-safe: expired
-leases are stolen and finished idempotently against the cache), and
-``submit`` posts a sweep and streams progress until the results are in.
-Workers share no filesystem with the server.  Every RPC goes through a
-resilient client — timeouts, deterministic retry/backoff, a circuit
-breaker that degrades to a local spill cache and reconciles on
-recovery — and both sides can deterministically inject network faults
-(``--fault-net-*``) for testing.
+``serve`` answers cached specs from its own cache and shards the rest
+into its in-memory lease-based work queue; ``worker`` processes claim
+and execute them over HTTP, each heartbeat after a finished spec
+carrying its result into the server's cache (crash-safe: expired leases
+are stolen, and the thief's lease holds only specs with no stored
+result); ``submit`` posts a sweep and streams progress until the
+results are in.  Workers share no filesystem with the server and keep
+no cache.  Every RPC goes through a resilient client — timeouts,
+deterministic retry/backoff and a circuit breaker — and both sides can
+deterministically inject network faults (``--fault-net-*``) for testing.
 """
 
 from __future__ import annotations
@@ -238,17 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_p.add_argument("--server", required=True, metavar="URL",
                           help="base URL of the repro serve instance: shards "
-                          "are claimed and results published over HTTP")
+                          "are claimed and results delivered over HTTP")
     worker_p.add_argument("--spill-dir", default=None,
-                          help="local spill directory for results while the "
-                          "server is unreachable (default: a private temp dir)")
+                          help="accepted and ignored: workers keep no results "
+                          "on disk")
     worker_p.add_argument("--rpc-timeout", type=float, default=10.0,
-                          help="per-request timeout for remote queue/cache RPCs")
+                          help="per-request timeout for queue RPCs")
     worker_p.add_argument("--rpc-max-attempts", type=int, default=4,
                           help="attempts per RPC before giving up")
     worker_p.add_argument("--rpc-breaker-threshold", type=int, default=5,
                           help="consecutive RPC failures before the circuit "
-                          "opens (fail fast + local spill)")
+                          "opens (fail fast)")
     worker_p.add_argument("--rpc-breaker-reset", type=float, default=1.0,
                           help="seconds before an open circuit admits a probe")
     worker_p.add_argument("--owner", default=None,
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accepted and ignored: the queue lives in the "
                          "serve process's memory")
     serve_p.add_argument("--cache-dir", default=None,
-                         help="shared result cache "
+                         help="the server's result cache "
                          "(default: ~/.cache/repro-sim or $REPRO_CACHE_DIR)")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8750,
@@ -482,7 +482,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     mark_worker_process()
     stats = run_worker(
         args.server,
-        spill_dir=args.spill_dir,
         rpc_policy=rpc_policy,
         owner=args.owner,
         policy=policy,
@@ -520,6 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from .sim.netclient import RpcError
     from .sim.service import fetch_results, submit_batch, wait_for_job
 
     rates = [float(x) for x in args.rates.split(",") if x]
@@ -549,7 +549,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             args.server, job["job"], timeout=args.timeout, on_progress=on_progress
         )
         results = fetch_results(args.server, job["job"])
-    except (OSError, TimeoutError, ValueError, KeyError) as exc:
+    except (OSError, TimeoutError, ValueError, KeyError, RpcError) as exc:
         raise SystemExit(f"submit failed: {exc}") from exc
 
     print(RunSummary.header())

@@ -19,23 +19,14 @@ shards over HTTP and executes them through the supervised executor.
 
 The network is the only link between them, and a fault domain:
 :class:`ResilientClient` wraps every RPC with timeouts, deterministic
-retry/backoff and a circuit breaker, :class:`RemoteWorkQueue` +
-:class:`RemoteCacheBackend` give workers the queue and the cache with
-**no shared filesystem** (spilling locally and reconciling when an open
-circuit closes), and :class:`FaultPlan` network coins inject
-refused/torn/corrupt/500 exchanges deterministically on both client and
-server.
+retry/backoff and a circuit breaker; :class:`RemoteWorkQueue` gives
+workers the queue with **no shared filesystem**, each finished spec's
+checksummed result riding the lease heartbeat into the server's cache;
+and :class:`FaultPlan` network coins inject refused/torn/corrupt/500
+exchanges deterministically on both client and server.
 """
 
-from .cache import (
-    CacheBackend,
-    CacheCorruptionError,
-    ClearStats,
-    LocalCacheBackend,
-    RemoteCacheBackend,
-    ResultCache,
-    default_cache_dir,
-)
+from .cache import CacheCorruptionError, ClearStats, ResultCache, default_cache_dir
 from .faults import FailedResult, FaultPlan, InjectedFault, TransientFault
 from .manifest import SweepManifest
 from .netclient import (
@@ -83,7 +74,6 @@ from .sweep import SweepPoint, SweepSeries, sweep
 from .worker import WorkerStats, process_lease, run_worker
 
 __all__ = [
-    "CacheBackend",
     "CacheCorruptionError",
     "CircuitBreaker",
     "CircuitOpenError",
@@ -94,10 +84,8 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "LeaseLostError",
-    "LocalCacheBackend",
     "ParallelExecutor",
     "ProgressTicker",
-    "RemoteCacheBackend",
     "RemoteWorkLease",
     "RemoteWorkQueue",
     "ResilientClient",

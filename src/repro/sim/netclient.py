@@ -6,8 +6,9 @@ the same way :mod:`repro.sim.faults` treats workers and
 network can produce — connection refused, read timeout, torn (truncated)
 response, HTTP 500, corrupted body — is survivable, deterministic to
 inject, and bounded in the damage it can do.  :class:`ResilientClient`
-wraps every HTTP call the sweep clients make (cache reads/writes, shard
-claims, lease heartbeats, job submission and polling) with:
+wraps every HTTP call the sweep clients make (shard claims, lease
+heartbeats — which also carry each finished spec's result — completions,
+job submission and polling) with:
 
 * **Per-request timeouts** — no call can block forever; a hung server
   reads as a retryable failure, not a wedged client.
@@ -19,18 +20,18 @@ claims, lease heartbeats, job submission and polling) with:
   transport failures the circuit *opens* and calls fail fast
   (:class:`CircuitOpenError`) instead of burning timeouts; after
   ``breaker_reset`` seconds one *half-open* probe is allowed through, and
-  its success closes the circuit (firing ``on_close`` hooks — the remote
-  cache backend uses this to reconcile its spill cache).
+  its success closes the circuit.
 * **End-to-end checksums** — requests and responses may carry an
   ``X-Payload-SHA256`` header over the body; both ends verify it, so a
   torn or bit-flipped body is *detected* (and retried), never consumed.
   A response shorter than its ``Content-Length`` is likewise rejected.
 
-Retry safety is classified per request: idempotent requests (GET/PUT of
-content-addressed payloads, heartbeats, polls) retry on any transport
-failure; non-idempotent requests (job submission) retry only on
-*connection refused* — the one failure that proves the request never
-reached the server — so a retried submit cannot double-enqueue.
+Retry safety is classified per request: idempotent requests (heartbeats,
+whose resent result lands on the same spec hash as the same bytes;
+completions; polls) retry on any transport failure; non-idempotent
+requests (job submission) retry only on *connection refused* — the one
+failure that proves the request never reached the server — so a
+retried submit cannot double-enqueue.
 
 Fault injection rides the same :class:`~repro.sim.faults.FaultPlan` coin
 stream as worker kills and cache corruption: when a plan with network
@@ -214,9 +215,8 @@ class CircuitBreaker:
     ``closed`` passes every call.  ``threshold`` consecutive failures
     open the circuit; while open, :meth:`allow` refuses calls until
     ``reset`` seconds have elapsed, then admits exactly one *half-open*
-    probe.  A successful probe closes the circuit (and fires every
-    ``on_close`` hook — used for spill-cache reconciliation); a failed
-    probe re-opens it for another ``reset`` window.
+    probe.  A successful probe closes the circuit; a failed probe
+    re-opens it for another ``reset`` window.
     """
 
     def __init__(
@@ -239,7 +239,6 @@ class CircuitBreaker:
         self._consecutive = 0
         self._opened_at = 0.0
         self._probing = False
-        self.on_close: list[Callable[[], None]] = []
 
     def allow(self) -> bool:
         """Whether a call may proceed right now (may admit a probe)."""
@@ -263,8 +262,6 @@ class CircuitBreaker:
         if self.state != "closed":
             self.state = "closed"
             self.stats.circuit_closes += 1
-            for hook in list(self.on_close):
-                hook()
 
     def record_failure(self) -> None:
         self._consecutive += 1
@@ -302,10 +299,9 @@ def _is_retryable(exc: BaseException) -> bool:
 class ResilientClient:
     """HTTP client with timeouts, deterministic retries and a breaker.
 
-    One client guards one service (one breaker, one stats block); the
-    worker shares a single client between its remote work queue and its
-    remote cache backend so a dead server fails *everything* fast and a
-    recovered one closes the circuit for everything at once.
+    One client guards one service (one breaker, one stats block), so a
+    dead server fails every queue RPC fast and a recovered one closes
+    the circuit for all of them at once.
 
     Parameters
     ----------
@@ -365,7 +361,6 @@ class ResilientClient:
         idempotent: bool = True,
         ok: tuple[int, ...] = (200, 201, 204),
         timeout: float | None = None,
-        verify: Callable[[RpcResponse], None] | None = None,
     ) -> RpcResponse:
         """Perform one logical request, retrying transport failures.
 
@@ -377,8 +372,6 @@ class ResilientClient:
         flight and is retried.  5xx and transport errors retry with
         backoff while the budget lasts; non-idempotent requests retry
         only *connection refused* (the request provably never arrived).
-        ``verify`` may raise to reject an otherwise-successful response
-        (counted as a torn response and retried).
         """
         policy = self.policy
         key = key if key is not None else f"{method} {url.split('?', 1)[0]}"
@@ -405,8 +398,6 @@ class ResilientClient:
                         response.status,
                         response.body[:200].decode("utf-8", "replace"),
                     )
-                if verify is not None:
-                    verify(response)
             except RpcHttpError as exc:
                 if exc.status < 500 and not self._is_checksum_reject(exc):
                     # The server answered decisively: it is alive (the
@@ -489,17 +480,12 @@ class ResilientClient:
         elif injected == "corrupt" and data is None and body:
             body = body[:-1] + bytes([body[-1] ^ 0xFF])
 
-        if method != "HEAD":
-            # HEAD answers carry the entry's headers with no body, so the
-            # length/checksum verification only applies to bodied methods.
-            declared = resp_headers.get("Content-Length")
-            if declared is not None and len(body) != int(declared):
-                raise TornResponseError(
-                    f"torn response: got {len(body)} of {declared} bytes"
-                )
-            digest = resp_headers.get(PAYLOAD_CHECKSUM_HEADER)
-            if digest is not None and payload_digest(body) != digest:
-                raise TornResponseError("response body failed its checksum")
+        declared = resp_headers.get("Content-Length")
+        if declared is not None and len(body) != int(declared):
+            raise TornResponseError(f"torn response: got {len(body)} of {declared} bytes")
+        digest = resp_headers.get(PAYLOAD_CHECKSUM_HEADER)
+        if digest is not None and payload_digest(body) != digest:
+            raise TornResponseError("response body failed its checksum")
         return RpcResponse(status=status, headers=resp_headers, body=body)
 
     # -- convenience wrappers --------------------------------------------------

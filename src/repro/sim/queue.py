@@ -10,21 +10,26 @@ worker's HTTP client for them):
 * a worker **claims** a shard and receives an opaque lease *token*;
   the lease carries a **TTL** (measured on the server's monotonic
   clock) that the worker **heartbeats** while it executes;
+* each finished spec's result **rides the next heartbeat**:
+  :meth:`WorkQueue.record` stores it in the server's
+  :class:`~repro.sim.cache.ResultCache` and only then marks the spec
+  settled, so a spec is never done without a stored result;
 * a lease whose TTL lapses (worker crashed, stalled, or was killed) is
   **reclaimed**: the shard returns to the front of the pending line
   with its *takeover counter* bumped — this is work stealing, and the
-  counter survives worker crashes because the server holds it;
-* a finished shard publishes per-spec status records (plus optional
-  per-shard RPC counters) and retires.
+  counter survives worker crashes because the server holds it.  The
+  thief's lease carries only the specs with no stored result;
+* the **completion** carries the failed specs' status records (plus
+  optional per-shard RPC counters) and retires the shard once every
+  spec has a stored result or a failed status.
 
-Delivery is **at least once**: a stolen shard may still be finished by
-its original (slow, not dead) owner, so two workers can execute the same
-spec.  That is safe because results land in the content-addressed,
-checksummed :class:`~repro.sim.cache.ResultCache` — both workers compute
-the bit-identical payload — and because the first completion retires
-the shard and spends every token issued for it.  The takeover counter
-doubles as the shard's global attempt clock for deterministic fault
-injection: :meth:`FaultPlan.with_offset(takeovers)
+Delivery is **at least once**: a stolen shard may still be worked by its
+original (slow, not dead) owner, so two workers can deliver the same
+spec.  That is safe because results are content-addressed and both
+workers compute the bit-identical payload; a superseded token's result
+is still accepted.  The takeover counter doubles as the shard's global
+attempt clock for deterministic fault injection:
+:meth:`FaultPlan.with_offset(takeovers)
 <repro.sim.faults.FaultPlan.with_offset>` lets a stolen shard resume the
 fault-coin stream where its dead predecessor left it, so the fault
 budget bounds faults per spec across the whole fleet, not per process.
@@ -32,20 +37,22 @@ budget bounds faults per spec across the whole fleet, not per process.
 
 from __future__ import annotations
 
+import base64
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .cache import ResultCache, encode_entry
 from .faults import FailedResult
 from .netclient import ResilientClient, RpcError, RpcHttpError, RpcPolicy
 from .runner import RunResult
 from .specs import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cache import ResultCache
     from .faults import FaultPlan
+    from .service import SweepJob
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -71,6 +78,11 @@ class LeaseLostError(RuntimeError):
 class _Shard:
     shard_id: str
     specs: list[RunSpec]
+    #: ``specs[i].spec_hash()``, computed once at enqueue.
+    hashes: list[str]
+    #: The job whose progress this shard's results advance (None for a
+    #: bare queue).
+    job: "SweepJob | None" = None
     takeovers: int = 0
     #: Token of the live lease (None while pending).
     token: str | None = None
@@ -78,6 +90,8 @@ class _Shard:
     expires: float = 0.0
     #: Every token issued on this shard, spent together when it retires.
     tokens: list[str] = field(default_factory=list)
+    #: Spec hashes with a stored result (or, at retirement, a failed status).
+    settled: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -97,18 +111,28 @@ class WorkLease:
     token: str
     lost: bool = field(default=False)
 
-    def heartbeat(self) -> None:
-        """Renew the lease; :class:`LeaseLostError` once it was stolen."""
+    def heartbeat(self, spec: RunSpec | None = None, result: RunResult | None = None) -> None:
+        """Renew the lease, delivering ``spec``'s ``result`` when given.
+
+        Raises :class:`LeaseLostError` once the lease was stolen; a
+        result delivered under a superseded token is still kept.
+        """
         try:
-            self.queue.heartbeat(self.token)
+            if spec is None:
+                self.queue.heartbeat(self.token)
+            elif not self.queue.record(
+                self.token, [status_record(spec, result)], encode_entry(spec, result)
+            ):
+                raise LeaseLostError(f"lease {self.token} was stolen")
         except LeaseLostError:
             self.lost = True
             raise
 
     def complete(self, statuses: Sequence[dict], extra: dict | None = None) -> bool:
-        """Publish the statuses; False when the lease had been stolen."""
+        """Publish the failed statuses and retire the shard; False when
+        the lease had been stolen."""
         try:
-            held = self.queue.complete(self.token, statuses, extra)
+            held = self.queue.record(self.token, statuses, retire=True, rpc=extra)
         except LeaseLostError:
             held = False
         self.lost = self.lost or not held
@@ -126,20 +150,24 @@ class WorkQueue:
 
     Every method takes the one lock, so racing claims from the HTTP
     handler threads and the fallback drain have exactly one winner.
-    ``lease_ttl`` is the seconds before an unrenewed lease may be stolen.
+    ``lease_ttl`` is the seconds before an unrenewed lease may be stolen;
+    ``cache`` is where :meth:`record` stores delivered results (a bare
+    queue without one only tracks which specs settled).
     """
 
-    def __init__(self, *, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
+    def __init__(
+        self, *, lease_ttl: float = DEFAULT_LEASE_TTL, cache: ResultCache | None = None
+    ) -> None:
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         self.lease_ttl = float(lease_ttl)
+        self.cache = cache
         self._lock = threading.Lock()
         self._pending: OrderedDict[str, _Shard] = OrderedDict()
         self._leased: dict[str, _Shard] = {}
         self._tokens: dict[str, _Shard] = {}
-        #: shard id → the RPC counters its done record carried.
-        self._done: dict[str, dict] = {}
-        self._statuses: dict[str, dict] = {}
+        #: Ids of retired shards.
+        self._done: set[str] = set()
         self._token_seq = 0
 
     def enqueue(
@@ -148,18 +176,23 @@ class WorkQueue:
         *,
         shard_size: int = 4,
         prefix: str = "shard",
+        job: "SweepJob | None" = None,
     ) -> list[str]:
         """Shard ``specs`` into pending work items; return the shard ids.
 
         Order is preserved within and across shards, so shard contents
-        are deterministic for a given spec sequence.
+        are deterministic for a given spec sequence.  Results recorded on
+        these shards advance ``job``.
         """
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
         batch = [s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in specs]
         shards = [
-            _Shard(f"{prefix}-{n:04d}", batch[start : start + shard_size])
-            for n, start in enumerate(range(0, len(batch), shard_size))
+            _Shard(f"{prefix}-{n:04d}", chunk, [s.spec_hash() for s in chunk], job)
+            for n, chunk in enumerate(
+                batch[start : start + shard_size]
+                for start in range(0, len(batch), shard_size)
+            )
         ]
         ids = [shard.shard_id for shard in shards]
         with self._lock:
@@ -172,28 +205,38 @@ class WorkQueue:
         """Lease the oldest pending shard to ``owner``, or None.
 
         Expired leases are reclaimed first, so a lone worker can steal
-        back its own abandoned shard.
+        back its own abandoned shard.  The lease carries only the specs
+        with no stored result; a shard whose every spec was delivered
+        before its holder could complete it retires here instead.
         """
         with self._lock:
             self._reclaim_expired()
-            if not self._pending:
-                return None
-            _, shard = self._pending.popitem(last=False)
-            self._token_seq += 1
-            token = f"{shard.shard_id}.t{shard.takeovers}.{self._token_seq}"
-            shard.token = token
-            shard.expires = time.monotonic() + self.lease_ttl
-            shard.tokens.append(token)
-            self._tokens[token] = shard
-            self._leased[shard.shard_id] = shard
-            return WorkLease(
-                queue=self,
-                shard_id=shard.shard_id,
-                takeovers=shard.takeovers,
-                owner=owner,
-                specs=list(shard.specs),
-                token=token,
-            )
+            while self._pending:
+                _, shard = self._pending.popitem(last=False)
+                specs = [
+                    spec
+                    for spec, key in zip(shard.specs, shard.hashes)
+                    if key not in shard.settled
+                ]
+                if not specs:
+                    self._retire(shard)
+                    continue
+                self._token_seq += 1
+                token = f"{shard.shard_id}.t{shard.takeovers}.{self._token_seq}"
+                shard.token = token
+                shard.expires = time.monotonic() + self.lease_ttl
+                shard.tokens.append(token)
+                self._tokens[token] = shard
+                self._leased[shard.shard_id] = shard
+                return WorkLease(
+                    queue=self,
+                    shard_id=shard.shard_id,
+                    takeovers=shard.takeovers,
+                    owner=owner,
+                    specs=specs,
+                    token=token,
+                )
+            return None
 
     def _live(self, token: str) -> _Shard:
         shard = self._tokens.get(token)
@@ -209,46 +252,80 @@ class WorkQueue:
         self._pending[shard.shard_id] = shard
         self._pending.move_to_end(shard.shard_id, last=False)
 
+    def _retire(self, shard: _Shard) -> None:
+        """Drop a shard from the lines and spend every token issued on it."""
+        self._pending.pop(shard.shard_id, None)
+        self._leased.pop(shard.shard_id, None)
+        for spent in shard.tokens:
+            del self._tokens[spent]
+        self._done.add(shard.shard_id)
+
     def heartbeat(self, token: str) -> None:
         """Push the lease expiry :attr:`lease_ttl` seconds into the future.
 
         Raises :class:`LeaseLostError` if the lease was reclaimed — the
-        caller should stop working on it (results already cached stay
-        valid; the thief recomputes idempotently).
+        caller should stop working on it (results already delivered stay
+        stored; the thief's lease omits them).
         """
         with self._lock:
             shard = self._live(token)
             shard.expires = time.monotonic() + self.lease_ttl
 
-    def complete(
-        self, token: str, statuses: Sequence[dict], extra: dict | None = None
+    def record(
+        self,
+        token: str,
+        records: Sequence[dict],
+        entry: tuple[bytes, str] | None = None,
+        *,
+        retire: bool = False,
+        rpc: Mapping | None = None,
     ) -> bool:
-        """Publish per-spec status records and retire the shard.
+        """Settle specs of ``token``'s shard: the one path results land by.
 
-        A token whose lease was stolen still publishes (its owner was
-        slow, not dead) and retires the shard, spending the thief's
-        token too; that case returns False.  ``extra`` (the worker's
-        RPC/spill counter deltas for this shard) is summed by
-        :meth:`rpc_totals`.  Raises :class:`LeaseLostError`, publishing
-        nothing, when the token is unknown or its shard already done.
+        ``records`` are :func:`status_record` dicts.  A heartbeat carries
+        one "done" record and ``entry``, the :func:`~repro.sim.cache.encode_entry`
+        pair of its result, which is stored in :attr:`cache` before the
+        spec counts as settled; a completion (``retire=True``) carries the
+        failed records and ``rpc``, the worker's counters for the shard.
+        Each settled record advances the shard's job, and a completion
+        retires the shard.
+
+        Returns True while ``token`` is the shard's live lease (a
+        delivery renews it); a superseded token's records are still
+        accepted, and it returns False.  Raises :class:`LeaseLostError`,
+        recording nothing, when the token is unknown or its shard retired,
+        and :class:`ValueError`, leaving the lease live, for a record
+        naming a spec outside the shard or a completion that would leave
+        a spec with neither a stored result nor a failed status.
         """
-        # Index before touching any state: a malformed record raises here
-        # and leaves the lease live, never a half-published retired shard.
-        published = {record["spec_hash"]: record for record in statuses}
+        # Index before touching any state: a malformed record raises here.
+        keys = {record["spec_hash"] for record in records}
         with self._lock:
             shard = self._tokens.get(token)
             if shard is None:
                 raise LeaseLostError(f"lease {token} is unknown or its shard is done")
+            outside = keys.difference(shard.hashes)
+            if outside:
+                raise ValueError(
+                    f"spec(s) {sorted(outside)} are not in shard {shard.shard_id}"
+                )
+            unsettled = set(shard.hashes) - shard.settled - keys if retire else ()
+            if unsettled:
+                raise ValueError(
+                    f"shard {shard.shard_id} has {len(unsettled)} spec(s) with "
+                    "no stored result and no failed status"
+                )
+            if entry is not None and self.cache is not None:
+                (key,) = keys
+                self.cache.store(key, *entry)
+            shard.settled.update(keys)
             held = shard.token == token
-            self._pending.pop(shard.shard_id, None)
-            self._leased.pop(shard.shard_id, None)
-            for spent in shard.tokens:
-                del self._tokens[spent]
-            # Only integer counters: a worker's NaN would crash the sum.
-            self._done[shard.shard_id] = {
-                k: v for k, v in (extra or {}).items() if isinstance(v, int)
-            }
-            self._statuses.update(published)
+            if retire:
+                self._retire(shard)
+            elif held:
+                shard.expires = time.monotonic() + self.lease_ttl
+            if shard.job is not None:
+                shard.job.settle(records, rpc)
             return held
 
     def abandon(self, token: str) -> bool:
@@ -279,11 +356,6 @@ class WorkQueue:
             self._requeue(shard)
         return len(expired)
 
-    def done_statuses(self) -> dict[str, dict]:
-        """Every published status record as one ``spec_hash → status`` map."""
-        with self._lock:
-            return dict(self._statuses)
-
     def counts(self) -> dict[str, int]:
         """``{"pending": n, "leased": n, "done": n}`` shard counts."""
         with self._lock:
@@ -298,25 +370,6 @@ class WorkQueue:
         counts = self.counts()
         return counts["pending"] == 0 and counts["leased"] == 0
 
-    def rpc_totals(self, *, prefix: str | None = None) -> dict[str, int]:
-        """Sum the per-shard RPC counters across done shards.
-
-        ``prefix`` restricts the sum to one job's shards (shard ids are
-        ``{job_id}-{n:04d}``), so concurrent jobs on one queue report
-        their own worker RPC/spill totals.
-        """
-        totals: dict[str, int] = {}
-        with self._lock:
-            extras = [
-                extra
-                for shard_id, extra in self._done.items()
-                if prefix is None or shard_id.startswith(f"{prefix}-")
-            ]
-        for extra in extras:
-            for name, value in extra.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
 
 @dataclass
 class RemoteWorkLease:
@@ -328,8 +381,8 @@ class RemoteWorkLease:
     by the opaque ``token`` the server minted at claim time.  A heartbeat
     that cannot reach the server — retries exhausted or circuit open — is
     reported as a *lost* lease: the server will reclaim the shard when
-    the TTL lapses anyway, and at-least-once delivery plus cache
-    idempotence make the duplicate execution safe.
+    the TTL lapses anyway, and the next holder's lease carries only the
+    specs with no stored result.
     """
 
     queue: "RemoteWorkQueue"
@@ -340,11 +393,24 @@ class RemoteWorkLease:
     token: str
     lost: bool = field(default=False)
 
-    def heartbeat(self) -> None:
+    def heartbeat(self, spec: RunSpec | None = None, result: RunResult | None = None) -> None:
+        """Renew the lease, carrying ``spec``'s checksummed ``result`` when
+        given; :class:`LeaseLostError` when the lease is gone."""
         if self.lost:
             raise LeaseLostError(f"lease on {self.shard_id} already lost")
+        body, key = {"token": self.token}, self.token
+        if spec is not None:
+            payload, sidecar = encode_entry(spec, result)
+            body.update(
+                spec_hash=spec.spec_hash(),
+                payload=base64.b64encode(payload).decode("ascii"),
+                sidecar=sidecar,
+            )
+            # Fault coins per delivery and holder, not per claim order,
+            # so a seeded schedule replays whichever worker holds it.
+            key = f"{spec.spec_hash()}.t{self.takeovers}"
         try:
-            self.queue._post("heartbeat", {"token": self.token}, key=self.token)
+            self.queue._post("heartbeat", body, key=key)
         except RpcHttpError as exc:
             if exc.status in (404, 410):
                 self.lost = True
@@ -369,14 +435,10 @@ class RemoteWorkLease:
             body["rpc"] = extra
         try:
             self.queue._post("complete", body, key=self.token)
-        except RpcHttpError as exc:
-            if exc.status in (404, 410):
-                self.lost = True
-                return False
-            raise
         except RpcError:
-            # Statuses never reached the server; the shard will be stolen
-            # and re-completed (idempotently) by another claimant.
+            # Lost (410), rejected (400) or never delivered: the shard
+            # stays leased until its TTL lapses, and the next holder
+            # recomputes whatever has no stored result.
             self.lost = True
             return False
         return True
@@ -394,10 +456,8 @@ class RemoteWorkQueue:
     """HTTP client for the queue endpoints of a ``repro serve`` process.
 
     Speaks ``POST /api/queue/{claim,heartbeat,complete,abandon}`` and
-    ``GET /api/queue`` through a :class:`ResilientClient` — the same
-    instance the worker's :class:`~repro.sim.cache.RemoteCacheBackend`
-    uses, so cache and queue RPCs share one circuit breaker per server.
-    All operations degrade gracefully: an unreachable server makes
+    ``GET /api/queue`` through one :class:`ResilientClient`, so every
+    RPC to the server shares one circuit breaker.  All operations degrade gracefully: an unreachable server makes
     :meth:`claim` return None (the worker idles and retries) and
     :meth:`drained` return False (never a false "all done").
     """
@@ -479,7 +539,7 @@ class RemoteWorkQueue:
 def status_record(
     spec: RunSpec, result: RunResult | FailedResult, *, attempts: int = 0
 ) -> dict:
-    """The per-spec record a completed shard publishes."""
+    """The per-spec status record a delivery or completion carries."""
     if isinstance(result, FailedResult):
         return {
             "spec_hash": spec.spec_hash(),
@@ -494,18 +554,17 @@ def status_record(
 
 def collect_results(
     specs: Sequence[RunSpec],
-    cache: "ResultCache",
-    queue: WorkQueue | None = None,
+    cache: ResultCache,
+    statuses: Mapping[str, dict],
 ) -> list[RunResult | FailedResult | None]:
-    """Assemble final results for ``specs`` from the shared cache.
+    """Assemble final results for ``specs`` from the cache.
 
     ``done`` specs come back as cache hits; ``failed`` specs are
-    reconstructed as :class:`FailedResult` from the queue's published
-    status records (when a queue is given); anything else — still
-    running, or a done record whose cache entry was corrupted away — is
-    ``None`` and the caller decides whether to wait or recompute.
+    reconstructed as :class:`FailedResult` from ``statuses`` (spec hash →
+    status record, as a job holds them); anything else — still running,
+    or a done record whose cache entry was corrupted away — is ``None``
+    and the caller decides whether to wait or recompute.
     """
-    statuses = queue.done_statuses() if queue is not None else {}
     out: list[RunResult | FailedResult | None] = []
     for spec in specs:
         hit = cache.get(spec)

@@ -1,37 +1,41 @@
 """``repro serve``: an HTTP front end over the distributed sweep queue.
 
 Stdlib only (``http.server`` + ``urllib``) — the service accepts batches
-of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into
-its private in-memory :class:`~repro.sim.queue.WorkQueue`, tracks
-per-job progress in memory, and streams newline-delimited JSON progress
-snapshots.  It is the
-**cache and queue authority** for ``repro worker`` processes, which
-share no filesystem with it: the ``/api/cache`` endpoints serve and
-accept checksummed result payloads, and the ``/api/queue`` endpoints
-expose claim/heartbeat/complete/abandon on token-addressed leases.
+of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, answers the specs
+its own cache already holds, shards the rest into its private in-memory
+:class:`~repro.sim.queue.WorkQueue`, and streams newline-delimited JSON
+progress snapshots.  It is the **cache and queue authority** for
+``repro worker`` processes, which share no filesystem with it and keep
+no cache: the ``/api/queue`` endpoints expose claim/heartbeat/complete/
+abandon on token-addressed leases, and each heartbeat after a finished
+spec carries that spec's checksummed result, which the server stores.
 Robustness posture:
 
-* **Work stealing** — the monitor thread reclaims expired leases, so a
-  killed worker's shard returns to the pending line for the survivors:
-  a worker whose heartbeats stop (crash, partition, open circuit)
-  lapses its TTL and is stolen.
+* **Work stealing** — a job's monitor thread reclaims expired leases, so
+  a killed worker's shard returns to the pending line for the
+  survivors: a worker whose heartbeats stop (crash, partition, open
+  circuit) lapses its TTL and is stolen.  The thief's lease carries
+  only the specs with no stored result.
 * **Local fallback** — when a job stalls (work pending, nothing leased,
-  no progress for ``fallback_after`` seconds) the server claims shards
+  no result for ``fallback_after`` seconds) the server claims shards
   itself and executes them in-process.  A sweep submitted with *zero*
   workers alive therefore still completes, just serially.  Fallback
   execution never injects faults and never marks the server a worker
   process, so a stray ``kill`` coin can only degrade to a transient.
-* **Idempotent results** — results live in the content-addressed cache;
-  the server assembles a job's result set from cache + published
-  status records, so at-least-once shard execution is invisible to
-  clients.
-  Duplicate concurrent cache PUTs of the same key carry bit-identical
-  bodies and converge through atomic rename, last writer wins.
-* **Verified payloads** — cache bodies carry SHA-256 checksums at two
-  layers (transport header over the HTTP body, embedded header inside
-  the payload); the server verifies both on PUT — rejecting torn uploads
-  with 400 + ``X-Checksum-Mismatch`` so clients retry with clean bytes —
-  and re-verifies on GET, quarantining entries that rotted on disk.
+* **Event-driven jobs** — :meth:`WorkQueue.record
+  <repro.sim.queue.WorkQueue.record>` is the one path a result takes,
+  from a worker's heartbeat or the in-process fallback alike: it stores
+  the result, then advances the job that owns the shard.  Nothing polls
+  status records, so the server's work per result does not grow with
+  the job or with the server's history.
+* **Idempotent results** — results live in the content-addressed cache,
+  so at-least-once delivery is invisible to clients: two holders of a
+  stolen shard deliver bit-identical bytes for a spec, and atomic
+  renames converge them on one entry.
+* **Verified payloads** — a delivered result carries SHA-256 checksums
+  at two layers (transport header over the HTTP body, embedded header
+  inside the payload); the server verifies both and rejects a torn
+  delivery with 400 + ``X-Checksum-Mismatch`` so the client retries.
 * **Deterministic network faults** — a server-side
   :class:`~repro.sim.faults.FaultPlan` with net rates injects refused
   connections, stalls, torn/corrupted responses and HTTP 500s from
@@ -43,39 +47,37 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ==============================  ===============================================
 ``GET /healthz``                liveness + job count
 ``POST /api/jobs``              ``{"specs": [...], "shard_size"?: n}`` → job id
-``GET /api/jobs/<id>``          one progress snapshot (incl. rpc/cache stats)
+``GET /api/jobs/<id>``          one progress snapshot (incl. worker rpc stats)
 ``GET /api/jobs/<id>/stream``   ndjson snapshots until the job completes
 ``GET /api/jobs/<id>/results``  per-spec outcomes (409 until complete)
-``GET/HEAD /api/cache/<hash>``  fetch / probe one checksummed payload
-``PUT /api/cache/<hash>``       publish one payload (sidecar + pickle body)
 ``GET /api/queue``              shard counts, drained flag, lease TTL
 ``POST /api/queue/claim``       ``{"owner"}`` → token-addressed lease or null
-``POST /api/queue/heartbeat``   ``{"token"}`` renews by lease TTL (410 when lost)
-``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}`` (410 when lost)
+``POST /api/queue/heartbeat``   ``{"token", "spec_hash"?, "payload"?,
+                                "sidecar"?}`` renews by lease TTL and stores
+                                the base64 result it carries (410 when lost)
+``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}``: failed
+                                statuses only; retires the shard (410 when
+                                lost)
 ``POST /api/queue/abandon``     ``{"token"}``
 ==============================  ===============================================
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import http.client
 import json
-import re
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Mapping, Sequence
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
-from .cache import (
-    SIDECAR_LENGTH_HEADER,
-    LocalCacheBackend,
-    ResultCache,
-    default_cache_dir,
-    payload_checksum_ok,
-)
+from .cache import ResultCache, default_cache_dir, payload_checksum_ok
 from .faults import FailedResult, FaultPlan
 from .netclient import (
     CHECKSUM_MISMATCH_HEADER,
@@ -99,15 +101,16 @@ __all__ = [
     "wait_for_job",
 ]
 
-_CACHE_KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
 
-
-def _is_status_record(record: object) -> bool:
-    """Whether a worker's status has the :func:`~repro.sim.queue.status_record`
-    shape in every field the job monitor reads, so it cannot crash it."""
+def _is_failed_record(record: object) -> bool:
+    """Whether a completion's status has the failed
+    :func:`~repro.sim.queue.status_record` shape in every field the job
+    reads, so it cannot crash it.  Only failed statuses ride a completion:
+    a spec is done only where its result was stored."""
     return (
         isinstance(record, dict)
         and isinstance(record.get("spec_hash"), str)
+        and record.get("status") == "failed"
         and isinstance(record.get("attempts", 0), int)
         and isinstance(record.get("fault_events") or [], list)
     )
@@ -119,19 +122,42 @@ class SweepJob:
 
     job_id: str
     specs: list[RunSpec]
-    shard_ids: list[str]
     #: ``specs[i].spec_hash()``, computed once at submit; a batch may
     #: hold the same spec twice, so counts go per spec, not per hash.
     hashes: list[str]
-    #: spec hash → "done" | "failed", filled in by the monitor.
-    state: dict[str, str] = field(default_factory=dict)
-    complete: bool = False
+    shard_ids: list[str] = field(default_factory=list)
+    #: spec hash → its "done" or "failed" status record, set as results land.
+    state: dict[str, dict] = field(default_factory=dict)
     served_locally: int = 0
-    #: Aggregated worker RPC/spill counters from this job's done records.
+    #: Summed integer RPC counters from the workers' completions.
     rpc: dict[str, int] = field(default_factory=dict)
+    #: ``time.monotonic()`` of the last status that landed: the stall clock.
+    advanced_at: float = field(default_factory=time.monotonic)
+    finished: threading.Event = field(default_factory=threading.Event)
+
+    def __post_init__(self) -> None:
+        self._distinct = len(set(self.hashes))
+
+    @property
+    def complete(self) -> bool:
+        return self.finished.is_set()
+
+    def settle(self, records: Sequence[dict], rpc: Mapping | None = None) -> None:
+        """Fold landed status records (the first per spec wins) and a
+        completion's counters into the job; O(records), whatever the
+        job's size."""
+        for record in records:
+            self.state.setdefault(record["spec_hash"], record)
+        for name, value in (rpc or {}).items():
+            # Only integer counters: a worker's NaN would poison the sum.
+            if isinstance(value, int):
+                self.rpc[name] = self.rpc.get(name, 0) + value
+        self.advanced_at = time.monotonic()
+        if len(self.state) == self._distinct:
+            self.finished.set()
 
     def snapshot(self) -> dict:
-        states = [self.state.get(key) for key in self.hashes]
+        states = [self.state.get(key, {}).get("status") for key in self.hashes]
         done = states.count("done")
         failed = states.count("failed")
         return {
@@ -150,25 +176,23 @@ class SweepService:
     """Job registry + queue monitor backing the HTTP handler.
 
     Usable without HTTP too (the in-process tests drive it directly):
-    :meth:`submit` shards a batch and starts a monitor thread;
-    :meth:`wait` blocks until the job completes; :meth:`results`
-    assembles the final per-spec outcomes.  The HTTP handler routes
-    worker traffic to :attr:`queue` by lease token and serves the cache
-    endpoints straight from the service's local cache backend.
+    :meth:`submit` answers cached specs, shards the rest and starts a
+    monitor thread; :meth:`wait` blocks until the job completes;
+    :meth:`results` assembles the final per-spec outcomes.  The HTTP
+    handler routes worker traffic to :attr:`queue` by lease token.
 
     Parameters
     ----------
     cache_dir:
-        The result cache the service owns and serves (default:
+        The result cache the service owns (default:
         :func:`~repro.sim.cache.default_cache_dir`); the queue and the
         job records live in this process's memory.
     fault_plan:
-        Optional *server-side* network fault injector: cache and queue
-        endpoint responses draw ``net_fault(f"srv:{key}", attempt)``
-        coins and simulate refused/stalled/torn/corrupt/500 responses
-        deterministically (progress streaming and health checks are
-        exempt — they are observability, not the fault domain under
-        test).
+        Optional *server-side* network fault injector: queue endpoint
+        responses draw ``net_fault(f"srv:{key}", attempt)`` coins and
+        simulate refused/stalled/torn/corrupt/500 responses
+        deterministically (job submission, progress and health checks
+        are exempt — they are not the fault domain under test).
     """
 
     def __init__(
@@ -183,8 +207,8 @@ class SweepService:
     ) -> None:
         if cache_dir is None:
             cache_dir = default_cache_dir()
-        self.queue = WorkQueue(lease_ttl=lease_ttl)
         self.cache = ResultCache(cache_dir)
+        self.queue = WorkQueue(lease_ttl=lease_ttl, cache=self.cache)
         self.shard_size = shard_size
         self.fallback_after = fallback_after
         self.poll = poll
@@ -195,14 +219,6 @@ class SweepService:
         self._closed = threading.Event()
         #: Per-key attempt clocks for server-side net fault coins.
         self._net_attempts: dict[str, int] = {}
-        #: Cache endpoint counters (merged into job snapshots).
-        self.cache_counters: dict[str, int] = {
-            "gets": 0,
-            "get_hits": 0,
-            "puts": 0,
-            "put_rejects": 0,
-            "quarantined": 0,
-        }
 
     # -- server-side fault coins ----------------------------------------------
     def draw_server_fault(self, key: str) -> str | None:
@@ -214,55 +230,17 @@ class SweepService:
             self._net_attempts[key] = attempt + 1
         return plan.net_fault(f"srv:{key}", attempt)
 
-    # -- cache authority -------------------------------------------------------
-    def _local_backend(self) -> LocalCacheBackend:
-        backend = self.cache.backend
-        if not isinstance(backend, LocalCacheBackend):  # pragma: no cover
-            raise TypeError("the serve process must own a local cache backend")
-        return backend
-
-    def cache_get(self, key: str) -> bytes | None:
-        """Raw verified payload bytes for ``key``, or None on a miss.
-
-        A stored entry that fails its embedded checksum (rotted on disk,
-        torn by a crashed writer) is quarantined server-side and reads
-        as a miss — the same never-serve-garbage contract
-        :meth:`ResultCache.get` keeps locally.
-        """
-        backend = self._local_backend()
-        with self._lock:
-            self.cache_counters["gets"] += 1
-        try:
-            raw = backend.load(key)
-        except (KeyError, OSError):
-            return None
-        if not payload_checksum_ok(raw):
-            backend.quarantine(key)
-            with self._lock:
-                self.cache_counters["quarantined"] += 1
-            return None
-        with self._lock:
-            self.cache_counters["get_hits"] += 1
-        return raw
-
-    def cache_put(self, key: str, payload: bytes, sidecar: str) -> None:
-        backend = self._local_backend()
-        backend.store(key, payload, sidecar)
-        with self._lock:
-            self.cache_counters["puts"] += 1
-
-    def cache_contains(self, key: str) -> bool:
-        return self._local_backend().contains(key)
-
-    def count_put_reject(self) -> None:
-        with self._lock:
-            self.cache_counters["put_rejects"] += 1
-
     # -- job lifecycle --------------------------------------------------------
     def submit(
         self, spec_dicts: list[dict | RunSpec], *, shard_size: int | None = None
     ) -> SweepJob:
-        """Shard a batch into the queue and start tracking it."""
+        """Answer cached specs, shard the rest into the queue, track the job.
+
+        A spec counts as cached only on a verified :meth:`ResultCache.get`,
+        so an entry from another cache version is recomputed; each
+        remaining spec hash is enqueued once, however often the batch
+        holds it.
+        """
         specs = [
             s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in spec_dicts
         ]
@@ -271,56 +249,36 @@ class SweepService:
         with self._lock:
             job_id = f"job-{self._next_id}"
             self._next_id += 1
-        shard_ids = self.queue.enqueue(
-            specs, shard_size=shard_size or self.shard_size, prefix=job_id
-        )
-        job = SweepJob(
-            job_id=job_id,
-            specs=specs,
-            shard_ids=shard_ids,
-            hashes=[spec.spec_hash() for spec in specs],
-        )
+        job = SweepJob(job_id, specs, [spec.spec_hash() for spec in specs])
+        misses: dict[str, RunSpec] = {}
+        for spec, key in zip(specs, job.hashes):
+            if key in job.state or key in misses:
+                continue
+            if self.cache.get(spec) is not None:
+                job.settle([{"spec_hash": key, "status": "done", "attempts": 0}])
+            else:
+                misses[key] = spec
+        if misses:
+            job.shard_ids = self.queue.enqueue(
+                misses.values(),
+                shard_size=shard_size or self.shard_size,
+                prefix=job_id,
+                job=job,
+            )
         with self._lock:
             self.jobs[job_id] = job
-        threading.Thread(
-            target=self._drive, args=(job,), name=f"monitor-{job_id}", daemon=True
-        ).start()
+        if not job.complete:
+            threading.Thread(
+                target=self._drive, args=(job,), name=f"monitor-{job_id}", daemon=True
+            ).start()
         return job
-
-    def _refresh(self, job: SweepJob) -> bool:
-        """Fold the queue's status records into the job; True if anything
-        advanced.
-
-        Only a status record marks a spec done: workers and the local
-        fallback publish one for every spec, cache hits included, and a
-        cache entry alone may be stale (another cache version) and read
-        as a miss.
-        """
-        statuses = self.queue.done_statuses()
-        advanced = False
-        for key in job.hashes:
-            if key in job.state:
-                continue
-            status = statuses.get(key, {}).get("status")
-            if status in ("done", "failed"):
-                job.state[key] = status
-                advanced = True
-        if advanced:
-            job.rpc = self.queue.rpc_totals(prefix=job.job_id)
-            job.complete = all(key in job.state for key in job.hashes)
-        return advanced
 
     def _drive(self, job: SweepJob) -> None:
         """Monitor thread: reclaim expired leases and fall back to local
         execution when no worker is making progress."""
-        last_advance = time.monotonic()
-        while not self._closed.is_set():
+        while not self._closed.is_set() and not job.complete:
             self.queue.reclaim_expired()
-            if self._refresh(job):
-                last_advance = time.monotonic()
-            if job.complete:
-                return
-            stalled = time.monotonic() - last_advance >= self.fallback_after
+            stalled = time.monotonic() - job.advanced_at >= self.fallback_after
             counts = self.queue.counts()
             if stalled and counts["leased"] == 0 and counts["pending"] > 0:
                 # No worker is alive and holding a lease: drain the
@@ -331,26 +289,19 @@ class SweepService:
                     if lease is None:
                         break
                     job.served_locally += 1
-                    process_lease(lease, self.cache, ExecutionPolicy())
-                    self._refresh(job)
-                last_advance = time.monotonic()
+                    process_lease(lease, ExecutionPolicy())
                 continue
             self._closed.wait(self.poll)
 
     def wait(self, job: SweepJob, timeout: float | None = None) -> bool:
         """Block until ``job`` completes; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not job.complete:
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(self.poll)
-        return True
+        return job.finished.wait(timeout)
 
     def results(self, job: SweepJob) -> list[dict]:
         """Per-spec outcome records for a completed job."""
         out = []
         for spec, key, result in zip(
-            job.specs, job.hashes, collect_results(job.specs, self.cache, self.queue)
+            job.specs, job.hashes, collect_results(job.specs, self.cache, job.state)
         ):
             record: dict = {
                 "spec_hash": key,
@@ -393,7 +344,6 @@ def make_server(
             *,
             fault: str | None = None,
             extra_headers: dict[str, str] | None = None,
-            head_only: bool = False,
         ) -> None:
             """Send one response, applying an injected wire fault if drawn.
 
@@ -413,8 +363,6 @@ def make_server(
                     self.send_header(name, value)
                 self.send_header("Connection", "close")
                 self.end_headers()
-                if head_only:
-                    return
                 out = body
                 if fault == "torn" and len(body) > 1:
                     out = body[: len(body) // 2]
@@ -446,18 +394,43 @@ def make_server(
             length = int(self.headers.get("Content-Length", "0"))
             return self.rfile.read(length) if length > 0 else b""
 
-        def _read_json(self) -> dict:
-            payload = json.loads(self._read_body().decode("utf-8"))
+        @staticmethod
+        def _json_object(body: bytes) -> dict:
+            payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
             return payload
 
+        def _read_verified(self) -> bytes | None:
+            """The request body, or None after answering 400 +
+            ``X-Checksum-Mismatch`` to one torn in flight (shorter than
+            its Content-Length, or failing its transport checksum), which
+            the client retries."""
+            try:
+                declared = int(self.headers.get("Content-Length", "0"))
+                body = self._read_body()
+            except (OSError, ValueError):
+                self._send_json({"error": "unreadable body"}, 400)
+                return None
+            digest = self.headers.get(PAYLOAD_CHECKSUM_HEADER)
+            if len(body) != declared or (
+                digest is not None and payload_digest(body) != digest
+            ):
+                self._send_mismatch("body checksum/length mismatch")
+                return None
+            return body
+
+        def _send_mismatch(self, error: str) -> None:
+            self._send_json(
+                {"error": error}, 400, extra_headers={CHECKSUM_MISMATCH_HEADER: "1"}
+            )
+
         def _pre_fault(self, key: str) -> str | None:
             """Draw the server-side fault for this exchange; apply the
             ones that preempt a response.  Returns the fault to thread
-            into the response writer ("torn"/"corrupt"), or raises
-            ``_Refused`` semantics by returning the sentinel "refuse"
-            which the caller must honour by *not responding at all*.
+            into the response writer ("torn"/"corrupt"), or the sentinel
+            "refuse", which the caller must honour by *not responding at
+            all*.
             """
             fault = service.draw_server_fault(key)
             if fault == "timeout":
@@ -474,9 +447,6 @@ def make_server(
             parts = [p for p in self.path.split("?")[0].split("/") if p]
             if parts == ["healthz"]:
                 self._send_json({"ok": True, "jobs": len(service.jobs)})
-                return
-            if len(parts) == 3 and parts[:2] == ["api", "cache"]:
-                self._cache_get(parts[2], head_only=False)
                 return
             if parts == ["api", "queue"]:
                 fault = self._pre_fault("queue/info")
@@ -496,9 +466,7 @@ def make_server(
                     if job is None:
                         self._send_json({"error": "unknown job"}, 404)
                         return
-                    snap = job.snapshot()
-                    snap["cache"] = dict(service.cache_counters)
-                    self._send_json(snap)
+                    self._send_json(job.snapshot())
                     return
                 if len(parts) == 4 and parts[3] == "results":
                     job = self._job(parts[2])
@@ -516,94 +484,6 @@ def make_server(
                     self._stream(parts[2])
                     return
             self._send_json({"error": "not found"}, 404)
-
-        def do_HEAD(self) -> None:
-            parts = [p for p in self.path.split("?")[0].split("/") if p]
-            if len(parts) == 3 and parts[:2] == ["api", "cache"]:
-                self._cache_get(parts[2], head_only=True)
-                return
-            self._send_body(b"", 404, head_only=True)
-
-        def _cache_get(self, key: str, *, head_only: bool) -> None:
-            if not _CACHE_KEY_RE.match(key):
-                self._send_json({"error": "bad cache key"}, 400)
-                return
-            fault = self._pre_fault(f"cache/{key}")
-            if fault == "refuse":
-                return
-            raw = service.cache_get(key)
-            if raw is None:
-                self._send_body(
-                    b"", 404, "application/octet-stream", head_only=head_only
-                )
-                return
-            self._send_body(
-                raw,
-                200,
-                "application/octet-stream",
-                fault=fault,
-                head_only=head_only,
-            )
-
-        def do_PUT(self) -> None:
-            parts = [p for p in self.path.split("?")[0].split("/") if p]
-            if len(parts) != 3 or parts[:2] != ["api", "cache"]:
-                self._send_json({"error": "not found"}, 404)
-                return
-            key = parts[2]
-            if not _CACHE_KEY_RE.match(key):
-                self._send_json({"error": "bad cache key"}, 400)
-                return
-            # Writes draw their own coin stream, mirroring the client's
-            # read/write key split.
-            fault = self._pre_fault(f"cache/put/{key}")
-            if fault == "refuse":
-                return
-            try:
-                declared = int(self.headers.get("Content-Length", "0"))
-                body = self._read_body()
-            except (OSError, ValueError):
-                self._send_json({"error": "unreadable body"}, 400)
-                return
-            mismatch = {CHECKSUM_MISMATCH_HEADER: "1"}
-            if len(body) != declared:
-                service.count_put_reject()
-                self._send_json(
-                    {"error": "body checksum/length mismatch"},
-                    400,
-                    extra_headers=mismatch,
-                )
-                return
-            transport_digest = self.headers.get(PAYLOAD_CHECKSUM_HEADER)
-            if transport_digest is not None and payload_digest(body) != transport_digest:
-                service.count_put_reject()
-                self._send_json(
-                    {"error": "body checksum mismatch"}, 400, extra_headers=mismatch
-                )
-                return
-            try:
-                sidecar_len = int(self.headers.get(SIDECAR_LENGTH_HEADER, "0"))
-                if not 0 <= sidecar_len <= len(body):
-                    raise ValueError("bad sidecar length")
-                sidecar = body[:sidecar_len].decode("utf-8")
-            except (ValueError, UnicodeDecodeError):
-                self._send_json({"error": "bad sidecar framing"}, 400)
-                return
-            payload = body[sidecar_len:]
-            if not payload_checksum_ok(payload):
-                # The embedded checksum failed with an intact transport
-                # body: the *client* sent rotten bytes; still flagged as
-                # a checksum mismatch so a client whose request tore in
-                # flight (no transport header verified) retries cleanly.
-                service.count_put_reject()
-                self._send_json(
-                    {"error": "payload checksum mismatch"},
-                    400,
-                    extra_headers=mismatch,
-                )
-                return
-            service.cache_put(key, payload, sidecar)
-            self._send_json({"stored": key}, 201, fault=fault)
 
         def _stream(self, job_id: str) -> None:
             job = self._job(job_id)
@@ -642,7 +522,7 @@ def make_server(
 
         def _post_job(self) -> None:
             try:
-                payload = self._read_json()
+                payload = self._json_object(self._read_body())
                 specs = payload["specs"]
                 if not isinstance(specs, list) or not specs:
                     raise ValueError("specs must be a non-empty list")
@@ -660,13 +540,23 @@ def make_server(
             )
 
         def _post_queue(self, action: str) -> None:
-            fault = self._pre_fault(f"queue/{action}")
-            if fault == "refuse":
+            body = self._read_verified()
+            if body is None:
                 return
             try:
-                payload = self._read_json()
-            except (OSError, ValueError):
+                payload = self._json_object(body)
+            except ValueError:
                 self._send_json({"error": "bad request body"}, 400)
+                return
+            # Coins keyed per worker for claims, per spec for a delivered
+            # result, and per lease for everything else.
+            subject = (
+                payload.get("owner")
+                if action == "claim"
+                else payload.get("spec_hash") or payload.get("token")
+            )
+            fault = self._pre_fault(f"queue/{action}/{subject}")
+            if fault == "refuse":
                 return
             if action == "claim":
                 lease = service.queue.claim(str(payload.get("owner", "worker")))
@@ -686,11 +576,38 @@ def make_server(
                 self._send_json({"error": "missing lease token"}, 400)
                 return
             if action == "heartbeat":
-                if payload.get("ttl") is not None:
-                    # Leases renew by the server's TTL only: a client expiry
-                    # could be one that never lapses and strands the shard.
-                    self._send_json({"error": "ttl is not accepted"}, 400)
+                self._heartbeat(token, payload, fault)
+                return
+            if action == "complete":
+                statuses = payload.get("statuses")
+                if not isinstance(statuses, list) or not all(
+                    map(_is_failed_record, statuses)
+                ):
+                    self._send_json({"error": "malformed status records"}, 400)
                     return
+                rpc = payload.get("rpc")
+                self._record(
+                    token,
+                    statuses,
+                    None,
+                    fault,
+                    retire=True,
+                    rpc=rpc if isinstance(rpc, dict) else None,
+                )
+                return
+            if action == "abandon":
+                released = service.queue.abandon(token)
+                self._send_json({"ok": True, "released": released}, fault=fault)
+                return
+            self._send_json({"error": "not found"}, 404)
+
+        def _heartbeat(self, token: str, payload: dict, fault: str | None) -> None:
+            if payload.get("ttl") is not None:
+                # Leases renew by the server's TTL only: a client expiry
+                # could be one that never lapses and strands the shard.
+                self._send_json({"error": "ttl is not accepted"}, 400)
+                return
+            if "payload" not in payload:
                 try:
                     service.queue.heartbeat(token)
                 except LeaseLostError:
@@ -698,28 +615,51 @@ def make_server(
                     return
                 self._send_json({"ok": True}, fault=fault)
                 return
-            if action == "complete":
-                statuses = payload.get("statuses")
-                if not isinstance(statuses, list) or not all(
-                    map(_is_status_record, statuses)
-                ):
-                    self._send_json({"error": "malformed status records"}, 400)
-                    return
-                rpc = payload.get("rpc")
-                try:
-                    service.queue.complete(
-                        token, statuses, rpc if isinstance(rpc, dict) else None
-                    )
-                except LeaseLostError:
-                    self._send_json({"error": "lease lost"}, 410)
-                    return
-                self._send_json({"ok": True}, fault=fault)
+            key, sidecar = payload.get("spec_hash"), payload.get("sidecar")
+            try:
+                if not isinstance(key, str) or not isinstance(sidecar, str):
+                    raise ValueError("spec_hash and sidecar must be strings")
+                raw = base64.b64decode(payload["payload"], validate=True)
+            except (TypeError, ValueError, binascii.Error) as exc:
+                self._send_json({"error": f"bad result: {exc}"}, 400)
                 return
-            if action == "abandon":
-                released = service.queue.abandon(token)
-                self._send_json({"ok": True, "released": released}, fault=fault)
+            if not payload_checksum_ok(raw):
+                # The embedded checksum failed inside an intact body: the
+                # client sent rotten bytes.  Flagged as a mismatch so a
+                # request torn before any transport header verified it
+                # is retried with clean bytes.
+                self._send_mismatch("payload checksum mismatch")
                 return
-            self._send_json({"error": "not found"}, 404)
+            record = {"spec_hash": key, "status": "done", "attempts": 0}
+            self._record(token, [record], (raw, sidecar), fault)
+
+        def _record(
+            self,
+            token: str,
+            records: list[dict],
+            entry: tuple[bytes, str] | None,
+            fault: str | None,
+            *,
+            retire: bool = False,
+            rpc: dict | None = None,
+        ) -> None:
+            """Land a delivered result or a completion through
+            :meth:`WorkQueue.record`.  Answers 410 once the token is spent,
+            or to a delivery under a superseded token (whose result is
+            kept), and 400 for a spec outside the shard or an incomplete
+            completion, leaving the lease live."""
+            try:
+                held = service.queue.record(token, records, entry, retire=retire, rpc=rpc)
+            except LeaseLostError:
+                self._send_json({"error": "lease lost"}, 410)
+                return
+            except ValueError as exc:
+                self._send_json({"error": f"bad request: {exc}"}, 400)
+                return
+            if not held and not retire:
+                self._send_json({"error": "lease lost; result kept"}, 410)
+                return
+            self._send_json({"ok": True}, fault=fault)
 
     class Server(ThreadingHTTPServer):
         daemon_threads = True

@@ -149,6 +149,8 @@ def rate_adversaries() -> list[str]:
 
 def adversary_entry(name: str) -> AdversaryEntry:
     """Look up a registered adversary, with a helpful error."""
+    if not isinstance(name, str):
+        raise TypeError(f"adversary name must be a string, got {name!r}")
     key = name.lower()
     if key not in _ADVERSARIES:
         raise KeyError(
@@ -293,6 +295,8 @@ class RunSpec:
         # Fail fast on unknown keys, at the construction site rather than
         # later inside a worker process.
         adversary_entry(self.adversary)
+        if not isinstance(self.algorithm, str):
+            raise TypeError(f"algorithm name must be a string, got {self.algorithm!r}")
         if self.algorithm.lower() not in available_algorithms():
             raise KeyError(
                 f"unknown algorithm {self.algorithm!r}; "

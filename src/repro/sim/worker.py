@@ -1,22 +1,23 @@
-"""The distributed sweep worker: claim shards, execute, heartbeat, publish.
+"""The distributed sweep worker: claim shards, execute, heartbeat results.
 
 ``repro worker`` runs this loop.  Each iteration claims one shard from a
 ``repro serve`` process over HTTP (:class:`~repro.sim.queue.RemoteWorkQueue`),
-executes its specs through the supervised
+executes its specs one by one through the supervised
 :class:`~repro.sim.parallel.ParallelExecutor` (serial in-process — the
 worker *is* the parallelism unit; retries, backoff and poison-spec
-quarantine all behave exactly as in a local sweep), renews the lease
-after every finished spec, publishes results to the server's cache
-(:class:`~repro.sim.cache.RemoteCacheBackend`), and posts per-spec
-status records when the shard completes.
+quarantine all behave exactly as in a local sweep), and after every
+finished spec sends the lease heartbeat that renews the lease — which
+carries that spec's checksummed result for the server to store.  The
+shard's completion then posts only the failed specs' status records.
+The worker keeps no cache and writes nothing to disk.
 
 Every coordination step is an RPC through one
-:class:`~repro.sim.netclient.ResilientClient` shared by the queue client
-and the cache backend — one circuit breaker per server, so a dead
-server fails everything fast and a recovered one reopens everything at
-once.  Results spilled locally while the circuit was open are
-**reconciled** (re-published) before the shard's done record is posted:
-a "done" status must never point at a result the server does not hold.
+:class:`~repro.sim.netclient.ResilientClient` — one circuit breaker per
+server, so a dead server fails everything fast and a recovered one
+reopens everything at once.  A result-bearing heartbeat that cannot
+reach the server loses the lease: the worker stops working the shard,
+the lease lapses, and the next holder recomputes only the spec whose
+result was in flight (every earlier one is stored already).
 
 Crash semantics are the point:
 
@@ -32,7 +33,7 @@ Crash semantics are the point:
   <repro.sim.faults.FaultPlan.with_offset>`: the fault-coin stream
   resumes where the dead worker left off, so the fault budget bounds
   faults per spec across the fleet and every steal chain terminates.
-* Specs the dead worker already finished are cache hits for the thief —
+* Specs the dead worker already delivered are not in the thief's lease —
   reclaimed shards complete without re-burning retry budgets.
 """
 
@@ -43,9 +44,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .cache import RemoteCacheBackend, ResultCache
-from .faults import FaultPlan
-from .netclient import ResilientClient, RpcPolicy
+from .faults import FailedResult, FaultPlan
+from .netclient import ResilientClient, RpcPolicy, RpcStats
 from .parallel import ExecutionPolicy, ParallelExecutor
 from .queue import (
     LeaseLostError,
@@ -73,27 +73,23 @@ class WorkerStats:
     rpc_giveups: int = 0
     circuit_opens: int = 0
     circuit_closes: int = 0
-    spilled: int = 0
-    reconciled: int = 0
     outcomes: list[str] = field(default_factory=list)
-    #: RPC deltas from shards whose done record never posted (lease lost
-    #: or deliberately abandoned); carried onto the next complete so the
-    #: job's aggregated health is at-least-once, not sometimes-lost.
+    #: RPC deltas from shards whose completion never posted (lease lost
+    #: or deliberately abandoned); carried onto the next completion so
+    #: the job's aggregated health is at-least-once, not sometimes-lost.
     rpc_unreported: dict = field(default_factory=dict)
-    #: Backend-stats watermark of the last reported/carried delta.  The
-    #: delta windows tile the worker's whole lifetime — claims, breaker
-    #: probes and circuit-close reconciliations that happen *between*
-    #: shards land in the next shard's delta instead of a gap.
+    #: Client-stats watermark of the last reported/carried delta.  The
+    #: delta windows tile the worker's whole lifetime — claims and
+    #: breaker probes that happen *between* shards land in the next
+    #: shard's delta instead of a gap.
     rpc_watermark: dict = field(default_factory=dict)
 
     def apply_rpc(self, totals: dict[str, int]) -> None:
-        """Adopt a client/backend stats dict as this worker's RPC totals."""
+        """Adopt a client stats dict as this worker's RPC totals."""
         self.rpc_retries = int(totals.get("retries", 0))
         self.rpc_giveups = int(totals.get("giveups", 0))
         self.circuit_opens = int(totals.get("circuit_opens", 0))
         self.circuit_closes = int(totals.get("circuit_closes", 0))
-        self.spilled = int(totals.get("spilled", 0))
-        self.reconciled = int(totals.get("reconciled", 0))
 
     def summary(self) -> str:
         text = (
@@ -108,100 +104,41 @@ class WorkerStats:
             rpc_parts.append(
                 f"{self.circuit_opens} circuit opens/{self.circuit_closes} closes"
             )
-        if self.spilled:
-            rpc_parts.append(f"{self.spilled} spilled/{self.reconciled} reconciled")
         if rpc_parts:
             text += f" [{', '.join(rpc_parts)}]"
         return text
 
 
-def _stats_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-    """Counter deltas between two backend snapshots (gauges pass through)."""
-    delta: dict[str, int] = {}
-    for key in set(before) | set(after):
-        if key == "spill_pending":
-            if after.get(key, 0):
-                delta[key] = after.get(key, 0)
-            continue
-        diff = after.get(key, 0) - before.get(key, 0)
+def _take_rpc_delta(stats: WorkerStats, rpc: RpcStats | None) -> dict[str, int]:
+    """RPC activity since the last taken delta, plus any banked delta."""
+    current = rpc.as_dict() if rpc is not None else {}
+    delta = dict(stats.rpc_unreported)
+    for key, value in current.items():
+        diff = value - stats.rpc_watermark.get(key, 0)
         if diff:
-            delta[key] = diff
-    return delta
-
-
-def _merge_rpc(carry: dict, delta: dict[str, int]) -> dict[str, int]:
-    """Fold a carried-forward delta into a fresh one (counters sum; the
-    ``spill_pending`` gauge keeps only the newer reading)."""
-    merged = dict(delta)
-    for key, value in carry.items():
-        if key == "spill_pending":
-            continue
-        merged[key] = merged.get(key, 0) + int(value)
-    return merged
-
-
-def _take_rpc_delta(stats: WorkerStats, cache: ResultCache) -> dict[str, int]:
-    """This worker's RPC activity since the last taken delta."""
-    current = cache.rpc_stats()
-    delta = _stats_delta(stats.rpc_watermark, current)
+            delta[key] = delta.get(key, 0) + diff
     stats.rpc_watermark = current
+    stats.rpc_unreported = {}
     return delta
-
-
-def _carry_rpc(stats: WorkerStats, cache: ResultCache) -> None:
-    """Bank the current RPC delta for the next done record that posts."""
-    stats.rpc_unreported = _merge_rpc(
-        stats.rpc_unreported, _take_rpc_delta(stats, cache)
-    )
-
-
-def _flush_spill_before_complete(
-    lease: WorkLease | RemoteWorkLease,
-    cache: ResultCache,
-    stats: WorkerStats,
-    timeout: float = 10.0,
-) -> bool:
-    """Reconcile spilled results to the server before posting ``done``.
-
-    A shard's done record must never reference a result only this
-    worker's spill directory holds — the server would report the spec
-    "missing".  Keeps heartbeating while it waits for the circuit to
-    half-open; gives up (False) when the lease is lost or ``timeout``
-    elapses with the server still unreachable.
-    """
-    deadline = time.monotonic() + timeout
-    while cache.pending_spill():
-        cache.flush_spill()
-        if not cache.pending_spill():
-            break
-        if time.monotonic() >= deadline:
-            return False
-        try:
-            lease.heartbeat()
-        except LeaseLostError:
-            stats.leases_lost += 1
-            return False
-        time.sleep(0.1)
-    return True
 
 
 def process_lease(
     lease: WorkLease | RemoteWorkLease,
-    cache: ResultCache,
     policy: ExecutionPolicy | None = None,
     *,
     fault_plan: FaultPlan | None = None,
     stats: WorkerStats | None = None,
+    rpc: RpcStats | None = None,
 ) -> str:
     """Execute one claimed shard; returns ``completed``/``died``/``lost``.
 
+    Each finished spec's result rides the heartbeat that follows it, so
+    every result delivered before the shard ends stays with the server.
     ``died`` means the lease-death coin fired: half the shard was
-    executed (its results are cached and stay valid) and the lease was
-    deliberately left to expire.  ``lost`` means a heartbeat discovered
-    the lease had already been stolen mid-execution — or, on a remote
-    cache, that spilled results could not be reconciled before
-    completion; whatever was computed is cached (or spilled for later
-    reconciliation), and the thief finishes the rest idempotently.
+    executed and delivered, and the lease was deliberately left to
+    expire.  ``lost`` means a heartbeat found the lease stolen or the
+    server unreachable; the next holder finishes the rest.  ``rpc`` is
+    the client whose counters the completion reports.
     """
     stats = stats if stats is not None else WorkerStats()
     policy = policy if policy is not None else ExecutionPolicy()
@@ -220,48 +157,36 @@ def process_lease(
             policy, fault_plan=fault_plan.with_offset(lease.takeovers)
         )
 
-    def renew(done: int, total: int) -> None:
-        lease.heartbeat()
-
-    executor = ParallelExecutor(workers=1, cache=cache, policy=policy)
+    failed = []
+    executor = ParallelExecutor(workers=1, policy=policy)
     try:
-        results = executor.run(specs, progress=renew)
+        for spec in specs:
+            [result] = executor.run([spec])
+            if isinstance(result, FailedResult):
+                failed.append(status_record(spec, result))
+                lease.heartbeat()
+            else:
+                lease.heartbeat(spec, result)
     except LeaseLostError:
         stats.leases_lost += 1
-        _carry_rpc(stats, cache)
+        stats.rpc_unreported = _take_rpc_delta(stats, rpc)
         return "lost"
     finally:
         executor.close()
 
     if dying:
-        _carry_rpc(stats, cache)
+        stats.rpc_unreported = _take_rpc_delta(stats, rpc)
         return "died"
 
-    if not _flush_spill_before_complete(lease, cache, stats):
-        # Results are safe in the spill cache; hand the shard back (the
-        # abandon itself may fail on a dead server — then the TTL lapses
-        # and the steal happens anyway).
-        lease.abandon()
-        _carry_rpc(stats, cache)
-        return "lost"
-
-    statuses = [
-        status_record(spec, result) for spec, result in zip(lease.specs, results)
-    ]
-    for record in statuses:
-        if record["status"] == "done":
-            stats.specs_done += 1
-        else:
-            stats.specs_failed += 1
-    rpc_delta = _merge_rpc(stats.rpc_unreported, _take_rpc_delta(stats, cache))
-    stats.rpc_unreported = {}
-    if not lease.complete(statuses, extra=rpc_delta or None):
-        # The record may not have been written (remote 410 / unreachable):
-        # re-bank the delta so a later complete still reports it.  A rare
-        # double count (torn response after the server applied it) only
-        # inflates diagnostics, never results.
+    stats.specs_done += len(specs) - len(failed)
+    stats.specs_failed += len(failed)
+    delta = _take_rpc_delta(stats, rpc)
+    if not lease.complete(failed, extra=delta or None):
+        # The completion may not have landed (lost, unreachable): bank
+        # the delta for a later one.  A rare double count (torn response
+        # after the server applied it) only inflates diagnostics.
         stats.leases_lost += 1
-        stats.rpc_unreported = _merge_rpc(stats.rpc_unreported, rpc_delta)
+        stats.rpc_unreported = delta
     stats.shards_completed += 1
     return "completed"
 
@@ -269,7 +194,6 @@ def process_lease(
 def run_worker(
     server_url: str,
     *,
-    spill_dir: str | os.PathLike | None = None,
     rpc_policy: RpcPolicy | None = None,
     owner: str | None = None,
     policy: ExecutionPolicy | None = None,
@@ -286,12 +210,9 @@ def run_worker(
     Parameters
     ----------
     server_url:
-        ``repro serve`` base URL; shard claims, heartbeats, done records
-        and result payloads all go over HTTP through the resilient
-        client.
-    spill_dir:
-        Local spill directory for results while the server is
-        unreachable (a private temp directory when omitted).
+        ``repro serve`` base URL; shard claims, result-bearing
+        heartbeats and completions all go over HTTP through the
+        resilient client.
     rpc_policy:
         Timeout/retry/circuit-breaker tuning for all RPCs
         (:class:`~repro.sim.netclient.RpcPolicy`).
@@ -318,9 +239,6 @@ def run_worker(
     deadline = time.monotonic() + wait_for_queue
     while time.monotonic() < deadline and not queue.ready():
         time.sleep(min(poll, 0.05))
-    cache = ResultCache(
-        backend=RemoteCacheBackend(server_url, client=client, spill_dir=spill_dir)
-    )
 
     owner = owner or f"worker-{os.getpid()}"
     stats = WorkerStats()
@@ -341,14 +259,11 @@ def run_worker(
         idle_since = None
         stats.claims += 1
         outcome = process_lease(
-            lease, cache, policy, fault_plan=fault_plan, stats=stats
+            lease, policy, fault_plan=fault_plan, stats=stats, rpc=client.stats
         )
         stats.outcomes.append(f"{lease.shard_id}:t{lease.takeovers}:{outcome}")
         if max_shards is not None and stats.claims >= max_shards:
             break
 
-    # Last-chance reconciliation: don't exit with results stranded in
-    # the spill directory if the server is reachable again.
-    cache.flush_spill()
-    stats.apply_rpc(cache.rpc_stats())
+    stats.apply_rpc(client.stats.as_dict())
     return stats

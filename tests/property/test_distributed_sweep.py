@@ -2,13 +2,14 @@
 
 The headline contract of the distributed layer extends the fault-tolerance
 discipline across process boundaries: a localhost topology — HTTP server,
-multiple worker processes reaching its queue and cache over HTTP, each
-with a private spill directory — with fault-injected worker kills (hard
-``os._exit`` mid-shard) and forced lease expiries must produce results
-*bit-identical* to a serial, fault-free sweep.  Reclaimed (stolen)
-shards resume the global fault-coin stream via their takeover count, so
-retry budgets are never re-burned, and poison specs quarantine as
-structured ``FailedResult`` records.
+multiple worker processes that reach its queue over HTTP and deliver
+each result on their lease heartbeats — with fault-injected worker kills
+(hard ``os._exit`` mid-shard) and forced lease expiries must produce
+results *bit-identical* to a serial, fault-free sweep.  Reclaimed
+(stolen) shards carry only the specs with no stored result and resume
+the global fault-coin stream via their takeover count, so retry budgets
+are never re-burned, and poison specs quarantine as structured
+``FailedResult`` records.
 
 The CI fault-injection leg sets ``REPRO_FAULT_SEED`` to vary the
 schedule across runs; locally the default seed keeps runs reproducible.
@@ -20,6 +21,7 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import threading
@@ -46,6 +48,8 @@ from repro.sim import (
     spec_fragment,
 )
 from repro.sim.cache import CACHE_VERSION
+from repro.sim.netclient import ResilientClient, RpcPolicy
+from repro.sim.queue import RemoteWorkQueue
 from repro.sim.service import fetch_results, submit_batch, wait_for_job
 from repro.sim.worker import WorkerStats
 
@@ -81,7 +85,7 @@ def _baseline(specs):
     return {s.spec_hash(): execute_spec(s).summary for s in specs}
 
 
-def _spawn_worker(base_url: str, spill_dir: Path, *, extra=()) -> subprocess.Popen:
+def _spawn_worker(base_url: str, *, extra=()) -> subprocess.Popen:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC_DIR + (os.pathsep + existing if existing else "")
@@ -89,7 +93,6 @@ def _spawn_worker(base_url: str, spill_dir: Path, *, extra=()) -> subprocess.Pop
         [
             sys.executable, "-m", "repro", "worker",
             "--server", base_url,
-            "--spill-dir", str(spill_dir),
             "--poll", "0.05",
             "--exit-when-drained",
             "--wait-for-queue", "10",
@@ -133,10 +136,7 @@ class TestLocalhostTopology:
             "--fault-budget", "1",
             "--max-retries", "2",
         )
-        workers = [
-            _spawn_worker(base, tmp_path / f"spill{i}", extra=fault_flags)
-            for i in range(2)
-        ]
+        workers = [_spawn_worker(base, extra=fault_flags) for _ in range(2)]
         kills = 0
         try:
             job = submit_batch(
@@ -152,9 +152,7 @@ class TestLocalhostTopology:
                     if status is not None:
                         if status == 86:
                             kills += 1
-                        workers[i] = _spawn_worker(
-                            base, tmp_path / f"spill{i}", extra=fault_flags
-                        )
+                        workers[i] = _spawn_worker(base, extra=fault_flags)
                 snap = json.loads(
                     urllib.request.urlopen(
                         f"{base}/api/jobs/{job['job']}", timeout=10
@@ -312,7 +310,6 @@ class TestLeaseRecovery:
             plan = FaultPlan(seed=FAULT_SEED, lease_death_rate=1.0, fault_budget=1)
             stats = run_worker(
                 f"http://127.0.0.1:{server.server_address[1]}",
-                spill_dir=tmp_path / "spill",
                 fault_plan=plan,
                 poll=0.05,
                 exit_when_drained=True,
@@ -332,38 +329,90 @@ class TestLeaseRecovery:
             assert hit is not None
             assert hit.summary == baseline[spec.spec_hash()]
 
-    def test_stolen_shard_resumes_budget_and_cache_hits(self, tmp_path):
+    def test_stolen_shard_resumes_budget_and_omits_delivered_specs(self, tmp_path):
         """The thief of an expired lease finishes without re-burning budget.
 
-        The dead owner's kill coin fired on effective attempt 0; the
-        thief executes under ``with_offset(takeovers=1)``, which is past
-        ``fault_budget=1``, so no coin can fire again — and the spec the
-        owner already finished comes back as a cache hit.
+        The victim delivered one spec on its heartbeat before dying
+        mid-shard; the thief's lease omits that spec.  The thief executes
+        under ``with_offset(takeovers=1)``, which is past
+        ``fault_budget=1``, so no coin can fire again.
         """
         specs = _specs(2)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(lease_ttl=0.05)
+        queue = WorkQueue(lease_ttl=0.05, cache=cache)
         queue.enqueue(specs, shard_size=2)
         victim = queue.claim("victim")
-        # The victim "finished" one spec before dying mid-shard.
-        cache.put(specs[0], execute_spec(specs[0]))
+        victim.heartbeat(specs[0], execute_spec(specs[0]))
         time.sleep(0.1)  # lease expires un-heartbeaten
 
         plan = FaultPlan(seed=FAULT_SEED, kill_rate=1.0, fault_budget=1)
-        thief_cache = ResultCache(tmp_path / "cache")
         lease = queue.claim("thief")
         assert lease is not None and lease.takeovers == 1
+        assert [s.spec_hash() for s in lease.specs] == [specs[1].spec_hash()]
         stats = WorkerStats()
         outcome = process_lease(
             lease,
-            thief_cache,
             ExecutionPolicy(max_retries=0),  # any re-burned coin would quarantine
             fault_plan=plan,
             stats=stats,
         )
         assert outcome == "completed"
-        assert stats.specs_failed == 0
-        assert thief_cache.hits >= 1  # the victim's finished spec was reused
+        assert (stats.specs_done, stats.specs_failed) == (1, 0)
         with pytest.raises(LeaseLostError):
             victim.heartbeat()
         assert queue.drained()
+        for spec in specs:
+            assert cache.get(spec).summary == execute_spec(spec).summary
+
+    def test_partitioned_worker_loses_only_the_spec_in_flight(
+        self, tmp_path, monkeypatch
+    ):
+        """A result-bearing heartbeat that cannot reach the server loses
+        the lease; the next holder's lease carries that spec and the job
+        completes bit-identical to serial."""
+        specs = _specs(3)
+        baseline = _baseline(specs)
+        service = SweepService(
+            tmp_path / "cache", lease_ttl=0.3, fallback_after=60.0, poll=0.05
+        )
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            dead = f"http://127.0.0.1:{sock.getsockname()[1]}/api/queue"
+        fast = RpcPolicy(timeout=2.0, max_attempts=2, backoff_base=0.001)
+        try:
+            job = service.submit([s.to_dict() for s in specs], shard_size=3)
+            queue = RemoteWorkQueue(base, client=ResilientClient(fast))
+            post = queue._post
+
+            def partitioned(action, body, *, key):
+                if body.get("spec_hash") == specs[1].spec_hash():
+                    queue.base_url = dead  # the link drops mid-shard
+                return post(action, body, key=key)
+
+            monkeypatch.setattr(queue, "_post", partitioned)
+            stats = WorkerStats()
+            assert process_lease(queue.claim("cut-off"), stats=stats) == "lost"
+            assert stats.leases_lost == 1
+            assert job.snapshot()["done"] == 1  # spec 0 landed before the cut
+
+            time.sleep(0.4)  # the lease lapses; the server never heard
+            healed = RemoteWorkQueue(base, client=ResilientClient(fast))
+            lease = healed.claim("next")
+            assert lease.takeovers == 1
+            assert [s.spec_hash() for s in lease.specs] == [
+                s.spec_hash() for s in specs[1:]
+            ]
+            assert process_lease(lease) == "completed"
+            assert service.wait(job, timeout=10)
+            results = service.results(job)
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
+        assert job.served_locally == 0
+        for spec, record in zip(specs, results):
+            assert record["status"] == "done"
+            assert RunSummary(**record["summary"]) == baseline[spec.spec_hash()]

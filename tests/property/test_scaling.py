@@ -9,13 +9,29 @@ bytes, never of wall time, so it cannot flap on a loaded host.
   horizon must leave the ledger — and its pickled bytes — about flat.
   The per-round series still grow with the horizon by design, so the
   guard pins the ledger, not the whole ``RunResult``.
+* Service: ``repro serve`` advances a job from each result as it lands,
+  so the server's work per landed result must not depend on how many
+  specs the job or the server has seen.  Work is counted as Python lines
+  executed in ``repro.sim`` on every thread, the job monitor's included.
 """
 
+import os
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.sim import RunSpec, execute_spec, spec_fragment
+import repro.sim
+from repro.sim import (
+    FailedResult,
+    RunSpec,
+    SweepService,
+    execute_spec,
+    spec_fragment,
+    status_record,
+)
 
 SHORT, LONG = 5_000, 20_000
 
@@ -54,3 +70,84 @@ class TestPacketLedger:
             for rounds in (SHORT, LONG)
         )
         assert long <= 1.5 * short, (short, long)
+
+
+class _SimLineCounter:
+    """Counts line events in ``repro.sim`` on every thread while on."""
+
+    def __init__(self) -> None:
+        self.root = os.path.dirname(repro.sim.__file__)
+        self.lines = 0
+        self.counting = False
+
+    def _global(self, frame, event, arg):
+        if frame.f_code.co_filename.startswith(self.root):
+            return self._local
+        return None
+
+    def _local(self, frame, event, arg):
+        if event == "line" and self.counting:
+            self.lines += 1
+        return self._local
+
+    def __enter__(self) -> "_SimLineCounter":
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        sys.settrace(None)
+        threading.settrace(None)
+
+
+def _batch(tag: str, count: int) -> list[RunSpec]:
+    return [
+        RunSpec.from_fragments(
+            spec_fragment("k-cycle", n=4, k=2),
+            spec_fragment("spray", rho=0.2, beta=1.5),
+            100,
+            label=f"{tag}{i}",
+        )
+        for i in range(count)
+    ]
+
+
+def _land_failures(service: SweepService, job, count: int) -> None:
+    """Claim and complete ``count`` one-spec shards with a failed status,
+    waiting after each until the job has taken it in."""
+    for _ in range(count):
+        lease = service.queue.claim("w")
+        spec = lease.specs[0]
+        failure = FailedResult(spec=spec, error="x", error_type="E", attempts=1)
+        lease.complete([status_record(spec, failure)])
+        deadline = time.monotonic() + 10
+        while spec.spec_hash() not in job.state:
+            assert time.monotonic() < deadline, "a landed result never reached its job"
+            time.sleep(0.001)
+
+
+def _work_per_result(tmp_path, size: int) -> float:
+    """Lines of ``repro.sim`` run per result of a ``size``-spec job, on a
+    server that has already seen ``size`` specs."""
+    service = SweepService(
+        tmp_path / f"cache-{size}", shard_size=1, fallback_after=3600.0, poll=0.005
+    )
+    try:
+        history = service.submit(_batch("history", size))
+        _land_failures(service, history, size)
+        assert service.wait(history, timeout=30)
+        with _SimLineCounter() as counter:
+            job = service.submit(_batch("measured", size))
+            counter.counting = True
+            _land_failures(service, job, size)
+            counter.counting = False
+        assert service.wait(job, timeout=30)
+    finally:
+        service.close()
+    return counter.lines / size
+
+
+class TestServiceWorkPerResult:
+    def test_work_per_landed_result_stays_flat_when_history_grows_4x(self, tmp_path):
+        small, large = (_work_per_result(tmp_path, size) for size in (25, 100))
+        assert large <= 1.5 * small, (small, large)

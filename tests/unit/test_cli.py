@@ -303,6 +303,19 @@ class TestDistributedCommands:
         assert "1/1 shards" in capsys.readouterr().err
         assert service.queue.drained()
         assert ResultCache(tmp_path / "cache").get(specs[0]) is not None
+        assert not (tmp_path / "spill").exists()  # accepted and ignored
+
+    def test_submit_to_a_dead_server_fails_without_a_traceback(self, capsys):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]  # nothing listens here
+        with pytest.raises(SystemExit) as info:
+            main(["submit", "--server", f"http://127.0.0.1:{port}",
+                  "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+                  "--rates", "0.1", "--rounds", "300"])
+        assert str(info.value).startswith("submit failed: ")
 
     def test_submit_round_trips_through_a_live_server(self, capsys, tmp_path):
         import threading

@@ -92,8 +92,6 @@ class TestCircuitBreaker:
     def test_half_open_admits_one_probe_then_closes_on_success(self):
         clock = [0.0]
         breaker = CircuitBreaker(threshold=1, reset=1.0, clock=lambda: clock[0])
-        closed = []
-        breaker.on_close.append(lambda: closed.append(True))
         breaker.record_failure()
         assert not breaker.allow()
         clock[0] = 1.5  # reset window elapsed
@@ -102,7 +100,6 @@ class TestCircuitBreaker:
         assert not breaker.allow()  # only one probe in flight
         breaker.record_success()
         assert breaker.state == "closed"
-        assert closed == [True]  # reconciliation hook fired
         assert breaker.stats.circuit_closes == 1
 
     def test_failed_probe_reopens_for_another_window(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the lease-based work queue (claim/steal/complete races)."""
+"""Unit tests for the lease-based work queue (claim/steal/deliver/complete)."""
 
 import json
 import os
@@ -21,6 +21,7 @@ from repro.sim import (
     spec_fragment,
     status_record,
 )
+from repro.sim.service import SweepJob
 
 
 def _specs(count=4, rounds=200):
@@ -35,6 +36,17 @@ def _specs(count=4, rounds=200):
     ]
 
 
+def _failed(spec, error="boom"):
+    """A failed status record, as a completion carries one."""
+    return status_record(
+        spec, FailedResult(spec=spec, error=error, error_type="ValueError", attempts=3)
+    )
+
+
+def _job(specs, job_id="job-1"):
+    return SweepJob(job_id, specs, [s.spec_hash() for s in specs])
+
+
 class TestEnqueueClaim:
     def test_enqueue_shards_preserve_order(self):
         queue = WorkQueue()
@@ -45,7 +57,7 @@ class TestEnqueueClaim:
         claimed: list[str] = []
         while (lease := queue.claim("w")) is not None:
             claimed.extend(s.spec_hash() for s in lease.specs)
-            lease.complete([])
+            assert lease.complete([_failed(s) for s in lease.specs])
         assert claimed == [s.spec_hash() for s in specs]
 
     def test_claim_is_exclusive(self):
@@ -102,7 +114,7 @@ class TestEnqueueClaim:
         queue = WorkQueue()
         queue.enqueue(_specs(1), shard_size=1, prefix="job-1")
         lease = queue.claim("w")
-        lease.complete([])
+        lease.complete([_failed(s) for s in lease.specs])
         with pytest.raises(ValueError, match="already in use"):
             queue.enqueue(_specs(2)[1:], shard_size=1, prefix="job-1")
 
@@ -165,82 +177,172 @@ class TestCompletion:
         queue.enqueue(specs, shard_size=1)
         lease = queue.claim("w")
         with pytest.raises(TypeError):
-            queue.complete(lease.token, [{"spec_hash": ["unhashable"]}])
+            queue.record(lease.token, [{"spec_hash": ["unhashable"]}], retire=True)
         assert queue.counts() == {"pending": 0, "leased": 1, "done": 0}
         lease.heartbeat()  # nothing was spent
-        assert lease.complete([status_record(specs[0], execute_spec(specs[0]))])
-        assert set(queue.done_statuses()) == {specs[0].spec_hash()}
+        lease.heartbeat(specs[0], execute_spec(specs[0]))
+        assert lease.complete([])
+        assert queue.drained()
 
-    def test_complete_publishes_statuses_and_drains(self):
+    def test_delivered_results_then_completion_drain(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        queue = WorkQueue(cache=cache)
+        specs = _specs(2)
+        job = _job(specs)
+        queue.enqueue(specs, shard_size=2, job=job)
+        lease = queue.claim("w")
+        for spec in lease.specs:
+            lease.heartbeat(spec, execute_spec(spec))
+        # Done is recorded where the result is stored, before the completion.
+        assert job.complete and all(cache.get(s) is not None for s in specs)
+        assert queue.counts()["leased"] == 1
+        assert lease.complete([])
+        assert queue.drained()
+        assert {r["status"] for r in job.state.values()} == {"done"}
+
+    def test_completion_needs_every_spec_settled(self):
         queue = WorkQueue()
         specs = _specs(2)
         queue.enqueue(specs, shard_size=2)
         lease = queue.claim("w")
-        records = [status_record(s, execute_spec(s)) for s in lease.specs]
-        assert lease.complete(records)
+        lease.heartbeat(specs[0], execute_spec(specs[0]))
+        with pytest.raises(ValueError, match="no stored result"):
+            queue.record(lease.token, [], retire=True)
+        lease.heartbeat()  # the lease stays live
+        assert lease.complete([_failed(specs[1])])
         assert queue.drained()
-        statuses = queue.done_statuses()
-        assert set(statuses) == {s.spec_hash() for s in specs}
-        assert all(r["status"] == "done" for r in statuses.values())
+
+    def test_completion_naming_another_shards_spec_is_rejected(self):
+        # Completing job-1's shard with a failed status for job-2's spec
+        # must not touch job-2, and must not retire job-1's shard.
+        queue = WorkQueue()
+        one, two = _specs(2)
+        jobs = {"job-1": _job([one], "job-1"), "job-2": _job([two], "job-2")}
+        for job_id, spec in (("job-1", one), ("job-2", two)):
+            queue.enqueue([spec], shard_size=1, prefix=job_id, job=jobs[job_id])
+        first = queue.claim("w")
+        assert first.shard_id == "job-1-0000"
+        with pytest.raises(ValueError, match="not in shard"):
+            queue.record(first.token, [_failed(two)], retire=True)
+        assert not jobs["job-2"].state and not jobs["job-2"].complete
+        assert queue.counts() == {"pending": 1, "leased": 1, "done": 0}
+        first.heartbeat()  # still live
+        assert first.complete([_failed(one)])
+        assert jobs["job-1"].complete and not jobs["job-2"].complete
 
     def test_stolen_shard_completed_by_original_owner(self):
-        # Slow-but-alive owner completes after the steal: its statuses
-        # publish, complete() reports the loss, and the thief's pending
-        # copy is retired instead of re-executed.
+        # Slow-but-alive owner after the steal: its result is kept though
+        # its heartbeat reports the loss, and its completion retires the
+        # thief's pending copy instead of letting it re-execute.
         queue = WorkQueue(lease_ttl=0.01)
-        queue.enqueue(_specs(1), shard_size=1)
+        specs = _specs(1)
+        queue.enqueue(specs, shard_size=1)
         slow = queue.claim("slow")
         time.sleep(0.05)
         queue.reclaim_expired()  # shard back in pending for a thief
-        assert not slow.complete([status_record(s, execute_spec(s)) for s in slow.specs])
+        with pytest.raises(LeaseLostError):
+            slow.heartbeat(specs[0], execute_spec(specs[0]))
+        assert not slow.complete([])
         assert queue.claim("thief") is None  # the completion retired the copy
         assert queue.drained()
 
-    def test_failed_status_records_survive(self):
-        queue = WorkQueue()
+    def test_thief_lease_omits_delivered_specs(self):
+        queue = WorkQueue(lease_ttl=0.01)
+        specs = _specs(3)
+        queue.enqueue(specs, shard_size=3)
+        victim = queue.claim("victim")
+        victim.heartbeat(specs[1], execute_spec(specs[1]))
+        time.sleep(0.05)
+        thief = queue.claim("thief")
+        assert thief.takeovers == 1
+        assert [s.spec_hash() for s in thief.specs] == [
+            specs[0].spec_hash(), specs[2].spec_hash()
+        ]
+
+    def test_fully_delivered_shard_retires_at_claim(self):
+        # Every spec delivered, then the holder died before completing:
+        # the reclaimed shard has nothing left to lease.
+        queue = WorkQueue(lease_ttl=0.01)
         specs = _specs(1)
         queue.enqueue(specs, shard_size=1)
-        lease = queue.claim("w")
-        failure = FailedResult(
-            spec=specs[0], error="boom", error_type="ValueError", attempts=3
-        )
-        lease.complete([status_record(specs[0], failure)])
-        record = queue.done_statuses()[specs[0].spec_hash()]
+        queue.claim("victim").heartbeat(specs[0], execute_spec(specs[0]))
+        time.sleep(0.05)
+        assert queue.claim("thief") is None
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 1}
+
+    def test_failed_status_records_reach_the_job(self):
+        queue = WorkQueue()
+        specs = _specs(1)
+        job = _job(specs)
+        queue.enqueue(specs, shard_size=1, job=job)
+        queue.claim("w").complete([_failed(specs[0])])
+        record = job.state[specs[0].spec_hash()]
         assert record["status"] == "failed"
         assert record["error_type"] == "ValueError"
         assert record["attempts"] == 3
+        assert job.snapshot()["failed"] == 1 and job.complete
 
-    def test_rpc_totals_sum_integer_counters_per_job(self):
+    def test_concurrent_completions_settle_every_spec_once(self):
+        # 4 threads race to claim and complete 16 one-spec shards of one
+        # job with a tiny switch interval: a settle outside the queue's
+        # lock would lose a spec, double-count the job's counters or
+        # retire a shard twice.
+        specs = _specs(16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            queue = WorkQueue(lease_ttl=60.0)
+            job = _job(specs)
+            queue.enqueue(specs, shard_size=1, job=job)
+            errors: list[BaseException] = []
+            start = threading.Barrier(4)
+
+            def claimant() -> None:
+                start.wait()
+                try:
+                    while (lease := queue.claim("w")) is not None:
+                        assert lease.complete([_failed(lease.specs[0])], {"n": 1})
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=claimant) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert job.complete and set(job.state) == {s.spec_hash() for s in specs}
+        assert job.rpc == {"n": 16}
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 16}
+
+    def test_rpc_counters_sum_integers_per_job(self):
         queue = WorkQueue()
-        for job, extra in (
+        jobs = []
+        for job_id, extra in (
             ("job-1", {"requests": 3, "junk": float("nan"), "note": "x"}),
             ("job-2", {"requests": 4}),
         ):
-            queue.enqueue(_specs(1), shard_size=1, prefix=job)
-            queue.claim("w").complete([], extra)
-        assert queue.rpc_totals(prefix="job-1") == {"requests": 3}
-        assert queue.rpc_totals() == {"requests": 7}
+            specs = _specs(1)
+            jobs.append(_job(specs, job_id))
+            queue.enqueue(specs, shard_size=1, prefix=job_id, job=jobs[-1])
+            queue.claim("w").complete([_failed(specs[0])], extra)
+        assert [job.rpc for job in jobs] == [{"requests": 3}, {"requests": 4}]
 
 
 class TestCollectResults:
     def test_done_failed_and_missing(self, tmp_path):
         specs = _specs(3)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue()
         done = execute_spec(specs[0])
         cache.put(specs[0], done)
-        queue.enqueue(specs[1:2], shard_size=1, prefix="s")
-        queue.claim("w").complete(
-            [
-                status_record(
-                    specs[1],
-                    FailedResult(
-                        spec=specs[1], error="bad", error_type="E", attempts=2
-                    ),
-                )
-            ],
+        failed = status_record(
+            specs[1],
+            FailedResult(spec=specs[1], error="bad", error_type="E", attempts=2),
         )
-        results = collect_results(specs, cache, queue)
+        results = collect_results(specs, cache, {specs[1].spec_hash(): failed})
         assert results[0].summary == done.summary
         assert isinstance(results[1], FailedResult) and results[1].error == "bad"
         assert results[2] is None

@@ -1,15 +1,16 @@
-"""Unit tests for the remote cache backend, cache endpoints and remote queue.
+"""Unit tests for the serve HTTP endpoints and the remote queue client.
 
-Exercises the tentpole surfaces in isolation: the
-:class:`RemoteCacheBackend` round-trip against a live ``repro serve``
-process, graceful degradation (spill on an unreachable server, spill
-reads, reconciliation on recovery), duplicate concurrent PUT
-convergence, the server-side quarantine of corrupt entries, the local
-quarantine race, the ndjson stream's mid-stream disconnect behaviour,
-and the :class:`RemoteWorkQueue` lease protocol (claim / heartbeat /
-complete / 410 on a lost lease).
+Exercises the worker-facing surfaces in isolation against a live
+``repro serve`` process: results riding the lease heartbeat (stored,
+checksum-verified, kept for a superseded token, rejected outside the
+token's shard), completions checked against their shard, two holders of
+a stolen shard converging on one cache entry, the local quarantine race,
+the ndjson stream's mid-stream disconnect behaviour, job submission
+(startup race, malformed specs), and the :class:`RemoteWorkQueue` lease
+protocol (claim / heartbeat / complete / 410 on a lost lease).
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -22,7 +23,8 @@ from urllib import error as urlerror
 import pytest
 
 from repro.sim import (
-    RemoteCacheBackend,
+    FailedResult,
+    FaultPlan,
     RemoteWorkQueue,
     ResultCache,
     RunSpec,
@@ -31,6 +33,7 @@ from repro.sim import (
     make_server,
     spec_fragment,
 )
+from repro.sim.cache import encode_entry
 from repro.sim.netclient import ResilientClient, RpcPolicy
 from repro.sim.queue import LeaseLostError, status_record
 from repro.sim.service import submit_batch, wait_for_job
@@ -88,193 +91,151 @@ def live_server(tmp_path):
     server.server_close()
 
 
-class TestRemoteBackendRoundTrip:
-    def test_put_get_bit_identical_through_result_cache(self, tmp_path, live_server):
+def _failed(spec):
+    return status_record(
+        spec, FailedResult(spec=spec, error="boom", error_type="ValueError", attempts=1)
+    )
+
+
+class TestResultBearingHeartbeat:
+    def test_heartbeat_result_lands_bit_identical_in_the_server_cache(self, live_server):
         service, base = live_server
         spec = _spec()
         result = execute_spec(spec)
-        remote = ResultCache(
-            backend=RemoteCacheBackend(
-                base, policy=_FAST, spill_dir=tmp_path / "spill"
-            )
-        )
-        assert remote.get(spec) is None  # clean miss over the wire
-        remote.put(spec, result)
-        assert spec in remote
-        hit = remote.get(spec)
-        assert hit is not None
-        assert hit.summary == result.summary
-        # The server's own (local) cache holds the same entry.
+        job = service.submit([spec.to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        lease.heartbeat(spec, result)
+        # The job advanced on the heartbeat itself, before any completion.
+        assert job.snapshot()["done"] == 1 and service.wait(job, timeout=5)
         assert service.cache.get(spec).summary == result.summary
-        # And a second, unrelated client sees it too: no shared filesystem.
-        other = ResultCache(
-            backend=RemoteCacheBackend(
-                base, policy=_FAST, spill_dir=tmp_path / "spill2"
-            )
+        # The same bytes a local put writes: layout and payload unchanged.
+        payload, _ = encode_entry(spec, result)
+        assert service.cache._payload_path(spec).read_bytes() == payload
+        assert lease.complete([])
+        assert service.queue.drained()
+
+    def test_corrupted_delivery_is_retried_with_clean_bytes(self, live_server):
+        service, base = live_server
+        spec = _spec()
+        service.submit([spec.to_dict()], shard_size=1)
+        # Every first attempt of this lease's RPCs flips a request byte;
+        # the server's transport checksum rejects it and the retry lands.
+        plan = FaultPlan(seed=7, net_corrupt_rate=1.0, fault_budget=1)
+        client = ResilientClient(_FAST, fault_plan=plan)
+        lease = RemoteWorkQueue(base, client=client).claim("unit-worker")
+        assert lease is not None
+        lease.heartbeat(spec, execute_spec(spec))
+        assert client.stats.retries >= 1
+        assert service.cache.get(spec) is not None
+
+    def test_rotten_payload_is_rejected_with_a_checksum_mismatch(self, live_server):
+        service, base = live_server
+        spec = _spec()
+        service.submit([spec.to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        payload, sidecar = encode_entry(spec, execute_spec(spec))
+        rotten = payload[:-1] + bytes([payload[-1] ^ 0xFF])
+        body = json.dumps({
+            "token": lease.token, "spec_hash": spec.spec_hash(),
+            "payload": base64.b64encode(rotten).decode(),
+            "sidecar": sidecar,
+        }).encode()
+        request = urllib.request.Request(
+            f"{base}/api/queue/heartbeat", data=body, method="POST",
+            headers={"Content-Type": "application/json"},
         )
-        assert other.get(spec).summary == result.summary
-
-    def test_url_normalisation_accepts_cache_prefix(self, tmp_path, live_server):
-        _, base = live_server
-        backend = RemoteCacheBackend(f"{base}/api/cache", policy=_FAST)
-        assert backend.base_url == f"{base}/api/cache"
-        assert RemoteCacheBackend(base, policy=_FAST).base_url == backend.base_url
-
-    def test_bad_key_is_rejected_not_served(self, live_server):
-        _, base = live_server
         with pytest.raises(urlerror.HTTPError) as info:
-            urllib.request.urlopen(f"{base}/api/cache/not-a-hash", timeout=5)
+            urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+        assert info.value.headers.get("X-Checksum-Mismatch")
+        assert spec not in service.cache
+        lease.heartbeat()  # the lease is untouched
 
-    def test_server_quarantines_corrupt_entries_on_read(self, tmp_path, live_server):
+    def test_result_outside_the_tokens_shard_is_rejected(self, live_server):
         service, base = live_server
-        spec = _spec()
-        remote = ResultCache(
-            backend=RemoteCacheBackend(
-                base, policy=_FAST, spill_dir=tmp_path / "spill"
-            )
+        mine, other = _spec(0), _spec(1)
+        service.submit([mine.to_dict()], shard_size=1)
+        job = service.submit([other.to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        assert [s.spec_hash() for s in lease.specs] == [mine.spec_hash()]
+        with pytest.raises(LeaseLostError, match="rejected"):
+            lease.heartbeat(other, execute_spec(other))
+        assert other not in service.cache and not job.state
+        lease.heartbeat()  # still live
+
+    def test_superseded_holder_result_is_kept(self, tmp_path):
+        service = SweepService(
+            tmp_path / "cache", lease_ttl=0.2, fallback_after=60.0, poll=0.05
         )
-        remote.put(spec, execute_spec(spec))
-        # Corrupt the server's on-disk payload behind its back.
-        payload_path = service.cache.backend.payload_path(spec.spec_hash())
-        data = payload_path.read_bytes()
-        payload_path.write_bytes(data[: len(data) // 2])
-        assert remote.get(spec) is None  # read degrades to a miss
-        assert service.cache_counters["quarantined"] >= 1
-        assert service.cache.backend.quarantined_entries() >= 1
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            specs = [_spec(0), _spec(1)]
+            job = service.submit([s.to_dict() for s in specs], shard_size=2)
+            queue = RemoteWorkQueue(base, policy=_FAST)
+            victim = queue.claim("victim")
+            time.sleep(0.3)
+            thief = queue.claim("thief")  # reclaims the lapsed lease
+            assert thief is not None and thief.takeovers == 1
+            with pytest.raises(LeaseLostError, match="stolen"):
+                victim.heartbeat(specs[0], execute_spec(specs[0]))
+            assert job.state[specs[0].spec_hash()]["status"] == "done"
+            assert service.cache.get(specs[0]) is not None
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
 
 
-class TestGracefulDegradation:
-    def test_store_spills_when_server_unreachable(self, tmp_path):
-        spec = _spec()
-        result = execute_spec(spec)
-        backend = RemoteCacheBackend(
-            f"http://127.0.0.1:{_dead_port()}",
-            policy=_FAST,
-            spill_dir=tmp_path / "spill",
+class TestStolenShardDuplicateDelivery:
+    def test_two_holders_delivering_one_spec_converge_on_one_entry(self, tmp_path):
+        # The victim of a steal is slow, not dead: both it and the thief
+        # deliver the same spec at once.  The bytes are identical, the
+        # renames atomic: one valid entry survives and the job completes.
+        service = SweepService(
+            tmp_path / "cache", lease_ttl=0.2, fallback_after=60.0, poll=0.05
         )
-        cache = ResultCache(backend=backend)
-        cache.put(spec, result)  # must not raise
-        assert backend.spilled == 1
-        assert cache.pending_spill() == {spec.spec_hash()}
-        # Reads are served from the spill, bit-identically.
-        hit = cache.get(spec)
-        assert hit is not None and hit.summary == result.summary
-        assert backend.spill_hits == 1
-        assert spec in cache  # contains() falls back to the spill too
-        stats = cache.rpc_stats()
-        assert stats["spilled"] == 1 and stats["spill_pending"] == 1
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            spec = _spec()
+            result = execute_spec(spec)
+            job = service.submit([spec.to_dict()], shard_size=1)
+            queue = RemoteWorkQueue(base, policy=_FAST)
+            victim = queue.claim("victim")
+            time.sleep(0.3)
+            thief = queue.claim("thief")
+            barrier = threading.Barrier(2)
+            errors = []
 
-    def test_unreachable_get_is_a_miss_not_an_error(self, tmp_path):
-        backend = RemoteCacheBackend(
-            f"http://127.0.0.1:{_dead_port()}",
-            policy=_FAST,
-            spill_dir=tmp_path / "spill",
-        )
-        cache = ResultCache(backend=backend)
-        assert cache.get(_spec()) is None
-        assert backend.degraded_reads == 1
-        assert cache.misses == 1
+            def deliver(lease):
+                barrier.wait()
+                try:
+                    lease.heartbeat(spec, result)
+                except LeaseLostError as exc:
+                    errors.append(exc)  # the superseded victim is told so
 
-    def test_flush_spill_reconciles_to_recovered_server(self, tmp_path, live_server):
-        service, base = live_server
-        spec = _spec()
-        result = execute_spec(spec)
-        # Spill while the server is "down"...
-        down = RemoteCacheBackend(
-            f"http://127.0.0.1:{_dead_port()}",
-            policy=_FAST,
-            spill_dir=tmp_path / "spill",
-        )
-        ResultCache(backend=down).put(spec, result)
-        assert down.pending_spill()
-        # ...then recover by pointing a backend at the live server with
-        # the same spill directory (the worker's respawn path).
-        up = RemoteCacheBackend(base, policy=_FAST, spill_dir=tmp_path / "spill")
-        flushed = up.flush_spill()
-        assert flushed == 1 and up.reconciled == 1
-        assert not up.pending_spill()
-        assert service.cache.get(spec).summary == result.summary
-
-    def test_successful_store_drains_pending_spill(self, tmp_path, live_server):
-        service, base = live_server
-        stranded, fresh = _spec(0), _spec(1)
-        stranded_result = execute_spec(stranded)
-        down = RemoteCacheBackend(
-            f"http://127.0.0.1:{_dead_port()}",
-            policy=_FAST,
-            spill_dir=tmp_path / "spill",
-        )
-        ResultCache(backend=down).put(stranded, stranded_result)
-        up = ResultCache(
-            backend=RemoteCacheBackend(
-                base, policy=_FAST, spill_dir=tmp_path / "spill"
-            )
-        )
-        up.put(fresh, execute_spec(fresh))  # a store that reaches the server
-        assert not up.pending_spill()  # ...sweeps the stranded entry along
-        assert service.cache.get(stranded).summary == stranded_result.summary
-
-    def test_circuit_close_hook_triggers_reconciliation(self, tmp_path, live_server):
-        service, base = live_server
-        spec = _spec()
-        result = execute_spec(spec)
-        backend = RemoteCacheBackend(base, policy=_FAST, spill_dir=tmp_path / "spill")
-        # Park an entry in the spill, open the breaker, then let a probe
-        # close it: the on_close hook must drain the spill.
-        cache = ResultCache(backend=backend)
-        down = RemoteCacheBackend(
-            f"http://127.0.0.1:{_dead_port()}",
-            policy=_FAST,
-            spill_dir=tmp_path / "spill",
-        )
-        ResultCache(backend=down).put(spec, result)
-        assert backend.pending_spill()
-        backend.client.breaker.record_failure()
-        backend.client.breaker.state = "open"
-        backend.client.breaker._opened_at = -1e9  # reset window long elapsed
-        assert cache.get(_spec(1)) is None  # the half-open probe succeeds (404)
-        assert backend.client.breaker.state == "closed"
-        assert not backend.pending_spill()  # on_close reconciled the spill
-        assert backend.reconciled == 1
-        assert service.cache.get(spec).summary == result.summary
-
-
-class TestDuplicateConcurrentPut:
-    def test_racing_remote_puts_converge_on_one_valid_entry(
-        self, tmp_path, live_server
-    ):
-        service, base = live_server
-        spec = _spec()
-        result = execute_spec(spec)
-        barrier = threading.Barrier(2)
-        errors = []
-
-        def put(i):
-            cache = ResultCache(
-                backend=RemoteCacheBackend(
-                    base, policy=_FAST, spill_dir=tmp_path / f"spill{i}"
-                )
-            )
-            barrier.wait()
-            try:
-                cache.put(spec, result)
-            except Exception as exc:  # pragma: no cover - the failure mode
-                errors.append(exc)
-
-        threads = [threading.Thread(target=put, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert service.cache_counters["puts"] == 2  # both writes accepted
-        # One valid, readable entry survives.
-        assert service.cache.get(spec).summary == result.summary
-        reader = ResultCache(
-            backend=RemoteCacheBackend(base, policy=_FAST, spill_dir=tmp_path / "r")
-        )
-        assert reader.get(spec).summary == result.summary
+            threads = [
+                threading.Thread(target=deliver, args=(lease,))
+                for lease in (victim, thief)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(errors) == 1
+            assert service.wait(job, timeout=5)
+            assert thief.complete([])
+            assert len(service.cache) == 1
+            assert not list(service.cache.root.glob("*.tmp"))
+            assert service.cache.get(spec).summary == result.summary
+            assert service.cache.quarantined == 0
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
 
 
 class TestLocalQuarantineRace:
@@ -307,7 +268,7 @@ class TestLocalQuarantineRace:
     def test_quarantine_of_vanished_entry_is_a_no_op(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         # Neither payload nor sidecar exists: the loser's rename path.
-        cache.backend.quarantine("0" * 64)  # must not raise
+        cache._quarantine("0" * 64)  # must not raise
 
 
 class TestStreamDisconnect:
@@ -341,6 +302,42 @@ class TestStreamDisconnect:
         with pytest.raises(TimeoutError):
             wait_for_job(base, "job-1", timeout=1.0, read_timeout=0.5)
         assert time.monotonic() - start < 10  # bounded, not wedged
+
+
+class TestSubmitBatch:
+    @pytest.mark.parametrize("field", ["algorithm", "adversary"])
+    @pytest.mark.parametrize("bad", [[1], {"a": 1}, 7])
+    def test_non_string_spec_name_is_a_400(self, live_server, field, bad):
+        service, base = live_server
+        good = _spec().to_dict()
+        broken = dict(good, **{field: bad})
+        body = json.dumps({"specs": [good, broken]}).encode("utf-8")
+        assert _post_status(f"{base}/api/jobs", body) == 400
+        assert service.jobs == {}
+        assert service.queue.counts() == {"pending": 0, "leased": 0, "done": 0}
+
+    def test_resubmitted_batch_is_answered_from_the_cache(self, live_server):
+        service, base = live_server
+        specs = [_spec(0), _spec(1)]
+        for spec in specs:
+            service.cache.put(spec, execute_spec(spec))
+        job = submit_batch(base, [s.to_dict() for s in specs])
+        assert job["shards"] == []
+        assert service.queue.counts() == {"pending": 0, "leased": 0, "done": 0}
+        snap = wait_for_job(base, job["job"], timeout=10)
+        assert (snap["done"], snap["pending"]) == (2, 0)
+
+    def test_a_spec_held_twice_is_enqueued_once(self, live_server):
+        service, base = live_server
+        spec = _spec()
+        job = service.submit([spec.to_dict(), spec.to_dict()], shard_size=1)
+        assert len(job.shard_ids) == 1
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        assert [s.spec_hash() for s in lease.specs] == [spec.spec_hash()]
+        lease.heartbeat(spec, execute_spec(spec))
+        assert lease.complete([])
+        assert service.wait(job, timeout=5)
+        assert job.snapshot()["done"] == 2
 
 
 class TestSubmitBatchStartupRace:
@@ -400,14 +397,9 @@ class TestRemoteQueueProtocol:
         lease.heartbeat()  # renews without error
         counts = queue.counts()
         assert counts["leased"] == 1
-        # Publish the result out-of-band (the worker's cache PUT) and
-        # complete the lease.
-        result = execute_spec(spec)
-        remote_cache = ResultCache(backend=RemoteCacheBackend(base, policy=_FAST))
-        remote_cache.put(spec, result)
-        assert lease.complete(
-            [status_record(spec, result)], extra={"requests": 3}
-        )
+        # Deliver the result on a heartbeat, then complete the lease.
+        lease.heartbeat(spec, execute_spec(spec))
+        assert lease.complete([], extra={"requests": 3})
         assert queue.drained()
         assert service.wait(job, timeout=60)
         assert job.snapshot()["rpc"].get("requests") == 3
@@ -418,9 +410,8 @@ class TestRemoteQueueProtocol:
         service.submit([spec.to_dict()], shard_size=1)
         queue = RemoteWorkQueue(base, policy=_FAST)
         lease = queue.claim("unit-worker")
-        result = execute_spec(spec)
-        ResultCache(backend=RemoteCacheBackend(base, policy=_FAST)).put(spec, result)
-        assert lease.complete([status_record(spec, result)])
+        lease.heartbeat(spec, execute_spec(spec))
+        assert lease.complete([])
         # The token is spent: every further transition reads as lost.
         with pytest.raises(LeaseLostError):
             lease.heartbeat()
@@ -449,7 +440,10 @@ class TestRemoteQueueProtocol:
         ['[{"spec_hash": [1]}]', '[{"spec_hash": {}}]', '[{"status": "done"}]',
          '["done"]', '{"spec_hash": "x"}',
          '[{"spec_hash": "HASH", "status": "failed", "attempts": "abc"}]',
-         '[{"spec_hash": "HASH", "status": "failed", "fault_events": 5}]'],
+         '[{"spec_hash": "HASH", "status": "failed", "fault_events": 5}]',
+         # Done is recorded only where a result is stored, never by a
+         # completion's say-so.
+         '[{"spec_hash": "HASH", "status": "done", "attempts": 0}]'],
     )
     def test_complete_rejects_malformed_statuses(self, live_server, statuses):
         service, base = live_server
@@ -461,10 +455,25 @@ class TestRemoteQueueProtocol:
         assert _post_status(f"{base}/api/queue/complete", body.encode("utf-8")) == 400
         assert service.queue.counts() == {"pending": 0, "leased": 1, "done": 0}
         # Nothing was spent: the owner still completes, and the job with it.
-        result = execute_spec(spec)
-        ResultCache(backend=RemoteCacheBackend(base, policy=_FAST)).put(spec, result)
-        assert lease.complete([status_record(spec, result)])
+        lease.heartbeat(spec, execute_spec(spec))
+        assert lease.complete([])
         assert service.wait(job, timeout=60)
+
+    def test_completion_with_another_jobs_spec_is_rejected(self, live_server):
+        # job-1's lease completing with a failed status for job-2's spec
+        # must neither finish job-2 nor retire job-1's shard.
+        service, base = live_server
+        mine, other = _spec(0), _spec(1)
+        first = service.submit([mine.to_dict()], shard_size=1)
+        second = service.submit([other.to_dict()], shard_size=1)
+        queue = RemoteWorkQueue(base, policy=_FAST)
+        lease = queue.claim("unit-worker")
+        assert [s.spec_hash() for s in lease.specs] == [mine.spec_hash()]
+        failure = FailedResult(spec=other, error="x", error_type="E", attempts=1)
+        assert not lease.complete([status_record(other, failure)])
+        assert not second.complete and second.snapshot()["failed"] == 0
+        assert not first.complete
+        assert service.queue.counts() == {"pending": 1, "leased": 1, "done": 0}
 
     def test_unreachable_server_degrades_not_lies(self):
         queue = RemoteWorkQueue(f"http://127.0.0.1:{_dead_port()}", policy=_FAST)

@@ -152,6 +152,13 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="rounds"):
             _spec(rounds=0)
 
+    @pytest.mark.parametrize("field", ["algorithm", "adversary"])
+    @pytest.mark.parametrize("bad", [[1], {"k": 1}, 3])
+    def test_non_string_names_raise_type_error(self, field, bad):
+        data = dict(_spec().to_dict(), **{field: bad})
+        with pytest.raises(TypeError, match=f"{field} name must be a string"):
+            RunSpec.from_dict(data)
+
     def test_rejects_unpicklable_params(self):
         with pytest.raises(TypeError, match="JSON-serialisable"):
             _spec(adversary_params={"rho": 0.4, "beta": 1.0, "schedule": object()})
