@@ -6,7 +6,8 @@ server's ``/api/queue`` endpoints (:class:`RemoteWorkQueue` is the
 worker's HTTP client for them):
 
 * a sweep is **enqueued** as shards (a few :class:`~repro.sim.specs.RunSpec`
-  each), claimed first in, first out;
+  each), claimed first in, first out; a spec some shard already holds
+  unsettled is not enqueued again, so overlapping jobs share its run;
 * a worker **claims** a shard and receives an opaque lease *token*;
   the lease carries a **TTL** (measured on the server's monotonic
   clock) that the worker **heartbeats** while it executes;
@@ -80,9 +81,8 @@ class _Shard:
     specs: list[RunSpec]
     #: ``specs[i].spec_hash()``, computed once at enqueue.
     hashes: list[str]
-    #: The job whose progress this shard's results advance (None for a
-    #: bare queue).
-    job: "SweepJob | None" = None
+    #: The job that enqueued the shard; its completion's RPC counters go there.
+    job: "SweepJob"
     takeovers: int = 0
     #: Token of the live lease (None while pending).
     token: str | None = None
@@ -117,16 +117,16 @@ class WorkLease:
         Raises :class:`LeaseLostError` once the lease was stolen; a
         result delivered under a superseded token is still kept.
         """
+        records, entry = [], None
+        if spec is not None:
+            records, entry = [status_record(spec, result)], encode_entry(spec, result)
         try:
-            if spec is None:
-                self.queue.heartbeat(self.token)
-            elif not self.queue.record(
-                self.token, [status_record(spec, result)], encode_entry(spec, result)
-            ):
-                raise LeaseLostError(f"lease {self.token} was stolen")
+            held = self.queue.record(self.token, records, entry)
         except LeaseLostError:
+            held = False
+        if not held:
             self.lost = True
-            raise
+            raise LeaseLostError(f"lease {self.token} was stolen or is spent")
 
     def complete(self, statuses: Sequence[dict], extra: dict | None = None) -> bool:
         """Publish the failed statuses and retire the shard; False when
@@ -138,26 +138,18 @@ class WorkLease:
         self.lost = self.lost or not held
         return held
 
-    def abandon(self) -> bool:
-        """Hand the shard back; False when the lease had been stolen."""
-        released = self.queue.abandon(self.token)
-        self.lost = self.lost or not released
-        return released
-
 
 class WorkQueue:
     """The ``repro serve`` process's shard store: pending, leased, done.
 
-    Every method takes the one lock, so racing claims from the HTTP
-    handler threads and the fallback drain have exactly one winner.
-    ``lease_ttl`` is the seconds before an unrenewed lease may be stolen;
-    ``cache`` is where :meth:`record` stores delivered results (a bare
-    queue without one only tracks which specs settled).
+    Every state change happens under the one lock, so racing claims
+    from the HTTP handler threads and the fallback drain have exactly
+    one winner.
+    ``cache`` is where :meth:`record` stores delivered results;
+    ``lease_ttl`` is the seconds before an unrenewed lease may be stolen.
     """
 
-    def __init__(
-        self, *, lease_ttl: float = DEFAULT_LEASE_TTL, cache: ResultCache | None = None
-    ) -> None:
+    def __init__(self, cache: ResultCache, *, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         self.lease_ttl = float(lease_ttl)
@@ -168,36 +160,49 @@ class WorkQueue:
         self._tokens: dict[str, _Shard] = {}
         #: Ids of retired shards.
         self._done: set[str] = set()
+        #: Spec hash -> the jobs its first settled record advances, for
+        #: every spec a pending or leased shard holds unsettled.
+        self._waiting: dict[str, list["SweepJob"]] = {}
         self._token_seq = 0
 
     def enqueue(
         self,
         specs: Iterable[RunSpec | dict],
+        job: "SweepJob",
         *,
         shard_size: int = 4,
         prefix: str = "shard",
-        job: "SweepJob | None" = None,
     ) -> list[str]:
-        """Shard ``specs`` into pending work items; return the shard ids.
+        """Shard ``specs`` into pending work items for ``job``; return the
+        new shard ids.
 
-        Order is preserved within and across shards, so shard contents
-        are deterministic for a given spec sequence.  Results recorded on
-        these shards advance ``job``.
+        A spec hash is in flight at most once: a spec that an earlier copy
+        in this batch, or an overlapping job's pending or leased shard,
+        already holds unsettled is not enqueued again, and its first
+        settled record advances every job waiting on it.  Order is
+        preserved within and across shards, so shard contents are
+        deterministic for a given spec sequence and queue state.
         """
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
-        batch = [s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in specs]
-        shards = [
-            _Shard(f"{prefix}-{n:04d}", chunk, [s.spec_hash() for s in chunk], job)
-            for n, chunk in enumerate(
-                batch[start : start + shard_size]
-                for start in range(0, len(batch), shard_size)
-            )
-        ]
-        ids = [shard.shard_id for shard in shards]
+        batch: dict[str, RunSpec] = {}
+        for spec in specs:
+            spec = spec if isinstance(spec, RunSpec) else RunSpec.from_dict(spec)
+            batch.setdefault(spec.spec_hash(), spec)
         with self._lock:
+            fresh = [key for key in batch if key not in self._waiting]
+            shards = [
+                _Shard(f"{prefix}-{n:04d}", [batch[key] for key in chunk], chunk, job)
+                for n, chunk in enumerate(
+                    fresh[start : start + shard_size]
+                    for start in range(0, len(fresh), shard_size)
+                )
+            ]
+            ids = [shard.shard_id for shard in shards]
             if any(i in self._pending or i in self._leased or i in self._done for i in ids):
                 raise ValueError(f"shard prefix {prefix!r} is already in use")
+            for key in batch:
+                self._waiting.setdefault(key, []).append(job)
             self._pending.update(zip(ids, shards))
         return ids
 
@@ -205,7 +210,7 @@ class WorkQueue:
         """Lease the oldest pending shard to ``owner``, or None.
 
         Expired leases are reclaimed first, so a lone worker can steal
-        back its own abandoned shard.  The lease carries only the specs
+        back its own lapsed lease.  The lease carries only the specs
         with no stored result; a shard whose every spec was delivered
         before its holder could complete it retires here instead.
         """
@@ -238,12 +243,6 @@ class WorkQueue:
                 )
             return None
 
-    def _live(self, token: str) -> _Shard:
-        shard = self._tokens.get(token)
-        if shard is None or shard.token != token:
-            raise LeaseLostError(f"lease {token} expired and was stolen, or is spent")
-        return shard
-
     def _requeue(self, shard: _Shard) -> None:
         """Put a leased shard back at the front, takeover bumped."""
         del self._leased[shard.shard_id]
@@ -260,17 +259,6 @@ class WorkQueue:
             del self._tokens[spent]
         self._done.add(shard.shard_id)
 
-    def heartbeat(self, token: str) -> None:
-        """Push the lease expiry :attr:`lease_ttl` seconds into the future.
-
-        Raises :class:`LeaseLostError` if the lease was reclaimed — the
-        caller should stop working on it (results already delivered stay
-        stored; the thief's lease omits them).
-        """
-        with self._lock:
-            shard = self._live(token)
-            shard.expires = time.monotonic() + self.lease_ttl
-
     def record(
         self,
         token: str,
@@ -280,68 +268,66 @@ class WorkQueue:
         retire: bool = False,
         rpc: Mapping | None = None,
     ) -> bool:
-        """Settle specs of ``token``'s shard: the one path results land by.
+        """Renew ``token``'s lease and settle specs of its shard: the one
+        path heartbeats and results take.
 
-        ``records`` are :func:`status_record` dicts.  A heartbeat carries
-        one "done" record and ``entry``, the :func:`~repro.sim.cache.encode_entry`
-        pair of its result, which is stored in :attr:`cache` before the
-        spec counts as settled; a completion (``retire=True``) carries the
-        failed records and ``rpc``, the worker's counters for the shard.
-        Each settled record advances the shard's job, and a completion
-        retires the shard.
+        ``records`` are :func:`status_record` dicts.  A plain heartbeat
+        carries none; a delivery carries one "done" record and ``entry``,
+        the :func:`~repro.sim.cache.encode_entry` pair of its result,
+        which is stored in :attr:`cache` before the spec counts as
+        settled; a completion (``retire=True``) carries the failed records
+        and ``rpc``, the worker's counters for the shard, and retires the
+        shard.  A spec's first settled record advances every job waiting
+        on it.
 
-        Returns True while ``token`` is the shard's live lease (a
-        delivery renews it); a superseded token's records are still
-        accepted, and it returns False.  Raises :class:`LeaseLostError`,
-        recording nothing, when the token is unknown or its shard retired,
-        and :class:`ValueError`, leaving the lease live, for a record
-        naming a spec outside the shard or a completion that would leave
-        a spec with neither a stored result nor a failed status.
+        Returns True while ``token`` is the shard's live lease; a
+        superseded token's records are still accepted, and it returns
+        False.  Raises :class:`LeaseLostError`, recording nothing, when
+        the token is unknown or its shard retired, and :class:`ValueError`,
+        leaving the lease live, for a record naming a spec outside the
+        shard or a completion that would leave a spec with neither a
+        stored result nor a failed status.
         """
         # Index before touching any state: a malformed record raises here.
         keys = {record["spec_hash"] for record in records}
+        if entry is not None:
+            with self._lock:
+                self._settleable(token, keys, retire)
+            (key,) = keys
+            # The bytes are content-addressed and the same from every
+            # holder, so they are written outside the lock: claims and
+            # heartbeats never wait on the disk.
+            self.cache.store(key, *entry)
         with self._lock:
-            shard = self._tokens.get(token)
-            if shard is None:
-                raise LeaseLostError(f"lease {token} is unknown or its shard is done")
-            outside = keys.difference(shard.hashes)
-            if outside:
-                raise ValueError(
-                    f"spec(s) {sorted(outside)} are not in shard {shard.shard_id}"
-                )
-            unsettled = set(shard.hashes) - shard.settled - keys if retire else ()
-            if unsettled:
-                raise ValueError(
-                    f"shard {shard.shard_id} has {len(unsettled)} spec(s) with "
-                    "no stored result and no failed status"
-                )
-            if entry is not None and self.cache is not None:
-                (key,) = keys
-                self.cache.store(key, *entry)
+            shard = self._settleable(token, keys, retire)
             shard.settled.update(keys)
             held = shard.token == token
             if retire:
                 self._retire(shard)
             elif held:
                 shard.expires = time.monotonic() + self.lease_ttl
-            if shard.job is not None:
-                shard.job.settle(records, rpc)
+            if rpc:
+                shard.job.count_rpc(rpc)
+            for record in records:
+                for job in self._waiting.pop(record["spec_hash"], ()):
+                    job.settle(record)
             return held
 
-    def abandon(self, token: str) -> bool:
-        """Hand the shard back to pending with the takeover bumped.
-
-        Used by a worker that cannot finish a shard; the bump keeps the
-        fault-coin stream advancing exactly as a crash-and-steal would.
-        Returns False if the lease was already stolen.
-        """
-        with self._lock:
-            try:
-                shard = self._live(token)
-            except LeaseLostError:
-                return False
-            self._requeue(shard)
-            return True
+    def _settleable(self, token: str, keys: set[str], retire: bool) -> _Shard:
+        """``token``'s shard, if ``keys`` may settle on it (see :meth:`record`)."""
+        shard = self._tokens.get(token)
+        if shard is None:
+            raise LeaseLostError(f"lease {token} is unknown or its shard is done")
+        outside = keys.difference(shard.hashes)
+        if outside:
+            raise ValueError(f"spec(s) {sorted(outside)} are not in shard {shard.shard_id}")
+        unsettled = set(shard.hashes) - shard.settled - keys if retire else ()
+        if unsettled:
+            raise ValueError(
+                f"shard {shard.shard_id} has {len(unsettled)} spec(s) with "
+                "no stored result and no failed status"
+            )
+        return shard
 
     def reclaim_expired(self) -> int:
         """Steal every lease whose TTL lapsed back into pending; return
@@ -443,21 +429,14 @@ class RemoteWorkLease:
             return False
         return True
 
-    def abandon(self) -> bool:
-        try:
-            self.queue._post("abandon", {"token": self.token}, key=self.token)
-        except RpcError:
-            self.lost = True
-            return False
-        return True
-
 
 class RemoteWorkQueue:
     """HTTP client for the queue endpoints of a ``repro serve`` process.
 
-    Speaks ``POST /api/queue/{claim,heartbeat,complete,abandon}`` and
+    Speaks ``POST /api/queue/{claim,heartbeat,complete}`` and
     ``GET /api/queue`` through one :class:`ResilientClient`, so every
-    RPC to the server shares one circuit breaker.  All operations degrade gracefully: an unreachable server makes
+    RPC to the server shares one circuit breaker.  All operations
+    degrade gracefully: an unreachable server makes
     :meth:`claim` return None (the worker idles and retries) and
     :meth:`drained` return False (never a false "all done").
     """

@@ -6,9 +6,9 @@ its own cache already holds, shards the rest into its private in-memory
 :class:`~repro.sim.queue.WorkQueue`, and streams newline-delimited JSON
 progress snapshots.  It is the **cache and queue authority** for
 ``repro worker`` processes, which share no filesystem with it and keep
-no cache: the ``/api/queue`` endpoints expose claim/heartbeat/complete/
-abandon on token-addressed leases, and each heartbeat after a finished
-spec carries that spec's checksummed result, which the server stores.
+no cache: the ``/api/queue`` endpoints expose claim/heartbeat/complete
+on token-addressed leases, and each heartbeat after a finished spec
+carries that spec's checksummed result, which the server stores.
 Robustness posture:
 
 * **Work stealing** — a job's monitor thread reclaims expired leases, so
@@ -25,9 +25,10 @@ Robustness posture:
 * **Event-driven jobs** — :meth:`WorkQueue.record
   <repro.sim.queue.WorkQueue.record>` is the one path a result takes,
   from a worker's heartbeat or the in-process fallback alike: it stores
-  the result, then advances the job that owns the shard.  Nothing polls
-  status records, so the server's work per result does not grow with
-  the job or with the server's history.
+  the result, then advances every job waiting on that spec (overlapping
+  jobs share one run of a spec in flight).  Nothing polls status
+  records, so the server's work per result does not grow with the job
+  or with the server's history.
 * **Idempotent results** — results live in the content-addressed cache,
   so at-least-once delivery is invisible to clients: two holders of a
   stolen shard deliver bit-identical bytes for a spec, and atomic
@@ -58,7 +59,6 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}``: failed
                                 statuses only; retires the shard (410 when
                                 lost)
-``POST /api/queue/abandon``     ``{"token"}``
 ==============================  ===============================================
 """
 
@@ -73,7 +73,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
@@ -129,7 +129,7 @@ class SweepJob:
     #: spec hash → its "done" or "failed" status record, set as results land.
     state: dict[str, dict] = field(default_factory=dict)
     served_locally: int = 0
-    #: Summed integer RPC counters from the workers' completions.
+    #: Summed integer RPC counters from the completions of its shards.
     rpc: dict[str, int] = field(default_factory=dict)
     #: ``time.monotonic()`` of the last status that landed: the stall clock.
     advanced_at: float = field(default_factory=time.monotonic)
@@ -142,19 +142,20 @@ class SweepJob:
     def complete(self) -> bool:
         return self.finished.is_set()
 
-    def settle(self, records: Sequence[dict], rpc: Mapping | None = None) -> None:
-        """Fold landed status records (the first per spec wins) and a
-        completion's counters into the job; O(records), whatever the
-        job's size."""
-        for record in records:
-            self.state.setdefault(record["spec_hash"], record)
-        for name, value in (rpc or {}).items():
-            # Only integer counters: a worker's NaN would poison the sum.
-            if isinstance(value, int):
-                self.rpc[name] = self.rpc.get(name, 0) + value
+    def settle(self, record: dict) -> None:
+        """Fold one landed status record into the job (the first per spec
+        wins); O(1), whatever the job's size."""
+        self.state.setdefault(record["spec_hash"], record)
         self.advanced_at = time.monotonic()
         if len(self.state) == self._distinct:
             self.finished.set()
+
+    def count_rpc(self, rpc: Mapping) -> None:
+        """Add a completion's RPC counters to the job's."""
+        for name, value in rpc.items():
+            # Only integer counters: a worker's NaN would poison the sum.
+            if isinstance(value, int):
+                self.rpc[name] = self.rpc.get(name, 0) + value
 
     def snapshot(self) -> dict:
         states = [self.state.get(key, {}).get("status") for key in self.hashes]
@@ -208,7 +209,7 @@ class SweepService:
         if cache_dir is None:
             cache_dir = default_cache_dir()
         self.cache = ResultCache(cache_dir)
-        self.queue = WorkQueue(lease_ttl=lease_ttl, cache=self.cache)
+        self.queue = WorkQueue(self.cache, lease_ttl=lease_ttl)
         self.shard_size = shard_size
         self.fallback_after = fallback_after
         self.poll = poll
@@ -237,9 +238,9 @@ class SweepService:
         """Answer cached specs, shard the rest into the queue, track the job.
 
         A spec counts as cached only on a verified :meth:`ResultCache.get`,
-        so an entry from another cache version is recomputed; each
+        so an entry from another cache version is recomputed.  Each
         remaining spec hash is enqueued once, however often the batch
-        holds it.
+        holds it, and not at all while another job's shard holds it.
         """
         specs = [
             s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in spec_dicts
@@ -255,15 +256,15 @@ class SweepService:
             if key in job.state or key in misses:
                 continue
             if self.cache.get(spec) is not None:
-                job.settle([{"spec_hash": key, "status": "done", "attempts": 0}])
+                job.settle({"spec_hash": key, "status": "done", "attempts": 0})
             else:
                 misses[key] = spec
         if misses:
             job.shard_ids = self.queue.enqueue(
                 misses.values(),
+                job,
                 shard_size=shard_size or self.shard_size,
                 prefix=job_id,
-                job=job,
             )
         with self._lock:
             self.jobs[job_id] = job
@@ -595,10 +596,6 @@ def make_server(
                     rpc=rpc if isinstance(rpc, dict) else None,
                 )
                 return
-            if action == "abandon":
-                released = service.queue.abandon(token)
-                self._send_json({"ok": True, "released": released}, fault=fault)
-                return
             self._send_json({"error": "not found"}, 404)
 
         def _heartbeat(self, token: str, payload: dict, fault: str | None) -> None:
@@ -608,12 +605,7 @@ def make_server(
                 self._send_json({"error": "ttl is not accepted"}, 400)
                 return
             if "payload" not in payload:
-                try:
-                    service.queue.heartbeat(token)
-                except LeaseLostError:
-                    self._send_json({"error": "lease lost"}, 410)
-                    return
-                self._send_json({"ok": True}, fault=fault)
+                self._record(token, [], None, fault)
                 return
             key, sidecar = payload.get("spec_hash"), payload.get("sidecar")
             try:
@@ -643,10 +635,10 @@ def make_server(
             retire: bool = False,
             rpc: dict | None = None,
         ) -> None:
-            """Land a delivered result or a completion through
+            """Land a heartbeat, a delivered result or a completion through
             :meth:`WorkQueue.record`.  Answers 410 once the token is spent,
-            or to a delivery under a superseded token (whose result is
-            kept), and 400 for a spec outside the shard or an incomplete
+            or to a heartbeat under a superseded token (a result it carries
+            is kept), and 400 for a spec outside the shard or an incomplete
             completion, leaving the lease live."""
             try:
                 held = service.queue.record(token, records, entry, retire=retire, rpc=rpc)
@@ -657,7 +649,7 @@ def make_server(
                 self._send_json({"error": f"bad request: {exc}"}, 400)
                 return
             if not held and not retire:
-                self._send_json({"error": "lease lost; result kept"}, 410)
+                self._send_json({"error": "lease superseded"}, 410)
                 return
             self._send_json({"ok": True}, fault=fault)
 

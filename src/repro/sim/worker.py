@@ -75,7 +75,7 @@ class WorkerStats:
     circuit_closes: int = 0
     outcomes: list[str] = field(default_factory=list)
     #: RPC deltas from shards whose completion never posted (lease lost
-    #: or deliberately abandoned); carried onto the next completion so
+    #: or left to die); carried onto the next completion so
     #: the job's aggregated health is at-least-once, not sometimes-lost.
     rpc_unreported: dict = field(default_factory=dict)
     #: Client-stats watermark of the last reported/carried delta.  The

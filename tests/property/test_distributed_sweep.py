@@ -50,7 +50,7 @@ from repro.sim import (
 from repro.sim.cache import CACHE_VERSION
 from repro.sim.netclient import ResilientClient, RpcPolicy
 from repro.sim.queue import RemoteWorkQueue
-from repro.sim.service import fetch_results, submit_batch, wait_for_job
+from repro.sim.service import SweepJob, fetch_results, submit_batch, wait_for_job
 from repro.sim.worker import WorkerStats
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "20190622"))
@@ -339,8 +339,9 @@ class TestLeaseRecovery:
         """
         specs = _specs(2)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(lease_ttl=0.05, cache=cache)
-        queue.enqueue(specs, shard_size=2)
+        queue = WorkQueue(cache, lease_ttl=0.05)
+        job = SweepJob("job-1", specs, [s.spec_hash() for s in specs])
+        queue.enqueue(specs, job, shard_size=2)
         victim = queue.claim("victim")
         victim.heartbeat(specs[0], execute_spec(specs[0]))
         time.sleep(0.1)  # lease expires un-heartbeaten
@@ -360,7 +361,7 @@ class TestLeaseRecovery:
         assert (stats.specs_done, stats.specs_failed) == (1, 0)
         with pytest.raises(LeaseLostError):
             victim.heartbeat()
-        assert queue.drained()
+        assert queue.drained() and job.complete
         for spec in specs:
             assert cache.get(spec).summary == execute_spec(spec).summary
 

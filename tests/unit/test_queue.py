@@ -47,11 +47,15 @@ def _job(specs, job_id="job-1"):
     return SweepJob(job_id, specs, [s.spec_hash() for s in specs])
 
 
+def _queue(tmp_path, **kwargs):
+    return WorkQueue(ResultCache(tmp_path / "cache"), **kwargs)
+
+
 class TestEnqueueClaim:
-    def test_enqueue_shards_preserve_order(self):
-        queue = WorkQueue()
+    def test_enqueue_shards_preserve_order(self, tmp_path):
+        queue = _queue(tmp_path)
         specs = _specs(5)
-        ids = queue.enqueue(specs, shard_size=2)
+        ids = queue.enqueue(specs, _job(specs), shard_size=2)
         assert ids == ["shard-0000", "shard-0001", "shard-0002"]
         assert queue.counts() == {"pending": 3, "leased": 0, "done": 0}
         claimed: list[str] = []
@@ -60,15 +64,16 @@ class TestEnqueueClaim:
             assert lease.complete([_failed(s) for s in lease.specs])
         assert claimed == [s.spec_hash() for s in specs]
 
-    def test_claim_is_exclusive(self):
-        queue = WorkQueue()
-        queue.enqueue(_specs(2), shard_size=2)
+    def test_claim_is_exclusive(self, tmp_path):
+        queue = _queue(tmp_path)
+        specs = _specs(2)
+        queue.enqueue(specs, _job(specs), shard_size=2)
         first = queue.claim("alice")
         assert first is not None
         assert queue.claim("bob") is None  # the only shard is leased
         assert queue.counts()["leased"] == 1
 
-    def test_concurrent_claims_lease_each_shard_once(self):
+    def test_concurrent_claims_lease_each_shard_once(self, tmp_path):
         # 4 threads race to claim 8 one-spec shards with a tiny switch
         # interval, round after round, so an unguarded check-then-pop
         # would hand some shard out twice, mint a duplicate token or pop
@@ -78,8 +83,8 @@ class TestEnqueueClaim:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(100):
-                queue = WorkQueue(lease_ttl=60.0)
-                ids = queue.enqueue(specs, shard_size=1)
+                queue = _queue(tmp_path, lease_ttl=60.0)
+                ids = queue.enqueue(specs, _job(specs), shard_size=1)
                 claimed: list[list] = [[] for _ in range(4)]
                 errors: list[BaseException] = []
                 start = threading.Barrier(4)
@@ -110,44 +115,52 @@ class TestEnqueueClaim:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_reused_prefix_is_rejected(self):
-        queue = WorkQueue()
-        queue.enqueue(_specs(1), shard_size=1, prefix="job-1")
+    def test_reused_prefix_is_rejected(self, tmp_path):
+        queue = _queue(tmp_path)
+        first, second = _specs(2)
+        queue.enqueue([first], _job([first]), shard_size=1, prefix="job-1")
         lease = queue.claim("w")
         lease.complete([_failed(s) for s in lease.specs])
         with pytest.raises(ValueError, match="already in use"):
-            queue.enqueue(_specs(2)[1:], shard_size=1, prefix="job-1")
+            queue.enqueue([second], _job([second]), shard_size=1, prefix="job-1")
 
 
 class TestLeaseLifecycle:
-    def test_heartbeat_extends_expiry(self, monkeypatch):
+    def test_heartbeat_extends_expiry(self, tmp_path, monkeypatch):
         now = [100.0]  # the queue's monotonic clock, advanced by hand
         clock = SimpleNamespace(monotonic=lambda: now[0])
         monkeypatch.setattr(queue_module, "time", clock)
-        queue = WorkQueue(lease_ttl=10.0)
-        queue.enqueue(_specs(1), shard_size=1)
+        queue = _queue(tmp_path, lease_ttl=10.0)
+        specs = _specs(1)
+        job = _job(specs)
+        queue.enqueue(specs, job, shard_size=1)
         lease = queue.claim("w")
+        stall_clock = job.advanced_at
         now[0] += 6.0
-        lease.heartbeat()
+        assert queue.record(lease.token, [])  # a plain heartbeat
+        assert job.advanced_at == stall_clock  # renewing is not progress
         now[0] += 6.0  # past the claim-time expiry, inside the renewed one
         assert queue.reclaim_expired() == 0
         assert queue.counts()["leased"] == 1
         now[0] += 6.0  # past the renewed expiry too
         assert queue.reclaim_expired() == 1
 
-    def test_heartbeat_after_steal_raises_lease_lost(self):
-        queue = WorkQueue(lease_ttl=0.01)
-        queue.enqueue(_specs(1), shard_size=1)
+    def test_heartbeat_after_steal_raises_lease_lost(self, tmp_path):
+        queue = _queue(tmp_path, lease_ttl=0.01)
+        specs = _specs(1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         lease = queue.claim("slow")
         time.sleep(0.05)
         assert queue.reclaim_expired() == 1
+        assert not queue.record(lease.token, [])  # superseded, not renewed
         with pytest.raises(LeaseLostError):
             lease.heartbeat()
         assert lease.lost
 
-    def test_reclaim_bumps_takeovers(self):
-        queue = WorkQueue(lease_ttl=0.01)
-        queue.enqueue(_specs(1), shard_size=1)
+    def test_reclaim_bumps_takeovers(self, tmp_path):
+        queue = _queue(tmp_path, lease_ttl=0.01)
+        specs = _specs(1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         assert queue.claim("victim").takeovers == 0
         time.sleep(0.05)
         queue.reclaim_expired()
@@ -155,26 +168,50 @@ class TestLeaseLifecycle:
         assert thief.takeovers == 1
         assert thief.shard_id == "shard-0000"
 
-    def test_abandon_requeues_with_bumped_takeover(self):
-        queue = WorkQueue()
-        queue.enqueue(_specs(1), shard_size=1)
-        lease = queue.claim("w")
-        assert lease.abandon()
-        again = queue.claim("w")
-        assert again is not None and again.takeovers == 1
-
-    def test_live_lease_is_not_reclaimed(self):
-        queue = WorkQueue(lease_ttl=30.0)
-        queue.enqueue(_specs(1), shard_size=1)
+    def test_live_lease_is_not_reclaimed(self, tmp_path):
+        queue = _queue(tmp_path, lease_ttl=30.0)
+        specs = _specs(1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         queue.claim("w")
         assert queue.reclaim_expired() == 0
 
+    def test_a_result_is_stored_outside_the_queue_lock(self, tmp_path, monkeypatch):
+        # While one delivery's bytes are being written, other workers
+        # still claim: the disk write does not hold the queue's lock.
+        queue = _queue(tmp_path)
+        specs = _specs(2)
+        queue.enqueue(specs, _job(specs), shard_size=1)
+        lease = queue.claim("w")
+        writing, release = threading.Event(), threading.Event()
+        store = queue.cache.store
+
+        def slow_store(*args):
+            writing.set()
+            release.wait(10)
+            store(*args)
+
+        monkeypatch.setattr(queue.cache, "store", slow_store)
+        result = execute_spec(specs[0])
+        delivery = threading.Thread(target=lease.heartbeat, args=(specs[0], result))
+        delivery.start()
+        claimed: list = []
+        try:
+            assert writing.wait(10)
+            claimant = threading.Thread(target=lambda: claimed.append(queue.claim("other")))
+            claimant.start()
+            claimant.join(timeout=5)
+        finally:
+            release.set()
+            delivery.join(timeout=10)
+        assert claimed and claimed[0].specs == specs[1:]
+        assert queue.cache.get(specs[0]).summary == result.summary
+
 
 class TestCompletion:
-    def test_malformed_status_leaves_the_lease_live(self):
-        queue = WorkQueue()
+    def test_malformed_status_leaves_the_lease_live(self, tmp_path):
+        queue = _queue(tmp_path)
         specs = _specs(1)
-        queue.enqueue(specs, shard_size=1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         lease = queue.claim("w")
         with pytest.raises(TypeError):
             queue.record(lease.token, [{"spec_hash": ["unhashable"]}], retire=True)
@@ -185,11 +222,11 @@ class TestCompletion:
         assert queue.drained()
 
     def test_delivered_results_then_completion_drain(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(cache=cache)
+        queue = _queue(tmp_path)
+        cache = queue.cache
         specs = _specs(2)
         job = _job(specs)
-        queue.enqueue(specs, shard_size=2, job=job)
+        queue.enqueue(specs, job, shard_size=2)
         lease = queue.claim("w")
         for spec in lease.specs:
             lease.heartbeat(spec, execute_spec(spec))
@@ -200,10 +237,10 @@ class TestCompletion:
         assert queue.drained()
         assert {r["status"] for r in job.state.values()} == {"done"}
 
-    def test_completion_needs_every_spec_settled(self):
-        queue = WorkQueue()
+    def test_completion_needs_every_spec_settled(self, tmp_path):
+        queue = _queue(tmp_path)
         specs = _specs(2)
-        queue.enqueue(specs, shard_size=2)
+        queue.enqueue(specs, _job(specs), shard_size=2)
         lease = queue.claim("w")
         lease.heartbeat(specs[0], execute_spec(specs[0]))
         with pytest.raises(ValueError, match="no stored result"):
@@ -212,14 +249,14 @@ class TestCompletion:
         assert lease.complete([_failed(specs[1])])
         assert queue.drained()
 
-    def test_completion_naming_another_shards_spec_is_rejected(self):
+    def test_completion_naming_another_shards_spec_is_rejected(self, tmp_path):
         # Completing job-1's shard with a failed status for job-2's spec
         # must not touch job-2, and must not retire job-1's shard.
-        queue = WorkQueue()
+        queue = _queue(tmp_path)
         one, two = _specs(2)
         jobs = {"job-1": _job([one], "job-1"), "job-2": _job([two], "job-2")}
         for job_id, spec in (("job-1", one), ("job-2", two)):
-            queue.enqueue([spec], shard_size=1, prefix=job_id, job=jobs[job_id])
+            queue.enqueue([spec], jobs[job_id], shard_size=1, prefix=job_id)
         first = queue.claim("w")
         assert first.shard_id == "job-1-0000"
         with pytest.raises(ValueError, match="not in shard"):
@@ -230,13 +267,13 @@ class TestCompletion:
         assert first.complete([_failed(one)])
         assert jobs["job-1"].complete and not jobs["job-2"].complete
 
-    def test_stolen_shard_completed_by_original_owner(self):
+    def test_stolen_shard_completed_by_original_owner(self, tmp_path):
         # Slow-but-alive owner after the steal: its result is kept though
         # its heartbeat reports the loss, and its completion retires the
         # thief's pending copy instead of letting it re-execute.
-        queue = WorkQueue(lease_ttl=0.01)
+        queue = _queue(tmp_path, lease_ttl=0.01)
         specs = _specs(1)
-        queue.enqueue(specs, shard_size=1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         slow = queue.claim("slow")
         time.sleep(0.05)
         queue.reclaim_expired()  # shard back in pending for a thief
@@ -246,10 +283,10 @@ class TestCompletion:
         assert queue.claim("thief") is None  # the completion retired the copy
         assert queue.drained()
 
-    def test_thief_lease_omits_delivered_specs(self):
-        queue = WorkQueue(lease_ttl=0.01)
+    def test_thief_lease_omits_delivered_specs(self, tmp_path):
+        queue = _queue(tmp_path, lease_ttl=0.01)
         specs = _specs(3)
-        queue.enqueue(specs, shard_size=3)
+        queue.enqueue(specs, _job(specs), shard_size=3)
         victim = queue.claim("victim")
         victim.heartbeat(specs[1], execute_spec(specs[1]))
         time.sleep(0.05)
@@ -259,22 +296,22 @@ class TestCompletion:
             specs[0].spec_hash(), specs[2].spec_hash()
         ]
 
-    def test_fully_delivered_shard_retires_at_claim(self):
+    def test_fully_delivered_shard_retires_at_claim(self, tmp_path):
         # Every spec delivered, then the holder died before completing:
         # the reclaimed shard has nothing left to lease.
-        queue = WorkQueue(lease_ttl=0.01)
+        queue = _queue(tmp_path, lease_ttl=0.01)
         specs = _specs(1)
-        queue.enqueue(specs, shard_size=1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
         queue.claim("victim").heartbeat(specs[0], execute_spec(specs[0]))
         time.sleep(0.05)
         assert queue.claim("thief") is None
         assert queue.counts() == {"pending": 0, "leased": 0, "done": 1}
 
-    def test_failed_status_records_reach_the_job(self):
-        queue = WorkQueue()
+    def test_failed_status_records_reach_the_job(self, tmp_path):
+        queue = _queue(tmp_path)
         specs = _specs(1)
         job = _job(specs)
-        queue.enqueue(specs, shard_size=1, job=job)
+        queue.enqueue(specs, job, shard_size=1)
         queue.claim("w").complete([_failed(specs[0])])
         record = job.state[specs[0].spec_hash()]
         assert record["status"] == "failed"
@@ -282,7 +319,7 @@ class TestCompletion:
         assert record["attempts"] == 3
         assert job.snapshot()["failed"] == 1 and job.complete
 
-    def test_concurrent_completions_settle_every_spec_once(self):
+    def test_concurrent_completions_settle_every_spec_once(self, tmp_path):
         # 4 threads race to claim and complete 16 one-spec shards of one
         # job with a tiny switch interval: a settle outside the queue's
         # lock would lose a spec, double-count the job's counters or
@@ -291,9 +328,9 @@ class TestCompletion:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            queue = WorkQueue(lease_ttl=60.0)
+            queue = _queue(tmp_path, lease_ttl=60.0)
             job = _job(specs)
-            queue.enqueue(specs, shard_size=1, job=job)
+            queue.enqueue(specs, job, shard_size=1)
             errors: list[BaseException] = []
             start = threading.Barrier(4)
 
@@ -318,8 +355,38 @@ class TestCompletion:
         assert job.rpc == {"n": 16}
         assert queue.counts() == {"pending": 0, "leased": 0, "done": 16}
 
-    def test_rpc_counters_sum_integers_per_job(self):
-        queue = WorkQueue()
+    def test_overlapping_jobs_run_a_shared_spec_once(self, tmp_path):
+        # job-2 arrives while job-1's shard still holds the spec both
+        # want: job-2 enqueues only its own spec, and the one delivery of
+        # the shared spec advances both jobs.
+        queue = _queue(tmp_path)
+        a, b, c = _specs(3)
+        first, second = _job([a, b], "job-1"), _job([b, c], "job-2")
+        assert queue.enqueue([a, b], first, shard_size=2, prefix="job-1") == ["job-1-0000"]
+        assert queue.enqueue([b, c], second, shard_size=2, prefix="job-2") == ["job-2-0000"]
+        ran = []
+        while (lease := queue.claim("w")) is not None:
+            for spec in lease.specs:
+                ran.append(spec)
+                lease.heartbeat(spec, execute_spec(spec))
+            assert lease.complete([])
+        assert ran == [a, b, c]
+        assert first.complete and second.complete
+        assert second.snapshot()["done"] == 2
+
+    def test_a_shared_failure_reaches_every_waiting_job(self, tmp_path):
+        queue = _queue(tmp_path)
+        specs = _specs(1)
+        jobs = [_job(specs, "job-1"), _job(specs, "job-2")]
+        assert queue.enqueue(specs, jobs[0], prefix="job-1") == ["job-1-0000"]
+        assert queue.enqueue(specs, jobs[1], prefix="job-2") == []
+        queue.claim("w").complete([_failed(specs[0])])
+        assert all(job.complete and job.snapshot()["failed"] == 1 for job in jobs)
+        # Settled, the spec is no longer in flight: a new job reruns it.
+        assert queue.enqueue(specs, _job(specs, "job-3"), prefix="job-3") == ["job-3-0000"]
+
+    def test_rpc_counters_sum_integers_per_job(self, tmp_path):
+        queue = _queue(tmp_path)
         jobs = []
         for job_id, extra in (
             ("job-1", {"requests": 3, "junk": float("nan"), "note": "x"}),
@@ -327,7 +394,7 @@ class TestCompletion:
         ):
             specs = _specs(1)
             jobs.append(_job(specs, job_id))
-            queue.enqueue(specs, shard_size=1, prefix=job_id, job=jobs[-1])
+            queue.enqueue(specs, jobs[-1], shard_size=1, prefix=job_id)
             queue.claim("w").complete([_failed(specs[0])], extra)
         assert [job.rpc for job in jobs] == [{"requests": 3}, {"requests": 4}]
 

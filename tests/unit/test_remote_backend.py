@@ -31,6 +31,7 @@ from repro.sim import (
     SweepService,
     execute_spec,
     make_server,
+    run_worker,
     spec_fragment,
 )
 from repro.sim.cache import encode_entry
@@ -338,6 +339,22 @@ class TestSubmitBatch:
         assert lease.complete([])
         assert service.wait(job, timeout=5)
         assert job.snapshot()["done"] == 2
+
+
+    def test_overlapping_jobs_run_a_shared_spec_once(self, live_server):
+        # A grid resubmitted while the first job still runs: the spec both
+        # jobs hold is leased and executed once, and its one result
+        # completes both.
+        service, base = live_server
+        a, b, c = _spec(0), _spec(1), _spec(2)
+        first = service.submit([a.to_dict(), b.to_dict()], shard_size=1)
+        second = service.submit([b.to_dict(), c.to_dict()], shard_size=1)
+        assert len(second.shard_ids) == 1
+        stats = run_worker(base, rpc_policy=_FAST, poll=0.01, exit_when_drained=True)
+        assert stats.specs_done == 3
+        assert service.wait(first, timeout=10) and service.wait(second, timeout=10)
+        summaries = [r["summary"] for r in service.results(second)]
+        assert summaries == [execute_spec(s).summary.as_dict() for s in (b, c)]
 
 
 class TestSubmitBatchStartupRace:
