@@ -12,8 +12,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine.py \
         [--smoke] [--output PATH] [--fail-below X]
 
-``--smoke`` runs short horizons (a few seconds total) for CI; the default
-horizons give steadier numbers for local comparisons.  ``--fail-below X``
+``--smoke`` runs short horizons (under a minute in total) for CI; the
+default horizons give steadier numbers for local comparisons.  Every
+config is timed over five repeats after an untimed warm-up, every run
+starts from a collected heap, and within a repeat the variants of each
+gated pair run back to back (the short lowered pair three times per
+repeat); a gated ratio is the median of the per-repeat ratios, so one
+slow spell on a shared box moves one repeat, not the verdict.  ``--fail-below X``
 exits non-zero when any tracked config's kernel speedup drops below
 ``X`` — the CI perf-regression gate (the trajectory file is still
 written first, so the artifact survives a failing run).  Gating also
@@ -44,11 +49,13 @@ regression in any negotiation branch shows up in the trajectory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 if __package__ in (None, ""):  # run as a script
     _src = Path(__file__).resolve().parents[1] / "src"
@@ -303,15 +310,19 @@ _UNKNOWN_BANDS = (set(QUIESCENT_BANDS) | set(BLOCK_BANDS) | set(LOWERED_BANDS)) 
 assert not _UNKNOWN_BANDS, f"band keys not in CONFIGS: {sorted(_UNKNOWN_BANDS)}"
 
 
-def _time_engine(
+def _time_run(
     template: dict,
-    engine: str,
     rounds: int,
-    repeats: int,
+    engine: str,
     quiescence_skip: bool = True,
     lowering: bool = True,
 ) -> float:
-    """Best-of-``repeats`` rounds/sec for one configuration and engine."""
+    """Rounds/sec of one run of a configuration, from a collected heap.
+
+    Collecting first matters for the gated pairs: otherwise the garbage
+    one run leaves behind is collected during the next run, which
+    charges one side of a pair for the other's allocations.
+    """
     spec = RunSpec(
         rounds=rounds,
         engine=engine,
@@ -319,18 +330,42 @@ def _time_engine(
         lowering=lowering,
         **template,
     )
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        execute_spec(spec)
-        elapsed = time.perf_counter() - start
-        best = max(best, rounds / elapsed)
-    return best
+    gc.collect()
+    start = time.perf_counter()
+    execute_spec(spec)
+    return rounds / (time.perf_counter() - start)
+
+
+def _median_ratio(numerators: list[float], denominators: list[float]) -> float:
+    """Median of the per-repeat ratios of two interleaved timings."""
+    return median(a / b for a, b in zip(numerators, denominators))
+
+
+#: Timed repeats per config; gated ratios are medians over these.
+REPEATS = 5
+
+#: Interleaved (lowered, per-round) pairs per repeat of the lowered
+#: rows; their gate is the median over all of these pairs' ratios.
+LOWERED_PAIRS_PER_REPEAT = 3
+
+#: Horizon of the untimed warm-up run of each variant, which pays the
+#: first-call costs (lazy imports, schedule caches, numpy first use)
+#: outside the timed repeats.
+WARMUP_ROUNDS = 500
 
 
 def run_benchmark(smoke: bool) -> dict:
+    """Time every config; gated ratios are medians of per-repeat ratios.
+
+    Within each repeat, the variants of a config's gated pairs run back
+    to back, so both sides of every pair see the same machine state.  A
+    slow spell on a shared box then depresses one repeat's pair together
+    instead of one side of the ratio, and the median over the repeats
+    discards it.  The variant no gate reads (reference on the
+    block-banded rows, which are exempt from the kernel gate; block on
+    the others) is timed once for the report.
+    """
     base_rounds = 3_000 if smoke else 20_000
-    repeats = 2 if smoke else 3
     rows = []
     for name, template in CONFIGS:
         # Block-banded rows amortise fixed setup (driver wiring, plan and
@@ -343,51 +378,86 @@ def run_benchmark(smoke: bool) -> dict:
             # boundaries), so they need a longer horizon than the other
             # banded rows before the gated ratio stabilises.
             rounds = 16_000 if "restricted" in name else 8_000
-        reference = _time_engine(template, "reference", rounds, repeats)
-        kernel = _time_engine(template, "kernel", rounds, repeats)
-        block = _time_engine(template, "block", rounds, repeats)
+        # Variants of the row's gated pairs are timed in every repeat;
+        # the one that only completes the report (reference on the
+        # block-banded rows, which are exempt from the kernel gate, and
+        # block elsewhere) is timed once.
+        banded = name in BLOCK_BANDS
+        gated: dict[str, dict] = {"kernel": {"engine": "kernel"}}
+        if banded:
+            gated["block"] = {"engine": "block"}
+        else:
+            gated["reference"] = {"engine": "reference"}
+        if name in QUIESCENT_BANDS:
+            # The strictly per-round kernel: the ratio records the
+            # quiescent-span win itself, not the kernel-vs-reference
+            # ratio that conflates all fast paths.
+            gated["noskip"] = {"engine": "kernel", "quiescence_skip": False}
+        lowered_pair = name in LOWERED_BANDS
+        if lowered_pair:
+            # The strictly per-round block steps: the ratio isolates the
+            # segment-lowering win from the compiled per-round win.
+            gated["nolower"] = {"engine": "block", "lowering": False}
+        for options in gated.values():
+            _time_run(template, WARMUP_ROUNDS, **options)
+        samples: dict[str, list[float]] = {key: [] for key in gated}
+        if lowered_pair:
+            samples["lowered"] = []
+        for _ in range(REPEATS):
+            for key, options in gated.items():
+                if key == "nolower":
+                    # Both sides of this pair run in about a tenth of a
+                    # second, so one host hiccup is a large share of a
+                    # run: it runs several interleaved pairs per repeat.
+                    for _ in range(LOWERED_PAIRS_PER_REPEAT):
+                        samples["lowered"].append(_time_run(template, rounds, "block"))
+                        samples["nolower"].append(_time_run(template, rounds, **options))
+                else:
+                    samples[key].append(_time_run(template, rounds, **options))
+        once = "reference" if banded else "block"
+        _time_run(template, WARMUP_ROUNDS, once)
+        samples[once] = [_time_run(template, rounds, once)]
+        rps = {key: median(values) for key, values in samples.items()}
+        if banded:
+            kernel_x = rps["kernel"] / rps["reference"]
+            block_x = _median_ratio(samples["block"], samples["kernel"])
+        else:
+            kernel_x = _median_ratio(samples["kernel"], samples["reference"])
+            block_x = rps["block"] / rps["kernel"]
         row = {
             "name": name,
             "rounds": rounds,
-            "reference_rps": round(reference, 1),
-            "kernel_rps": round(kernel, 1),
-            "block_rps": round(block, 1),
-            "speedup": round(kernel / reference, 2),
-            "block_speedup": round(block / kernel, 2),
+            "repeats": REPEATS,
+            "reference_rps": round(rps["reference"], 1),
+            "kernel_rps": round(rps["kernel"], 1),
+            "block_rps": round(rps["block"], 1),
+            "speedup": round(kernel_x, 2),
+            "block_speedup": round(block_x, 2),
         }
         extra = ""
         band = QUIESCENT_BANDS.get(name)
         if band is not None:
-            # Time the strictly per-round kernel too, so the trajectory
-            # records the quiescent-span win itself (not just the
-            # kernel-vs-reference ratio, which conflates all fast paths).
-            no_skip = _time_engine(
-                template, "kernel", rounds, repeats, quiescence_skip=False
-            )
-            row["noskip_rps"] = round(no_skip, 1)
-            row["skip_speedup"] = round(kernel / no_skip, 2)
+            skip_x = _median_ratio(samples["kernel"], samples["noskip"])
+            row["noskip_rps"] = round(rps["noskip"], 1)
+            row["skip_speedup"] = round(skip_x, 2)
             row["quiescent_band"] = band
-            extra = f"   span x{kernel / no_skip:.2f} (band x{band:.2f})"
+            extra = f"   span x{skip_x:.2f} (band x{band:.2f})"
         block_band = BLOCK_BANDS.get(name)
         if block_band is not None:
             row["block_band"] = block_band
             extra += f"   block band x{block_band:.2f}"
         lowered_band = LOWERED_BANDS.get(name)
         if lowered_band is not None:
-            # Time the strictly per-round block loop too, so the
-            # trajectory records the segment-lowering win itself (the
-            # block-vs-kernel ratio above conflates it with the compiled
-            # per-round win).
-            no_lower = _time_engine(template, "block", rounds, repeats, lowering=False)
-            row["nolower_rps"] = round(no_lower, 1)
-            row["lowered_speedup"] = round(block / no_lower, 2)
+            lowered_x = _median_ratio(samples["lowered"], samples["nolower"])
+            row["nolower_rps"] = round(rps["nolower"], 1)
+            row["lowered_speedup"] = round(lowered_x, 2)
             row["lowered_band"] = lowered_band
-            extra += f"   lowered x{block / no_lower:.2f} (band x{lowered_band:.2f})"
+            extra += f"   lowered x{lowered_x:.2f} (band x{lowered_band:.2f})"
         rows.append(row)
         print(
-            f"{name:<58s} reference {reference:>10,.0f} rps   "
-            f"kernel {kernel:>10,.0f} rps   x{kernel / reference:.2f}   "
-            f"block x{block / kernel:.2f}{extra}"
+            f"{name:<58s} reference {rps['reference']:>10,.0f} rps   "
+            f"kernel {rps['kernel']:>10,.0f} rps   x{kernel_x:.2f}   "
+            f"block x{block_x:.2f}{extra}"
         )
     return {
         "smoke": smoke,

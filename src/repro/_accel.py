@@ -1,19 +1,11 @@
-"""Optional numba acceleration probe.
+"""Vectorised numpy kernels of the plan scan and the lowered-segment flush.
 
-The simulation is pure CPython + numpy by design; numba is an *optional*
-accelerator, never a dependency.  This module probes for it once at
-import time and exposes
-
-* :data:`HAVE_NUMBA` — True when ``import numba`` succeeded,
-* :func:`maybe_jit` — ``numba.njit`` when available, the identity
-  decorator otherwise (a silent no-op, so decorated functions stay plain
-  Python functions on numba-free installs),
-* the jitted array helpers of the block engine's inner loop, each with a
-  vectorised numpy fallback so behaviour is bit-identical either way.
-
-Everything downstream imports from here instead of touching numba
-directly; the CI matrix runs one leg with numba installed (exercising the
-JIT path) and one without (asserting the probe degrades cleanly).
+The engine loop (:mod:`repro.channel.kernel`) calls these instead of
+per-element Python: :func:`injection_round_indices` backs the injection
+plans' quiescent-span probes, and the other three flush a
+:class:`~repro.core.blocks.LoweredSegment` in bulk.
+``tests/unit/test_accel_parity.py`` pins each kernel against a scalar
+loop over randomised segment inputs.
 """
 
 from __future__ import annotations
@@ -21,64 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "maybe_jit",
     "injection_round_indices",
     "segment_round_totals",
     "per_station_flow",
     "count_transmitting",
 ]
-
-try:  # pragma: no cover - exercised on the numba-installed CI leg
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except Exception:  # ImportError, or a broken numba install — same answer.
-    _njit = None
-    HAVE_NUMBA = False
-
-
-def maybe_jit(func=None, **jit_kwargs):
-    """``numba.njit`` when numba is importable, identity decorator otherwise.
-
-    Usable bare (``@maybe_jit``) or with njit keyword arguments
-    (``@maybe_jit(cache=True)``).  On numba-free installs the function is
-    returned unchanged, so callers need no feature checks of their own —
-    but hot callers that have a *different* (vectorised) numpy fallback
-    should branch on :data:`HAVE_NUMBA` instead of calling the undecorated
-    per-element loop.
-    """
-
-    def wrap(f):
-        if HAVE_NUMBA:
-            return _njit(**jit_kwargs)(f)
-        return f
-
-    if func is not None:
-        return wrap(func)
-    return wrap
-
-
-# Each kernel below ships two bit-identical implementations: a scalar
-# loop ``_<name>_jit`` (plain Python on numba-free installs, njit-compiled
-# otherwise) and a vectorised numpy expression ``_<name>_np`` used as the
-# fallback.  tests/unit/test_accel_parity.py pins the two paths against
-# each other over randomised segment inputs on both CI legs.
-
-
-@maybe_jit(cache=False)
-def _injection_round_indices_jit(offsets):  # pragma: no cover - numba leg only
-    out = np.empty(offsets.shape[0] - 1, dtype=np.int64)
-    m = 0
-    for r in range(offsets.shape[0] - 1):
-        if offsets[r + 1] > offsets[r]:
-            out[m] = r
-            m += 1
-    return out[:m]
-
-
-def _injection_round_indices_np(offsets: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(offsets[1:] > offsets[:-1])
 
 
 def injection_round_indices(offsets: np.ndarray) -> np.ndarray:
@@ -86,32 +25,22 @@ def injection_round_indices(offsets: np.ndarray) -> np.ndarray:
 
     ``offsets`` is an injection plan's CSR-style offset array
     (``len == rounds + 1``); round ``r`` carries injections iff
-    ``offsets[r + 1] > offsets[r]``.  This is the scan behind the block
-    and kernel engines' quiescent-span probes: jitted (single pass, no
-    temporaries) when numba is available, vectorised numpy otherwise.
+    ``offsets[r + 1] > offsets[r]``.  This is the scan behind the
+    engine loop's quiescent-span probes.
     """
-    if HAVE_NUMBA:
-        return _injection_round_indices_jit(offsets)
-    return _injection_round_indices_np(offsets)
+    return np.flatnonzero(offsets[1:] > offsets[:-1])
 
 
-@maybe_jit(cache=False)
-def _segment_round_totals_jit(  # pragma: no cover - numba leg only
-    delta_offsets, delta_values, initial_total
-):
-    rounds = delta_offsets.shape[0] - 1
-    out = np.empty(rounds, dtype=np.int64)
-    total = initial_total
-    for r in range(rounds):
-        for k in range(delta_offsets[r], delta_offsets[r + 1]):
-            total += delta_values[k]
-        out[r] = total
-    return out
-
-
-def _segment_round_totals_np(
+def segment_round_totals(
     delta_offsets: np.ndarray, delta_values: np.ndarray, initial_total: int
 ) -> np.ndarray:
+    """End-of-round total queue lengths of a lowered segment.
+
+    ``delta_offsets``/``delta_values`` are the segment's queue-delta CSR
+    (one row per round); the result is the running total starting from
+    ``initial_total``, one entry per round — exactly the slice the engine
+    loop appends to ``MetricsCollector.total_queue_series``.
+    """
     # Row sums via prefix-sum differences: ``np.add.reduceat`` returns
     # ``operand[idx]`` for empty CSR rows, which silent rounds hit
     # constantly, so the cumsum-diff form is the correct vectorisation.
@@ -122,40 +51,20 @@ def _segment_round_totals_np(
     return np.cumsum(per_round, dtype=np.int64) + initial_total
 
 
-def segment_round_totals(
-    delta_offsets: np.ndarray, delta_values: np.ndarray, initial_total: int
-) -> np.ndarray:
-    """End-of-round total queue lengths of a lowered segment.
-
-    ``delta_offsets``/``delta_values`` are the segment's queue-delta CSR
-    (one row per round); the result is the running total starting from
-    ``initial_total``, one entry per round — exactly the slice the block
-    engine appends to ``MetricsCollector.total_queue_series``.
-    """
-    if HAVE_NUMBA:
-        return _segment_round_totals_jit(
-            delta_offsets, delta_values, np.int64(initial_total)
-        )
-    return _segment_round_totals_np(delta_offsets, delta_values, initial_total)
-
-
-@maybe_jit(cache=False)
-def _per_station_flow_jit(  # pragma: no cover - numba leg only
-    delta_stations, delta_values, base_sizes
-):
-    sizes = base_sizes.copy()
-    peaks = base_sizes.copy()
-    for k in range(delta_stations.shape[0]):
-        s = delta_stations[k]
-        sizes[s] += delta_values[k]
-        if sizes[s] > peaks[s]:
-            peaks[s] = sizes[s]
-    return sizes, peaks
-
-
-def _per_station_flow_np(
+def per_station_flow(
     delta_stations: np.ndarray, delta_values: np.ndarray, base_sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a lowered segment's queue-delta CSR into per-station flows.
+
+    Starting from ``base_sizes`` (length-n int64, the queue sizes at
+    segment start), returns ``(sizes, peaks)``: the per-station sizes
+    after applying every delta in order, and the running per-station
+    maxima along the way (initialised at the base, so ``peaks >=
+    base_sizes`` elementwise).  Because the CSR carries at most one net
+    entry per station per round, the entry-level running values are
+    exactly the end-of-round sizes the per-round steps poll — which is
+    what makes the peaks usable for ``per_station_max_queue``.
+    """
     sizes = base_sizes.copy()
     peaks = base_sizes.copy()
     m = delta_stations.shape[0]
@@ -186,40 +95,6 @@ def _per_station_flow_np(
     return sizes, peaks
 
 
-def per_station_flow(
-    delta_stations: np.ndarray, delta_values: np.ndarray, base_sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a lowered segment's queue-delta CSR into per-station flows.
-
-    Starting from ``base_sizes`` (length-n int64, the queue sizes at
-    segment start), returns ``(sizes, peaks)``: the per-station sizes
-    after applying every delta in order, and the running per-station
-    maxima along the way (initialised at the base, so ``peaks >=
-    base_sizes`` elementwise).  Because the CSR carries at most one net
-    entry per station per round, the entry-level running values are
-    exactly the end-of-round sizes the per-round engines poll — which is
-    what makes the peaks usable for ``per_station_max_queue``.
-    """
-    if HAVE_NUMBA:
-        return _per_station_flow_jit(delta_stations, delta_values, base_sizes)
-    return _per_station_flow_np(delta_stations, delta_values, base_sizes)
-
-
-@maybe_jit(cache=False)
-def _count_transmitting_jit(transmitters):  # pragma: no cover - numba leg only
-    m = 0
-    for k in range(transmitters.shape[0]):
-        if transmitters[k] >= 0:
-            m += 1
-    return m
-
-
-def _count_transmitting_np(transmitters: np.ndarray) -> int:
-    return int(np.count_nonzero(transmitters >= 0))
-
-
 def count_transmitting(transmitters: np.ndarray) -> int:
     """Number of heard rounds in a lowered segment's transmitter array."""
-    if HAVE_NUMBA:
-        return int(_count_transmitting_jit(transmitters))
-    return _count_transmitting_np(transmitters)
+    return int(np.count_nonzero(transmitters >= 0))

@@ -1,4 +1,4 @@
-"""Capability-negotiated fast simulation loop.
+"""The kernel and block engines' simulation loop.
 
 :class:`KernelEngine` runs the exact channel semantics of
 :class:`~repro.channel.engine.RoundEngine` — same arbitration, delivery
@@ -48,6 +48,27 @@ actually need:
   flushed as batch appends.  In the paper's regime of interest (injection
   rate ρ < 1) most rounds of a stable execution are quiescent, so this is
   what moves low-rate runs from O(rounds) toward O(busy rounds).
+* **Compiled blocks** — on a :class:`~repro.channel.block.BlockEngine`
+  that negotiated a shared :class:`~repro.core.blocks.RoundBlockDriver`,
+  a chunk the driver accepts runs single-transmitter steps: only the
+  driver's named transmitter acts, the driver applies the round's
+  feedback effects to every awake station directly, and only the
+  stations it reports changed are re-polled.  Inside such chunks the
+  always-on token rings (RRW, OF-RRW, MBTF) may also prove whole spans in
+  closed form, planned injections included, and export them as
+  :class:`~repro.core.blocks.LoweredSegment` arrays that the numpy
+  kernels of :mod:`repro._accel` flush without per-round Python.
+  Lowering runs only on the cap-safe static tier, whose series supplies
+  the span's energy counts, and the span's packets are created (in plan
+  order, so ids match) only after the driver returns a segment.
+
+:meth:`KernelEngine.run` advances one injection-plan chunk at a time, and
+every chunk goes through one loop, :meth:`KernelEngine._run_rounds`.  A
+chunk a driver accepts runs the single-transmitter steps; every other
+chunk (no driver, a declined block, an ineligible run) runs the fan-out
+steps, where every awake station acts and hears feedback.  Injections,
+wakes and energy, quiescent elision, the series appends and the
+exception-safe fold are written once for both.
 
 Per-round :class:`~repro.channel.feedback.Feedback` allocation is
 eliminated through a :class:`~repro.channel.feedback.FeedbackPool`:
@@ -57,8 +78,8 @@ controller that retains feedback is never surprised).
 
 The kernel allocates no per-round event objects and therefore cannot
 record traces — tracing (and any need for the fully observable, checked
-loop) is what :class:`RoundEngine` remains for.  A property test asserts
-that both loops produce identical summaries on random run specs; the
+loop) is what :class:`RoundEngine` remains for.  Property tests assert
+that every engine produces identical summaries on random run specs; the
 reference loop is the oracle.
 """
 
@@ -69,6 +90,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .._accel import count_transmitting, per_station_flow, segment_round_totals
 from .energy import EnergyCapViolation, EnergyMonitor
 from .engine import (
     AdversaryView,
@@ -84,10 +106,17 @@ from .station import StationController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..adversary.base import Adversary, InjectionPlan
+    from ..core.blocks import LoweredSegment, RoundBlockDriver
     from ..core.schedule import ObliviousSchedule, WakeOracle
     from ..metrics.collector import MetricsCollector
 
 __all__ = ["KernelEngine"]
+
+#: Rounds to wait before re-asking a driver to lower after it returned
+#: None.  Lowering probes are cheap but not free (a bisect plus the
+#: driver's own eligibility scan), so a driver stuck in a non-lowerable
+#: regime is only re-polled every few rounds.
+_LOWER_PROBE_BACKOFF = 16
 
 
 class KernelEngine:
@@ -105,6 +134,12 @@ class KernelEngine:
         schedule *is* that declaration, and the kernel-vs-reference
         property test cross-checks it).
     """
+
+    #: Whether :meth:`run` negotiates compiled blocks with a shared driver
+    #: (set by :class:`~repro.channel.block.BlockEngine`).
+    compiles_blocks = False
+    #: The negotiated block driver; None runs every chunk fanned out.
+    _driver: "RoundBlockDriver | None" = None
 
     def __init__(
         self,
@@ -301,39 +336,9 @@ class KernelEngine:
             "quiescent_rounds_elided": self.quiescent_rounds_elided,
         }
 
-    # -- chunked plan management (shared with the block engine) ---------------
-    def _next_plan(self, t: int, stop: int) -> "InjectionPlan":
-        """The injection plan covering round ``t``, fetching if necessary.
-
-        Replays the cached remainder of an aborted chunk when one covers
-        ``t`` — the adversary's leaky-bucket budget for those rounds is
-        already consumed, so re-planning would inject the wrong packets.
-        Otherwise fetches and validates a fresh plan for ``[t, stop)``
-        and caches it for exactly that replay contingency.
-        """
-        plan = self._plan_state
-        if plan is not None and plan.start <= t < plan.stop:
-            return plan
-        plan = self.adversary.plan_injections(t, stop)
-        plan.validate(self.n)
-        self._plan_state = plan
-        return plan
-
-    # -- span and end-of-run bookkeeping (shared with the block engine) -------
-    def _static_counts(self, start: int, stop: int) -> list[int] | None:
-        """Awake counts of rounds ``[start, stop)`` on the cap-safe static tier.
-
-        None off that tier (or for an empty window): the loop then
-        accounts energy per round.  The loops flush the list in one
-        batch through :meth:`_fold_run`.
-        """
-        counts = self._period_counts
-        if counts is None or stop <= start:
-            return None
-        return counts[np.arange(start, stop, dtype=np.int64) % len(counts)].tolist()
-
+    # -- quiescent spans and lowered segments --------------------------------
     def _elide_quiescent_span(
-        self, t: int, stop: int, plan: "InjectionPlan", hook=None
+        self, t: int, stop: int, plan: "InjectionPlan", hook
     ) -> int:
         """Elide the silent span starting at round ``t``; return its end.
 
@@ -344,9 +349,9 @@ class KernelEngine:
         ``advance_span``) keeps private canonical state current, the
         ticked tier's oracle jumps via ``advance_span``, and the span's
         energy counts and flat queue series are flushed as batch
-        appends.  On the cap-safe static tier the caller's
-        :meth:`_static_counts` list already holds the span's energy
-        counts.
+        appends (the caller's fold adds the counts to the monitor's
+        totals).  On the cap-safe static tier the caller's static count
+        list already holds the span's energy counts.
 
         Returns ``t`` when nothing was elided: an injection lands at
         ``t``, or the oracle's span counts are missing or break the cap.
@@ -379,73 +384,130 @@ class KernelEngine:
         if span_counts is not None:
             oracle.advance_span(t, span_end)
             span_ints = span_counts.tolist()
-            self.energy.observe_span(span_ints)
+            self.energy.per_round.extend(span_ints)
             self.collector.energy_series.extend(span_ints)
         self.collector.record_queue_span(0, span_end - t)
         self.quiescent_rounds_elided += span_end - t
         return span_end
 
-    def _fold_run(
+    def _flush_segment(
         self,
-        rounds_done: int,
+        seg: "LoweredSegment",
+        plan: "InjectionPlan",
+        queue_sizes: list[int],
         total_queue: int,
-        outcomes: tuple[int, int, int],
-        counts_list: list[int] | None,
-        energized: int,
-        station_rounds: int,
-        peak_awake: int,
-    ) -> None:
-        """Reconcile one loop call's locals with the engine, collector and monitor.
+    ) -> int:
+        """Apply lowered segment ``seg`` in bulk; return the new total queue.
 
-        Runs in the loops' ``finally`` blocks, so after an exception the
-        aggregate counters match what the reference loop would have
-        recorded up to the failing round.  ``outcomes`` are the SILENCE,
-        HEARD and COLLISION counts.  ``counts_list`` is the cap-safe
-        static series: the energy monitor takes it up to the last round
-        that reached step 2 (``energized``), the collector up to the last
-        completed round — exactly what per-round appends would have
-        recorded.  The quiescent-span path folds its own energy through
-        :meth:`EnergyMonitor.observe_span`; ``station_rounds`` and
-        ``peak_awake`` cover the per-round appends (per-call
-        accumulators: recomputing sum/max over the monitor's whole
-        history per call would be quadratic across many short blocks).
+        Flushes the span's total-queue series and per-station sizes and
+        maxima from the segment's queue-delta CSR, then materialises the
+        span's planned injections in plan order (so packet ids match the
+        per-round path), resolves the plan-index delivery references
+        against them and commits the driver's state.  Outcome counts and
+        energy are the caller's.
         """
         collector = self.collector
-        energy = self.energy
-        self.round_no += rounds_done
-        self._total_queue = total_queue
-        if self._plan_state is not None and self.round_no >= self._plan_state.stop:
-            # The cached plan is fully consumed; only aborted runs leave
-            # a remainder for the next call to replay.
-            self._plan_state = None
-        if counts_list is not None:
-            flushed = counts_list[:energized]
-            energy.per_round.extend(flushed)
-            station_rounds += sum(flushed)
-            if flushed:
-                peak_awake = max(peak_awake, max(flushed))
-            collector.record_energy_series(counts_list[:rounds_done])
-        collector.rounds_observed += rounds_done
-        counts = collector.outcome_counts
-        for outcome, count in zip(
-            (ChannelOutcome.SILENCE, ChannelOutcome.HEARD, ChannelOutcome.COLLISION),
-            outcomes,
-        ):
-            if count:
-                counts[outcome] = counts.get(outcome, 0) + count
-        energy.total_station_rounds += station_rounds
-        if peak_awake > energy.max_awake:
-            energy.max_awake = peak_awake
+        values = seg.delta_values
+        totals = segment_round_totals(seg.delta_offsets, values, total_queue)
+        collector.record_round_totals(totals.tolist())
+        if values.shape[0]:
+            per_station_max = collector.per_station_max_queue
+            base = np.asarray(queue_sizes, dtype=np.int64)
+            sizes, peaks = per_station_flow(seg.delta_stations, values, base)
+            for i in np.unique(seg.delta_stations).tolist():
+                queue_sizes[i] = int(sizes[i])
+                if peaks[i] > per_station_max[i]:
+                    per_station_max[i] = int(peaks[i])
+            total_queue = int(totals[-1])
+        make = self.adversary.factory.make
+        record_injection = collector.record_injection
+        offsets = plan.offsets
+        base_round = plan.start
+        j0 = offsets[seg.start - base_round]
+        packets: list = []
+        if offsets[seg.stop - base_round] > j0:
+            rounds = plan.injection_rounds()
+            for pos in range(bisect_left(rounds, seg.start), len(rounds)):
+                r = rounds[pos]
+                if r >= seg.stop:
+                    break
+                rel = r - base_round
+                for j in range(offsets[rel], offsets[rel + 1]):
+                    packet = make(
+                        destination=plan.destinations[j],
+                        injected_at=r,
+                        origin=plan.sources[j],
+                    )
+                    record_injection(packet, r)
+                    packets.append(packet)
+        for rnd, delivered in seg.deliveries:
+            if type(delivered) is int:
+                delivered = packets[delivered - j0]
+            collector.record_delivery(delivered, delivered.destination, rnd)
+        seg.commit(packets)
+        return total_queue
 
     # -- main loop ------------------------------------------------------------
     def run(self, rounds: int) -> None:
-        """Simulate ``rounds`` further rounds.
+        """Simulate ``rounds`` further rounds, one chunk at a time.
 
-        The loop body keeps every per-round quantity in locals and flushes
+        Chunks follow the injection plan: ``plan_chunk`` rounds each, the
+        cached remainder of a chunk an aborted call left behind is
+        replayed whole, and a compiling engine's driver may cut a chunk
+        short at a phase boundary (``propose_stop``).  A chunk the driver
+        accepts runs the single-transmitter steps; every other chunk runs
+        the fan-out steps.  Both go through :meth:`_run_rounds`.
+        """
+        driver = self._driver
+        if driver is None and self.compiles_blocks:
+            self.blocks_fallback += 1
+        chunk = self.config.plan_chunk
+        end = self.round_no + rounds
+        while self.round_no < end:
+            start = self.round_no
+            stop = min(start + chunk, end)
+            plan = self._plan_state
+            if plan is not None and plan.start <= start < plan.stop:
+                # Replay the cached remainder of a chunk an aborted call
+                # left behind: its leaky-bucket budget is already spent,
+                # so re-planning would inject the wrong packets.
+                stop = min(plan.stop, end)
+            if driver is None:
+                self._run_rounds(start, stop, None)
+                continue
+            # A declined adaptive phase becomes its own short chunk
+            # instead of dragging a compilable neighbour down with it.
+            proposed = driver.propose_stop(start, stop)
+            if start < proposed < stop:
+                stop = proposed
+            driver.decline_reason = None
+            if driver.begin_block(start, stop):
+                self.blocks_compiled += 1
+                try:
+                    self._run_rounds(start, stop, driver)
+                finally:
+                    driver.end_block(self.round_no)
+            else:
+                self.blocks_fallback += 1
+                reason = driver.decline_reason or "declined without a reason"
+                self.block_decline_reasons[reason] = (
+                    self.block_decline_reasons.get(reason, 0) + 1
+                )
+                self._run_rounds(start, stop, None)
+
+    def _run_rounds(
+        self, start: int, stop: int, driver: "RoundBlockDriver | None"
+    ) -> None:
+        """Simulate rounds ``[start, stop)``, all inside one plan chunk.
+
+        With ``driver`` (a block it accepted) only the driver's named
+        transmitter acts and the driver applies the round's feedback
+        effects; without, every awake station acts and hears feedback.
+        The loop keeps every per-round quantity in locals and flushes the
         aggregate counters (energy totals, outcome counts, rounds
         observed) once at the end — also on exceptions, so partial state
-        stays consistent with what the reference loop would have recorded
-        up to the failing round.
+        stays consistent with what the reference loop would have
+        recorded up to the failing round.
         """
         controllers = self.controllers
         adversary = self.adversary
@@ -464,7 +526,6 @@ class KernelEngine:
         scheduled_view = self._scheduled_view
         observe_scheduled = view.observe_scheduled if scheduled_view else None
         planned = self._planned_injections
-        chunk = config.plan_chunk
         # An unbound adversary has no factory; the first plan_injections
         # call raises the same RuntimeError inject() would, before this
         # None could be used.
@@ -484,6 +545,7 @@ class KernelEngine:
         poll = self._poll
         inject_into = self._inject_into
         record_injection = collector.record_injection
+        record_delivery = collector.record_delivery
         inject = adversary.inject
         silence_capable = self._silence_capable
         pool = self._feedback_pool
@@ -503,52 +565,73 @@ class KernelEngine:
         collision = ChannelOutcome.COLLISION
         n_silence = n_heard = n_collision = 0
         rounds_done = 0
-        # Per-call energy accumulators, folded in by _fold_run.
-        run_station_rounds = 0
-        run_peak_awake = 0
+        # The monitor's totals are folded in by the finally block from
+        # the chunk's slice of its per-round series.
+        energy_mark = len(energy_per_round)
         # Vectorised energy bookkeeping (schedule fast path, cap-safe):
-        # the whole run's awake counts are materialised once from the
-        # per-period numpy series and flushed by _fold_run.
+        # the chunk's awake counts are materialised once from the
+        # per-period numpy series and flushed by the finally block.
         # ``energized`` mirrors the reference loop's accounting point
         # (step 2): the round that raises after it still has its count
         # recorded in the energy monitor, but not in the collector.
-        counts_list = self._static_counts(self.round_no, self.round_no + rounds)
+        counts_list = None
+        if self._period_counts is not None:
+            counts = self._period_counts
+            counts_list = counts[
+                np.arange(start, stop, dtype=np.int64) % len(counts)
+            ].tolist()
         energized = 0
 
-        # Chunked machinery: injection plans are fetched (and the
-        # schedule-backed view's history ring refreshed) every ``chunk``
-        # rounds.  ``next_chunk`` is the first round of the next chunk;
-        # it starts at the current round so the first loop iteration pulls
-        # a plan through _next_plan — which transparently replays the
-        # cached remainder of a chunk an earlier run() aborted inside.
-        end = self.round_no + rounds
-        next_chunk = self.round_no
+        compiled = driver is not None
+        span_hook = None
+        lowering = False
+        if compiled:
+            transmitter = driver.transmitter
+            silent_round = driver.silent_round
+            heard_round = driver.heard_round
+            lower_segment = driver.lower_segment
+            span_hook = driver.advance_span
+            period_member = self._period_member
+            act_unconditional = self._act_unconditional
+            # Lowered segments flush their energy from the cap-safe static
+            # series (without it the per-round steps own the cap accounting
+            # and must raise at the exact violating round).  They also skip
+            # per-message validation, so checked configurations keep the
+            # per-round steps, where check_message runs for every message.
+            lowering = (
+                self.lowering_enabled
+                and counts_list is not None
+                and not checked_messages
+            )
+        next_probe = start
         no_injections: tuple = ()
-        plan: "InjectionPlan | None" = None
-        plan_offsets: list[int] = []
-        plan_sources: list[int] = []
-        plan_destinations: list[int] = []
-        plan_base = 0
+        if planned:
+            plan = self._plan_state
+            if plan is None or not plan.start <= start < plan.stop:
+                # Fetch, validate and cache a fresh plan for the chunk;
+                # the cache is what an aborted chunk replays from.
+                plan = adversary.plan_injections(start, stop)
+                plan.validate(n)
+                self._plan_state = plan
+            plan_offsets = plan.offsets
+            plan_sources = plan.sources
+            plan_destinations = plan.destinations
+            plan_base = plan.start
 
         try:
-            t = self.round_no
-            while t < end:
+            t = start
+            while t < stop:
                 # 1. Adversarial injections (stations receive packets even
                 #    when off).  Planning adversaries are consumed as
-                #    chunked array slices; everyone else through the
-                #    per-round inject() fallback.
+                #    array slices of the chunk's plan; everyone else
+                #    through the per-round inject() fallback.
                 if planned:
-                    if t == next_chunk:
-                        plan = self._next_plan(t, min(t + chunk, end))
-                        plan_offsets = plan.offsets
-                        plan_sources = plan.sources
-                        plan_destinations = plan.destinations
-                        plan_base = plan.start
-                        next_chunk = plan.stop
                     if silence_capable and total_queue == 0:
                         # Quiescent-span fast path: elide every silent
                         # round up to the chunk's next injection at once.
-                        span_end = self._elide_quiescent_span(t, end, plan)
+                        span_end = self._elide_quiescent_span(
+                            t, stop, plan, span_hook
+                        )
                         if span_end > t:
                             span = span_end - t
                             if counts_list is not None:
@@ -558,6 +641,32 @@ class KernelEngine:
                             t = span_end
                             continue
                         silence_capable = self._silence_capable
+                    if lowering and t >= next_probe:
+                        # Segment lowering: the driver proves a span —
+                        # planned injections included — in closed form.
+                        # A driver answering None is re-probed later.
+                        seg = lower_segment(t, stop, plan)
+                        if seg is None:
+                            next_probe = t + _LOWER_PROBE_BACKOFF
+                        elif seg.start != t or not t < seg.stop <= stop:
+                            raise ValueError(
+                                f"driver lowered [{seg.start}, {seg.stop}) "
+                                f"for requested span [{t}, {stop})"
+                            )
+                        else:
+                            total_queue = self._flush_segment(
+                                seg, plan, queue_sizes, total_queue
+                            )
+                            span = seg.stop - t
+                            heard = count_transmitting(seg.transmitters)
+                            n_heard += heard
+                            n_silence += span - heard
+                            energized += span
+                            rounds_done += span
+                            self.lowered_segments += 1
+                            self.lowered_rounds += span
+                            t = next_probe = seg.stop
+                            continue
                     rel = t - plan_base
                     lo = plan_offsets[rel]
                     hi = plan_offsets[rel + 1]
@@ -578,9 +687,6 @@ class KernelEngine:
                 else:
                     if observe_view:
                         view.round_no = t
-                        if scheduled_view and t == next_chunk:
-                            view.flush_window()
-                            next_chunk = t + chunk
                     injections = inject(t, view)
                     for station, packet in injections:
                         if not 0 <= station < n:
@@ -595,124 +701,147 @@ class KernelEngine:
                         inject_into[station](t, packet)
                         record_injection(packet, t)
 
-                # 2. On/off decisions and energy accounting.
-                if period is not None:
-                    awake = period[t % period_len]
-                    if counts_list is not None:
-                        energized += 1
-                    else:
-                        awake_count = len(awake)
-                        energy_per_round.append(awake_count)
-                        run_station_rounds += awake_count
-                        if awake_count > run_peak_awake:
-                            run_peak_awake = awake_count
-                        if cap is not None and awake_count > cap:
-                            energy.violations += 1
-                            if enforce_cap:
-                                raise EnergyCapViolation(t, awake_count, cap)
+                # 2. On/off decisions and energy accounting.  Compiled
+                #    steps on the static tier test awakeness through the
+                #    period's membership matrix and need no awake tuple.
+                if counts_list is not None:
+                    energized += 1
+                    if not compiled:
+                        awake = period[t % period_len]
                 else:
                     if oracle_tick is not None:
                         oracle_tick(t)
                         awake = oracle_awake(t)
+                    elif period is not None:
+                        awake = period[t % period_len]
                     else:
                         awake = tuple(
                             i for i, ctrl in enumerate(controllers) if ctrl.wakes(t)
                         )
                     awake_count = len(awake)
                     energy_per_round.append(awake_count)
-                    run_station_rounds += awake_count
-                    if awake_count > run_peak_awake:
-                        run_peak_awake = awake_count
                     if cap is not None and awake_count > cap:
                         energy.violations += 1
                         if enforce_cap:
                             raise EnergyCapViolation(t, awake_count, cap)
 
-                # 3. Awake stations act, 4. channel arbitration (fused).
-                transmissions = 0
-                heard: Message | None = None
-                for i in awake:
-                    message = act[i](t)
+                if compiled:
+                    # 3+4. Single-candidate act and arbitration: only the
+                    #      token holder may transmit, and an empty holder
+                    #      provably withholds — unless an injection landed
+                    #      this round (queue_sizes is polled post-round),
+                    #      or the driver waived the silence invariant
+                    #      (beaconing algorithms transmit with empty queues).
+                    s = transmitter(t)
+                    message: Message | None = None
+                    if s >= 0 and (
+                        act_unconditional or queue_sizes[s] > 0 or injections
+                    ):
+                        message = act[s](t)
+                    # 5+6. Delivery bookkeeping and feedback effects,
+                    #      applied directly by the driver.
                     if message is None:
-                        continue
-                    if message.sender != i:
-                        raise ValueError(
-                            f"station {i} transmitted a message claiming sender "
-                            f"{message.sender}"
-                        )
-                    if checked_messages:
-                        check_message(config, i, message)
-                    transmissions += 1
-                    heard = message if transmissions == 1 else None
-                if transmissions == 0:
-                    outcome = silence
-                    n_silence += 1
-                elif transmissions == 1:
-                    outcome = heard_outcome
-                    n_heard += 1
+                        n_silence += 1
+                        silent_round(t)
+                        changed: tuple[int, ...] = ()
+                    else:
+                        if message.sender != s:
+                            raise ValueError(
+                                f"station {s} transmitted a message claiming "
+                                f"sender {message.sender}"
+                            )
+                        if checked_messages:
+                            check_message(config, s, message)
+                        n_heard += 1
+                        packet = message.packet
+                        if packet is not None:
+                            destination = packet.destination
+                            if (
+                                period_member[t % period_len, destination]
+                                if period_member is not None
+                                else destination in awake
+                            ):
+                                record_delivery(packet, destination, t)
+                        changed = heard_round(t, s, message)
                 else:
-                    outcome = collision
-                    n_collision += 1
+                    # 3. Awake stations act, 4. channel arbitration (fused).
+                    transmissions = 0
+                    heard: Message | None = None
+                    for i in awake:
+                        message = act[i](t)
+                        if message is None:
+                            continue
+                        if message.sender != i:
+                            raise ValueError(
+                                f"station {i} transmitted a message claiming "
+                                f"sender {message.sender}"
+                            )
+                        if checked_messages:
+                            check_message(config, i, message)
+                        transmissions += 1
+                        heard = message if transmissions == 1 else None
+                    if transmissions == 0:
+                        outcome = silence
+                        n_silence += 1
+                    elif transmissions == 1:
+                        outcome = heard_outcome
+                        n_heard += 1
+                    else:
+                        outcome = collision
+                        n_collision += 1
 
-                # 5. Delivery bookkeeping.
-                delivered = False
-                if (
-                    heard is not None
-                    and heard.packet is not None
-                    and heard.packet.destination in awake
-                ):
-                    delivered = True
-                    collector.record_delivery(
-                        heard.packet, heard.packet.destination, t
+                    # 5. Delivery bookkeeping.
+                    delivered = False
+                    if (
+                        heard is not None
+                        and heard.packet is not None
+                        and heard.packet.destination in awake
+                    ):
+                        delivered = True
+                        record_delivery(heard.packet, heard.packet.destination, t)
+
+                    # 6. Feedback to awake stations (pooled: silence and
+                    #    collision rounds share interned singletons, heard
+                    #    rounds recycle one instance).
+                    if outcome is heard_outcome:
+                        feedback = pool_heard(t, heard, delivered)
+                    elif outcome is silence:
+                        feedback = silence_feedback
+                    else:
+                        feedback = collision_feedback
+                    for i in awake:
+                        give_feedback[i](t, feedback)
+                    # Drop the loop's reference so the pool sees itself as
+                    # the sole owner next round and can recycle the instance.
+                    feedback = None
+                    # Heard-only capability: only a heard round can change
+                    # an awake queue other than through an injection.
+                    changed = (
+                        awake
+                        if outcome is heard_outcome or not heard_only_polls
+                        else ()
                     )
 
-                # 6. Feedback to awake stations (pooled: silence/collision
-                #    rounds share interned singletons, heard rounds recycle
-                #    one instance).
-                if outcome is heard_outcome:
-                    feedback = pool_heard(t, heard, delivered)
-                elif outcome is silence:
-                    feedback = silence_feedback
-                else:
-                    feedback = collision_feedback
-                for i in awake:
-                    give_feedback[i](t, feedback)
-                # Drop the loop's reference so the pool sees itself as the
-                # sole owner next round and can recycle the instance.
-                feedback = None
-
-                # 7. Metrics: queue sizes after the round.
+                # 7. Metrics: queue sizes after the round.  Incremental runs
+                #    re-poll only stations whose queues can have changed:
+                #    this round's injectees plus ``changed`` (polls are
+                #    pure reads, so a station polled twice is harmless).
                 if incremental:
-                    for station, _ in injections:
-                        if station not in awake:
+                    if injections:
+                        for station, _ in injections:
                             size = poll[station]()
                             if size != queue_sizes[station]:
                                 total_queue += size - queue_sizes[station]
                                 queue_sizes[station] = size
                                 if size > per_station_max[station]:
                                     per_station_max[station] = size
-                    if outcome is heard_outcome or not heard_only_polls:
-                        for i in awake:
-                            size = poll[i]()
-                            if size != queue_sizes[i]:
-                                total_queue += size - queue_sizes[i]
-                                queue_sizes[i] = size
-                                if size > per_station_max[i]:
-                                    per_station_max[i] = size
-                    elif injections:
-                        # Heard-only capability: silent/collision rounds can
-                        # still grow awake queues via injections.
-                        for station, _ in injections:
-                            if station in awake:
-                                size = poll[station]()
-                                if size != queue_sizes[station]:
-                                    total_queue += size - queue_sizes[station]
-                                    queue_sizes[station] = size
-                                    if size > per_station_max[station]:
-                                        per_station_max[station] = size
-                    total_queue_series.append(total_queue)
-                    if counts_list is None:
-                        energy_series.append(awake_count)
+                    for i in changed:
+                        size = poll[i]()
+                        if size != queue_sizes[i]:
+                            total_queue += size - queue_sizes[i]
+                            queue_sizes[i] = size
+                            if size > per_station_max[i]:
+                                per_station_max[i] = size
                 else:
                     queue_sizes = [p() for p in poll]
                     total_queue = sum(queue_sizes)
@@ -721,15 +850,16 @@ class KernelEngine:
                     for i, size in enumerate(queue_sizes):
                         if size > per_station_max[i]:
                             per_station_max[i] = size
-                    total_queue_series.append(total_queue)
-                    if counts_list is None:
-                        energy_series.append(awake_count)
+                total_queue_series.append(total_queue)
+                if counts_list is None:
+                    energy_series.append(awake_count)
                 rounds_done += 1
 
                 # 8. Adversary view update (skipped for oblivious
-                #    adversaries; O(1) on the schedule-backed path, where
-                #    awake-derived state comes from the period series and
-                #    the live size list is aliased rather than copied).
+                #    adversaries, which every compiled block has; O(1) on
+                #    the schedule-backed path, where awake-derived state
+                #    comes from the period series and the live size list
+                #    is aliased rather than copied).
                 if observe_view:
                     if scheduled_view:
                         observe_scheduled(
@@ -741,18 +871,39 @@ class KernelEngine:
                         )
                 t += 1
         finally:
+            # Reconcile the chunk's locals with the engine, collector and
+            # monitor, so that after an exception the aggregate counters
+            # match what the reference loop would have recorded up to
+            # the failing round.
             self._queue_sizes = queue_sizes
+            self._total_queue = total_queue
+            self.round_no += rounds_done
+            if self._plan_state is not None and self.round_no >= self._plan_state.stop:
+                # The cached plan is fully consumed; only aborted chunks
+                # leave a remainder for the next call to replay.
+                self._plan_state = None
             if scheduled_view:
-                # Bring the lazily maintained history ring current so
-                # post-run inspection sees the same window the
-                # incremental path would have left behind.
+                # Bring the lazily maintained history ring current once
+                # per chunk; the view's queries are exact between flushes.
                 view.flush_window()
-            self._fold_run(
-                rounds_done,
-                total_queue,
-                (n_silence, n_heard, n_collision),
-                counts_list,
-                energized,
-                run_station_rounds,
-                run_peak_awake,
-            )
+            if counts_list is not None:
+                # The monitor takes the static series up to the last round
+                # that reached step 2, the collector up to the last
+                # completed round.
+                energy_per_round.extend(counts_list[:energized])
+                collector.record_energy_series(counts_list[:rounds_done])
+            chunk_counts = energy_per_round[energy_mark:]
+            if chunk_counts:
+                energy.total_station_rounds += sum(chunk_counts)
+                peak = max(chunk_counts)
+                if peak > energy.max_awake:
+                    energy.max_awake = peak
+            collector.rounds_observed += rounds_done
+            outcome_counts = collector.outcome_counts
+            for outcome, count in (
+                (silence, n_silence),
+                (heard_outcome, n_heard),
+                (collision, n_collision),
+            ):
+                if count:
+                    outcome_counts[outcome] = outcome_counts.get(outcome, 0) + count

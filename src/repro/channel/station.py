@@ -110,8 +110,8 @@ class StationController(abc.ABC):
     #: algorithms whose rounds can be compiled by the block engine (at
     #: most one candidate transmitter per round); ``None`` otherwise.
     #: Every controller of a run must reference the *same* driver object —
-    #: the block engine treats a mismatch as "no driver" and falls back to
-    #: the kernel's per-round loop.
+    #: the block engine treats a mismatch as "no driver" and runs every
+    #: chunk through the loop's fan-out steps.
     block_driver = None
 
     def advance_silent_span(self, start: int, stop: int) -> None:

@@ -13,9 +13,10 @@ mutations.
 Algorithms opt in by attaching one shared driver instance to every
 controller (``ctrl.block_driver``) from their ``build_controllers``.  The
 :class:`~repro.channel.block.BlockEngine` negotiates for the driver at
-construction time and falls back to the kernel's per-round loop — per
-block, never for the whole run — whenever a driver is absent or declines
-a block.
+construction time.  The engine loop then offers it every plan chunk as a
+block: an accepted block runs the loop's single-transmitter steps, and
+a declined one — or every chunk, when no driver was negotiated — runs
+the fan-out steps, where every awake station acts and hears feedback.
 
 Contract (all rounds ``t`` are absolute round numbers):
 
@@ -35,7 +36,7 @@ Contract (all rounds ``t`` are absolute round numbers):
   additionally *lower* it: :meth:`~RoundBlockDriver.lower_segment`
   exports the span as a :class:`LoweredSegment` (transmitter ids,
   per-round queue-delta CSR, deliveries, a ``commit`` callback) and the
-  engine replays it with vectorised kernels from :mod:`repro._accel`
+  engine flushes it with the numpy kernels of :mod:`repro._accel`
   instead of round-at-a-time Python.  Returning ``None`` is always safe —
   the engine falls back to the per-round protocol and probes again later.
   The engine only asks on the cap-safe static wake tier (RRW, OF-RRW and
@@ -160,8 +161,8 @@ class RoundBlockDriver(abc.ABC):
     def begin_block(self, start: int, stop: int) -> bool:
         """Prepare for rounds ``[start, stop)``; False declines the block.
 
-        Declining is always safe: the engine runs the block through the
-        kernel's per-round loop instead and asks again for the next one.
+        Declining is always safe: the engine runs the block's rounds
+        through the fan-out steps instead and asks again for the next one.
         """
         return True
 

@@ -19,10 +19,10 @@ from ..metrics.summary import RunSummary
 __all__ = ["ENGINE_KINDS", "RunResult", "resolve_engine", "run_simulation", "worst_case_over"]
 
 #: Valid values of the ``engine`` selector: ``"auto"`` picks the block
-#: engine unless the run needs a trace, ``"block"`` forces the compiled
-#: round-block loop (which itself degrades per block to kernel semantics
-#: whenever a capability is missing), ``"kernel"`` forces the
-#: capability-negotiated per-round loop, ``"reference"`` forces the
+#: engine unless the run needs a trace, ``"block"`` forces it (compiled
+#: round blocks where a driver accepts them, the kernel's fan-out steps
+#: everywhere else), ``"kernel"`` forces the capability-negotiated
+#: per-round loop with fan-out steps only, ``"reference"`` forces the
 #: checked oracle loop.  All four produce bit-identical results.
 ENGINE_KINDS = ("auto", "block", "kernel", "reference")
 
@@ -31,8 +31,8 @@ def resolve_engine(engine: str, record_trace: bool) -> str:
     """Resolve the ``engine`` selector to a concrete engine kind.
 
     ``"auto"`` prefers ``"block"``: runs whose components negotiate the
-    block capabilities get compiled blocks, and everything else falls
-    back — per block, inside the engine — to the kernel loop at
+    block capabilities get compiled blocks, and everything else runs
+    the kernel's fan-out steps — per chunk, inside the same loop — at
     negligible cost, so the preference is always safe.  A requested
     trace forces ``"reference"``, the only engine that records one.
     """
@@ -126,11 +126,10 @@ def run_simulation(
         Label stored in the resulting summary; defaults to a description
         of the configuration.
     engine:
-        ``"auto"`` (default) runs the compiled round-block loop unless a
-        trace is requested; ``"block"`` forces that loop explicitly
-        (ineligible runs degrade per block to kernel semantics inside the
-        engine); ``"kernel"`` forces the capability-negotiated per-round
-        loop; ``"reference"`` is the escape hatch forcing the original
+        ``"auto"`` (default) runs the block engine unless a trace is
+        requested; ``"block"`` forces it explicitly (chunks no driver
+        compiles run the kernel's fan-out steps inside the same loop);
+        ``"kernel"`` forces the capability-negotiated per-round loop; ``"reference"`` is the escape hatch forcing the original
         checked loop.  All engines produce bit-identical summaries
         (property-tested).
     full_history:
@@ -151,7 +150,7 @@ def run_simulation(
         drivers prove closed-form spans inside compiled blocks, which
         then execute as array kernels.  Execution-strategy knob like the
         others — results are bit-identical either way; ``False``
-        recovers the strictly per-round block loop for comparison
+        recovers the strictly per-round compiled steps for comparison
         benchmarks.  Ignored by the kernel and reference engines.
     """
     if rounds < 1:

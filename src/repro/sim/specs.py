@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -267,7 +268,7 @@ class RunSpec:
     #: knobs above — results are bit-identical either way
     #: (property-tested) — so it round-trips through :meth:`to_dict`
     #: while staying outside the spec's identity and hash; ``False``
-    #: recovers the strictly per-round block loop for comparison
+    #: recovers the strictly per-round compiled steps for comparison
     #: benchmarks.  Ignored by the kernel and reference engines.
     lowering: bool = True
     #: Deterministic fault-injection stamp (a
@@ -280,6 +281,22 @@ class RunSpec:
     fault_plan: dict | None = None
 
     def __post_init__(self) -> None:
+        # Fail fast on mistyped fields, here rather than inside a worker:
+        # integral fields take ints (numpy ints too, via operator.index)
+        # but not bools, floats or strings, and flags take only bools.
+        for name in ("rounds", "energy_cap", "plan_chunk"):
+            value = getattr(self, name)
+            if value is None and name != "rounds":
+                continue
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("enforce_energy_cap", "record_trace", "quiescence_skip", "lowering"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.engine not in ENGINE_KINDS:
@@ -375,17 +392,17 @@ class RunSpec:
         return cls(
             algorithm=data["algorithm"],
             adversary=adversary,
-            rounds=int(data["rounds"]),
+            rounds=data["rounds"],
             algorithm_params=dict(data.get("algorithm_params") or {}),
             adversary_params=adversary_params,
-            enforce_energy_cap=bool(data.get("enforce_energy_cap", True)),
+            enforce_energy_cap=data.get("enforce_energy_cap", True),
             energy_cap=data.get("energy_cap"),
-            record_trace=bool(data.get("record_trace", False)),
+            record_trace=data.get("record_trace", False),
             label=data.get("label"),
-            engine=str(data.get("engine", "auto")),
+            engine=data.get("engine", "auto"),
             plan_chunk=data.get("plan_chunk"),
-            quiescence_skip=bool(data.get("quiescence_skip", True)),
-            lowering=bool(data.get("lowering", True)),
+            quiescence_skip=data.get("quiescence_skip", True),
+            lowering=data.get("lowering", True),
             fault_plan=data.get("fault_plan"),
         )
 

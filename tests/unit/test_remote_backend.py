@@ -317,6 +317,27 @@ class TestSubmitBatch:
         assert service.jobs == {}
         assert service.queue.counts() == {"pending": 0, "leased": 0, "done": 0}
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("energy_cap", "3"),
+            ("enforce_energy_cap", "false"),
+            ("rounds", 2.7),
+            ("plan_chunk", "64"),
+            ("record_trace", 1),
+            ("quiescence_skip", "no"),
+            ("lowering", 0),
+        ],
+    )
+    def test_mistyped_spec_field_is_a_400(self, live_server, field, bad):
+        service, base = live_server
+        good = _spec().to_dict()
+        broken = dict(good, **{field: bad})
+        body = json.dumps({"specs": [good, broken]}).encode("utf-8")
+        assert _post_status(f"{base}/api/jobs", body) == 400
+        assert service.jobs == {}
+        assert service.queue.counts() == {"pending": 0, "leased": 0, "done": 0}
+
     def test_resubmitted_batch_is_answered_from_the_cache(self, live_server):
         service, base = live_server
         specs = [_spec(0), _spec(1)]

@@ -159,6 +159,48 @@ class TestRunSpec:
         with pytest.raises(TypeError, match=f"{field} name must be a string"):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("rounds", 2.7),
+            ("rounds", "200"),
+            ("rounds", True),
+            ("energy_cap", "3"),
+            ("energy_cap", 3.0),
+            ("energy_cap", False),
+            ("plan_chunk", 64.5),
+            ("plan_chunk", "64"),
+            ("plan_chunk", True),
+            ("enforce_energy_cap", "false"),
+            ("enforce_energy_cap", 0),
+            ("record_trace", "true"),
+            ("record_trace", 1),
+            ("quiescence_skip", "no"),
+            ("quiescence_skip", None),
+            ("lowering", 0),
+            ("lowering", "false"),
+        ],
+    )
+    def test_mistyped_fields_raise_type_error(self, field, bad):
+        # from_dict coerces nothing: a field a client sent with the wrong
+        # type fails here, not later on a worker (or, for a flag, silently
+        # flipped by bool("false")).
+        data = dict(_spec().to_dict(), **{field: bad})
+        with pytest.raises(TypeError, match=field):
+            RunSpec.from_dict(data)
+        with pytest.raises(TypeError, match=field):
+            _spec(**{field: bad})
+
+    def test_integral_fields_accept_numpy_ints(self):
+        import numpy as np
+
+        spec = _spec(rounds=np.int64(200), energy_cap=np.int32(3), plan_chunk=np.int64(8))
+        assert (type(spec.rounds), type(spec.energy_cap), type(spec.plan_chunk)) == (
+            int, int, int
+        )
+        assert spec == _spec(rounds=200, energy_cap=3, plan_chunk=8)
+        assert spec.spec_hash() == _spec(rounds=200, energy_cap=3).spec_hash()
+
     def test_rejects_unpicklable_params(self):
         with pytest.raises(TypeError, match="JSON-serialisable"):
             _spec(adversary_params={"rho": 0.4, "beta": 1.0, "schedule": object()})
