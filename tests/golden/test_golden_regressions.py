@@ -8,8 +8,10 @@ latency — fails here, which is the safety net that lets the harness be
 refactored (e.g. rewired onto the parallel executor) with confidence.
 
 To intentionally re-baseline after a behaviour-changing fix, regenerate
-``table1_rows_expected.json`` with the parameters below and copy
-``benchmarks/results/f2_scaling_n.csv`` over ``f2_scaling_n_expected.csv``.
+``table1_rows_expected.json`` and ``f1_k_clique_rho09_expected.json`` with
+the parameters below, copy ``benchmarks/results/f2_scaling_n.csv`` over
+``f2_scaling_n_expected.csv``, and save the stdout of ``python -m repro
+table1 --full`` as ``table1_full_expected.txt`` (CI diffs against it).
 """
 
 import csv
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim import RunSpec, execute_spec, spec_fragment
 from repro.sim import experiments as exp
 
 GOLDEN_DIR = Path(__file__).parent
@@ -25,7 +28,11 @@ GOLDEN_DIR = Path(__file__).parent
 TABLE1_CASES = {
     "T1.1": lambda: exp.experiment_orchestra_queue(n=4, rounds=800),
     "T1.3": lambda: exp.experiment_count_hop_latency(n=4, rho=0.5, rounds=1000),
+    # Adjust-Window picks by destination far below its queue heads.
+    "T1.4": lambda: exp.experiment_adjust_window_latency(n=3, rho=0.4),
     "T1.5": lambda: exp.experiment_k_cycle_latency(n=5, k=2, rounds=800),
+    # k-Cycle connectors withhold a growing backlog of packets leaving their group.
+    "T1.6": lambda: exp.experiment_oblivious_impossibility(n=6, k=2, rounds=8000),
     "T1.8": lambda: exp.experiment_k_subsets_stability(n=4, k=2, rounds=1000),
 }
 
@@ -53,6 +60,19 @@ def test_table1_row_matches_golden_in_parallel():
     expected = json.loads((GOLDEN_DIR / "table1_rows_expected.json").read_text())
     result = exp.experiment_orchestra_queue(n=4, rounds=800, workers=2)
     _assert_measured_equal(result.measured, expected["T1.1"], "T1.1 (workers=2)")
+
+
+def test_f1_k_clique_backlog_run_matches_golden():
+    """F1's k-Clique point at rho=0.9 builds a backlog of thousands of
+    packets, so every pick searches the queue by destination."""
+    expected = json.loads((GOLDEN_DIR / "f1_k_clique_rho09_expected.json").read_text())
+    spec = RunSpec.from_fragments(
+        spec_fragment("k-clique", n=8, k=4),
+        spec_fragment("spray", rho=0.9, beta=1.0),
+        6000,
+        label="k-Clique[rho=0.9]",
+    )
+    _assert_measured_equal(execute_spec(spec).summary.as_dict(), expected, "F1 k-Clique")
 
 
 def test_f2_scaling_prefix_matches_checked_in_csv():

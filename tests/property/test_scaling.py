@@ -9,12 +9,19 @@ bytes, never of wall time, so it cannot flap on a loaded host.
   horizon must leave the ledger — and its pickled bytes — about flat.
   The per-round series still grow with the horizon by design, so the
   guard pins the ledger, not the whole ``RunResult``.
+* Packet queue: Count-Hop, Adjust-Window, k-Cycle connectors and
+  k-Clique pick the oldest packet for a destination (or a set of them),
+  usually far below the queue head, then remove it by identity.  Each
+  pick-and-remove must cost the same number of Python calls — the
+  generated ``Packet.__eq__`` included — whether 500 or 2,000 packets sit
+  ahead of it.
 * Service: ``repro serve`` advances a job from each result as it lands,
   so the server's work per landed result must not depend on how many
   specs the job or the server has seen.  Work is counted as Python lines
   executed in ``repro.sim`` on every thread, the job monitor's included.
 """
 
+import itertools
 import os
 import pickle
 import sys
@@ -24,6 +31,8 @@ import time
 import pytest
 
 import repro.sim
+from repro.channel.packet import Packet
+from repro.core.queues import PacketQueue
 from repro.sim import (
     FailedResult,
     RunSpec,
@@ -70,6 +79,67 @@ class TestPacketLedger:
             for rounds in (SHORT, LONG)
         )
         assert long <= 1.5 * short, (short, long)
+
+
+class _PythonCalls:
+    """Counts Python function calls on this thread while active."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def _profile(self, frame, event, arg):
+        if event == "call":
+            self.calls += 1
+
+    def __enter__(self) -> "_PythonCalls":
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        sys.setprofile(None)
+
+
+PICKS = 100
+PICKED = frozenset({1, 2})
+
+#: pick -> (argument, whether the picked packets are new rather than old)
+QUEUE_PICKS = {
+    "peek_old_for": (1, False),
+    "peek_any_for": (1, True),
+    "peek_old_in": (PICKED, False),
+}
+
+
+def _calls_per_pick(name: str, backlog: int) -> float:
+    """Python calls per ``pick`` + ``remove`` of a packet with ``backlog``
+    packets for another destination ahead of it, half of them old."""
+    arg, picked_new = QUEUE_PICKS[name]
+    queue = PacketQueue()
+    ids = itertools.count()
+    for _ in range(backlog // 2):
+        queue.push(Packet(destination=0, injected_at=0, origin=0, packet_id=next(ids)))
+    queue.age_all()
+    for _ in range(backlog - backlog // 2):
+        queue.push(Packet(destination=0, injected_at=0, origin=0, packet_id=next(ids)))
+    for i in range(2 * (PICKS + 1)):
+        queue.push(Packet(destination=1 + i % 2, injected_at=0, origin=0, packet_id=next(ids)))
+    if not picked_new:
+        queue.age_all()
+    pick = getattr(queue, name)
+    # One untimed pick: a queue indexes its destinations once, on the
+    # first destination query, at a cost its pushes already paid for.
+    queue.remove(pick(arg))
+    with _PythonCalls() as counter:
+        for _ in range(PICKS):
+            queue.remove(pick(arg))
+    return counter.calls / PICKS
+
+
+class TestQueuePicks:
+    @pytest.mark.parametrize("name", sorted(QUEUE_PICKS))
+    def test_pick_and_remove_cost_stays_flat_when_the_backlog_grows_4x(self, name):
+        small, large = (_calls_per_pick(name, backlog) for backlog in (500, 2_000))
+        assert large <= 1.5 * small, (small, large)
 
 
 class _SimLineCounter:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.channel.packet import Packet
 from repro.core.queues import PacketQueue
 from repro.core.schedule import AlwaysOnSchedule, PeriodicSchedule
 
@@ -64,14 +65,22 @@ class TestPacketQueue:
         assert q.peek_any_for(2) is p
         assert len(q) == 1
 
-    def test_peek_matching_predicates(self, make_packet):
+    def test_peek_in_destination_sets(self, make_packet):
         q = PacketQueue()
-        a, b = make_packet(1), make_packet(4)
+        a, b, c, d = make_packet(1), make_packet(4), make_packet(3), make_packet(4)
         q.push(a)
         q.age_all()
-        q.push(b)
-        assert q.peek_old_matching(lambda p: p.destination > 2) is None
-        assert q.peek_any_matching(lambda p: p.destination > 2) is b
+        for p in (b, c, d):
+            q.push(p)
+        assert q.peek_old_in({3, 4}) is None
+        assert q.peek_any_in({3, 4}) is b
+        assert q.peek_any_in({3}) is c
+        q.age_all()
+        assert q.peek_old_in({3, 4}) is b
+        assert q.peek_old_in({1, 3}) is a
+        q.remove(b)
+        assert q.peek_old_in({3, 4}) is c
+        assert q.peek_any_in({0, 2}) is None
 
     def test_remove_specific_packet(self, make_packet):
         q = PacketQueue()
@@ -80,6 +89,17 @@ class TestPacketQueue:
         q.push(b)
         assert q.remove(a) is True
         assert q.remove(a) is False
+        assert list(q) == [b]
+        # By identity, not value: of two equal packets the one given goes.
+        first = Packet(destination=1, injected_at=0, origin=0, packet_id=7)
+        second = Packet(destination=1, injected_at=0, origin=0, packet_id=7)
+        assert first == second and first is not second
+        q.push(first)
+        q.push(second)
+        assert q.remove(second) is True
+        assert q.remove(second) is False
+        assert [p is first for p in q] == [False, True]
+        assert q.remove(first) is True
         assert list(q) == [b]
 
     def test_counts_and_destinations(self, make_packet):
@@ -90,7 +110,7 @@ class TestPacketQueue:
         q.push(make_packet(1))
         assert q.count_old_for(1) == 2
         assert q.count_for(1) == 3
-        assert q.count_old_matching(lambda p: p.destination >= 2) == 2
+        assert q.count_old_for(2) + q.count_old_for(3) == 2
         assert q.destinations() == {1, 2, 3}
         assert q.has_old_for([3, 9])
         assert not q.has_old_for([9])
