@@ -8,8 +8,8 @@ latency — fails here, which is the safety net that lets the harness be
 refactored (e.g. rewired onto the parallel executor) with confidence.
 
 To intentionally re-baseline after a behaviour-changing fix, regenerate
-``table1_rows_expected.json`` and ``f1_k_clique_rho09_expected.json`` with
-the parameters below, copy ``benchmarks/results/f2_scaling_n.csv`` over
+``table1_rows_expected.json``, ``f1_k_clique_rho09_expected.json`` and
+``ring_summaries_expected.json`` with the parameters below, copy ``benchmarks/results/f2_scaling_n.csv`` over
 ``f2_scaling_n_expected.csv``, and save the stdout of ``python -m repro
 table1 --full`` as ``table1_full_expected.txt`` (CI diffs against it).
 """
@@ -73,6 +73,37 @@ def test_f1_k_clique_backlog_run_matches_golden():
         label="k-Clique[rho=0.9]",
     )
     _assert_measured_equal(execute_spec(spec).summary.as_dict(), expected, "F1 k-Clique")
+
+
+#: The always-on token ring: RRW, OF-RRW and MBTF, 3,000 rounds each.
+#: Every case runs lowered spans; the MBTF case's low big threshold
+#: moves holders to the front of the ring inside them.
+RING_CASES = {
+    "RRW n=16 random rho=0.9": (
+        spec_fragment("rrw", n=16),
+        spec_fragment("random", rho=0.9, beta=2.0, seed=9),
+    ),
+    "OF-RRW n=8 spray rho=0.25": (
+        spec_fragment("of-rrw", n=8),
+        spec_fragment("spray", rho=0.25, beta=4.0),
+    ),
+    "OF-RRW n=32 random rho=0.9": (
+        spec_fragment("of-rrw", n=32),
+        spec_fragment("random", rho=0.9, beta=2.0, seed=9),
+    ),
+    "MBTF n=8 big_threshold=2 random rho=0.9": (
+        spec_fragment("mbtf", n=8, big_threshold=2),
+        spec_fragment("random", rho=0.9, beta=2.0, seed=9),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RING_CASES))
+def test_token_ring_summary_matches_golden(label):
+    expected = json.loads((GOLDEN_DIR / "ring_summaries_expected.json").read_text())
+    algorithm, adversary = RING_CASES[label]
+    spec = RunSpec.from_fragments(algorithm, adversary, 3000, label=label)
+    _assert_measured_equal(execute_spec(spec).summary.as_dict(), expected[label], label)
 
 
 def test_f2_scaling_prefix_matches_checked_in_csv():

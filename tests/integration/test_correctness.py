@@ -96,8 +96,14 @@ class TestDrainAfterInjectionStops:
 class TestPlainPacketDiscipline:
     @pytest.mark.parametrize(
         "factory",
-        [lambda: KCycle(9, 3), lambda: KClique(8, 4), lambda: AdjustWindow(3)],
-        ids=["k-cycle", "k-clique", "adjust-window"],
+        [
+            lambda: KCycle(9, 3),
+            lambda: KClique(8, 4),
+            lambda: AdjustWindow(3),
+            lambda: RoundRobinWithholding(6),
+            lambda: OldFirstRoundRobinWithholding(6),
+        ],
+        ids=["k-cycle", "k-clique", "adjust-window", "rrw", "of-rrw"],
     )
     def test_plain_packet_algorithms_send_no_control_bits(self, factory):
         algorithm = factory()
@@ -111,4 +117,24 @@ class TestPlainPacketDiscipline:
         for event in result.trace:
             if event.message is not None:
                 assert event.message.packet is not None, "plain-packet algorithms never send light messages"
+                assert not event.message.control
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: RoundRobinWithholding(6), lambda: OldFirstRoundRobinWithholding(6)],
+        ids=["rrw", "of-rrw"],
+    )
+    def test_ring_baselines_never_set_the_big_bit(self, factory):
+        """RRW and OF-RRW share MBTF's ring but not its big bit: a station
+        holding more than MBTF's default threshold (n) still sends plain
+        packets."""
+        result = run_simulation(
+            factory(),
+            BurstThenIdleAdversary(0.5, 8.0, idle_rounds=50),
+            2000,
+            record_trace=True,
+        )
+        assert max(result.collector.per_station_max_queue) > 6
+        for event in result.trace:
+            if event.message is not None:
                 assert not event.message.control

@@ -359,7 +359,26 @@ LOWERING_CASES = [
     ("of-rrw", {"n": 8}, "spray", {"rho": 0.25, "beta": 4.0}),
     ("mbtf", {"n": 32}, "random", {"rho": 0.95, "beta": 2.0, "seed": 9}),
     ("mbtf", {"n": 16}, "bursty", {"rho": 0.6, "beta": 8.0, "idle_rounds": 200}),
+    # A low big threshold sets the big bit inside lowered spans, so the
+    # ring reorders both on drain rounds and on arrival rounds.
+    ("mbtf", {"n": 8, "big_threshold": 2}, "random", {"rho": 0.9, "beta": 2.0, "seed": 9}),
 ]
+
+
+def _ring_state(engine) -> list:
+    """Each controller's replica state and its queue's old/new split."""
+
+    def packets(queued) -> list:
+        return [(p.destination, p.injected_at, p.origin) for p in queued]
+
+    return [
+        (
+            vars(ctrl.replica),
+            packets(ctrl.queue.old_packets()),
+            packets(ctrl.queue.new_packets()),
+        )
+        for ctrl in engine.controllers
+    ]
 
 
 def _lowering_common(algorithm, params, adversary, adversary_params):
@@ -381,7 +400,9 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
     execution detail, invisible in every collected statistic.  The dense
     cases put injections mid-segment (the lowering absorbs them from the
     plan); the bursty cases interleave quiescent-span elision with
-    lowered segments inside the same blocks."""
+    lowered segments inside the same blocks.  Lowered and per-round runs
+    must also end with the same replicas and the same queues, split
+    into old and new packets."""
     common = _lowering_common(algorithm, params, adversary, adversary_params)
     lowered = _build_engine(common, BlockEngine)
     per_round = _build_engine(common, BlockEngine)
@@ -395,6 +416,7 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
         per_round.collector
     )
     assert lowered.energy.report() == per_round.energy.report()
+    assert _ring_state(lowered) == _ring_state(per_round)
 
     reference = execute_spec(
         RunSpec(
