@@ -259,10 +259,7 @@ class _KCycleBlockDriver(RoundBlockDriver):
         if canonical is None:
             return
         for replica in self._replicas:
-            replica.token_pos = canonical.token_pos
-            replica.advancements = canonical.advancements
-            replica.phase_no = canonical.phase_no
-            replica.holder = canonical.holder
+            replica.copy_from(canonical)
 
     def _refresh_segment(self, round_no: int) -> None:
         self._write_back()
@@ -274,12 +271,8 @@ class _KCycleBlockDriver(RoundBlockDriver):
         self._member_set = self._member_sets[group]
         self._connector = self._forward_connector[group]
         self._group = group
-        source = self._replicas[0]
-        canonical = TokenRingReplica(list(self._groups[group]))
-        canonical.token_pos = source.token_pos
-        canonical.advancements = source.advancements
-        canonical.phase_no = source.phase_no
-        canonical.holder = source.holder
+        canonical = TokenRingReplica(self._groups[group])
+        canonical.copy_from(self._replicas[0])
         self._canonical = canonical
         self._seg_start = block * self._delta
         self._seg_end = self._seg_start + self._delta

@@ -49,7 +49,7 @@ from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
 from ..core.blocks import RoundBlockDriver
 from ..core.registry import register_algorithm
 from ..core.schedule import PeriodicSchedule, WakeOracle, rounds_in_congruence_class
-from ..protocols.token_ring import MoveBigToFrontReplica
+from ..protocols.token_ring import TokenRingReplica
 
 __all__ = ["KSubsets"]
 
@@ -143,7 +143,7 @@ class _KSubsetsController(StationController):
         ]
         self._my_thread_set = set(self.my_threads)
         self.replicas = {
-            i: MoveBigToFrontReplica(list(subsets[i])) for i in self.my_threads
+            i: TokenRingReplica(list(subsets[i])) for i in self.my_threads
         }
         self.thread_queues: dict[int, deque[Packet]] = {
             i: deque() for i in self.my_threads
@@ -212,7 +212,7 @@ class _KSubsetsController(StationController):
         packet = queue[0]
         control = {}
         if len(queue) >= self.k:
-            control[MoveBigToFrontReplica.BIG_FLAG] = True
+            control[TokenRingReplica.BIG_FLAG] = True
         self._in_flight = (thread, packet)
         return Message(sender=self.station_id, packet=packet, control=control)
 
@@ -269,11 +269,11 @@ class _KSubsetsBlockDriver(RoundBlockDriver):
         self._gamma = controllers[0].gamma
         # Per-thread member replica lists, resolved lazily: gamma can be
         # thousands of threads while a short run touches only a few.
-        self._thread_replicas: list[list[MoveBigToFrontReplica] | None] = (
+        self._thread_replicas: list[list[TokenRingReplica] | None] = (
             [None] * self._gamma
         )
 
-    def _replicas_for(self, thread: int) -> list[MoveBigToFrontReplica]:
+    def _replicas_for(self, thread: int) -> list[TokenRingReplica]:
         replicas = self._thread_replicas[thread]
         if replicas is None:
             replicas = [

@@ -171,10 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rounds", type=int, default=10_000)
     run_p.add_argument("--seed", type=int, default=None,
                        help="RNG seed for stochastic adversaries")
-    run_p.add_argument("--engine", default=None, choices=ENGINE_KINDS,
+    run_p.add_argument("--engine", default="auto", choices=ENGINE_KINDS,
                        help="engine selector (default: auto)")
-    run_p.add_argument("--reference-engine", action="store_true",
-                       help="shorthand for --engine reference")
     run_p.add_argument("--negotiation", action="store_true",
                        help="print the engine's negotiated-capability report")
 
@@ -208,10 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reuse finished runs from this cache directory")
     sweep_p.add_argument("--progress", action="store_true",
                          help="stderr ticker as sweep points finish")
-    sweep_p.add_argument("--engine", default=None, choices=ENGINE_KINDS,
+    sweep_p.add_argument("--engine", default="auto", choices=ENGINE_KINDS,
                          help="engine selector (default: auto)")
-    sweep_p.add_argument("--reference-engine", action="store_true",
-                         help="shorthand for --engine reference")
     sweep_p.add_argument("--max-retries", type=int, default=None, metavar="N",
                          help="fault-tolerant mode: retry each failed point up "
                          "to N times (deterministic exponential backoff), then "
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=rate_adversaries())
     submit_p.add_argument("--seed", type=int, default=None,
                           help="RNG seed for stochastic adversaries")
-    submit_p.add_argument("--engine", default=None, choices=ENGINE_KINDS,
+    submit_p.add_argument("--engine", default="auto", choices=ENGINE_KINDS,
                           help="engine selector (default: auto)")
     submit_p.add_argument("--shard-size", type=int, default=None,
                           help="override the server's specs-per-shard")
@@ -350,18 +346,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _engine_from_args(args: argparse.Namespace) -> str:
-    explicit = getattr(args, "engine", None)
-    reference = getattr(args, "reference_engine", False)
-    if explicit is not None:
-        if reference and explicit != "reference":
-            raise SystemExit(
-                f"--reference-engine conflicts with --engine {explicit}"
-            )
-        return explicit
-    return "reference" if reference else "auto"
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = _effective_seed(args.adversary, args.seed)
     result = execute_spec(
@@ -369,7 +353,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _algorithm_fragment(args.algorithm, args.n, args.k),
             _adversary_fragment(args.adversary, args.rho, args.beta, seed),
             args.rounds,
-            engine=_engine_from_args(args),
+            engine=args.engine,
         )
     )
     if args.negotiation:
@@ -445,7 +429,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             lambda rho: _adversary_fragment(args.adversary, rho, args.beta, seed),
             args.rounds,
             executor=executor,
-            engine=_engine_from_args(args),
+            engine=args.engine,
             progress=ticker,
         )
     print(sweep_table(series))
@@ -530,7 +514,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             _adversary_fragment(args.adversary, rho, args.beta, seed),
             args.rounds,
             label=f"{args.algorithm}[rho={rho}]",
-            engine=_engine_from_args(args),
+            engine=args.engine,
         ).to_dict()
         for rho in rates
     ]

@@ -2,11 +2,10 @@
 
 from .mbtf import MoveBigToFront
 from .rrw import OldFirstRoundRobinWithholding, RoundRobinWithholding
-from .token_ring import MoveBigToFrontReplica, TokenRingReplica
+from .token_ring import TokenRingReplica
 
 __all__ = [
     "MoveBigToFront",
-    "MoveBigToFrontReplica",
     "OldFirstRoundRobinWithholding",
     "RoundRobinWithholding",
     "TokenRingReplica",

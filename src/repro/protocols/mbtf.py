@@ -3,10 +3,10 @@
 MBTF is the throughput-1 broadcast algorithm of Chlebus, Kowalski and
 Rokicki for the uncapped multiple access channel.  The paper uses it in
 two roles: as the per-thread sub-protocol of k-Subsets (Section 6) and,
-conceptually, as the ancestor of Orchestra's baton mechanism.  We provide
-it both as a reusable in-group engine (via
-:class:`~repro.protocols.token_ring.MoveBigToFrontReplica`) and as a
-standalone uncapped baseline algorithm.
+conceptually, as the ancestor of Orchestra's baton mechanism.  Its ring is
+the one RRW runs (:class:`~repro.protocols.token_ring.TokenRingReplica`,
+driven by :mod:`repro.protocols.rrw`), so this module only fixes the
+ring's big threshold for the standalone uncapped baseline.
 
 Protocol sketch: stations keep a shared ordered list (initially by name).
 A conceptual token moves down the list; the holder transmits one queued
@@ -20,343 +20,21 @@ until it drains — which is what yields stability at injection rate 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-import numpy as np
-
-from ..channel.feedback import ChannelOutcome, Feedback
-from ..channel.message import Message
-from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import LoweredSegment, RoundBlockDriver
-from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
-from ..core.schedule import AlwaysOnSchedule, ObliviousSchedule
-from .token_ring import MoveBigToFrontReplica
+from .rrw import _TokenRing
 
 __all__ = ["MoveBigToFront"]
 
 
-class _MBTFController(QueueingController):
-    """Per-station controller of the uncapped MBTF baseline."""
-
-    # Always on: wakes() is trivially pure and matches AlwaysOnSchedule.
-    static_wake_schedule = True
-
-    # Holding no packets the holder withholds, and silence only advances
-    # the token (the MBTF list reorders exclusively on heard big-bits),
-    # so quiescent spans may be elided wholesale.
-    silence_invariant = True
-
-    def __init__(self, station_id: int, n: int, big_threshold: int | None = None) -> None:
-        super().__init__(station_id, n)
-        self.replica = MoveBigToFrontReplica(list(range(n)))
-        self.big_threshold = big_threshold if big_threshold is not None else n
-
-    def wakes(self, round_no: int) -> bool:
-        return True
-
-    def act(self, round_no: int) -> Message | None:
-        if self.replica.holder != self.station_id:
-            return None
-        packet = self.queue.peek_any()
-        if packet is None:
-            return None
-        control = {}
-        if len(self.queue) >= self.big_threshold:
-            control[MoveBigToFrontReplica.BIG_FLAG] = True
-        return self.transmit(packet, control=control)
-
-    def after_feedback(self, round_no: int, feedback: Feedback) -> None:
-        self.replica.observe(feedback.outcome, feedback.message)
-
-    def advance_silent_span(self, start: int, stop: int) -> None:
-        # Always awake: the token advances once per silent round.
-        self.replica.advance_silence(stop - start)
-
-
-class _MBTFBlockDriver(RoundBlockDriver):
-    """Compiled-round driver for the MBTF baseline.
-
-    Same canonical-replica scheme as the RRW driver, with the MBTF list
-    as the replicated state: silence advances the canonical token, a
-    heard big-bit moves the canonical list's sender to the front, and the
-    per-station replicas are refreshed from the canonical copy at block
-    end.
-    """
-
-    def __init__(self, controllers: list[_MBTFController]) -> None:
-        super().__init__(len(controllers))
-        self._controllers = controllers
-        self._canonical = MoveBigToFrontReplica(list(range(len(controllers))))
-
-    def begin_block(self, start: int, stop: int) -> bool:
-        source = self._controllers[0].replica
-        canonical = self._canonical
-        canonical.order = list(source.order)
-        canonical.token_pos = source.token_pos
-        canonical.holder = source.holder
-        return True
-
-    def end_block(self, stop: int) -> None:
-        canonical = self._canonical
-        for ctrl in self._controllers:
-            replica = ctrl.replica
-            replica.order = list(canonical.order)
-            replica.token_pos = canonical.token_pos
-            replica.holder = canonical.holder
-
-    def advance_span(self, start: int, stop: int) -> None:
-        self._canonical.advance_silence(stop - start)
-
-    def transmitter(self, t: int) -> int:
-        holder = self._canonical.holder
-        self._controllers[holder].replica.holder = holder
-        return holder
-
-    def silent_round(self, t: int) -> None:
-        self._canonical.observe(ChannelOutcome.SILENCE, None)
-
-    def heard_round(self, t: int, sender: int, message: Message) -> tuple[int, ...]:
-        sender_ctrl = self._controllers[sender]
-        if sender_ctrl._in_flight is not None:
-            sender_ctrl.queue.remove(sender_ctrl._in_flight)
-            sender_ctrl._in_flight = None
-        self._canonical.observe(ChannelOutcome.HEARD, message)
-        return (sender,)
-
-    def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
-        """List-order simulation of the whole span in closed form.
-
-        The outcome sequence is determined by the MBTF list, the token
-        position, the per-station queue snapshots and the span's
-        *planned* arrivals: the holder transmits while it has packets
-        (setting the big bit while its remaining count is at or above
-        the threshold, which moves it to the list front — a no-op for
-        the holder's own transmissions until silence passes the token),
-        silence advances the token through the current list order, and
-        each planned arrival joins its station's pending list where the
-        per-round injection step would append it — possibly pushing the
-        station over the big threshold mid-span.  Pure until ``commit``;
-        all stations are on, so every heard packet is delivered.
-        """
-        controllers = self._controllers
-        canonical = self._canonical
-        n = self.n
-        threshold = controllers[0].big_threshold
-        order = list(canonical.order)
-        pos = canonical.token_pos
-        holder = order[pos]
-        pending: list[list] = []
-        remaining: list[int] = []
-        old_counts: list[int] = []
-        for ctrl in controllers:
-            queue = ctrl.queue
-            packets = queue.old_packets()
-            old_counts.append(len(packets))
-            packets.extend(queue.new_packets())
-            pending.append(packets)
-            remaining.append(len(packets))
-        live = sum(remaining)
-        offsets = plan.offsets
-        plan_base = plan.start
-        sources = plan.sources
-        ai = offsets[start - plan_base]
-        live += offsets[stop - plan_base] - ai
-        if live == 0:
-            # All-silent span: the token walk has a closed form.
-            span = stop - start
-            silent_pos = (pos + span) % len(order)
-            silent_holder = order[silent_pos]
-
-            def commit_silent(packets: list) -> None:
-                canonical.token_pos = silent_pos
-                canonical.holder = silent_holder
-
-            return LoweredSegment(
-                start=start,
-                stop=stop,
-                transmitters=np.full(span, -1, dtype=np.int64),
-                delta_stations=np.empty(0, dtype=np.int64),
-                delta_values=np.empty(0, dtype=np.int64),
-                delta_offsets=np.zeros(span + 1, dtype=np.int64),
-                deliveries=[],
-                commit=commit_silent,
-            )
-        inj_rounds = plan.injection_rounds()
-        ip = bisect_left(inj_rounds, start)
-        n_inj = len(inj_rounds)
-        next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-        consumed = [0] * n
-        dirty = [False] * n  # stations whose queue contents change in-span
-        transmitters: list[int] = []
-        deliveries: list[tuple[int, object]] = []
-        delta_stations: list[int] = []
-        delta_values: list[int] = []
-        delta_offsets: list[int] = [0]
-        t = start
-        cut = stop
-        t_append = transmitters.append
-        o_append = delta_offsets.append
-        s_append = delta_stations.append
-        v_append = delta_values.append
-        d_append = deliveries.append
-        # The holder's cursor is kept in locals between token moves (the
-        # hot drain loop reads it every round).
-        hold_list = pending[holder]
-        hold_i = consumed[holder]
-        hold_rem = remaining[holder]
-        while t < stop:
-            if live == 0:
-                # Drained with no arrivals left: the tail is all silent —
-                # cut here so the engine's elision takes it in one step.
-                cut = t
-                break
-            if t == next_arrival:
-                row_start = len(delta_stations)
-                hi = offsets[t - plan_base + 1]
-                while ai < hi:
-                    s = sources[ai]
-                    pending[s].append(ai)
-                    if s == holder:
-                        hold_rem += 1
-                    else:
-                        remaining[s] += 1
-                    dirty[s] = True
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == s:
-                            delta_values[k] += 1
-                            break
-                    else:
-                        s_append(s)
-                        v_append(1)
-                    ai += 1
-                ip += 1
-                next_arrival = (
-                    inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
-                )
-                if hold_rem > 0:
-                    d_append((t, hold_list[hold_i]))
-                    hold_i += 1
-                    live -= 1
-                    t_append(holder)
-                    # Net the consumption against a same-round arrival at
-                    # the holder: one entry per (round, station).
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == holder:
-                            delta_values[k] -= 1
-                            break
-                    else:
-                        s_append(holder)
-                        v_append(-1)
-                    if hold_rem >= threshold and order[0] != holder:
-                        order.remove(holder)
-                        order.insert(0, holder)
-                        pos = 0
-                    hold_rem -= 1
-                    o_append(len(delta_stations))
-                    t += 1
-                    continue
-            elif hold_rem > 0:
-                d_append((t, hold_list[hold_i]))
-                hold_i += 1
-                live -= 1
-                t_append(holder)
-                s_append(holder)
-                v_append(-1)
-                if hold_rem >= threshold and order[0] != holder:
-                    # Heard big bit: every replica moves the sender to
-                    # the front and hands it the token.
-                    order.remove(holder)
-                    order.insert(0, holder)
-                    pos = 0
-                hold_rem -= 1
-                o_append(len(delta_stations))
-                t += 1
-                continue
-            t_append(-1)
-            if hold_i:
-                consumed[holder] = hold_i
-                dirty[holder] = True
-            remaining[holder] = hold_rem
-            pos += 1
-            if pos == len(order):
-                pos = 0
-            holder = order[pos]
-            hold_list = pending[holder]
-            hold_i = consumed[holder]
-            hold_rem = remaining[holder]
-            o_append(len(delta_stations))
-            t += 1
-        if hold_i:
-            consumed[holder] = hold_i
-            dirty[holder] = True
-        remaining[holder] = hold_rem
-
-        j0 = offsets[start - plan_base]
-
-        def commit(packets: list) -> None:
-            # The simulation consumed queue fronts from the ``pending``
-            # snapshots (old, then snapshot-new, then arrivals — exactly
-            # the pop order) and MBTF never ages, so each dirty station's
-            # post-span queue is the snapshot tail: survivors up to the
-            # original old count stay old, everything after stays new.
-            # Swap the stores in wholesale.
-            for s in range(n):
-                if not dirty[s]:
-                    continue
-                seq = pending[s]
-                c = consumed[s]
-                boundary = old_counts[s]
-                old_packets = seq[c:boundary] if c < boundary else []
-                new_packets = [
-                    packets[e - j0] if type(e) is int else e
-                    for e in seq[boundary if boundary > c else c :]
-                ]
-                controllers[s].queue.replace(old_packets, new_packets)
-            canonical.order = order
-            canonical.token_pos = pos
-            canonical.holder = order[pos]
-
-        return LoweredSegment(
-            start=start,
-            stop=cut,
-            transmitters=np.asarray(transmitters, dtype=np.int64),
-            delta_stations=np.asarray(delta_stations, dtype=np.int64),
-            delta_values=np.asarray(delta_values, dtype=np.int64),
-            delta_offsets=np.asarray(delta_offsets, dtype=np.int64),
-            deliveries=deliveries,
-            commit=commit,
-        )
-
-
 @register_algorithm("mbtf")
-class MoveBigToFront(RoutingAlgorithm):
-    """Uncapped MBTF baseline: stable for injection rate 1 with energy cap n."""
+class MoveBigToFront(_TokenRing):
+    """Uncapped MBTF baseline: stable for injection rate 1 with energy cap n.
+
+    ``big_threshold`` defaults to ``n``.
+    """
 
     name = "MBTF"
 
     def __init__(self, n: int, big_threshold: int | None = None) -> None:
         super().__init__(n)
-        self.big_threshold = big_threshold
-
-    def build_controllers(self) -> list[_MBTFController]:
-        controllers = [
-            _MBTFController(i, self.n, big_threshold=self.big_threshold)
-            for i in range(self.n)
-        ]
-        driver = _MBTFBlockDriver(controllers)
-        for ctrl in controllers:
-            ctrl.block_driver = driver
-        return controllers
-
-    def properties(self) -> AlgorithmProperties:
-        return AlgorithmProperties(
-            name=self.name,
-            energy_cap=self.n,
-            oblivious=True,
-            direct=True,
-            plain_packet=False,
-        )
-
-    def oblivious_schedule(self) -> ObliviousSchedule:
-        return AlwaysOnSchedule(self.n)
+        self.big_threshold = n if big_threshold is None else big_threshold

@@ -1,4 +1,4 @@
-"""Round-Robin-Withholding broadcast protocols (prior work [3, 18]).
+"""The always-on token ring: RRW, OF-RRW [3, 18] and the ring MBTF [17] runs.
 
 ``RRW`` and its old-first variant ``OF-RRW`` are the building blocks the
 paper reuses inside k-Cycle and k-Clique, and — run with every station
@@ -15,6 +15,13 @@ Protocol (single shared channel, all participants awake):
   station a *phase* ends and, for OF-RRW, packets queued meanwhile become
   old.
 
+MBTF (:mod:`repro.protocols.mbtf`) is the same ring plus the big bit: a
+holder with at least ``big_threshold`` queued packets sets it, and every
+station moves the sender to the front of the ring.  So this module holds
+the ring once — one controller, one block driver and one lowered loop —
+and the three algorithm classes fix only ``old_first`` and
+``big_threshold``.
+
 Because every station is always on, every heard packet is immediately
 delivered to its destination, so the protocols route directly.  Their
 energy cap is ``n`` — the point of the paper is to do better.
@@ -22,6 +29,7 @@ energy cap is ``n`` — the point of the paper is to do better.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -38,8 +46,8 @@ from .token_ring import TokenRingReplica
 __all__ = ["RoundRobinWithholding", "OldFirstRoundRobinWithholding"]
 
 
-class _RRWController(QueueingController):
-    """Per-station controller for the uncapped RRW / OF-RRW baselines."""
+class _RingController(QueueingController):
+    """Per-station controller of the always-on token ring."""
 
     # Always on: wakes() is trivially pure and matches AlwaysOnSchedule.
     static_wake_schedule = True
@@ -47,40 +55,35 @@ class _RRWController(QueueingController):
     # Holding no packets the holder withholds (act returns None), and a
     # silent round only advances the token — modular arithmetic that
     # advance_silent_span reproduces (phase-end aging is a no-op on an
-    # empty queue), so quiescent spans may be elided wholesale.
+    # empty queue, and only heard big bits reorder the ring), so
+    # quiescent spans may be elided wholesale.
     silence_invariant = True
 
-    def __init__(self, station_id: int, n: int, old_first: bool) -> None:
+    def __init__(
+        self, station_id: int, n: int, old_first: bool, big_threshold: int | None
+    ) -> None:
         super().__init__(station_id, n)
         self.old_first = old_first
+        self.big_threshold = big_threshold
         self.replica = TokenRingReplica(list(range(n)))
-        if not old_first:
-            # Plain RRW has no aging: treat every packet as immediately old.
-            self.queue.age_all()
 
     def wakes(self, round_no: int) -> bool:
         return True
 
-    def _eligible(self):
-        if self.old_first:
-            return self.queue.peek_old()
-        return self.queue.peek_any()
-
     def act(self, round_no: int) -> Message | None:
         if self.replica.holder != self.station_id:
             return None
-        packet = self._eligible()
+        queue = self.queue
+        packet = queue.peek_old() if self.old_first else queue.peek_any()
         if packet is None:
             return None
+        big = self.big_threshold
+        if big is not None and queue.size() >= big:
+            return self.transmit(packet, control={TokenRingReplica.BIG_FLAG: True})
         return self.transmit(packet)
 
-    def on_inject(self, round_no: int, packet) -> None:
-        super().on_inject(round_no, packet)
-        if not self.old_first:
-            self.queue.age_all()
-
     def after_feedback(self, round_no: int, feedback: Feedback) -> None:
-        phase_done = self.replica.observe(feedback.outcome)
+        phase_done = self.replica.observe(feedback.outcome, feedback.message)
         if phase_done and self.old_first:
             self.queue.age_all()
 
@@ -91,41 +94,38 @@ class _RRWController(QueueingController):
         self.replica.advance_silence(stop - start)
 
 
-class _RRWBlockDriver(RoundBlockDriver):
-    """Compiled-round driver for RRW / OF-RRW (one shared instance per run).
+class _RingBlockDriver(RoundBlockDriver):
+    """Compiled-round driver for the token ring (one shared instance per run).
 
-    All ``n`` per-station token replicas are identical by construction, so
-    inside a block the driver advances one *canonical* replica per silent
-    round instead of ``n`` — synced from the controllers at block start
-    and written back to all of them at block end.  Quiescent-span elision
-    advances the per-station replicas through ``advance_silent_span`` as
-    usual; the :meth:`advance_span` hook applies the same jump to the
-    canonical copy so both stay consistent until the end-of-block sync.
+    All ``n`` per-station replicas are identical by construction, so
+    inside a block the driver advances one *canonical* replica per round
+    instead of ``n`` — copied from the controllers at block start and
+    back to all of them at block end.  Quiescent-span elision advances
+    the per-station replicas through ``advance_silent_span`` as usual;
+    the :meth:`advance_span` hook applies the same jump to the canonical
+    copy so both stay consistent until the end-of-block copy.
     """
 
-    def __init__(self, controllers: list[_RRWController], old_first: bool) -> None:
+    def __init__(
+        self,
+        controllers: list[_RingController],
+        old_first: bool,
+        big_threshold: int | None,
+    ) -> None:
         super().__init__(len(controllers))
         self._controllers = controllers
         self._old_first = old_first
+        self._big_threshold = big_threshold
         self._canonical = TokenRingReplica(list(range(len(controllers))))
 
     def begin_block(self, start: int, stop: int) -> bool:
-        source = self._controllers[0].replica
-        canonical = self._canonical
-        canonical.token_pos = source.token_pos
-        canonical.advancements = source.advancements
-        canonical.phase_no = source.phase_no
-        canonical.holder = source.holder
+        self._canonical.copy_from(self._controllers[0].replica)
         return True
 
     def end_block(self, stop: int) -> None:
         canonical = self._canonical
         for ctrl in self._controllers:
-            replica = ctrl.replica
-            replica.token_pos = canonical.token_pos
-            replica.advancements = canonical.advancements
-            replica.phase_no = canonical.phase_no
-            replica.holder = canonical.holder
+            ctrl.replica.copy_from(canonical)
 
     def advance_span(self, start: int, stop: int) -> None:
         self._canonical.advance_silence(stop - start)
@@ -144,49 +144,62 @@ class _RRWBlockDriver(RoundBlockDriver):
                 ctrl.queue.age_all()
 
     def heard_round(self, t: int, sender: int, message: Message) -> tuple[int, ...]:
-        # The token stays with its holder on heard rounds; only the
-        # sender's confirmed packet leaves a queue.
+        # Only the sender's confirmed packet leaves a queue; the token
+        # stays with its holder unless the message carries the big bit.
         sender_ctrl = self._controllers[sender]
         if sender_ctrl._in_flight is not None:
             sender_ctrl.queue.remove(sender_ctrl._in_flight)
             sender_ctrl._in_flight = None
+        self._canonical.observe(ChannelOutcome.HEARD, message)
         return (sender,)
 
     def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
         """Drain-cycle simulation: the whole span in closed form.
 
-        The outcome sequence is fully determined by the token position,
-        the per-station eligible-packet lists and the span's *planned*
-        arrivals: the holder drains its eligible packets one per round, a
-        silent round advances the token, a completed phase (OF-RRW)
-        promotes the queued-meanwhile packets, and each planned arrival
-        joins its station's lists exactly where the per-round injection
-        step would put it.  Arrived-in-span packets are referenced by
-        plan index; the simulation walks snapshots only — no controller
-        state is touched until ``commit``.  Every station is always on,
-        so every heard packet is delivered.
+        The outcome sequence is fully determined by the ring, the token
+        position, the per-station send lists and the span's *planned*
+        arrivals: the holder sends its eligible packets one per round, a
+        silent round advances the token, and each planned arrival joins
+        its station's lists exactly where the per-round injection step
+        would put it.  RRW and MBTF send the whole FIFO queue; OF-RRW
+        sends only old packets, and a completed phase promotes the
+        packets queued meanwhile.  A holder sending with at least
+        ``big_threshold`` packets queued sets the big bit, which moves it
+        to the front of the ring (OF-RRW has no big bit, so the count is
+        of the send list).  Arrived-in-span packets are referenced by plan
+        index; the simulation walks snapshots only — no controller state
+        is touched until ``commit``.  Every station is always on, so every
+        heard packet is delivered.
         """
         controllers = self._controllers
         canonical = self._canonical
         n = self.n
         old_first = self._old_first
+        threshold = self._big_threshold
+        if threshold is None:
+            threshold = sys.maxsize  # no queue is that long: never big
+        order = canonical.members
         pos = canonical.token_pos
         adv = canonical.advancements
+        # Per station: ``pending`` is what its holder sends, in order;
+        # its first ``old_counts`` entries are old packets.  OF-RRW's
+        # ``later`` holds the new packets until a phase ends.
         pending: list[list] = []
         later: list[list] = []
+        old_counts: list[int] = []
         live = 0
         for ctrl in controllers:
             queue = ctrl.queue
             old = queue.old_packets()
             new = queue.new_packets()
             live += len(old) + len(new)
+            old_counts.append(len(old))
             if old_first:
-                pending.append(old)
                 later.append(new)
             else:
                 old.extend(new)
-                pending.append(old)
                 later.append([])
+            pending.append(old)
         offsets = plan.offsets
         plan_base = plan.start
         sources = plan.sources
@@ -225,17 +238,19 @@ class _RRWBlockDriver(RoundBlockDriver):
         phases = 0
         t = start
         cut = stop
-        holder = pos  # members are 0..n-1 in station order
+        holder = order[pos]
         t_append = transmitters.append
         o_append = delta_offsets.append
         s_append = delta_stations.append
         v_append = delta_values.append
         d_append = deliveries.append
         # The holder's cursor is kept in locals between token moves (the
-        # hot drain loop reads it every round).
+        # hot drain loop reads it every round).  It sets the big bit while
+        # ``hold_len - hold_i >= threshold``, i.e. up to index ``big_last``.
         hold_list = pending[holder]
         hold_i = consumed[holder]
         hold_len = len(hold_list)
+        big_last = hold_len - threshold
         while t < stop:
             if live == 0:
                 # Drained with no arrivals left: the tail is all silent —
@@ -253,6 +268,7 @@ class _RRWBlockDriver(RoundBlockDriver):
                         pending[s].append(ai)
                         if s == holder:
                             hold_len += 1
+                            big_last += 1
                     dirty[s] = True
                     for k in range(row_start, len(delta_stations)):
                         if delta_stations[k] == s:
@@ -268,6 +284,9 @@ class _RRWBlockDriver(RoundBlockDriver):
                 )
                 if hold_i < hold_len:
                     d_append((t, hold_list[hold_i]))
+                    if hold_i <= big_last and order[0] != holder:
+                        order = [holder] + [m for m in order if m != holder]
+                        pos = 0
                     hold_i += 1
                     live -= 1
                     t_append(holder)
@@ -285,6 +304,12 @@ class _RRWBlockDriver(RoundBlockDriver):
                     continue
             elif hold_i < hold_len:
                 d_append((t, hold_list[hold_i]))
+                if hold_i <= big_last and order[0] != holder:
+                    # Heard big bit: every replica moves the sender to
+                    # the front (a new list, as the replicas build) and
+                    # hands it the token, which it holds already.
+                    order = [holder] + [m for m in order if m != holder]
+                    pos = 0
                 hold_i += 1
                 live -= 1
                 t_append(holder)
@@ -300,7 +325,7 @@ class _RRWBlockDriver(RoundBlockDriver):
             pos += 1
             if pos == n:
                 pos = 0
-            holder = pos
+            holder = order[pos]
             adv += 1
             if adv >= n:
                 adv = 0
@@ -309,11 +334,13 @@ class _RRWBlockDriver(RoundBlockDriver):
                     for station in range(n):
                         if later[station]:
                             pending[station].extend(later[station])
+                            old_counts[station] = len(pending[station])
                             later[station] = []
                             dirty[station] = True
             hold_list = pending[holder]
             hold_i = consumed[holder]
             hold_len = len(hold_list)
+            big_last = hold_len - threshold
             o_append(len(delta_stations))
             t += 1
         if hold_i:
@@ -326,29 +353,26 @@ class _RRWBlockDriver(RoundBlockDriver):
             # The simulation already played the span's pushes, phase-end
             # promotions and front-pop consumptions against the snapshot
             # lists, so each dirty station's post-span queue is known
-            # outright: ``pending`` past the consumption cursor is the
-            # old store (plain RRW ages on every inject, so everything
-            # surviving is old), and OF-RRW's unpromoted ``later`` tail
-            # is the new store.  Swap them in wholesale.
+            # outright: the survivors of ``pending`` up to ``old_counts``
+            # are the old store, the rest and OF-RRW's unpromoted
+            # ``later`` tail the new store.  Swap them in wholesale.
+            def resolve(entries: list) -> list:
+                return [packets[e - j0] if type(e) is int else e for e in entries]
+
             for s in range(n):
                 if not dirty[s]:
                     continue
-                old_packets = [
-                    packets[e - j0] if type(e) is int else e
-                    for e in pending[s][consumed[s] :]
-                ]
-                tail = later[s]
-                if tail:
-                    new_packets = [
-                        packets[e - j0] if type(e) is int else e for e in tail
-                    ]
-                else:
-                    new_packets = []
-                controllers[s].queue.replace(old_packets, new_packets)
+                seq = pending[s]
+                c = consumed[s]
+                b = max(old_counts[s], c)
+                controllers[s].queue.replace(
+                    resolve(seq[c:b]), resolve(seq[b:] + later[s])
+                )
+            canonical.members = order
             canonical.token_pos = pos
             canonical.advancements = adv
             canonical.phase_no += phases
-            canonical.holder = pos
+            canonical.holder = order[pos]
 
         return LoweredSegment(
             start=start,
@@ -362,16 +386,22 @@ class _RRWBlockDriver(RoundBlockDriver):
         )
 
 
-class _RRWBase(RoutingAlgorithm):
-    """Shared scaffolding of the two withholding baselines."""
+class _TokenRing(RoutingAlgorithm):
+    """The always-on token ring; RRW, OF-RRW and MBTF fix its two values."""
 
+    #: OF-RRW: the holder sends only the packets queued before the
+    #: current phase began.
     old_first: bool = False
+    #: MBTF: a holder with at least this many queued packets sets the big
+    #: bit; None (RRW, OF-RRW): never.
+    big_threshold: int | None = None
 
-    def build_controllers(self) -> list[_RRWController]:
+    def build_controllers(self) -> list[_RingController]:
         controllers = [
-            _RRWController(i, self.n, old_first=self.old_first) for i in range(self.n)
+            _RingController(i, self.n, self.old_first, self.big_threshold)
+            for i in range(self.n)
         ]
-        driver = _RRWBlockDriver(controllers, old_first=self.old_first)
+        driver = _RingBlockDriver(controllers, self.old_first, self.big_threshold)
         for ctrl in controllers:
             ctrl.block_driver = driver
         return controllers
@@ -382,7 +412,7 @@ class _RRWBase(RoutingAlgorithm):
             energy_cap=self.n,
             oblivious=True,
             direct=True,
-            plain_packet=True,
+            plain_packet=self.big_threshold is None,
         )
 
     def oblivious_schedule(self) -> ObliviousSchedule:
@@ -390,15 +420,14 @@ class _RRWBase(RoutingAlgorithm):
 
 
 @register_algorithm("rrw")
-class RoundRobinWithholding(_RRWBase):
+class RoundRobinWithholding(_TokenRing):
     """RRW [18]: token round-robin, holder drains its whole queue."""
 
     name = "RRW"
-    old_first = False
 
 
 @register_algorithm("of-rrw")
-class OldFirstRoundRobinWithholding(_RRWBase):
+class OldFirstRoundRobinWithholding(_TokenRing):
     """OF-RRW [3]: token round-robin, holder drains only its *old* packets."""
 
     name = "OF-RRW"

@@ -1,17 +1,16 @@
-"""Feedback-driven token consensus.
+"""Feedback-driven token ring.
 
-The round-robin withholding protocols of prior work (RRW, OF-RRW [3, 18])
-and the in-group sub-protocols of k-Cycle and k-Clique all rely on a
-*conceptual token* circulating among a set of stations.  The token is not
-a message: every participating station infers its position purely from
-the shared channel feedback — a silent round means the holder had nothing
-to send, so the token advances; a heard message means the holder keeps it.
-Because all participants hear the same feedback whenever they are awake
-together, their replicas of the token state evolve identically.
-
-Similarly, Move-Big-To-Front (MBTF [17]) maintains a shared ordered list
-of stations that is updated deterministically from heard control bits, so
-each participant can keep an identical private replica.
+The round-robin withholding protocols of prior work (RRW, OF-RRW [3, 18]),
+Move-Big-To-Front (MBTF [17]) and the in-group sub-protocols of k-Cycle,
+k-Clique and k-Subsets all rely on a *conceptual token* circulating around
+a ring of stations.  The token is not a message: every participating
+station infers its position purely from the shared channel feedback — a
+silent round means the holder had nothing to send, so the token advances;
+a heard message means the holder keeps it.  MBTF adds one rule: a heard
+message carrying the *big* control bit moves its sender to the front of
+the ring and hands it the token.  Because all participants hear the same
+feedback whenever they are awake together, their replicas of the ring
+evolve identically.
 """
 
 from __future__ import annotations
@@ -19,18 +18,24 @@ from __future__ import annotations
 from ..channel.feedback import ChannelOutcome
 from ..channel.message import Message
 
-__all__ = ["TokenRingReplica", "MoveBigToFrontReplica"]
+__all__ = ["TokenRingReplica"]
 
 
 class TokenRingReplica:
-    """Replica of the round-robin token state shared by a group of stations.
+    """Replica of the token ring shared by a group of stations.
+
+    The ring order is never mutated in place: a move to the front builds
+    a new list, so replicas whose state was copied may share one list.
 
     Parameters
     ----------
     members:
-        Station names in the group's cyclic order.  The token starts at
+        Station names in the ring's initial order.  The token starts at
         ``members[0]``.
     """
+
+    #: Control bit of a heard message that moves its sender to the front.
+    BIG_FLAG = "big"
 
     def __init__(self, members: list[int]) -> None:
         if not members:
@@ -42,12 +47,12 @@ class TokenRingReplica:
         self.advancements = 0
         self.phase_no = 0
         #: The station currently holding the token.  A plain attribute
-        #: (updated on every advancement) because controllers read it once
+        #: (updated on every token move) because controllers read it once
         #: per awake round — the hottest query in the whole simulation.
         self.holder = self.members[0]
 
-    def observe(self, outcome: ChannelOutcome) -> bool:
-        """Update the replica with this round's channel outcome.
+    def observe(self, outcome: ChannelOutcome, message: Message | None = None) -> bool:
+        """Update the replica with this round's outcome (and heard message).
 
         Returns True when the token completed a full cycle this round,
         i.e. a *phase* of the group's protocol ended.
@@ -64,10 +69,12 @@ class TokenRingReplica:
                 self.phase_no += 1
                 return True
             return False
-        # A heard message keeps the token with its holder; collisions do
-        # not occur in the withholding protocols (only the holder may
-        # transmit), but if one did the conservative choice is to keep
-        # the token where it is so that replicas stay consistent.
+        # A heard message keeps the token with its holder unless it
+        # carries the big bit.  Collisions do not occur in these protocols
+        # (only the holder may transmit) and carry no message, so one
+        # would leave the token where it is and replicas consistent.
+        if message is not None and message.control.get(self.BIG_FLAG):
+            self._move_to_front(message.sender)
         return False
 
     def advance_silence(self, rounds: int) -> int:
@@ -78,8 +85,9 @@ class TokenRingReplica:
         cycles) completed in the stretch, so callers that act on
         ``observe``'s phase-done signal can replay it in aggregate.  This
         is the quiescent-span fast path of the kernel engine: during an
-        all-queues-empty stretch every round is silent, so the token's
-        final position is pure modular arithmetic.
+        all-queues-empty stretch every round is silent, and silence never
+        reorders the ring, so the token's final position is pure modular
+        arithmetic.
         """
         if rounds <= 0:
             return 0
@@ -91,61 +99,19 @@ class TokenRingReplica:
         self.phase_no += phases
         return phases
 
-    def _advance(self) -> bool:
-        """Advance the token one position (test/debug helper)."""
-        return self.observe(ChannelOutcome.SILENCE)
-
-
-class MoveBigToFrontReplica:
-    """Replica of the MBTF station list and token position.
-
-    The list starts in name order.  The token holder transmits while it
-    has packets; a silent round advances the token to the next station in
-    the current list order.  When a heard message carries the ``big``
-    control bit, its sender is moved to the front of the list and receives
-    the token, so that a heavily loaded station can transmit for long
-    stretches without wasting rounds.
-    """
-
-    BIG_FLAG = "big"
-
-    def __init__(self, members: list[int]) -> None:
-        if not members:
-            raise ValueError("MBTF needs at least one member")
-        if len(set(members)) != len(members):
-            raise ValueError("group members must be distinct")
-        self.order = list(members)
-        self.token_pos = 0
-        #: The station currently expected to transmit (plain attribute,
-        #: updated whenever the token moves — see TokenRingReplica.holder).
-        self.holder = self.order[0]
-
-    def observe(self, outcome: ChannelOutcome, message: Message | None) -> None:
-        """Update the replica with this round's outcome (and heard message)."""
-        if outcome is ChannelOutcome.SILENCE:
-            self.token_pos = (self.token_pos + 1) % len(self.order)
-            self.holder = self.order[self.token_pos]
-            return
-        if outcome is ChannelOutcome.HEARD and message is not None:
-            if message.control.get(self.BIG_FLAG):
-                self._move_to_front(message.sender)
-            # Otherwise the holder keeps the token.
-
-    def advance_silence(self, rounds: int) -> None:
-        """Fast-forward ``rounds`` consecutive silent observations in O(1).
-
-        Silence never reorders the MBTF list (only heard ``big`` bits
-        do), so the only state to advance is the token position.
-        """
-        if rounds <= 0:
-            return
-        self.token_pos = (self.token_pos + rounds) % len(self.order)
-        self.holder = self.order[self.token_pos]
+    def copy_from(self, other: TokenRingReplica) -> None:
+        """Take ``other``'s whole state; the two then share one ring order."""
+        self.members = other.members
+        self.token_pos = other.token_pos
+        self.advancements = other.advancements
+        self.phase_no = other.phase_no
+        self.holder = other.holder
 
     def _move_to_front(self, station: int) -> None:
-        if station not in self.order:
+        members = self.members
+        if station not in members:
             return
-        self.order.remove(station)
-        self.order.insert(0, station)
+        if members[0] != station:
+            self.members = [station] + [m for m in members if m != station]
         self.token_pos = 0
         self.holder = station

@@ -6,7 +6,6 @@ from repro.channel.message import Message
 from repro.channel.packet import Packet
 from repro.protocols import (
     MoveBigToFront,
-    MoveBigToFrontReplica,
     OldFirstRoundRobinWithholding,
     RoundRobinWithholding,
     TokenRingReplica,
@@ -56,34 +55,45 @@ class TestTokenRingReplica:
             TokenRingReplica([])
 
 
-class TestMoveBigToFrontReplica:
+class TestTokenRingReplicaMoveToFront:
     def _message(self, sender, big=False):
         packet = Packet(destination=(sender + 1) % 4, injected_at=0, origin=sender)
-        control = {MoveBigToFrontReplica.BIG_FLAG: True} if big else {}
+        control = {TokenRingReplica.BIG_FLAG: True} if big else {}
         return Message(sender=sender, packet=packet, control=control)
 
     def test_silence_advances(self):
-        replica = MoveBigToFrontReplica([0, 1, 2])
+        replica = TokenRingReplica([0, 1, 2])
         replica.observe(ChannelOutcome.SILENCE, None)
         assert replica.holder == 1
 
     def test_plain_message_keeps_holder(self):
-        replica = MoveBigToFrontReplica([0, 1, 2])
+        replica = TokenRingReplica([0, 1, 2])
         replica.observe(ChannelOutcome.HEARD, self._message(0))
         assert replica.holder == 0
 
     def test_big_announcement_moves_to_front(self):
-        replica = MoveBigToFrontReplica([0, 1, 2])
+        replica = TokenRingReplica([0, 1, 2])
         replica.observe(ChannelOutcome.SILENCE, None)  # token at 1
         replica.observe(ChannelOutcome.SILENCE, None)  # token at 2
         replica.observe(ChannelOutcome.HEARD, self._message(2, big=True))
-        assert replica.order[0] == 2
+        assert replica.members[0] == 2
         assert replica.holder == 2
 
     def test_unknown_sender_ignored(self):
-        replica = MoveBigToFrontReplica([0, 1])
+        replica = TokenRingReplica([0, 1])
         replica.observe(ChannelOutcome.HEARD, self._message(3, big=True))
-        assert replica.order == [0, 1]
+        assert replica.members == [0, 1]
+
+    def test_move_to_front_leaves_state_copies_alone(self):
+        source = TokenRingReplica([0, 1, 2])
+        copy = TokenRingReplica([0, 1, 2])
+        copy.copy_from(source)
+        source.observe(ChannelOutcome.SILENCE)
+        source.observe(ChannelOutcome.HEARD, self._message(1, big=True))
+        assert source.members == [1, 0, 2]
+        assert (source.token_pos, source.holder) == (0, 1)
+        assert copy.members == [0, 1, 2]
+        assert (copy.token_pos, copy.holder) == (0, 0)
 
 
 class TestUncappedBaselines:

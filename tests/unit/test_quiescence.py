@@ -12,7 +12,7 @@ import pytest
 
 from repro.channel.feedback import ChannelOutcome
 from repro.core.schedule import rounds_in_congruence_class
-from repro.protocols.token_ring import MoveBigToFrontReplica, TokenRingReplica
+from repro.protocols.token_ring import TokenRingReplica
 from repro.sim import RunSpec
 
 
@@ -45,15 +45,15 @@ def test_token_ring_advance_silence_matches_per_round_observe(
 
 @pytest.mark.parametrize("rounds", [0, 1, 4, 5, 17, 360])
 def test_mbtf_advance_silence_matches_per_round_observe(rounds):
-    stepped = MoveBigToFrontReplica([2, 0, 3, 1])
-    jumped = MoveBigToFrontReplica([2, 0, 3, 1])
+    stepped = TokenRingReplica([2, 0, 3, 1])
+    jumped = TokenRingReplica([2, 0, 3, 1])
     for _ in range(rounds):
         stepped.observe(ChannelOutcome.SILENCE, None)
     jumped.advance_silence(rounds)
-    assert (stepped.token_pos, stepped.holder, stepped.order) == (
+    assert (stepped.token_pos, stepped.holder, stepped.members) == (
         jumped.token_pos,
         jumped.holder,
-        jumped.order,
+        jumped.members,
     )
 
 
