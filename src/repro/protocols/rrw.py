@@ -165,11 +165,12 @@ class _RingBlockDriver(RoundBlockDriver):
         sends only old packets, and a completed phase promotes the
         packets queued meanwhile.  A holder sending with at least
         ``big_threshold`` packets queued sets the big bit, which moves it
-        to the front of the ring (OF-RRW has no big bit, so the count is
-        of the send list).  Arrived-in-span packets are referenced by plan
-        index; the simulation walks snapshots only — no controller state
-        is touched until ``commit``.  Every station is always on, so every
-        heard packet is delivered.
+        to the front of the ring; the count is of the send list, which
+        is the whole queue wherever a threshold is set (OF-RRW has none).
+        Arrived-in-span packets are referenced by plan index; the
+        simulation walks snapshots only — no controller state is touched
+        until ``commit``.  Every station is always on, so every heard
+        packet is delivered.
         """
         controllers = self._controllers
         canonical = self._canonical
@@ -306,8 +307,8 @@ class _RingBlockDriver(RoundBlockDriver):
                 d_append((t, hold_list[hold_i]))
                 if hold_i <= big_last and order[0] != holder:
                     # Heard big bit: every replica moves the sender to
-                    # the front (a new list, as the replicas build) and
-                    # hands it the token, which it holds already.
+                    # the front of a new order list and hands it the
+                    # token, which it holds already.
                     order = [holder] + [m for m in order if m != holder]
                     pos = 0
                 hold_i += 1
