@@ -181,7 +181,6 @@ class _RingBlockDriver(RoundBlockDriver):
             threshold = sys.maxsize  # no queue is that long: never big
         order = canonical.members
         pos = canonical.token_pos
-        adv = canonical.advancements
         # Per station: ``pending`` is what its holder sends, in order;
         # its first ``old_counts`` entries are old packets.  OF-RRW's
         # ``later`` holds the new packets until a phase ends.
@@ -326,10 +325,6 @@ class _RingBlockDriver(RoundBlockDriver):
             pos += 1
             if pos == n:
                 pos = 0
-            holder = order[pos]
-            adv += 1
-            if adv >= n:
-                adv = 0
                 phases += 1
                 if old_first:
                     for station in range(n):
@@ -338,6 +333,7 @@ class _RingBlockDriver(RoundBlockDriver):
                             old_counts[station] = len(pending[station])
                             later[station] = []
                             dirty[station] = True
+            holder = order[pos]
             hold_list = pending[holder]
             hold_i = consumed[holder]
             hold_len = len(hold_list)
@@ -371,7 +367,6 @@ class _RingBlockDriver(RoundBlockDriver):
                 )
             canonical.members = order
             canonical.token_pos = pos
-            canonical.advancements = adv
             canonical.phase_no += phases
             canonical.holder = order[pos]
 

@@ -24,8 +24,11 @@ __all__ = ["TokenRingReplica"]
 class TokenRingReplica:
     """Replica of the token ring shared by a group of stations.
 
-    The ring order is never mutated in place: a move to the front builds
-    a new list, so replicas whose state was copied may share one list.
+    A *phase* ends when silence carries the token from the last member
+    back to the first; a move to the front hands the token to the front
+    without ending one.  The ring order is never mutated in place: a move
+    to the front builds a new list, so replicas whose state was copied
+    may share one list.
 
     Parameters
     ----------
@@ -44,7 +47,6 @@ class TokenRingReplica:
             raise ValueError("group members must be distinct")
         self.members = list(members)
         self.token_pos = 0
-        self.advancements = 0
         self.phase_no = 0
         #: The station currently holding the token.  A plain attribute
         #: (updated on every token move) because controllers read it once
@@ -54,21 +56,22 @@ class TokenRingReplica:
     def observe(self, outcome: ChannelOutcome, message: Message | None = None) -> bool:
         """Update the replica with this round's outcome (and heard message).
 
-        Returns True when the token completed a full cycle this round,
-        i.e. a *phase* of the group's protocol ended.
+        Returns True when a *phase* of the group's protocol ended this
+        round.
         """
         if outcome is ChannelOutcome.SILENCE:
             # Advance the token (inlined: every replica of every awake
             # station runs this once per silent round).
             members = self.members
-            pos = self.token_pos = (self.token_pos + 1) % len(members)
-            self.holder = members[pos]
-            self.advancements += 1
-            if self.advancements >= len(members):
-                self.advancements = 0
-                self.phase_no += 1
-                return True
-            return False
+            pos = self.token_pos + 1
+            if pos < len(members):
+                self.token_pos = pos
+                self.holder = members[pos]
+                return False
+            self.token_pos = 0
+            self.holder = members[0]
+            self.phase_no += 1
+            return True
         # A heard message keeps the token with its holder unless it
         # carries the big bit.  Collisions do not occur in these protocols
         # (only the holder may transmit) and carry no message, so one
@@ -92,10 +95,8 @@ class TokenRingReplica:
         if rounds <= 0:
             return 0
         members = self.members
-        size = len(members)
-        self.token_pos = (self.token_pos + rounds) % size
+        phases, self.token_pos = divmod(self.token_pos + rounds, len(members))
         self.holder = members[self.token_pos]
-        phases, self.advancements = divmod(self.advancements + rounds, size)
         self.phase_no += phases
         return phases
 
@@ -103,7 +104,6 @@ class TokenRingReplica:
         """Take ``other``'s whole state; the two then share one ring order."""
         self.members = other.members
         self.token_pos = other.token_pos
-        self.advancements = other.advancements
         self.phase_no = other.phase_no
         self.holder = other.holder
 

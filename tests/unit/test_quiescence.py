@@ -20,7 +20,6 @@ def _token_state(replica: TokenRingReplica) -> tuple:
     return (
         replica.token_pos,
         replica.holder,
-        replica.advancements,
         replica.phase_no,
     )
 
