@@ -41,7 +41,7 @@ from ..core.blocks import LoweredSegment, RoundBlockDriver
 from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
 from ..core.schedule import AlwaysOnSchedule, ObliviousSchedule
-from .token_ring import TokenRingReplica
+from .token_ring import TokenRingReplica, moved_to_front
 
 __all__ = ["RoundRobinWithholding", "OldFirstRoundRobinWithholding"]
 
@@ -245,12 +245,19 @@ class _RingBlockDriver(RoundBlockDriver):
         v_append = delta_values.append
         d_append = deliveries.append
         # The holder's cursor is kept in locals between token moves (the
-        # hot drain loop reads it every round).  It sets the big bit while
-        # ``hold_len - hold_i >= threshold``, i.e. up to index ``big_last``.
+        # hot drain loop reads it every round).  The holder sets the big
+        # bit while ``hold_len - hold_i >= threshold``, i.e. up to index
+        # ``big_last``.  Sends only shorten its queue, so its first send
+        # and an arrival at it are the only sends that can newly be big:
+        # the move to the front is decided when the holder gets the token
+        # or a packet, never in the send branches.
         hold_list = pending[holder]
         hold_i = consumed[holder]
         hold_len = len(hold_list)
         big_last = hold_len - threshold
+        if hold_i <= big_last and hold_i < hold_len and order[0] != holder:
+            order = moved_to_front(order, holder)
+            pos = 0
         while t < stop:
             if live == 0:
                 # Drained with no arrivals left: the tail is all silent —
@@ -269,6 +276,9 @@ class _RingBlockDriver(RoundBlockDriver):
                         if s == holder:
                             hold_len += 1
                             big_last += 1
+                            if hold_i <= big_last and order[0] != holder:
+                                order = moved_to_front(order, holder)
+                                pos = 0
                     dirty[s] = True
                     for k in range(row_start, len(delta_stations)):
                         if delta_stations[k] == s:
@@ -284,9 +294,6 @@ class _RingBlockDriver(RoundBlockDriver):
                 )
                 if hold_i < hold_len:
                     d_append((t, hold_list[hold_i]))
-                    if hold_i <= big_last and order[0] != holder:
-                        order = [holder] + [m for m in order if m != holder]
-                        pos = 0
                     hold_i += 1
                     live -= 1
                     t_append(holder)
@@ -304,12 +311,6 @@ class _RingBlockDriver(RoundBlockDriver):
                     continue
             elif hold_i < hold_len:
                 d_append((t, hold_list[hold_i]))
-                if hold_i <= big_last and order[0] != holder:
-                    # Heard big bit: every replica moves the sender to
-                    # the front of a new order list and hands it the
-                    # token, which it holds already.
-                    order = [holder] + [m for m in order if m != holder]
-                    pos = 0
                 hold_i += 1
                 live -= 1
                 t_append(holder)
@@ -338,6 +339,15 @@ class _RingBlockDriver(RoundBlockDriver):
             hold_i = consumed[holder]
             hold_len = len(hold_list)
             big_last = hold_len - threshold
+            if (
+                hold_i <= big_last
+                and hold_i < hold_len
+                and t + 1 < stop
+                and order[0] != holder
+            ):
+                # It sends big in the next round, still inside the span.
+                order = moved_to_front(order, holder)
+                pos = 0
             o_append(len(delta_stations))
             t += 1
         if hold_i:

@@ -18,7 +18,19 @@ from __future__ import annotations
 from ..channel.feedback import ChannelOutcome
 from ..channel.message import Message
 
-__all__ = ["TokenRingReplica"]
+__all__ = ["TokenRingReplica", "moved_to_front"]
+
+
+def moved_to_front(order: list[int], station: int) -> list[int]:
+    """A new ring order: ``order`` with ``station`` moved to the front.
+
+    ``order`` itself is left as it is, since replicas whose state was
+    copied share it.
+    """
+    moved = order.copy()
+    moved.remove(station)
+    moved.insert(0, station)
+    return moved
 
 
 class TokenRingReplica:
@@ -112,6 +124,6 @@ class TokenRingReplica:
         if station not in members:
             return
         if members[0] != station:
-            self.members = [station] + [m for m in members if m != station]
+            self.members = moved_to_front(members, station)
         self.token_pos = 0
         self.holder = station

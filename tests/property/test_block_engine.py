@@ -362,6 +362,9 @@ LOWERING_CASES = [
     # A low big threshold sets the big bit inside lowered spans, so the
     # ring reorders both on drain rounds and on arrival rounds.
     ("mbtf", {"n": 8, "big_threshold": 2}, "random", {"rho": 0.9, "beta": 2.0, "seed": 9}),
+    # Threshold 0: every send is big, but a holder with nothing to send
+    # sends nothing and so moves nowhere.
+    ("mbtf", {"n": 8, "big_threshold": 0}, "random", {"rho": 0.5, "beta": 2.0, "seed": 9}),
 ]
 
 
@@ -425,6 +428,30 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
     )
     assert _collector_state(lowered.collector) == _collector_state(
         reference.collector
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, adversary, adversary_params", LOWERING_CASES
+)
+def test_lowered_ring_state_matches_per_round_at_every_run_boundary(
+    algorithm, params, adversary, adversary_params
+):
+    """run() boundaries cut lowered spans at arbitrary rounds, including
+    the round the token reaches a holder that will set the big bit next:
+    after every piece the lowered run's replicas and queues must equal
+    the per-round run's."""
+    common = _lowering_common(algorithm, params, adversary, adversary_params)
+    lowered = _build_engine(common, BlockEngine)
+    per_round = _build_engine(common, BlockEngine)
+    per_round.lowering_enabled = False
+    for _ in range(100):
+        lowered.run(7)
+        per_round.run(7)
+        assert _ring_state(lowered) == _ring_state(per_round)
+    assert lowered.lowered_rounds > 0, (algorithm, adversary)
+    assert _collector_state(lowered.collector) == _collector_state(
+        per_round.collector
     )
 
 

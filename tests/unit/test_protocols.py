@@ -84,6 +84,15 @@ class TestTokenRingReplicaMoveToFront:
         replica.observe(ChannelOutcome.HEARD, self._message(3, big=True))
         assert replica.members == [0, 1]
 
+    def test_move_to_front_ends_no_phase(self):
+        replica = TokenRingReplica([0, 1, 2])
+        replica.observe(ChannelOutcome.SILENCE)  # token at 1
+        replica.observe(ChannelOutcome.HEARD, self._message(1, big=True))
+        assert (replica.members, replica.token_pos, replica.phase_no) == ([1, 0, 2], 0, 0)
+        completions = [replica.observe(ChannelOutcome.SILENCE) for _ in range(3)]
+        assert completions == [False, False, True]
+        assert (replica.holder, replica.phase_no) == (1, 1)
+
     def test_move_to_front_leaves_state_copies_alone(self):
         source = TokenRingReplica([0, 1, 2])
         copy = TokenRingReplica([0, 1, 2])
