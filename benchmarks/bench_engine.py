@@ -62,7 +62,7 @@ if __package__ in (None, ""):  # run as a script
     if _src.exists() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.sim import RunSpec, execute_spec  # noqa: E402
+from repro.sim import RunSpec, run_simulation  # noqa: E402
 
 #: (name, spec template).  ``rounds`` is filled in per mode.  Names are
 #: the trajectory keys — keep them stable across commits.
@@ -310,29 +310,29 @@ _UNKNOWN_BANDS = (set(QUIESCENT_BANDS) | set(BLOCK_BANDS) | set(LOWERED_BANDS)) 
 assert not _UNKNOWN_BANDS, f"band keys not in CONFIGS: {sorted(_UNKNOWN_BANDS)}"
 
 
-def _time_run(
-    template: dict,
-    rounds: int,
-    engine: str,
-    quiescence_skip: bool = True,
-    lowering: bool = True,
-) -> float:
+def _time_run(template: dict, rounds: int, engine: str, **options) -> float:
     """Rounds/sec of one run of a configuration, from a collected heap.
 
+    ``options`` (``quiescence_skip``, ``lowering``) go to the engine's
+    ``EngineConfig`` through ``run_simulation``.  The timed region builds
+    the algorithm and adversary too, as ``execute_spec`` does.
     Collecting first matters for the gated pairs: otherwise the garbage
     one run leaves behind is collected during the next run, which
     charges one side of a pair for the other's allocations.
     """
-    spec = RunSpec(
-        rounds=rounds,
-        engine=engine,
-        quiescence_skip=quiescence_skip,
-        lowering=lowering,
-        **template,
-    )
+    spec = RunSpec(rounds=rounds, engine=engine, **template)
     gc.collect()
     start = time.perf_counter()
-    execute_spec(spec)
+    algorithm = spec.build_algorithm()
+    run_simulation(
+        algorithm,
+        spec.build_adversary(algorithm),
+        rounds,
+        enforce_energy_cap=spec.enforce_energy_cap,
+        energy_cap=spec.energy_cap,
+        engine=engine,
+        **options,
+    )
     return rounds / (time.perf_counter() - start)
 
 

@@ -370,18 +370,12 @@ class ObliviousAdversary(Adversary):
     :class:`~repro.channel.engine.AdversaryView` maintenance — and makes
     the injections *plannable*: because demands cannot depend on the
     execution, whole chunks of rounds can be materialised up front.
-    :meth:`plan_injections` therefore works for every oblivious subclass
-    out of the box (the generic :meth:`_plan_chunk` replays ``demand``
-    round by round with batched bookkeeping, preserving RNG draw order
-    for the seeded stochastic families); the hot deterministic families
-    override :meth:`_plan_chunk` with fully vectorised pair generation.
+    Every subclass implements :meth:`_plan_chunk` with batched pair
+    generation; :meth:`plan_injections` wraps its output in an
+    :class:`InjectionPlan`.
     """
 
     plans_injections = True
-
-    def __init__(self, rho: float, beta: float) -> None:
-        super().__init__(rho, beta)
-        self._plan_view: AdversaryView | None = None
 
     def plan_injections(self, start: int, stop: int) -> InjectionPlan:
         if self.n is None or self.factory is None:
@@ -396,41 +390,16 @@ class ObliviousAdversary(Adversary):
     def _plan_chunk(
         self, start: int, stop: int
     ) -> tuple[list[int], list[int], list[int]]:
-        """Default planner: replay ``demand`` round by round.
+        """Per-round counts and flat (source, destination) lists of
+        rounds ``[start, stop)``.
 
-        Correct for *any* oblivious subclass — the calls, their order and
-        the leaky-bucket bookkeeping are exactly those of per-round
-        :meth:`inject` (minus packet materialisation, which the consuming
-        engine performs in the same order), so even RNG-backed demands
-        produce identical draws.  The view handed to ``demand`` is a
-        never-updated window-0 view, which is precisely what an oblivious
-        adversary sees from the kernel engine.
+        Must match calling :meth:`inject` for each round of the window:
+        the same pairs in the same per-round order, clipped to the same
+        budgets, with the leaky-bucket tracker left in the same state.
         """
-        assert self.n is not None
-        view = self._plan_view
-        if view is None or view.n != self.n:
-            view = self._plan_view = AdversaryView(n=self.n, window=0)
-        constraint = self.constraint
-        counts: list[int] = []
-        sources: list[int] = []
-        destinations: list[int] = []
-        for t in range(start, stop):
-            budget = constraint.budget()
-            demanded = self.demand(t, budget, view)
-            if not demanded:
-                constraint.consume(0)
-                counts.append(0)
-                continue
-            demands = list(demanded)
-            if len(demands) > budget:
-                demands = demands[:budget]
-            for source, destination in demands:
-                self._validate_pair(source, destination)
-                sources.append(source)
-                destinations.append(destination)
-            counts.append(len(demands))
-            constraint.consume(len(demands))
-        return counts, sources, destinations
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement _plan_chunk"
+        )
 
     def observation_profile(self) -> ObservationProfile:
         return ObservationProfile.oblivious()

@@ -9,32 +9,20 @@ legal adversary of that type.
 
 Being oblivious, these families also declare ``plans_injections`` and
 are consumed by the kernel engine in batched chunks.  How the generator
-stream is consumed is **versioned**, because the stream is part of a
-seeded run's identity (recorded runs, caches and replays must keep
-reproducing bit-identical traffic):
-
-* ``rng_version=1`` (the only protocol that existed before it was
-  versioned) draws per round, with the *number* of calls depending on
-  the realised budget.  It cannot be vectorised without changing the
-  stream, so the generic
-  :meth:`~repro.adversary.base.ObliviousAdversary._plan_chunk` replays
-  ``demand`` round by round inside the plan call.  It is kept so
-  pre-versioned recordings replay unchanged: spec dicts serialised
-  before the version existed carry no ``rng_version`` key, and
-  :meth:`repro.sim.specs.RunSpec.from_dict` reads that absence as
-  version 1.
-* ``rng_version=2`` (the default) is the *batched RNG protocol*: the stream is
-  consumed in fixed, absolute blocks of :data:`RNG_BLOCK` rounds, each
-  materialised by a handful of array draws (raw per-round demand counts
-  first, then the per-packet draws, in a fixed documented order) and
-  clipped against the leaky bucket in one
-  :meth:`~repro.adversary.leaky_bucket.LeakyBucketConstraint.consume_demands`
-  sweep.  Because block boundaries are fixed in absolute round numbers,
-  the stream is independent of the engine's ``plan_chunk`` and of
-  whether rounds are consumed through plans or per-round ``inject()``
-  (both property-tested) — but it is a *different* stream from version
-  1, which is why the version is an explicit, spec-recorded parameter
-  rather than a silent upgrade.
+stream is consumed is part of a seeded run's identity (recorded runs,
+caches and replays must keep reproducing bit-identical traffic), so the
+protocol is named by an ``rng_version`` parameter that every spec
+records.  Version 2, the *batched RNG protocol*, is the only one: the
+stream is consumed in fixed, absolute blocks of :data:`RNG_BLOCK`
+rounds, each materialised by a handful of array draws (raw per-round
+demand counts first, then the per-packet draws, in a fixed documented
+order) and clipped against the leaky bucket in one
+:meth:`~repro.adversary.leaky_bucket.LeakyBucketConstraint.consume_demands`
+sweep.  Because block boundaries are fixed in absolute round numbers,
+the stream is independent of the engine's ``plan_chunk`` and of whether
+rounds are consumed through plans or per-round ``inject()`` (both
+property-tested).  Version 1, a per-round protocol, is retired: asking
+for it raises.
 """
 
 from __future__ import annotations
@@ -56,17 +44,14 @@ __all__ = [
     "RandomWalkAdversary",
 ]
 
-#: Round-window granularity of the version-2 batched RNG protocol.  The
-#: stream is drawn one absolute block ``[b * RNG_BLOCK, (b+1) * RNG_BLOCK)``
-#: at a time, so the constant is part of the protocol: changing it would
-#: change every version-2 stream.
+#: Round-window granularity of the batched RNG protocol.  The stream is
+#: drawn one absolute block ``[b * RNG_BLOCK, (b+1) * RNG_BLOCK)`` at a
+#: time, so the constant is part of the protocol: changing it would change
+#: every seeded stream.
 RNG_BLOCK = 4096
 
-#: RNG protocol new seeded adversaries speak unless told otherwise.  Spec
-#: dicts serialised before the protocol was versioned carry no
-#: ``rng_version`` key; :meth:`repro.sim.specs.RunSpec.from_dict` reads
-#: that absence as version 1, so flipping this default never rewrites the
-#: traffic of an existing recording.
+#: The RNG protocol seeded adversaries speak: the only ``rng_version``
+#: they accept.
 DEFAULT_RNG_VERSION = 2
 
 
@@ -92,16 +77,17 @@ class SeededAdversary(ObliviousAdversary):
         self, rho: float, beta: float, seed: int = 0, rng_version: int = DEFAULT_RNG_VERSION
     ) -> None:
         super().__init__(rho, beta)
-        if rng_version not in (1, 2):
+        if rng_version != DEFAULT_RNG_VERSION:
             raise ValueError(
-                f"unknown rng_version {rng_version!r}; known protocols: 1 "
-                "(per-round draws), 2 (batched block draws)"
+                f"unsupported rng_version {rng_version!r}: seeded adversaries "
+                f"speak protocol {DEFAULT_RNG_VERSION} (batched block draws); "
+                "protocol 1 (per-round draws) is retired"
             )
         self.seed = seed
         self.rng_version = rng_version
         self._rng = np.random.default_rng(seed)
-        # Version-2 block cache: the current block's base round, per-round
-        # pair offsets (length RNG_BLOCK + 1) and flat pair lists.
+        # Block cache: the current block's base round, per-round pair
+        # offsets (length RNG_BLOCK + 1) and flat pair lists.
         self._block_start = -1
         self._block_offsets: list[int] = []
         self._block_sources: list[int] = []
@@ -119,10 +105,12 @@ class SeededAdversary(ObliviousAdversary):
         self._block_start = -1
 
     def describe(self) -> str:
-        suffix = "" if self.rng_version == 1 else f",rng=v{self.rng_version}"
-        return f"{type(self).__name__}{self.adversary_type}[seed={self.seed}{suffix}]"
+        return (
+            f"{type(self).__name__}{self.adversary_type}"
+            f"[seed={self.seed},rng=v{self.rng_version}]"
+        )
 
-    # -- version-2 batched RNG protocol --------------------------------------
+    # -- batched RNG protocol --------------------------------------------------
     def _draw_block(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialise one RNG block: raw counts plus per-packet pairs.
 
@@ -134,8 +122,7 @@ class SeededAdversary(ObliviousAdversary):
         ``(seed, start)`` and the family's parameters.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement the batched RNG "
-            "protocol (rng_version=2)"
+            f"{type(self).__name__} does not implement _draw_block"
         )
 
     def _ensure_block(self, round_no: int) -> None:
@@ -150,13 +137,15 @@ class SeededAdversary(ObliviousAdversary):
         self._block_sources = sources.tolist()
         self._block_destinations = destinations.tolist()
 
-    def _demand_from_block(self, round_no: int) -> Sequence[InjectionDemand]:
-        """Version-2 per-round demand: slice the cached block.
+    def demand(
+        self, round_no: int, budget: int, view: AdversaryView
+    ) -> Sequence[InjectionDemand]:
+        """Slice the round's pairs out of the cached block.
 
-        No generator call happens here, so — unlike version 1 — the
-        stream cannot depend on the realised budget; clipping to the
-        envelope is left to the caller (``inject`` truncates demands to
-        the budget, ``_plan_chunk`` clips via ``consume_demands``).
+        No generator call happens here, so the stream cannot depend on
+        the realised budget; clipping to the envelope is left to the
+        caller (``inject`` truncates demands to the budget,
+        ``_plan_chunk`` clips via ``consume_demands``).
         """
         self._ensure_block(round_no)
         rel = round_no - self._block_start
@@ -171,10 +160,6 @@ class SeededAdversary(ObliviousAdversary):
     def _plan_chunk(
         self, start: int, stop: int
     ) -> tuple[list[int], list[int], list[int]]:
-        if self.rng_version != 2:
-            # Version 1: the generic round-by-round replay preserves the
-            # legacy per-round draw sequence exactly.
-            return super()._plan_chunk(start, stop)
         counts: list[int] = []
         sources: list[int] = []
         destinations: list[int] = []
@@ -202,14 +187,13 @@ class SeededAdversary(ObliviousAdversary):
             t = block_stop
         return counts, sources, destinations
 
-    # -- shared v2 draw helpers ----------------------------------------------
+    # -- shared draw helpers ---------------------------------------------------
     def _raw_counts(self) -> np.ndarray:
         """Per-round raw demand counts of one block: Binomial(B, rho).
 
-        ``B`` is the type's burstiness cap, so raw demand matches the
-        version-1 shape (at most a burst per round, rate rho on average);
-        the leaky bucket still clips every realised count to the exact
-        envelope.
+        ``B`` is the type's burstiness cap, so raw demand is at most a
+        burst per round, at rate rho on average; the leaky bucket still
+        clips every realised count to the exact envelope.
         """
         cap = max(1, self.adversary_type.burstiness)
         return self._rng.binomial(cap, min(1.0, self.rho), size=RNG_BLOCK)
@@ -217,25 +201,6 @@ class SeededAdversary(ObliviousAdversary):
 
 class UniformRandomAdversary(SeededAdversary):
     """Bernoulli(rho)-per-round arrivals with uniformly random endpoints."""
-
-    def demand(
-        self, round_no: int, budget: int, view: AdversaryView
-    ) -> Sequence[InjectionDemand]:
-        assert self.n is not None
-        if self.rng_version == 2:
-            return self._demand_from_block(round_no)
-        if budget == 0:
-            return []
-        count = int(self._rng.binomial(max(budget, 1), min(1.0, self.rho)))
-        count = min(count, budget)
-        demands: list[InjectionDemand] = []
-        for _ in range(count):
-            source = int(self._rng.integers(self.n))
-            destination = int(self._rng.integers(self.n - 1))
-            if destination >= source:
-                destination += 1
-            demands.append((source, destination))
-        return demands
 
     def _draw_block(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Fixed draw order: counts, sources, destinations.
@@ -269,28 +234,6 @@ class HotspotAdversary(SeededAdversary):
             raise ValueError("hot_fraction must lie in [0, 1]")
         self.hot_station = hot_station
         self.hot_fraction = hot_fraction
-
-    def demand(
-        self, round_no: int, budget: int, view: AdversaryView
-    ) -> Sequence[InjectionDemand]:
-        assert self.n is not None
-        if self.rng_version == 2:
-            return self._demand_from_block(round_no)
-        if budget == 0:
-            return []
-        count = int(self._rng.binomial(max(budget, 1), min(1.0, self.rho)))
-        count = min(count, budget)
-        demands: list[InjectionDemand] = []
-        for _ in range(count):
-            if self._rng.random() < self.hot_fraction:
-                destination = self.hot_station
-            else:
-                destination = int(self._rng.integers(self.n))
-            source = int(self._rng.integers(self.n - 1))
-            if source >= destination:
-                source += 1
-            demands.append((source, destination))
-        return demands
 
     def _draw_block(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Fixed draw order: counts, hot flags, cold destinations, sources.
@@ -335,33 +278,12 @@ class RandomWalkAdversary(SeededAdversary):
         super().reset_rng()
         self._focus = 0
 
-    def demand(
-        self, round_no: int, budget: int, view: AdversaryView
-    ) -> Sequence[InjectionDemand]:
-        assert self.n is not None
-        if self.rng_version == 2:
-            return self._demand_from_block(round_no)
-        if self._rng.random() < self.drift_probability:
-            self._focus = (self._focus + int(self._rng.integers(1, self.n))) % self.n
-        if budget == 0:
-            return []
-        count = int(self._rng.binomial(max(budget, 1), min(1.0, self.rho)))
-        count = min(count, budget)
-        demands: list[InjectionDemand] = []
-        for _ in range(count):
-            offset = int(self._rng.integers(1, max(2, self.n // 2 + 1)))
-            destination = (self._focus + offset) % self.n
-            if destination == self._focus:
-                destination = (self._focus + 1) % self.n
-            demands.append((self._focus, destination))
-        return demands
-
     def _draw_block(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Fixed draw order: drift flags, drift steps, counts, offsets.
         # Drift steps are drawn for every round (used only where the flag
         # is set) so the walk is one cumulative-sum, and the focus of each
-        # packet is the post-drift focus of its round — matching the
-        # version-1 ordering of drift before demand.
+        # packet is the post-drift focus of its round: a round drifts
+        # before it injects.
         rng = self._rng
         n = self.n
         drift = rng.random(RNG_BLOCK) < self.drift_probability

@@ -123,12 +123,6 @@ class BlockEngine(KernelEngine):
         self.lowered_segments = 0
         #: Rounds executed through the array-lowered path (introspection).
         self.lowered_rounds = 0
-        #: Public toggle for the segment-lowering tier.  The benchmark
-        #: harness flips it off to time the per-round block steps against
-        #: the lowered path on otherwise identical runs; it is an
-        #: execution knob, not negotiated state, so results stay
-        #: bit-identical either way.
-        self.lowering_enabled = True
 
     # -- negotiated capabilities ----------------------------------------------
     @property
@@ -142,7 +136,7 @@ class BlockEngine(KernelEngine):
         data["blocks_compiled"] = self.blocks_compiled
         data["blocks_fallback"] = self.blocks_fallback
         data["block_decline_reasons"] = dict(self.block_decline_reasons)
-        data["segment_lowering"] = self.uses_block_compilation and self.lowering_enabled
+        data["segment_lowering"] = self.uses_block_compilation and self.config.lowering
         data["lowered_segments"] = self.lowered_segments
         data["lowered_rounds"] = self.lowered_rounds
         return data

@@ -302,6 +302,13 @@ class EngineConfig:
     way (property-tested); switching it off recovers the strictly
     per-round kernel loop for comparison benchmarks.  Ignored by the
     reference loop.
+
+    ``lowering`` enables the block engine's segment-lowering tier:
+    drivers prove closed-form spans inside compiled blocks, which then
+    execute as array kernels.  Results are bit-identical either way
+    (property-tested); switching it off recovers the strictly per-round
+    compiled steps for comparison benchmarks.  Ignored by the kernel and
+    reference loops.
     """
 
     energy_cap: int | None = None
@@ -312,6 +319,7 @@ class EngineConfig:
     full_history: bool = False
     plan_chunk: int = DEFAULT_PLAN_CHUNK
     quiescence_skip: bool = True
+    lowering: bool = True
 
     def __post_init__(self) -> None:
         if self.plan_chunk < 1:

@@ -599,7 +599,7 @@ class KernelEngine:
             # per-message validation, so checked configurations keep the
             # per-round steps, where check_message runs for every message.
             lowering = (
-                self.lowering_enabled
+                self.config.lowering
                 and counts_list is not None
                 and not checked_messages
             )

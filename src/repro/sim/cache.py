@@ -49,7 +49,7 @@ from pathlib import Path
 
 from .faults import CacheCorruptionError, FaultPlan
 from .runner import RunResult
-from .specs import EXECUTION_FIELDS, RunSpec
+from .specs import RunSpec
 
 __all__ = [
     "CACHE_VERSION",
@@ -202,6 +202,21 @@ def encode_entry(spec: RunSpec, result: RunResult) -> tuple[bytes, str]:
     return header + body, sidecar
 
 
+def _same_identity(stored: object, spec: RunSpec) -> bool:
+    """Whether a stored spec dict describes the same run as ``spec``.
+
+    Only the identity fields are compared.  Stored dicts may also carry
+    ``engine``, or the execution keys older versions wrote; entries
+    written before any of those were serialised carry the identity
+    fields alone.  A result computed by one engine is valid for a spec
+    requesting another, so none of that matters.
+    """
+    if not isinstance(stored, dict):
+        return False
+    identity = spec.identity_dict()
+    return {k: v for k, v in stored.items() if k in identity} == identity
+
+
 class ResultCache:
     """Persistent spec-hash → :class:`RunResult` store in one directory.
 
@@ -253,20 +268,6 @@ class ResultCache:
         return self.root / f"{spec.spec_hash()}.json"
 
     # -- store/load ----------------------------------------------------------
-    @staticmethod
-    def _stored_identity(stored: object) -> dict | None:
-        """Project a stored spec dict onto its identity fields.
-
-        Stored specs carry the full :meth:`RunSpec.to_dict` (identity
-        fields plus execution knobs); entries written before the knobs
-        were serialised carry the identity fields alone.  Either way the
-        identity projection is what must match — a result computed by one
-        engine is valid for a spec requesting another.
-        """
-        if not isinstance(stored, dict):
-            return None
-        return {k: v for k, v in stored.items() if k not in EXECUTION_FIELDS}
-
     @staticmethod
     def _load_payload(path: Path) -> object:
         """Read and verify one payload file.
@@ -328,7 +329,7 @@ class ResultCache:
         if (
             not isinstance(payload, dict)
             or payload.get("version") != CACHE_VERSION
-            or self._stored_identity(payload.get("spec")) != spec.identity_dict()
+            or not _same_identity(payload.get("spec"), spec)
             or not isinstance(payload.get("result"), RunResult)
         ):
             self.misses += 1

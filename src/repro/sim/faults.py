@@ -11,12 +11,15 @@ pin that with the same equivalence discipline the engine stack uses
 the same faults wherever and whenever it is replayed — independent of
 scheduling order, worker count or wall-clock time.
 
-Like the ``engine``/``plan_chunk``/``quiescence_skip``/``lowering``
-execution knobs, a fault plan rides on :class:`~repro.sim.specs.RunSpec`
-*outside* the spec's identity: ``fault_plan`` round-trips through
-``to_dict``/``from_dict`` (it must reach worker processes) but never
-enters ``identity_dict``/``spec_hash`` — injecting faults cannot change
-what a run computes, only how many attempts computing it takes.
+Like the ``engine`` selector, a fault plan rides on
+:class:`~repro.sim.specs.RunSpec` *outside* the spec's identity: an
+executor stamps the ``fault_plan`` field of the specs it pickles to its
+own worker processes, but the stamp never enters
+``identity_dict``/``spec_hash`` — injecting faults cannot change what a
+run computes, only how many attempts computing it takes.  Nor does it
+enter ``to_dict``: a spec that arrives as a dict (over HTTP, from a
+lease) carries no stamp, so only the process that armed a plan injects
+its faults.
 
 Fault kinds:
 
@@ -367,8 +370,8 @@ class FaultPlan:
         )
 
     def stamp(self, attempt: int) -> dict:
-        """The plan plus the attempt number, as shipped on a spec's
-        ``fault_plan`` execution field to the executing process."""
+        """The plan plus the attempt number, as shipped on a pickled
+        spec's ``fault_plan`` field to the executing process."""
         data = self.to_dict()
         data["attempt"] = int(attempt)
         return data

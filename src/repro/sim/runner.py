@@ -97,10 +97,7 @@ def run_simulation(
     record_trace: bool = False,
     label: str | None = None,
     engine: str = "auto",
-    full_history: bool = False,
-    plan_chunk: int | None = None,
-    quiescence_skip: bool = True,
-    lowering: bool = True,
+    **engine_options,
 ) -> RunResult:
     """Simulate ``rounds`` rounds of ``algorithm`` against ``adversary``.
 
@@ -132,26 +129,11 @@ def run_simulation(
         ``"kernel"`` forces the capability-negotiated per-round loop; ``"reference"`` is the escape hatch forcing the original
         checked loop.  All engines produce bit-identical summaries
         (property-tested).
-    full_history:
-        Keep the unbounded adversary view regardless of the adversary's
-        declared observation profile.
-    plan_chunk:
-        Batching granularity (in rounds) of the kernel loop's injection
-        plans and windowed-view ring refreshes; ``None`` keeps the
-        engine default.  An execution-strategy knob — results are
-        bit-identical for every value.
-    quiescence_skip:
-        Enable the kernel loop's quiescent-span fast path (default).
-        Another execution-strategy knob — results are bit-identical
-        either way; ``False`` recovers the strictly per-round kernel for
-        comparison benchmarks.
-    lowering:
-        Enable the block engine's segment-lowering tier (default):
-        drivers prove closed-form spans inside compiled blocks, which
-        then execute as array kernels.  Execution-strategy knob like the
-        others — results are bit-identical either way; ``False``
-        recovers the strictly per-round compiled steps for comparison
-        benchmarks.  Ignored by the kernel and reference engines.
+    engine_options:
+        Further :class:`~repro.channel.engine.EngineConfig` fields
+        (``plan_chunk``, ``quiescence_skip``, ``lowering``), passed on
+        unchanged.  They choose how the engine executes the run, never
+        what it computes: results are bit-identical for every value.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -164,14 +146,11 @@ def run_simulation(
         )
     collector = MetricsCollector()
     cap = energy_cap if energy_cap is not None else algorithm.energy_cap
-    config_kwargs = {} if plan_chunk is None else {"plan_chunk": plan_chunk}
     config = EngineConfig(
         energy_cap=cap,
         enforce_energy_cap=enforce_energy_cap,
         record_trace=record_trace,
-        full_history=full_history,
-        quiescence_skip=quiescence_skip,
-        **config_kwargs,
+        **engine_options,
     )
     kind = resolve_engine(engine, record_trace)
     if kind in ("block", "kernel"):
@@ -183,8 +162,6 @@ def run_simulation(
             config=config,
             schedule=algorithm.oblivious_schedule(),
         )
-        if kind == "block":
-            eng.lowering_enabled = lowering
     else:
         eng = RoundEngine(controllers, adversary, collector=collector, config=config)
     eng.run(rounds)

@@ -1,7 +1,7 @@
 """Declarative run specifications.
 
 A :class:`RunSpec` describes one simulated execution — algorithm, adversary,
-horizon and engine knobs — as plain data (registry keys + JSON-serialisable
+horizon and engine — as plain data (registry keys + JSON-serialisable
 parameter dicts).  Because a spec is pure data it can
 
 * cross process boundaries (the parallel executor ships specs to worker
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from ..adversary import (
@@ -51,7 +51,6 @@ from .runner import ENGINE_KINDS, RunResult, run_simulation
 
 __all__ = [
     "AdversaryEntry",
-    "EXECUTION_FIELDS",
     "RunSpec",
     "available_adversaries",
     "execute_spec",
@@ -215,20 +214,20 @@ def _json_ready(params: Mapping[str, Any], what: str) -> dict:
 # RunSpec
 # ---------------------------------------------------------------------------
 
-#: Execution-strategy fields of a :class:`RunSpec`: they choose *how* a run
-#: executes (which engine, what batching granularity, whether quiescent
-#: spans are elided), not *what* it computes — results are bit-identical
-#: for every combination (property-tested).  They round-trip through
-#: :meth:`RunSpec.to_dict`/:meth:`RunSpec.from_dict` like every other
-#: field but are excluded from :meth:`RunSpec.identity_dict` and with it
-#: from :meth:`RunSpec.canonical_json`/:meth:`RunSpec.spec_hash`, so a
-#: cached result is valid whichever strategy computed it.
-EXECUTION_FIELDS = ("engine", "plan_chunk", "quiescence_skip", "lowering", "fault_plan")
-
-
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """A declarative, hashable description of one simulation run."""
+    """A declarative, hashable description of one simulation run.
+
+    The fields :meth:`identity_dict` lists say what the run computes.
+    ``engine`` and ``fault_plan`` say how it executes: results are
+    bit-identical whichever engine runs them and however many attempts
+    injected faults cost (both property-tested), so neither enters the
+    spec's identity, hash or equality, and a cached result is valid for
+    either.  Engine tuning that only tests and benchmarks vary
+    (``plan_chunk``, ``quiescence_skip``, ``lowering``) is not spec data
+    at all: it is passed to :func:`~repro.sim.runner.run_simulation`,
+    which hands it to :class:`~repro.channel.engine.EngineConfig`.
+    """
 
     algorithm: str
     adversary: str
@@ -239,52 +238,21 @@ class RunSpec:
     energy_cap: int | None = None
     record_trace: bool = False
     label: str | None = None
-    #: Engine selector ("auto" / "block" / "kernel" / "reference").  An
-    #: execution strategy (see :data:`EXECUTION_FIELDS`), not part of the
-    #: run's identity: all engines produce bit-identical results
-    #: (property-tested), so ``engine`` round-trips through
-    #: :meth:`to_dict` but is excluded from :meth:`identity_dict` and
-    #: :meth:`spec_hash` — a cached result is valid whichever engine
-    #: computed it.
+    #: Engine selector ("auto" / "block" / "kernel" / "reference").  It
+    #: round-trips through :meth:`to_dict` but stays out of the identity.
     engine: str = "auto"
-    #: Kernel batching granularity in rounds (``None`` = engine default):
-    #: how many rounds one ``plan_injections`` call materialises and how
-    #: often the schedule-backed view's history ring is refreshed.  Like
-    #: ``engine`` this is an execution strategy — results are
-    #: bit-identical for every value (property-tested) — so it
-    #: round-trips through :meth:`to_dict` but stays outside the spec's
-    #: identity and hash.
-    plan_chunk: int | None = None
-    #: Kernel quiescent-span fast path (silence-invariant runs elide
-    #: injection-free all-queues-empty spans in one step).  Execution
-    #: strategy like ``engine``/``plan_chunk`` — results are bit-identical
-    #: either way (property-tested) — so it too round-trips through
-    #: :meth:`to_dict` while staying outside the spec's identity and
-    #: hash; ``False`` recovers the strictly per-round kernel for
-    #: comparison benchmarks.
-    quiescence_skip: bool = True
-    #: Block engine segment-lowering tier (drivers prove closed-form
-    #: spans that execute as array kernels).  Execution strategy like the
-    #: knobs above — results are bit-identical either way
-    #: (property-tested) — so it round-trips through :meth:`to_dict`
-    #: while staying outside the spec's identity and hash; ``False``
-    #: recovers the strictly per-round compiled steps for comparison
-    #: benchmarks.  Ignored by the kernel and reference engines.
-    lowering: bool = True
     #: Deterministic fault-injection stamp (a
-    #: :meth:`repro.sim.faults.FaultPlan.stamp` dict, or None): replayed
-    #: at the top of :func:`execute_spec` wherever the spec executes.
-    #: Execution strategy like the knobs above — injected faults change
-    #: how many *attempts* a run takes, never what it computes
-    #: (property-tested) — so it round-trips through :meth:`to_dict`
-    #: while staying outside the spec's identity and hash.
+    #: :meth:`repro.sim.faults.FaultPlan.stamp` dict, or None) that an
+    #: executor puts on the specs it pickles to its own worker processes;
+    #: :func:`execute_spec` replays it before the run.  It never enters
+    #: :meth:`to_dict`, so a spec received as a dict carries none.
     fault_plan: dict | None = None
 
     def __post_init__(self) -> None:
         # Fail fast on mistyped fields, here rather than inside a worker:
         # integral fields take ints (numpy ints too, via operator.index)
         # but not bools, floats or strings, and flags take only bools.
-        for name in ("rounds", "energy_cap", "plan_chunk"):
+        for name in ("rounds", "energy_cap"):
             value = getattr(self, name)
             if value is None and name != "rounds":
                 continue
@@ -294,17 +262,17 @@ class RunSpec:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("enforce_energy_cap", "record_trace", "quiescence_skip", "lowering"):
+        for name in ("enforce_energy_cap", "record_trace"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise TypeError(f"label must be a string or None, got {self.label!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINE_KINDS}"
             )
-        if self.plan_chunk is not None and self.plan_chunk < 1:
-            raise ValueError("plan_chunk must be at least 1 round")
         if self.fault_plan is not None:
             if not isinstance(self.fault_plan, Mapping):
                 raise TypeError("fault_plan must be a FaultPlan.stamp() dict or None")
@@ -325,11 +293,8 @@ class RunSpec:
         object.__setattr__(
             self, "adversary_params", _json_ready(self.adversary_params, "adversary")
         )
-        # Seeded stochastic adversaries: pin the RNG protocol explicitly.
-        # The constructor default flipped from 1 to 2 when the batched
-        # protocol became standard; recording the version in every new
-        # spec keeps serialised dicts unambiguous, so from_dict can read
-        # a *missing* key as a pre-versioned (v1) recording.
+        # Seeded stochastic adversaries: pin the RNG protocol explicitly,
+        # so every serialised dict names the stream it replays.
         if (
             issubclass(adversary_entry(self.adversary).cls, SeededAdversary)
             and "rng_version" not in self.adversary_params
@@ -343,8 +308,8 @@ class RunSpec:
         """The fields that define *what* this run computes.
 
         This is the dict behind :meth:`canonical_json` and
-        :meth:`spec_hash`; the :data:`EXECUTION_FIELDS` are deliberately
-        absent, so specs differing only in execution strategy share one
+        :meth:`spec_hash`; ``engine`` and ``fault_plan`` are deliberately
+        absent, so specs differing only in how they execute share one
         hash (and one cache entry).
         """
         return {
@@ -360,35 +325,38 @@ class RunSpec:
         }
 
     def to_dict(self) -> dict:
-        """Lossless serialisation: identity fields plus execution knobs.
+        """Serialisation: the identity fields plus ``engine``.
 
-        ``RunSpec.from_dict(spec.to_dict())`` reconstructs every field —
-        including the :data:`EXECUTION_FIELDS`, so a spec shipped across a
-        process boundary keeps its requested engine, plan chunking and
-        quiescence-skip setting.  Identity (hashing, caching, equality)
-        comes from :meth:`identity_dict` instead.
+        ``RunSpec.from_dict(spec.to_dict())`` reconstructs every field
+        but ``fault_plan``, which stays with the process that stamped it.
+        Identity (hashing, caching, equality) comes from
+        :meth:`identity_dict` instead.
         """
         data = self.identity_dict()
         data["engine"] = self.engine
-        data["plan_chunk"] = self.plan_chunk
-        data["quiescence_skip"] = self.quiescence_skip
-        data["lowering"] = self.lowering
-        data["fault_plan"] = dict(self.fault_plan) if self.fault_plan else None
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
+        """Rebuild a spec from a :meth:`to_dict` dict.
+
+        Unknown keys are rejected by name, so a misspelt field fails here
+        instead of running on its default.  A seeded adversary's params
+        must name their ``rng_version``, as every :meth:`to_dict` does.
+        """
+        unknown = sorted(set(data) - _DICT_FIELDS, key=str)
+        if unknown:
+            raise TypeError(f"unknown RunSpec field(s) {unknown}")
         adversary = data["adversary"]
         adversary_params = dict(data.get("adversary_params") or {})
-        # New specs always serialise the RNG protocol of a seeded
-        # adversary (__post_init__ pins it), so a dict *without* the key
-        # predates the versioning — replay it on protocol 1, the only
-        # stream that existed then, rather than the current default.
         if (
             issubclass(adversary_entry(adversary).cls, SeededAdversary)
             and "rng_version" not in adversary_params
         ):
-            adversary_params["rng_version"] = 1
+            raise ValueError(
+                f"adversary {adversary!r} is seeded, and its adversary_params "
+                "name no rng_version"
+            )
         return cls(
             algorithm=data["algorithm"],
             adversary=adversary,
@@ -400,10 +368,6 @@ class RunSpec:
             record_trace=data.get("record_trace", False),
             label=data.get("label"),
             engine=data.get("engine", "auto"),
-            plan_chunk=data.get("plan_chunk"),
-            quiescence_skip=data.get("quiescence_skip", True),
-            lowering=data.get("lowering", True),
-            fault_plan=data.get("fault_plan"),
         )
 
     @classmethod
@@ -466,6 +430,11 @@ class RunSpec:
         return make_adversary(self.adversary, **self.adversary_params)
 
 
+#: The keys :meth:`RunSpec.to_dict` writes and :meth:`RunSpec.from_dict`
+#: accepts.
+_DICT_FIELDS = frozenset(f.name for f in fields(RunSpec)) - {"fault_plan"}
+
+
 def execute_spec(spec: RunSpec | Mapping[str, Any]) -> RunResult:
     """Execute one :class:`RunSpec` and return its :class:`RunResult`.
 
@@ -495,9 +464,6 @@ def execute_spec(spec: RunSpec | Mapping[str, Any]) -> RunResult:
         record_trace=spec.record_trace,
         label=spec.label,
         engine=spec.engine,
-        plan_chunk=spec.plan_chunk,
-        quiescence_skip=spec.quiescence_skip,
-        lowering=spec.lowering,
     )
 
 

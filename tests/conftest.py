@@ -8,6 +8,7 @@ from repro.channel.feedback import Feedback
 from repro.channel.message import Message
 from repro.channel.packet import Packet, PacketFactory
 from repro.channel.station import StationController
+from repro.sim import run_simulation
 
 
 class ScriptedController(StationController):
@@ -71,3 +72,28 @@ def make_packet(packet_factory):
 @pytest.fixture
 def scripted_controller_cls():
     return ScriptedController
+
+
+@pytest.fixture(scope="session")
+def execute_with_options():
+    """``run(spec, **options)``: execute ``spec`` as
+    :func:`repro.sim.execute_spec` does, handing ``options``
+    (``plan_chunk``, ``quiescence_skip``, ``lowering``) to the engine's
+    :class:`~repro.channel.engine.EngineConfig` through
+    :func:`repro.sim.run_simulation`."""
+
+    def run(spec, **options):
+        algorithm = spec.build_algorithm()
+        return run_simulation(
+            algorithm,
+            spec.build_adversary(algorithm),
+            spec.rounds,
+            enforce_energy_cap=spec.enforce_energy_cap,
+            energy_cap=spec.energy_cap,
+            record_trace=spec.record_trace,
+            label=spec.label,
+            engine=spec.engine,
+            **options,
+        )
+
+    return run

@@ -65,14 +65,16 @@ def _params_for(algorithm: str, n: int = 8) -> dict:
     return params
 
 
-def _build_engine(common, engine_cls, plan_chunk=64):
+def _build_engine(common, engine_cls, plan_chunk=64, lowering=True):
     algorithm = make_algorithm(common["algorithm"], **common["algorithm_params"])
     adversary = make_adversary(common["adversary"], **common["adversary_params"])
     adversary.bind(algorithm.n, PacketFactory())
     return engine_cls(
         algorithm.build_controllers(),
         adversary,
-        config=EngineConfig(enforce_energy_cap=False, plan_chunk=plan_chunk),
+        config=EngineConfig(
+            enforce_energy_cap=False, plan_chunk=plan_chunk, lowering=lowering
+        ),
         schedule=algorithm.oblivious_schedule(),
     )
 
@@ -87,7 +89,7 @@ def _build_engine(common, engine_cls, plan_chunk=64):
     ],
 )
 def test_block_capable_algorithms_match_kernel_and_reference(
-    algorithm, adversary, adversary_params
+    algorithm, adversary, adversary_params, execute_with_options
 ):
     common = dict(
         algorithm=algorithm,
@@ -96,11 +98,9 @@ def test_block_capable_algorithms_match_kernel_and_reference(
         adversary_params=adversary_params,
         rounds=400,
         enforce_energy_cap=False,
-        plan_chunk=97,
     )
-    block = execute_spec(RunSpec(engine="block", **common))
-    kernel = execute_spec(RunSpec(engine="kernel", **common))
-    common.pop("plan_chunk")
+    block = execute_with_options(RunSpec(engine="block", **common), plan_chunk=97)
+    kernel = execute_with_options(RunSpec(engine="kernel", **common), plan_chunk=97)
     reference = execute_spec(RunSpec(engine="reference", **common))
 
     assert block.negotiation["block_compilation"], algorithm
@@ -125,7 +125,7 @@ def test_block_capable_algorithms_match_kernel_and_reference(
     ],
 )
 def test_restricted_drivers_match_kernel_and_reference(
-    algorithm, params, adversary, adversary_params
+    algorithm, params, adversary, adversary_params, execute_with_options
 ):
     """Count-Hop and Orchestra compile their deterministic phases via
     restricted drivers (silence invariant waived, acts unconditional);
@@ -138,11 +138,9 @@ def test_restricted_drivers_match_kernel_and_reference(
         adversary_params=adversary_params,
         rounds=600,
         enforce_energy_cap=False,
-        plan_chunk=97,
     )
-    block = execute_spec(RunSpec(engine="block", **common))
-    kernel = execute_spec(RunSpec(engine="kernel", **common))
-    common.pop("plan_chunk")
+    block = execute_with_options(RunSpec(engine="block", **common), plan_chunk=97)
+    kernel = execute_with_options(RunSpec(engine="kernel", **common), plan_chunk=97)
     reference = execute_spec(RunSpec(engine="reference", **common))
 
     neg = block.negotiation
@@ -408,8 +406,7 @@ def test_lowered_segments_match_per_round_blocks_and_reference(
     into old and new packets."""
     common = _lowering_common(algorithm, params, adversary, adversary_params)
     lowered = _build_engine(common, BlockEngine)
-    per_round = _build_engine(common, BlockEngine)
-    per_round.lowering_enabled = False
+    per_round = _build_engine(common, BlockEngine, lowering=False)
     lowered.run(1500)
     per_round.run(1500)
     assert lowered.lowered_segments > 0, (algorithm, adversary)
@@ -443,8 +440,7 @@ def test_lowered_ring_state_matches_per_round_at_every_run_boundary(
     the per-round run's."""
     common = _lowering_common(algorithm, params, adversary, adversary_params)
     lowered = _build_engine(common, BlockEngine)
-    per_round = _build_engine(common, BlockEngine)
-    per_round.lowering_enabled = False
+    per_round = _build_engine(common, BlockEngine, lowering=False)
     for _ in range(100):
         lowered.run(7)
         per_round.run(7)
@@ -491,7 +487,7 @@ def test_k_family_silent_spans_take_the_shared_elision_path(
     block.run(700)
     block.run(800)
     kernel.run(1500)
-    assert block.lowering_enabled
+    assert block.config.lowering
     assert block.lowered_segments == 0
     assert block.quiescent_rounds_elided > 0, (algorithm, adversary)
     assert block.quiescent_rounds_elided == kernel.quiescent_rounds_elided
@@ -533,20 +529,20 @@ def test_dense_lowering_absorbs_mid_segment_injections():
     assert engine.lowered_rounds > 1000
 
 
-@pytest.mark.parametrize("rng_version", [1, 2])
-def test_lowered_equivalence_on_both_rng_versions(rng_version):
-    """The seeded adversaries' RNG protocol (per-round draws vs batched
-    plan-time draws) must not affect lowered-vs-reference equivalence."""
+def test_lowered_equivalence_on_batched_rng_traffic():
+    """Seeded traffic drawn in RNG blocks, consumed through plan-time
+    slices by the lowered run and per round by the reference loop, must
+    keep lowered-vs-reference equivalence."""
     for algorithm, params in [("rrw", {"n": 16}), ("mbtf", {"n": 16})]:
         common = _lowering_common(
             algorithm,
             params,
             "random",
-            {"rho": 0.4, "beta": 2.0, "seed": 31, "rng_version": rng_version},
+            {"rho": 0.4, "beta": 2.0, "seed": 31},
         )
         engine = _build_engine(common, BlockEngine)
         engine.run(800)
-        assert engine.lowered_rounds > 0, (algorithm, rng_version)
+        assert engine.lowered_rounds > 0, algorithm
         reference = execute_spec(
             RunSpec(
                 engine="reference", rounds=800, enforce_energy_cap=False, **common
@@ -554,7 +550,7 @@ def test_lowered_equivalence_on_both_rng_versions(rng_version):
         )
         assert _collector_state(engine.collector) == _collector_state(
             reference.collector
-        ), (algorithm, rng_version)
+        ), algorithm
 
 
 def test_lowering_toggle_is_reported_in_negotiation():
@@ -567,8 +563,7 @@ def test_lowering_toggle_is_reported_in_negotiation():
     assert neg["segment_lowering"] is True
     assert neg["lowered_segments"] == engine.lowered_segments
     assert neg["lowered_rounds"] == engine.lowered_rounds
-    off = _build_engine(common, BlockEngine)
-    off.lowering_enabled = False
+    off = _build_engine(common, BlockEngine, lowering=False)
     off.run(300)
     assert off.negotiation()["segment_lowering"] is False
     assert off.negotiation()["lowered_rounds"] == 0

@@ -15,6 +15,7 @@ schedule across runs; locally the default seed keeps runs reproducible.
 
 import itertools
 import os
+import pickle
 
 import pytest
 
@@ -295,9 +296,10 @@ class TestSpecHashInvariance:
         assert stamped.spec_hash() == spec.spec_hash()
         assert stamped.canonical_json() == spec.canonical_json()
         assert "fault_plan" not in spec.identity_dict()
-        # ... but it does round-trip to worker processes.
-        rebuilt = RunSpec.from_dict(stamped.to_dict())
-        assert rebuilt.fault_plan == stamped.fault_plan
+        # ... but it does reach the executor's own worker processes, on
+        # the pickled spec, and never a dict sent over the wire.
+        assert pickle.loads(pickle.dumps(stamped)).fault_plan == stamped.fault_plan
+        assert stamped.to_dict() == spec.to_dict()
 
     def test_policy_knobs_never_change_spec_hashes(self):
         specs = _specs(count=2)

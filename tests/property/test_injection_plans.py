@@ -69,22 +69,13 @@ FAMILIES = {
         rho, beta, group_start=N - 2, group_size=3
     ),
     "no-injection": lambda rho, beta: NoInjectionAdversary(),
-    "random": lambda rho, beta: UniformRandomAdversary(rho, beta, seed=11),
-    "hotspot": lambda rho, beta: HotspotAdversary(rho, beta, seed=5),
-    "random-walk": lambda rho, beta: RandomWalkAdversary(rho, beta, seed=23),
-    # The batched (version-2) RNG protocol: one array draw per block
+    # The seeded families draw their RNG stream one array draw per block
     # instead of per-round sampling.  Same plan ≡ inject contract — the
     # per-round path slices the identical block cache, so chunks and
     # per-round calls may interleave across block boundaries too.
-    "random-v2": lambda rho, beta: UniformRandomAdversary(
-        rho, beta, seed=11, rng_version=2
-    ),
-    "hotspot-v2": lambda rho, beta: HotspotAdversary(
-        rho, beta, seed=5, rng_version=2
-    ),
-    "random-walk-v2": lambda rho, beta: RandomWalkAdversary(
-        rho, beta, seed=23, rng_version=2
-    ),
+    "random": lambda rho, beta: UniformRandomAdversary(rho, beta, seed=11),
+    "hotspot": lambda rho, beta: HotspotAdversary(rho, beta, seed=5),
+    "random-walk": lambda rho, beta: RandomWalkAdversary(rho, beta, seed=23),
     "least-on-station": lambda rho, beta: LeastOnStationAdversary(
         rho, beta, _SCHEDULE, horizon=200
     ),

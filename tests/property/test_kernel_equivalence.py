@@ -169,7 +169,7 @@ def test_ticked_algorithms_match_reference_across_stage_boundaries(
     ],
 )
 def test_planned_injection_chunk_boundaries_match_reference(
-    adversary, adversary_params, plan_chunk, engine
+    adversary, adversary_params, plan_chunk, engine, execute_with_options
 ):
     """Batched-injection runs are bit-identical to the reference loop for
     every chunking granularity, including degenerate one-round plans and
@@ -182,8 +182,8 @@ def test_planned_injection_chunk_boundaries_match_reference(
         rounds=333,
         enforce_energy_cap=False,
     )
-    kernel = execute_spec(
-        RunSpec(engine=engine, plan_chunk=plan_chunk, **common)
+    kernel = execute_with_options(
+        RunSpec(engine=engine, **common), plan_chunk=plan_chunk
     )
     reference = execute_spec(RunSpec(engine="reference", **common))
     assert kernel.summary.as_dict() == reference.summary.as_dict()
@@ -196,7 +196,9 @@ def test_planned_injection_chunk_boundaries_match_reference(
 
 @pytest.mark.parametrize("engine", ["kernel", "block"])
 @pytest.mark.parametrize("plan_chunk", [1, 13, 4096])
-def test_batched_windowed_view_chunk_boundaries_match_reference(plan_chunk, engine):
+def test_batched_windowed_view_chunk_boundaries_match_reference(
+    plan_chunk, engine, execute_with_options
+):
     """The schedule-backed view path (windowed adversary on the static
     schedule tier) is bit-identical to the reference loop at every ring
     flush cadence.  The block engine cannot compile these runs (the
@@ -210,8 +212,8 @@ def test_batched_windowed_view_chunk_boundaries_match_reference(plan_chunk, engi
         rounds=400,
         enforce_energy_cap=False,
     )
-    kernel = execute_spec(
-        RunSpec(engine=engine, plan_chunk=plan_chunk, **common)
+    kernel = execute_with_options(
+        RunSpec(engine=engine, **common), plan_chunk=plan_chunk
     )
     reference = execute_spec(RunSpec(engine="reference", **common))
     assert kernel.summary.as_dict() == reference.summary.as_dict()

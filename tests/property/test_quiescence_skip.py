@@ -60,10 +60,9 @@ def quiescent_spec_strategy(draw) -> dict:
                 ("bursty", {"rho": 0.3, "beta": 2.0, "idle_rounds": 11}),
                 # Trickle traffic: short spans between single packets.
                 ("single-target", {"rho": 0.05, "beta": 1.0}),
-                # Stochastic gaps, both RNG protocol versions.
+                # Stochastic gaps.
                 ("random", {"rho": 0.08, "beta": 2.0, "seed": 3}),
-                ("random", {"rho": 0.08, "beta": 2.0, "seed": 3, "rng_version": 2}),
-                ("hotspot", {"rho": 0.1, "beta": 1.0, "seed": 5, "rng_version": 2}),
+                ("hotspot", {"rho": 0.1, "beta": 1.0, "seed": 5}),
                 # Fully quiescent run: one span from round 0 to the end.
                 ("no-injection", {}),
             ]
@@ -86,20 +85,21 @@ def quiescent_spec_strategy(draw) -> dict:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_span_skipping_kernel_matches_reference_and_per_round_kernel(common):
+def test_span_skipping_kernel_matches_reference_and_per_round_kernel(
+    common, execute_with_options
+):
     plan_chunk = common.pop("plan_chunk")
-    skipping = execute_spec(
-        RunSpec(engine="kernel", plan_chunk=plan_chunk, **common)
+    skipping = execute_with_options(
+        RunSpec(engine="kernel", **common), plan_chunk=plan_chunk
     )
-    per_round = execute_spec(
-        RunSpec(
-            engine="kernel",
-            plan_chunk=plan_chunk,
-            quiescence_skip=False,
-            **common,
-        )
+    per_round = execute_with_options(
+        RunSpec(engine="kernel", **common),
+        plan_chunk=plan_chunk,
+        quiescence_skip=False,
     )
-    block = execute_spec(RunSpec(engine="block", plan_chunk=plan_chunk, **common))
+    block = execute_with_options(
+        RunSpec(engine="block", **common), plan_chunk=plan_chunk
+    )
     reference = execute_spec(RunSpec(engine="reference", **common))
 
     assert skipping.summary.as_dict() == reference.summary.as_dict()

@@ -2,8 +2,8 @@
 
 The span fast path composes three O(1) fast-forwards — token-replica
 silence advancement, congruence-class round counting, and the wake
-oracles' ``advance_span`` — plus the spec/runner plumbing of the
-``quiescence_skip`` execution knob.  Each piece is pinned here against
+oracles' ``advance_span`` — plus the runner plumbing of the
+``quiescence_skip`` engine option.  Each piece is pinned here against
 its per-round oracle; end-to-end equivalence lives in
 ``tests/property/test_quiescence_skip.py``.
 """
@@ -128,26 +128,30 @@ def test_queue_per_destination_counters_stay_exact_through_all_mutations():
     assert queue.count_for(1) == 0
 
 
-def test_run_spec_quiescence_knob_is_execution_strategy_not_identity():
-    common = dict(
+def test_quiescence_skip_option_reaches_the_engine_config(execute_with_options):
+    spec = RunSpec(
         algorithm="k-cycle",
         algorithm_params={"n": 8, "k": 3},
         adversary="bursty",
         adversary_params={"rho": 0.1, "beta": 4.0, "idle_rounds": 20},
         rounds=100,
+        engine="kernel",
     )
-    default = RunSpec(**common)
-    disabled = RunSpec(quiescence_skip=False, **common)
-    assert default.spec_hash() == disabled.spec_hash()
-    assert default == disabled
-    assert RunSpec.from_dict(default.to_dict()).quiescence_skip is True
+    skipping = execute_with_options(spec)
+    disabled = execute_with_options(spec, quiescence_skip=False)
+    assert skipping.negotiation["quiescence_skipping"] is True
+    assert disabled.negotiation["quiescence_skipping"] is False
+    assert skipping.summary == disabled.summary
+    assert "quiescence_skip" not in spec.to_dict()
 
 
 def test_seeded_adversary_rejects_unknown_rng_version():
     from repro.adversary import UniformRandomAdversary
 
-    with pytest.raises(ValueError, match="rng_version"):
-        UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=3)
+    for retired in (1, 3):
+        with pytest.raises(ValueError, match="rng_version") as info:
+            UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=retired)
+        assert "protocol 1 (per-round draws) is retired" in str(info.value)
 
 
 def test_rng_version_is_part_of_identity():
@@ -155,30 +159,23 @@ def test_rng_version_is_part_of_identity():
 
     assert DEFAULT_RNG_VERSION == 2
     default = UniformRandomAdversary(0.5, 1.0, seed=1)
-    v1 = UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=1)
     assert default.rng_version == 2
-    assert v1.describe() != default.describe()
-    assert "rng=v2" in default.describe()
-    spec_v1 = RunSpec(
-        algorithm="rrw",
-        algorithm_params={"n": 5},
-        adversary="random",
-        adversary_params={"rho": 0.5, "beta": 1.0, "seed": 1, "rng_version": 1},
-        rounds=10,
+    assert default.describe() == (
+        "UniformRandomAdversary(rho=0.5, beta=1.0)[seed=1,rng=v2]"
     )
-    spec_default = RunSpec(
+    spec = RunSpec(
         algorithm="rrw",
         algorithm_params={"n": 5},
         adversary="random",
         adversary_params={"rho": 0.5, "beta": 1.0, "seed": 1},
         rounds=10,
     )
-    assert spec_v1.spec_hash() != spec_default.spec_hash()
+    assert '"rng_version":2' in spec.canonical_json()
 
 
 def test_seeded_specs_pin_the_rng_protocol_explicitly():
     """New specs record the seeded RNG protocol; a serialised dict
-    *without* the key is a pre-versioned recording and replays on v1."""
+    *without* the key is rejected with an error naming it."""
     spec = RunSpec(
         algorithm="rrw",
         algorithm_params={"n": 5},
@@ -192,9 +189,8 @@ def test_seeded_specs_pin_the_rng_protocol_explicitly():
 
     legacy = spec.to_dict()
     del legacy["adversary_params"]["rng_version"]
-    replayed = RunSpec.from_dict(legacy)
-    assert replayed.adversary_params["rng_version"] == 1
-    assert replayed.spec_hash() != spec.spec_hash()
+    with pytest.raises(ValueError, match="rng_version"):
+        RunSpec.from_dict(legacy)
 
     # Non-seeded adversaries are untouched by the normalisation.
     plain = RunSpec(

@@ -323,10 +323,15 @@ class TestSubmitBatch:
             ("energy_cap", "3"),
             ("enforce_energy_cap", "false"),
             ("rounds", 2.7),
-            ("plan_chunk", "64"),
             ("record_trace", 1),
+            ("label", {"x": 1}),
+            # Engine options, a fault stamp and misspelt keys are not
+            # spec fields at all.
+            ("plan_chunk", "64"),
             ("quiescence_skip", "no"),
             ("lowering", 0),
+            ("fault_plan", {"seed": 1, "stall_rate": 1.0, "stall_seconds": 2}),
+            ("energycap", 2),
         ],
     )
     def test_mistyped_spec_field_is_a_400(self, live_server, field, bad):

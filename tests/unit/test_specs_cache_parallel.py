@@ -51,45 +51,28 @@ class TestRunSpec:
         spec = _spec(energy_cap=3, record_trace=True, label="x")
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
-    def test_round_trip_preserves_execution_knobs(self):
-        # The historical bug: to_dict() omitted the execution knobs while
-        # from_dict() read them, so a spec crossing a process boundary
-        # silently reverted to engine="auto" / default chunking.
-        spec = _spec(
-            engine="reference", plan_chunk=7, quiescence_skip=False, lowering=False
-        )
-        rebuilt = RunSpec.from_dict(spec.to_dict())
-        assert rebuilt.engine == "reference"
-        assert rebuilt.plan_chunk == 7
-        assert rebuilt.quiescence_skip is False
-        assert rebuilt.lowering is False
+    def test_round_trip_preserves_the_engine(self):
+        # The historical bug: to_dict() omitted the engine while
+        # from_dict() read it, so a spec crossing a process boundary
+        # silently reverted to engine="auto".
+        spec = _spec(engine="reference")
+        assert RunSpec.from_dict(spec.to_dict()).engine == "reference"
 
     @given(
         engine=st.sampled_from(ENGINE_KINDS),
-        plan_chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=5000)),
-        quiescence_skip=st.booleans(),
-        lowering=st.booleans(),
         rounds=st.integers(min_value=1, max_value=10_000),
         energy_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
         label=st.one_of(st.none(), st.text(max_size=12)),
     )
     def test_round_trip_is_lossless_for_every_field(
-        self, engine, plan_chunk, quiescence_skip, lowering, rounds, energy_cap, label
+        self, engine, rounds, energy_cap, label
     ):
-        spec = _spec(
-            engine=engine,
-            plan_chunk=plan_chunk,
-            quiescence_skip=quiescence_skip,
-            lowering=lowering,
-            rounds=rounds,
-            energy_cap=energy_cap,
-            label=label,
-        )
+        spec = _spec(engine=engine, rounds=rounds, energy_cap=energy_cap, label=label)
         rebuilt = RunSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
         for field in dataclasses.fields(RunSpec):
             assert getattr(rebuilt, field.name) == getattr(spec, field.name), field.name
-        # The execution knobs never leak into the identity.
+        # The engine never leaks into the identity.
         assert rebuilt.spec_hash() == spec.spec_hash()
         assert spec.spec_hash() == _spec(rounds=rounds, energy_cap=energy_cap, label=label).spec_hash()
 
@@ -97,7 +80,7 @@ class TestRunSpec:
         # Pinned hex digest: the identity encoding is an on-disk contract
         # (cache keys, manifests).  Adding serialised fields to to_dict()
         # must never shift it — identity_dict() is what gets hashed.
-        spec = _spec(engine="reference", plan_chunk=9, quiescence_skip=False)
+        spec = _spec(engine="reference")
         assert spec.canonical_json() == (
             '{"adversary":"single-target",'
             '"adversary_params":{"beta":1.0,"rho":0.4},'
@@ -119,18 +102,18 @@ class TestRunSpec:
         assert base.spec_hash() != _spec(adversary="spray").spec_hash()
 
     def test_execution_strategy_knobs_do_not_change_identity(self):
-        # engine and plan_chunk choose *how* a run executes, not what it
-        # computes (results are bit-identical, property-tested), so a
-        # cached result is valid for any combination.
+        # engine chooses *how* a run executes, not what it computes
+        # (results are bit-identical, property-tested), so a cached
+        # result is valid for any engine.
         base = _spec()
         assert base.spec_hash() == _spec(engine="reference").spec_hash()
-        assert base.spec_hash() == _spec(plan_chunk=7).spec_hash()
-        assert base == _spec(plan_chunk=7)
+        assert base == _spec(engine="reference")
 
     def test_fault_plan_is_an_execution_knob(self):
-        # A fault-plan stamp rides to workers via to_dict() but must never
-        # change a spec's identity: injected faults cannot move cache keys
-        # or manifest entries.
+        # A fault-plan stamp rides to the executor's own worker processes
+        # on the pickled spec, but never in to_dict(), and never changes
+        # a spec's identity: injected faults cannot move cache keys or
+        # manifest entries.
         from repro.sim import FaultPlan
 
         stamp = FaultPlan(seed=3, transient_rate=0.5).stamp(2)
@@ -138,13 +121,15 @@ class TestRunSpec:
         stamped = _spec(fault_plan=stamp)
         assert stamped.spec_hash() == base.spec_hash()
         assert "fault_plan" not in base.identity_dict()
-        rebuilt = RunSpec.from_dict(stamped.to_dict())
-        assert rebuilt.fault_plan == stamp
-        assert RunSpec.from_dict(base.to_dict()).fault_plan is None
+        assert pickle.loads(pickle.dumps(stamped)).fault_plan == stamp
+        assert "fault_plan" not in stamped.to_dict()
+        assert stamped.to_dict() == base.to_dict()
 
     def test_plan_chunk_validated(self):
         with pytest.raises(ValueError, match="plan_chunk"):
-            _spec(plan_chunk=0)
+            run_simulation(
+                CountHop(4), SingleTargetAdversary(0.4, 1.0), 200, plan_chunk=0
+            )
 
     def test_rejects_unknown_adversary_and_bad_rounds(self):
         with pytest.raises(KeyError, match="unknown adversary"):
@@ -168,17 +153,12 @@ class TestRunSpec:
             ("energy_cap", "3"),
             ("energy_cap", 3.0),
             ("energy_cap", False),
-            ("plan_chunk", 64.5),
-            ("plan_chunk", "64"),
-            ("plan_chunk", True),
             ("enforce_energy_cap", "false"),
             ("enforce_energy_cap", 0),
             ("record_trace", "true"),
             ("record_trace", 1),
-            ("quiescence_skip", "no"),
-            ("quiescence_skip", None),
-            ("lowering", 0),
-            ("lowering", "false"),
+            ("label", {"x": 1}),
+            ("label", 7),
         ],
     )
     def test_mistyped_fields_raise_type_error(self, field, bad):
@@ -191,14 +171,33 @@ class TestRunSpec:
         with pytest.raises(TypeError, match=field):
             _spec(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # Engine options are EngineConfig fields, not spec fields.
+            {"plan_chunk": 64},
+            {"quiescence_skip": False},
+            {"lowering": False},
+            # A fault stamp never crosses a dict boundary.
+            {"fault_plan": {"seed": 1, "stall_rate": 1.0, "stall_seconds": 2}},
+            # Misspellings would otherwise run on the fields' defaults.
+            {"energycap": 2, "enforce_energy_cap_": False},
+        ],
+        ids=["plan_chunk", "quiescence_skip", "lowering", "fault_plan", "misspelt"],
+    )
+    def test_unknown_keys_are_rejected_by_name(self, extra):
+        data = dict(_spec().to_dict(), **extra)
+        with pytest.raises(TypeError, match="unknown RunSpec field") as info:
+            RunSpec.from_dict(data)
+        for key in extra:
+            assert repr(key) in str(info.value)
+
     def test_integral_fields_accept_numpy_ints(self):
         import numpy as np
 
-        spec = _spec(rounds=np.int64(200), energy_cap=np.int32(3), plan_chunk=np.int64(8))
-        assert (type(spec.rounds), type(spec.energy_cap), type(spec.plan_chunk)) == (
-            int, int, int
-        )
-        assert spec == _spec(rounds=200, energy_cap=3, plan_chunk=8)
+        spec = _spec(rounds=np.int64(200), energy_cap=np.int32(3))
+        assert (type(spec.rounds), type(spec.energy_cap)) == (int, int)
+        assert spec == _spec(rounds=200, energy_cap=3)
         assert spec.spec_hash() == _spec(rounds=200, energy_cap=3).spec_hash()
 
     def test_rejects_unpicklable_params(self):
@@ -333,18 +332,35 @@ class TestResultCache:
         assert hit is not None and hit.summary == result.summary
 
     def test_hit_is_shared_across_execution_strategies(self, tmp_path):
-        # engine / plan_chunk / quiescence_skip are execution knobs: results
-        # are bit-identical, the hash is shared, and the stored-spec check
-        # must compare identities — not the full serialised dict.
+        # engine is an execution knob: results are bit-identical, the
+        # hash is shared, and the stored-spec check must compare
+        # identities — not the full serialised dict.
         cache = ResultCache(tmp_path)
-        stored = _spec(engine="kernel", plan_chunk=64)
+        stored = _spec(engine="kernel")
         cache.put(stored, execute_spec(stored))
-        assert cache.get(_spec(engine="reference", quiescence_skip=False)) is not None
+        assert cache.get(_spec(engine="reference")) is not None
         assert cache.hits == 1
 
-    def test_legacy_identity_only_stored_spec_still_hits(self, tmp_path):
-        # Entries written before the execution knobs were serialised stored
-        # the identity dict alone; they must remain valid hits.
+    @pytest.mark.parametrize(
+        "stored_keys",
+        [
+            # Entries written before the execution knobs were serialised
+            # stored the identity dict alone.
+            {},
+            # Entries written while RunSpec still carried the engine
+            # options stored them next to the identity fields.
+            {
+                "engine": "kernel",
+                "plan_chunk": 64,
+                "quiescence_skip": False,
+                "lowering": False,
+                "fault_plan": None,
+            },
+        ],
+        ids=["identity-only", "with-execution-keys"],
+    )
+    def test_legacy_identity_only_stored_spec_still_hits(self, tmp_path, stored_keys):
+        # Both shapes must remain valid hits under the same CACHE_VERSION.
         import pickle as _pickle
 
         from repro.sim.cache import CACHE_VERSION
@@ -354,7 +370,7 @@ class TestResultCache:
         result = execute_spec(spec)
         payload = {
             "version": CACHE_VERSION,
-            "spec": spec.identity_dict(),
+            "spec": dict(spec.identity_dict(), **stored_keys),
             "result": result,
         }
         cache._payload_path(spec).write_bytes(_pickle.dumps(payload))
