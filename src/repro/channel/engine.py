@@ -28,6 +28,7 @@ skipping the bookkeeping a given run does not need.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -322,6 +323,19 @@ class EngineConfig:
     lowering: bool = True
 
     def __post_init__(self) -> None:
+        # Fail fast on a mistyped option: plan_chunk takes ints (numpy ints
+        # too, via operator.index) but not bools, floats or strings, and
+        # the switches take only bools, so "no" cannot silently mean True.
+        chunk = self.plan_chunk
+        if isinstance(chunk, bool):
+            raise TypeError(f"plan_chunk must be an integer, got {chunk!r}")
+        try:
+            self.plan_chunk = operator.index(chunk)
+        except TypeError:
+            raise TypeError(f"plan_chunk must be an integer, got {chunk!r}") from None
+        for name in ("quiescence_skip", "lowering"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.plan_chunk < 1:
             raise ValueError("plan_chunk must be at least 1 round")
 

@@ -1,5 +1,6 @@
 """Unit tests for the round engine: arbitration, delivery, checks."""
 
+import numpy as np
 import pytest
 
 from repro.adversary import NoInjectionAdversary, SingleTargetAdversary
@@ -9,6 +10,7 @@ from repro.channel.feedback import ChannelOutcome
 from repro.channel.message import Message
 from repro.channel.packet import PacketFactory
 from repro.metrics.collector import MetricsCollector
+from repro.sim import RunSpec
 
 
 def build_engine(controllers, adversary=None, **config_kwargs):
@@ -134,6 +136,39 @@ class TestEngineChecks:
         engine = build_engine(controllers, max_control_bits=8)
         with pytest.raises(ValueError, match="control bits"):
             engine.step()
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("plan_chunk", "64"),
+            ("plan_chunk", 64.5),
+            ("plan_chunk", True),
+            ("quiescence_skip", "no"),
+            ("quiescence_skip", None),
+            ("lowering", 0),
+            ("lowering", "false"),
+        ],
+    )
+    def test_mistyped_options_raise_type_error(self, field, bad, execute_with_options):
+        # A mistyped option fails when the config is built, before any
+        # round runs, and is not coerced (bool("false") would flip a switch).
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(**{field: bad})
+        spec = RunSpec(
+            algorithm="rrw",
+            algorithm_params={"n": 3},
+            adversary="round-robin",
+            adversary_params={"rho": 0.5, "beta": 1.0},
+            rounds=10,
+        )
+        with pytest.raises(TypeError, match=field):
+            execute_with_options(spec, **{field: bad})
+
+    def test_plan_chunk_accepts_numpy_ints(self):
+        config = EngineConfig(plan_chunk=np.int64(64))
+        assert config.plan_chunk == 64 and type(config.plan_chunk) is int
+        with pytest.raises(ValueError, match="plan_chunk"):
+            EngineConfig(plan_chunk=0)
 
 
 class TestInjectionPath:
