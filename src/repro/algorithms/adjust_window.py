@@ -33,7 +33,12 @@ identically — so it lives in one shared :class:`_AdjustWindowClock` (a
 :class:`~repro.core.schedule.WakeOracle`): ``tick(t)`` advances windows,
 ``wakes(t)`` is a pure query afterwards, and the clock answers whole
 awake sets batch-wise from the stations' Gossip flags, Main-stage slot
-plans and Auxiliary pair sweep.
+plans and Auxiliary pair sweep.  Work that is fixed for a window is done
+once per window: the clock sets the absolute rounds at which Main and
+Auxiliary begin when the window starts, so every station hook picks its
+stage with two compares, and on the window's first Main-stage query it
+turns the stations' slot plans into a table of slot breakpoints and the
+awake tuple from each on, so a Main round's awake set is one bisect.
 
 Paper bound (Theorem 4): universal — for every injection rate ``rho < 1``
 the latency is O((n^3 log^2 n + beta) / (1 - rho)) for sufficiently large
@@ -45,6 +50,8 @@ latency against it.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..channel.feedback import Feedback
@@ -77,6 +84,9 @@ class WindowLayout:
     aux_len: int
     main_len: int
     small_threshold: int
+    # Stage boundaries relative to the window start.
+    main_start: int
+    aux_start: int
 
     @classmethod
     def for_window(cls, n: int, L: int) -> "WindowLayout":
@@ -94,24 +104,9 @@ class WindowLayout:
             aux_len=aux_len,
             main_len=main_len,
             small_threshold=4 * n * lgL,
+            main_start=gossip_len,
+            aux_start=gossip_len + main_len,
         )
-
-    # Stage boundaries relative to the window start.
-    @property
-    def main_start(self) -> int:
-        return self.gossip_len
-
-    @property
-    def aux_start(self) -> int:
-        return self.gossip_len + self.main_len
-
-    def stage_of(self, rel: int) -> str:
-        """Which stage the window-relative round ``rel`` belongs to."""
-        if rel < self.gossip_len:
-            return "gossip"
-        if rel < self.aux_start:
-            return "main"
-        return "aux"
 
 
 def initial_window_size(n: int) -> int:
@@ -149,17 +144,30 @@ class _GossipRecord:
 
 
 class _AdjustWindowClock(WakeOracle):
-    """Shared window state machine of one Adjust-Window execution."""
+    """Shared window state machine of one Adjust-Window execution.
+
+    ``main_at`` and ``aux_at`` are the absolute rounds at which the
+    current window's Main and Auxiliary stages begin, set whenever a
+    window starts.  The Main-stage awake table (``_main_breaks``, the
+    sorted absolute rounds at which some slot interval starts or ends,
+    and ``_main_awake``, the ascending awake tuple from each on) is built
+    from the stations' slot plans on the window's first Main-stage query
+    and dropped at every window boundary.
+    """
 
     def __init__(self, n: int, initial_l: int) -> None:
         super().__init__(n)
         self.window_start = 0
         self.L = initial_l
-        self.layout = WindowLayout.for_window(n, initial_l)
         self._last_ticked = -1
-        # Main-stage slot plan: [(start, end, station), ...] collected from
-        # the controllers' locally-computed (identical) global schedule.
-        self._main_intervals: list[tuple[int, int, int]] | None = None
+        self._start_window()
+
+    def _start_window(self) -> None:
+        layout = self.layout = WindowLayout.for_window(self.n, self.L)
+        self.main_at = self.window_start + layout.main_start
+        self.aux_at = self.window_start + layout.aux_start
+        self._main_breaks: list[int] | None = None
+        self._main_awake: list[tuple[int, ...]] = []
 
     def tick(self, round_no: int) -> None:
         if round_no <= self._last_ticked:
@@ -175,48 +183,41 @@ class _AdjustWindowClock(WakeOracle):
             self.window_start += self.L
             if double:
                 self.L *= 2
-            self.layout = WindowLayout.for_window(self.n, self.L)
-            self._main_intervals = None
+            self._start_window()
             for ctrl in self.controllers:
                 ctrl._begin_window_local()
 
     # -- batch awake-set query -------------------------------------------------
-    def _collect_main_intervals(self) -> list[tuple[int, int, int]]:
+    def _build_main_table(self) -> None:
+        main_at = self.main_at
         intervals: list[tuple[int, int, int]] = []
         for station, ctrl in enumerate(self.controllers):
             ctrl._build_main_plan()
-            start, end = ctrl._my_send_slots
-            if end > start:
-                intervals.append((start, end, station))
-            for start, end in ctrl._my_recv_slots:
-                intervals.append((start, end, station))
-        self._main_intervals = intervals
-        return intervals
+            for start, end in (ctrl._my_send_slots, *ctrl._my_recv_slots):
+                if end > start:
+                    intervals.append((main_at + start, main_at + end, station))
+        breaks = sorted({main_at, *(b for lo, hi, _ in intervals for b in (lo, hi))})
+        self._main_awake = [
+            tuple(sorted({s for lo, hi, s in intervals if lo <= b < hi}))
+            for b in breaks
+        ]
+        self._main_breaks = breaks
 
     def awake_stations(self, round_no: int) -> tuple[int, ...]:
-        layout = self.layout
-        rel = round_no - self.window_start
-        stage = layout.stage_of(rel)
         controllers = self.controllers
-        if stage == "gossip":
-            phase = rel // layout.phase_len
-            i, j = phase // self.n, phase % self.n
+        if round_no < self.main_at:
+            phase = (round_no - self.window_start) // self.layout.phase_len
+            i, j = divmod(phase, self.n)
             if i == j:
                 return ()
             if controllers[i]._i_am_large:
                 return (i, j) if i < j else (j, i)
             return (j,)
-        if stage == "main":
-            intervals = self._main_intervals
-            if intervals is None:
-                intervals = self._collect_main_intervals()
-            slot = rel - layout.main_start
-            awake = {s for start, end, s in intervals if start <= slot < end}
-            return tuple(sorted(awake))
-        # aux
-        offset = rel - layout.aux_start
-        q = offset % (self.n * self.n)
-        i, j = q // self.n, q % self.n
+        if round_no < self.aux_at:
+            if self._main_breaks is None:
+                self._build_main_table()
+            return self._main_awake[bisect_right(self._main_breaks, round_no) - 1]
+        i, j = divmod((round_no - self.aux_at) % (self.n * self.n), self.n)
         if i == j:
             return ()
         if controllers[i].queue.peek_any_for(j) is not None:
@@ -271,9 +272,6 @@ class _AdjustWindowController(TickedQueueingController):
         self._my_send_sequence = []
         self._my_recv_slots = []
 
-    def _rel(self, round_no: int) -> int:
-        return round_no - self.clock.window_start
-
     # -- snapshot helpers -----------------------------------------------------------
     def _capped_size(self) -> int:
         return min(self._snapshot_size, self.clock.L)
@@ -287,8 +285,7 @@ class _AdjustWindowController(TickedQueueingController):
     # -- gossip ------------------------------------------------------------------------
     def _gossip_phase(self, rel: int) -> tuple[int, int, int]:
         """(i, j, slot) of the gossip phase containing window-relative round ``rel``."""
-        phase = rel // self.clock.layout.phase_len
-        slot = rel % self.clock.layout.phase_len
+        phase, slot = divmod(rel, self.clock.layout.phase_len)
         return phase // self.n, phase % self.n, slot
 
     def _gossip_bit(self, j: int, slot: int) -> int:
@@ -389,33 +386,29 @@ class _AdjustWindowController(TickedQueueingController):
         return sequence[:limit]
 
     # -- auxiliary stage -------------------------------------------------------------------
-    def _aux_pair(self, rel: int) -> tuple[int, int]:
-        offset = rel - self.clock.layout.aux_start
-        q = offset % (self.n * self.n)
-        return q // self.n, q % self.n
+    def _aux_pair(self, offset: int) -> tuple[int, int]:
+        """(i, j) of the sweep pair ``offset`` rounds into the Auxiliary stage."""
+        return divmod(offset % (self.n * self.n), self.n)
 
     # -- StationController interface ----------------------------------------------------------
     def wakes(self, round_no: int) -> bool:
         clock = self.clock
         clock.tick(round_no)
-        rel = self._rel(round_no)
-        stage = clock.layout.stage_of(rel)
-        if stage == "gossip":
-            i, j, _ = self._gossip_phase(rel)
+        if round_no < clock.main_at:
+            i, j, _ = self._gossip_phase(round_no - clock.window_start)
             if i == j:
                 return False
             if self.station_id == j:
                 return True
             return self.station_id == i and self._i_am_large
-        if stage == "main":
+        if round_no < clock.aux_at:
             self._build_main_plan()
-            slot = rel - clock.layout.main_start
+            slot = round_no - clock.main_at
             send_start, send_end = self._my_send_slots
             if send_start <= slot < send_end:
                 return True
             return any(start <= slot < end for start, end in self._my_recv_slots)
-        # aux
-        i, j = self._aux_pair(rel)
+        i, j = self._aux_pair(round_no - clock.aux_at)
         if i == j:
             return False
         if self.station_id == j:
@@ -423,13 +416,12 @@ class _AdjustWindowController(TickedQueueingController):
         return self.station_id == i and self.queue.peek_any_for(j) is not None
 
     def act(self, round_no: int) -> Message | None:
-        rel = self._rel(round_no)
-        stage = self.clock.layout.stage_of(rel)
-        if stage == "gossip":
-            return self._act_gossip(rel)
-        if stage == "main":
-            return self._act_main(rel)
-        return self._act_aux(rel)
+        clock = self.clock
+        if round_no < clock.main_at:
+            return self._act_gossip(round_no - clock.window_start)
+        if round_no < clock.aux_at:
+            return self._act_main(round_no - clock.main_at)
+        return self._act_aux(round_no - clock.aux_at)
 
     def _act_gossip(self, rel: int) -> Message | None:
         i, j, slot = self._gossip_phase(rel)
@@ -449,9 +441,8 @@ class _AdjustWindowController(TickedQueueingController):
             return None
         return self.transmit(packet, intended_receiver=j)
 
-    def _act_main(self, rel: int) -> Message | None:
+    def _act_main(self, slot: int) -> Message | None:
         self._build_main_plan()
-        slot = rel - self.clock.layout.main_start
         send_start, send_end = self._my_send_slots
         if not send_start <= slot < send_end:
             return None
@@ -470,8 +461,8 @@ class _AdjustWindowController(TickedQueueingController):
             return None
         return self.transmit(packet, intended_receiver=planned_dest)
 
-    def _act_aux(self, rel: int) -> Message | None:
-        i, j = self._aux_pair(rel)
+    def _act_aux(self, offset: int) -> Message | None:
+        i, j = self._aux_pair(offset)
         if self.station_id != i or i == j:
             return None
         packet = self.queue.peek_any_for(j)
@@ -480,11 +471,10 @@ class _AdjustWindowController(TickedQueueingController):
         return self.transmit(packet, intended_receiver=j)
 
     def on_heard(self, round_no: int, message: Message, feedback: Feedback) -> None:
-        rel = self._rel(round_no)
-        stage = self.clock.layout.stage_of(rel)
+        clock = self.clock
         packet = message.packet
-        if stage == "gossip":
-            i, j, slot = self._gossip_phase(rel)
+        if round_no < clock.main_at:
+            i, j, slot = self._gossip_phase(round_no - clock.window_start)
             if self.station_id == j and message.sender == i:
                 record = self._records.setdefault(i, _GossipRecord())
                 if slot == 0:
@@ -506,10 +496,10 @@ class _AdjustWindowController(TickedQueueingController):
             self.adopt(packet)
 
     def on_silence(self, round_no: int) -> None:
-        rel = self._rel(round_no)
-        if self.clock.layout.stage_of(rel) != "gossip":
+        clock = self.clock
+        if round_no >= clock.main_at:
             return
-        i, j, slot = self._gossip_phase(rel)
+        i, j, slot = self._gossip_phase(round_no - clock.window_start)
         if self.station_id == j and i != j and slot >= 2:
             record = self._records.get(i)
             if record is not None and record.large:
@@ -546,15 +536,23 @@ class AdjustWindow(RoutingAlgorithm):
         super().__init__(n)
         default = initial_window_size(n)
         if initial_window is None:
-            self.initial_window = default
-        else:
-            layout = WindowLayout.for_window(n, initial_window)
-            if layout.main_len <= 0:
-                raise ValueError(
-                    f"initial_window={initial_window} leaves no room for a Main stage "
-                    f"(needs at least {default})"
-                )
-            self.initial_window = initial_window
+            initial_window = default
+        # Window sizes index lists and count rounds: ints (numpy ints too,
+        # via operator.index) but not bools, floats or strings.
+        if isinstance(initial_window, bool):
+            raise TypeError(f"initial_window must be an integer, got {initial_window!r}")
+        try:
+            initial_window = operator.index(initial_window)
+        except TypeError:
+            raise TypeError(
+                f"initial_window must be an integer, got {initial_window!r}"
+            ) from None
+        if WindowLayout.for_window(n, initial_window).main_len <= 0:
+            raise ValueError(
+                f"initial_window={initial_window} leaves no room for a Main stage "
+                f"(needs at least {default})"
+            )
+        self.initial_window = initial_window
 
     def build_controllers(self) -> list[_AdjustWindowController]:
         clock = _AdjustWindowClock(self.n, self.initial_window)

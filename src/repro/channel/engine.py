@@ -290,11 +290,11 @@ class EngineConfig:
 
     ``plan_chunk`` is the kernel loop's batching granularity in rounds:
     how many rounds of injections one ``plan_injections`` call
-    materialises, and how often the schedule-backed view's history ring
-    is refreshed.  Purely an execution-strategy knob — results are
-    bit-identical for every value (property-tested) — exposed for tuning
-    and for tests that want many chunk boundaries.  Ignored by the
-    reference loop.
+    materialises (the blocks a driver cuts replay that plan), and how
+    often the schedule-backed view's history ring is refreshed.  Purely
+    an execution-strategy knob — results are bit-identical for every
+    value (property-tested) — exposed for tuning and for tests that want
+    many chunk boundaries.  Ignored by the reference loop.
 
     ``quiescence_skip`` enables the kernel loop's quiescent-span fast
     path: when every controller declares ``silence_invariant`` and all

@@ -62,10 +62,11 @@ actually need:
   the span's energy counts, and the span's packets are created (in plan
   order, so ids match) only after the driver returns a segment.
 
-:meth:`KernelEngine.run` advances one injection-plan chunk at a time, and
-every chunk goes through one loop, :meth:`KernelEngine._run_rounds`.  A
-chunk a driver accepts runs the single-transmitter steps; every other
-chunk (no driver, a declined block, an ineligible run) runs the fan-out
+:meth:`KernelEngine.run` plans one injection-plan chunk at a time; a
+driver may cut the chunk into blocks, which replay the chunk's plan, and
+every block goes through one loop, :meth:`KernelEngine._run_rounds`.  A
+block a driver accepts runs the single-transmitter steps; every other
+block (no driver, a declined block, an ineligible run) runs the fan-out
 steps, where every awake station acts and hears feedback.  Injections,
 wakes and energy, quiescent elision, the series appends and the
 exception-safe fold are written once for both.
@@ -451,12 +452,13 @@ class KernelEngine:
     def run(self, rounds: int) -> None:
         """Simulate ``rounds`` further rounds, one chunk at a time.
 
-        Chunks follow the injection plan: ``plan_chunk`` rounds each, the
-        cached remainder of a chunk an aborted call left behind is
-        replayed whole, and a compiling engine's driver may cut a chunk
-        short at a phase boundary (``propose_stop``).  A chunk the driver
-        accepts runs the single-transmitter steps; every other chunk runs
-        the fan-out steps.  Both go through :meth:`_run_rounds`.
+        Each chunk of ``plan_chunk`` rounds is planned by one
+        ``plan_injections`` call before a compiling engine's driver may
+        cut it into blocks at phase boundaries (``propose_stop``); its
+        later blocks, and the remainder an aborted call left behind,
+        replay the cached plan.  A block the driver accepts runs the
+        single-transmitter steps; every other block runs the fan-out
+        steps.  Both go through :meth:`_run_rounds`.
         """
         driver = self._driver
         if driver is None and self.compiles_blocks:
@@ -468,10 +470,16 @@ class KernelEngine:
             stop = min(start + chunk, end)
             plan = self._plan_state
             if plan is not None and plan.start <= start < plan.stop:
-                # Replay the cached remainder of a chunk an aborted call
-                # left behind: its leaky-bucket budget is already spent,
-                # so re-planning would inject the wrong packets.
+                # Replay the cached remainder of the chunk's plan (blocks a
+                # driver cut from it, or what an aborted call left behind):
+                # its leaky-bucket budget is already spent, so re-planning
+                # would inject the wrong packets.
                 stop = min(plan.stop, end)
+            elif self._planned_injections:
+                # Plan the whole chunk before a driver cuts it into blocks.
+                plan = self.adversary.plan_injections(start, stop)
+                plan.validate(self.n)
+                self._plan_state = plan
             if driver is None:
                 self._run_rounds(start, stop, None)
                 continue
@@ -498,7 +506,7 @@ class KernelEngine:
     def _run_rounds(
         self, start: int, stop: int, driver: "RoundBlockDriver | None"
     ) -> None:
-        """Simulate rounds ``[start, stop)``, all inside one plan chunk.
+        """Simulate rounds ``[start, stop)`` of the chunk :meth:`run` planned.
 
         With ``driver`` (a block it accepted) only the driver's named
         transmitter acts and the driver applies the round's feedback
@@ -606,13 +614,8 @@ class KernelEngine:
         next_probe = start
         no_injections: tuple = ()
         if planned:
+            # run() cached the plan covering [start, stop).
             plan = self._plan_state
-            if plan is None or not plan.start <= start < plan.stop:
-                # Fetch, validate and cache a fresh plan for the chunk;
-                # the cache is what an aborted chunk replays from.
-                plan = adversary.plan_injections(start, stop)
-                plan.validate(n)
-                self._plan_state = plan
             plan_offsets = plan.offsets
             plan_sources = plan.sources
             plan_destinations = plan.destinations

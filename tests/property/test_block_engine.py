@@ -18,7 +18,7 @@ pinned here:
 import pytest
 
 from repro.channel.block import BlockEngine
-from repro.channel.engine import EngineConfig
+from repro.channel.engine import DEFAULT_PLAN_CHUNK, EngineConfig
 from repro.channel.kernel import KernelEngine
 from repro.channel.packet import PacketFactory
 from repro.core.registry import make_algorithm
@@ -591,8 +591,10 @@ _REPORT_DECLINE = (
             {"n": 6},
             "round-robin",
             {"rho": 0.4, "beta": 2.0},
-            dict(blocks_compiled=56, blocks_fallback=54,
-                 block_decline_reasons={_REPORT_DECLINE: 54},
+            # Blocks follow the plan_chunk grid: a propose_stop cut does
+            # not restart the chunk, whose plan is fetched before the cut.
+            dict(blocks_compiled=64, blocks_fallback=55,
+                 block_decline_reasons={_REPORT_DECLINE: 55},
                  lowered_segments=0, lowered_rounds=0, quiescent_rounds_elided=0),
         ),
         (
@@ -628,6 +630,31 @@ def test_block_and_elision_counters_are_pinned(
         engine.run(rounds)
     neg = engine.negotiation()
     assert {key: neg[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "n, plan_chunk, runs",
+    [(6, 97, (250, 301, 449)), (16, DEFAULT_PLAN_CHUNK, (20_000,))],
+)
+def test_count_hop_blocks_replay_one_plan_per_chunk(n, plan_chunk, runs):
+    """Count-Hop's driver cuts chunks at every substage boundary; each
+    chunk is still planned once, so the plan_injections calls stay within
+    the chunks plus one per run() call (a run's last chunk is short)."""
+    common = _lowering_common("count-hop", {"n": n}, "spray", {"rho": 0.5, "beta": 2.0})
+    engine = _build_engine(common, BlockEngine, plan_chunk=plan_chunk)
+    plan_injections = engine.adversary.plan_injections
+    calls = []
+
+    def counting(start, stop):
+        calls.append((start, stop))
+        return plan_injections(start, stop)
+
+    engine.adversary.plan_injections = counting
+    for rounds in runs:
+        engine.run(rounds)
+    assert engine.blocks_compiled + engine.blocks_fallback > 2 * len(calls)
+    assert len(calls) <= -(-sum(runs) // plan_chunk) + len(runs)
+    assert all(stop - start <= plan_chunk for start, stop in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.adversary import (
     RoundRobinAdversary,
     SaturatingAdversary,
     SingleSourceSprayAdversary,
+    UniformRandomAdversary,
 )
 from repro.channel.engine import EngineConfig, RoundEngine
 from repro.channel.kernel import KernelEngine
@@ -147,6 +148,53 @@ def test_adjust_window_batch_matches_legacy_in_every_stage(
         "adjust-window", algorithm_params, "round-robin", 0.6
     )
     _assert_batch_matches_legacy(controllers, adversary, rounds)
+
+
+@pytest.mark.parametrize(
+    "adversary_cls, adversary_kwargs, dedicated",
+    [
+        # Three large stations share a regular Main schedule in which a
+        # receiver listens in two intervals; the window doubles to 8192
+        # at round 8192, so a table built for L=4096 must not survive.
+        (UniformRandomAdversary, {"seed": 1, "rng_version": 2}, False),
+        # One station reports a queue over L: its window's whole Main
+        # stage is dedicated to it.
+        (SingleSourceSprayAdversary, {}, True),
+    ],
+)
+def test_adjust_window_batch_matches_legacy_in_busy_main_stages(
+    adversary_cls, adversary_kwargs, dedicated
+):
+    """Window 1 snapshots empty queues, so its Main stage is empty; these
+    drives reach Main stages with several awake stations, across a
+    doubling, and check the clock's per-window awake table round for
+    round against every station's own slot plan."""
+    algorithm = make_algorithm("adjust-window", n=3, initial_window=4096)
+    controllers = algorithm.build_controllers()
+    adversary = adversary_cls(0.9, 2.0, **adversary_kwargs).bind(3, PacketFactory())
+    clock = controllers[0].wake_oracle
+    batch_awake = clock.awake_stations
+    seen = {"shared_main_rounds": 0, "two_recv": False, "dedicated": False}
+
+    def recording_awake(round_no):
+        awake = batch_awake(round_no)
+        layout, rel = clock.layout, round_no - clock.window_start
+        if layout.main_start <= rel < layout.aux_start:
+            seen["shared_main_rounds"] += len(awake) == 2
+            seen["two_recv"] |= any(len(c._my_recv_slots) == 2 for c in controllers)
+            seen["dedicated"] |= any(
+                c._my_send_slots == (0, layout.main_len) for c in controllers
+            )
+        return awake
+
+    clock.awake_stations = recording_awake
+    _assert_batch_matches_legacy(controllers, adversary, 12_400)
+    assert clock.L == 8192 and clock.window_start == 8192
+    assert seen["shared_main_rounds"] > 0
+    if dedicated:
+        assert seen["dedicated"]
+    else:
+        assert seen["two_recv"]
 
 
 @pytest.mark.parametrize("algorithm_key, algorithm_params", ALGORITHMS)

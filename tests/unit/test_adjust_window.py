@@ -36,11 +36,11 @@ class TestWindowLayout:
         assert layout.small_threshold == 4 * n * layout.lgL
 
     def test_stage_classification(self):
+        # Gossip, Main and Auxiliary tile the window in that order.
         layout = WindowLayout.for_window(4, 32768)
-        assert layout.stage_of(0) == "gossip"
-        assert layout.stage_of(layout.gossip_len) == "main"
-        assert layout.stage_of(layout.aux_start) == "aux"
-        assert layout.stage_of(layout.L - 1) == "aux"
+        assert layout.main_start == layout.gossip_len
+        assert layout.aux_start == layout.main_start + layout.main_len
+        assert layout.aux_start + layout.aux_len == layout.L
 
     def test_initial_window_leaves_half_for_main(self):
         for n in (3, 4, 5, 6):
@@ -66,6 +66,19 @@ class TestAdjustWindowConstruction:
             AdjustWindow(4, initial_window=64)
         algo = AdjustWindow(4, initial_window=initial_window_size(4) * 2)
         assert algo.initial_window == initial_window_size(4) * 2
+
+    @pytest.mark.parametrize("bad", [5000.5, True, "8192"])
+    def test_initial_window_must_be_an_integer(self, bad):
+        # Checked at construction: a float would otherwise fail mid-run,
+        # indexing a list, and True would pass for a window of one round.
+        with pytest.raises(TypeError, match="initial_window must be an integer"):
+            AdjustWindow(3, initial_window=bad)
+
+    def test_initial_window_accepts_integer_likes(self):
+        import numpy as np
+
+        algo = AdjustWindow(3, initial_window=np.int64(8192))
+        assert algo.initial_window == 8192 and type(algo.initial_window) is int
 
     def test_latency_bound_helper(self):
         assert AdjustWindow(4).latency_bound(0.5, 2.0) > 0
