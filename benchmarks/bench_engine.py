@@ -122,6 +122,19 @@ CONFIGS: list[tuple[str, dict]] = [
         ),
     ),
     (
+        # The row above never leaves window 1 (L=32,768 at n=4), whose
+        # Main stage has nobody awake.  Here window 1 (L=4,096) ends in a
+        # doubling, and window 2's Main stage has two stations awake in
+        # 4,731 rounds of the first 12,400 (SMOKE_ROUNDS).
+        "adjust-window n=3 L=4096, oblivious spray (busy Main stage)",
+        dict(
+            algorithm="adjust-window",
+            algorithm_params={"n": 3, "initial_window": 4096},
+            adversary="spray",
+            adversary_params={"rho": 0.9, "beta": 2.0},
+        ),
+    ),
+    (
         "k-cycle n=32 k=4, adaptive adversary (windowed view path)",
         dict(
             algorithm="k-cycle",
@@ -302,11 +315,17 @@ LOWERED_BANDS: dict[str, float] = {
     "mbtf n=64, dense random rho=0.95 (compiled blocks, all awake)": 1.3,
 }
 
-# A band keyed by a name no config carries would silently stop gating the
-# span win — fail at import instead.
-_UNKNOWN_BANDS = (set(QUIESCENT_BANDS) | set(BLOCK_BANDS) | set(LOWERED_BANDS)) - {
-    name for name, _ in CONFIGS
+#: Unbanded configs whose smoke horizon must exceed the default to reach
+#: the work they time: name -> smoke rounds (normal runs already cover it).
+SMOKE_ROUNDS: dict[str, int] = {
+    "adjust-window n=3 L=4096, oblivious spray (busy Main stage)": 12_400,
 }
+
+# A band or smoke horizon keyed by a name no config carries would silently
+# stop applying — fail at import instead.
+_UNKNOWN_BANDS = (
+    set(QUIESCENT_BANDS) | set(BLOCK_BANDS) | set(LOWERED_BANDS) | set(SMOKE_ROUNDS)
+) - {name for name, _ in CONFIGS}
 assert not _UNKNOWN_BANDS, f"band keys not in CONFIGS: {sorted(_UNKNOWN_BANDS)}"
 
 
@@ -378,6 +397,8 @@ def run_benchmark(smoke: bool) -> dict:
             # boundaries), so they need a longer horizon than the other
             # banded rows before the gated ratio stabilises.
             rounds = 16_000 if "restricted" in name else 8_000
+        if smoke:
+            rounds = SMOKE_ROUNDS.get(name, rounds)
         # Variants of the row's gated pairs are timed in every repeat;
         # the one that only completes the report (reference on the
         # block-banded rows, which are exempt from the kernel gate, and

@@ -314,9 +314,7 @@ class Adversary(abc.ABC):
         injections: list[tuple[int, Packet]] = []
         for source, destination in demands:
             self._validate_pair(source, destination)
-            packet = self.factory.make(
-                destination=destination, injected_at=round_no, origin=source
-            )
+            packet = self.factory.make(destination, round_no, source)
             injections.append((source, packet))
         self.constraint.consume(len(injections))
         return injections

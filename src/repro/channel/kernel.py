@@ -434,11 +434,7 @@ class KernelEngine:
                     break
                 rel = r - base_round
                 for j in range(offsets[rel], offsets[rel + 1]):
-                    packet = make(
-                        destination=plan.destinations[j],
-                        injected_at=r,
-                        origin=plan.sources[j],
-                    )
+                    packet = make(plan.destinations[j], r, plan.sources[j])
                     record_injection(packet, r)
                     packets.append(packet)
         for rnd, delivered in seg.deliveries:
@@ -679,11 +675,7 @@ class KernelEngine:
                         injections = []
                         for j in range(lo, hi):
                             station = plan_sources[j]
-                            packet = factory_make(
-                                destination=plan_destinations[j],
-                                injected_at=t,
-                                origin=station,
-                            )
+                            packet = factory_make(plan_destinations[j], t, station)
                             inject_into[station](t, packet)
                             record_injection(packet, t)
                             injections.append((station, packet))

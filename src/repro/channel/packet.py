@@ -6,23 +6,35 @@ For simulation and metrics purposes every packet also carries bookkeeping
 fields that the *algorithms are not allowed to use*: a globally unique id,
 the round it was injected, and the station it was injected into.  The
 engine uses them to verify correctness (exactly-once delivery) and to
-compute packet delays.
+compute packet delays.  A :class:`Packet` is an immutable tuple of these
+five fields, which :meth:`PacketFactory.make` builds with one
+``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 __all__ = ["Packet", "PacketFactory"]
 
 _packet_ids: Iterator[int] = itertools.count()
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class _PacketFields(NamedTuple):
+    destination: int
+    injected_at: int
+    origin: int
+    packet_id: int
+    content: Any = None
+
+
+class Packet(_PacketFields):
     """A single routable packet.
+
+    An immutable tuple subclass with no per-instance ``__dict__``: equality
+    and hash cover the five fields, so it equals the plain 5-tuple of them.
 
     Attributes
     ----------
@@ -33,17 +45,18 @@ class Packet:
     origin:
         Station the packet was injected into by the adversary.
     packet_id:
-        Globally unique identifier, assigned by :class:`PacketFactory` (or
-        the module-level counter).  Used only for bookkeeping.
+        Globally unique identifier, assigned by :class:`PacketFactory` (or,
+        when omitted, the module-level counter).  Used only for bookkeeping.
     content:
         Opaque payload; never inspected by routing algorithms.
     """
 
-    destination: int
-    injected_at: int
-    origin: int
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    content: Any = None
+    __slots__ = ()
+
+    def __new__(cls, destination, injected_at, origin, packet_id=None, content=None):
+        if packet_id is None:
+            packet_id = next(_packet_ids)
+        return _tuple_new(cls, (destination, injected_at, origin, packet_id, content))
 
     def delay_if_delivered(self, round_delivered: int) -> int:
         """Delay of the packet if it were delivered in ``round_delivered``."""
@@ -75,12 +88,11 @@ class PacketFactory:
         origin: int,
         content: Any = None,
     ) -> Packet:
-        """Create a packet with the next id from this factory."""
+        """Create a packet with the next id from this factory.
+
+        One ``tuple.__new__`` builds it, skipping :meth:`Packet.__new__`.
+        """
         self.created += 1
-        return Packet(
-            destination=destination,
-            injected_at=injected_at,
-            origin=origin,
-            packet_id=next(self._counter),
-            content=content,
+        return _tuple_new(
+            Packet, (destination, injected_at, origin, next(self._counter), content)
         )

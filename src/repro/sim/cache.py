@@ -74,7 +74,10 @@ __all__ = [
 # record class that no longer exists, so it no longer unpickles; its
 # checksum still verifies, and :func:`verify_payload` reads it as a plain
 # miss that the next put overwrites.
-CACHE_VERSION = 3
+# Version 4: ``Packet`` became a tuple subclass in place of a frozen
+# dataclass, so a version-3 payload whose backlog holds packets no longer
+# unpickles either; the bump makes every version-3 entry the same miss.
+CACHE_VERSION = 4
 
 #: Length of the payload checksum header: 64 hex chars + ``\n``.
 _CHECKSUM_HEADER_LEN = 65

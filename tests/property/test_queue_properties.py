@@ -1,6 +1,5 @@
 """Property-based tests for PacketQueue invariants."""
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -77,7 +76,13 @@ def _check_against_model(ops, inspect_destinations: bool) -> None:
                 if not live + removed:
                     continue
                 original = (live + removed)[arg % len(live + removed)]
-                packet = dataclasses.replace(original)
+                packet = Packet(
+                    original.destination,
+                    original.injected_at,
+                    original.origin,
+                    original.packet_id,
+                    original.content,
+                )
                 assert packet == original and packet is not original
             else:
                 if not removed:

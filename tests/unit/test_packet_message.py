@@ -1,5 +1,7 @@
 """Unit tests for packets, messages and control-bit accounting."""
 
+import pickle
+
 import pytest
 
 from repro.channel.message import Message, control_bit_cost
@@ -13,21 +15,58 @@ class TestPacket:
         assert p.injected_at == 10
         assert p.origin == 1
         assert p.packet_id == 7
+        assert Packet(3, 10, 1, 7) == p and p.content is None
 
     def test_delay_if_delivered(self):
         p = Packet(destination=1, injected_at=5, origin=0, packet_id=0)
         assert p.delay_if_delivered(12) == 7
         assert p.delay_if_delivered(5) == 0
 
-    def test_packets_are_frozen(self):
+    @pytest.mark.parametrize(
+        "name", ["destination", "injected_at", "origin", "packet_id", "content"]
+    )
+    def test_packets_are_frozen(self, name):
         p = Packet(destination=1, injected_at=0, origin=0, packet_id=0)
+        before = getattr(p, name)
         with pytest.raises(AttributeError):
-            p.destination = 2  # type: ignore[misc]
+            setattr(p, name, 2)
+        assert getattr(p, name) == before
 
     def test_module_level_ids_are_unique(self):
         a = Packet(destination=1, injected_at=0, origin=0)
         b = Packet(destination=1, injected_at=0, origin=0)
         assert a.packet_id != b.packet_id
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        p = Packet(1, 5, 2, 3, "x")
+        assert p == (1, 5, 2, 3, "x")
+        assert hash(p) == hash((1, 5, 2, 3, "x"))
+
+    def test_value_equal_twin_is_equal_but_distinct(self):
+        p = Packet(1, 5, 2, 3, "x")
+        twin = Packet(1, 5, 2, 3, "x")
+        assert twin == p and hash(twin) == hash(p)
+        assert twin is not p
+        assert Packet(1, 5, 2, 4, "x") != p
+
+    def test_pickle_round_trip_keeps_type_value_and_hash(self):
+        p = Packet(destination=1, injected_at=5, origin=2, packet_id=3, content="x")
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is Packet
+        assert q == p and hash(q) == hash(p)
+
+    def test_pickle_round_trip_draws_no_module_id(self):
+        p = Packet(destination=1, injected_at=0, origin=0)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.packet_id == p.packet_id
+        assert Packet(destination=1, injected_at=0, origin=0).packet_id == (
+            p.packet_id + 1
+        )
+
+    def test_instances_have_no_dict(self):
+        p = Packet(destination=1, injected_at=0, origin=0, packet_id=0)
+        assert not hasattr(p, "__dict__")
+        assert not hasattr(PacketFactory().make(1, 0, 0), "__dict__")
 
 
 class TestPacketFactory:
@@ -42,6 +81,18 @@ class TestPacketFactory:
         for _ in range(5):
             factory.make(1, 0, 0)
         assert factory.created == 5
+
+    def test_positional_and_keyword_make_agree(self):
+        factory = PacketFactory(start=10)
+        a = factory.make(2, 7, 1)
+        b = factory.make(destination=2, injected_at=7, origin=1)
+        assert type(a) is Packet and type(b) is Packet
+        assert (a.destination, a.injected_at, a.origin, a.content) == (2, 7, 1, None)
+        assert (b.destination, b.injected_at, b.origin, b.content) == (2, 7, 1, None)
+        assert (a.packet_id, b.packet_id) == (10, 11)
+        assert a == Packet(2, 7, 1, 10) and b == Packet(2, 7, 1, 11)
+        assert factory.make(2, 7, 1, content="c").content == "c"
+        assert factory.created == 3
 
     def test_two_factories_are_independent(self):
         f1, f2 = PacketFactory(), PacketFactory()
