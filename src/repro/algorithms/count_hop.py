@@ -57,15 +57,20 @@ class _CountHopClock(WakeOracle):
 
     All globally-identical stage state (stage start, current receiver,
     Deliver-substage length) lives here; the controllers keep only their
-    private queue-derived quantities (``my_count``, ``my_offset``).  The
-    Deliver-substage length ``total`` is written exclusively by the
-    coordinator — every other station used to learn the same value from
-    its Assign message, which still carries it on the channel.
+    private queue-derived quantities (``my_count``, ``my_offset``).  When a
+    stage begins the clock fixes the absolute rounds ``assign_at`` and
+    ``deliver_at`` at which its Assign and Deliver substages start, so
+    every hook picks its substage with compares and its slot with one
+    subtraction.  Only the coordinator writes the Deliver-substage length
+    ``total``, once Report ends, and it fixes its offsets table (each
+    station's Deliver slot offset, which Assign sends it) at the same
+    time.  Assign messages still carry the total on the channel.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self.stage_start = n  # the first stage begins after the silent warm-up
+        # The first stage begins after the silent warm-up.
+        self.stage_start, self.assign_at, self.deliver_at = n, 2 * n, 3 * n
         self.receiver = 0
         self.total: int | None = None  # Deliver-substage length
         self._started = False
@@ -77,6 +82,8 @@ class _CountHopClock(WakeOracle):
     # -- state machine ---------------------------------------------------------
     def _begin_stage(self, stage_start: int, receiver: int) -> None:
         self.stage_start = stage_start
+        self.assign_at = stage_start + self.n
+        self.deliver_at = stage_start + 2 * self.n
         self.receiver = receiver
         self.total = None
         self._deliver_plan = None
@@ -90,23 +97,9 @@ class _CountHopClock(WakeOracle):
         if not self._started:
             self._started = True
             self._begin_stage(self.n, 0)
-        while True:
-            rel = round_no - self.stage_start
-            if self.total is None or rel < 2 * self.n + self.total:
-                return
-            self._begin_stage(
-                self.stage_start + 2 * self.n + self.total,
-                (self.receiver + 1) % self.n,
-            )
-
-    def substage(self, round_no: int) -> tuple[str, int]:
-        """Return (substage name, slot index within the substage)."""
-        rel = round_no - self.stage_start
-        if rel < self.n:
-            return "report", rel
-        if rel < 2 * self.n:
-            return "assign", rel - self.n
-        return "deliver", rel - 2 * self.n
+        while self.total is not None and round_no >= self.deliver_at + self.total:
+            receiver = (self.receiver + 1) % self.n
+            self._begin_stage(self.deliver_at + self.total, receiver)
 
     # -- batch awake-set query -------------------------------------------------
     def _build_deliver_plan(self) -> "list[int | None]":
@@ -131,23 +124,24 @@ class _CountHopClock(WakeOracle):
     def awake_stations(self, round_no: int) -> tuple[int, ...]:
         if round_no < self.n:
             return ()
-        substage, slot = self.substage(round_no)
         receiver = self.receiver
-        if substage == "report":
+        if round_no < self.assign_at:
+            slot = round_no - self.stage_start
             if (
                 slot not in (COORDINATOR, receiver)
                 and self.controllers[slot].my_count > 0
             ):
                 return (COORDINATOR, slot)
             return (COORDINATOR,)
-        if substage == "assign":
+        if round_no < self.deliver_at:
+            slot = round_no - self.assign_at
             if slot == COORDINATOR:
                 return (COORDINATOR,)
             return (COORDINATOR, slot)
-        # deliver
         plan = self._deliver_plan
         if plan is None:
             plan = self._build_deliver_plan()
+        slot = round_no - self.deliver_at
         sender = plan[slot] if 0 <= slot < len(plan) else None
         if sender is None:
             return (receiver,)
@@ -172,8 +166,10 @@ class _CountHopController(TickedQueueingController):
         self.is_coordinator = station_id == COORDINATOR
         self.my_offset: int | None = None
         self.my_count = 0
-        # Coordinator-only bookkeeping.
+        # Coordinator-only bookkeeping: the stage's reported counts, and
+        # the Deliver slot offset it assigns each station.
         self._reported_counts: dict[int, int] = {}
+        self._offsets: list[int] = []
 
     @property
     def clock(self) -> _CountHopClock:
@@ -183,7 +179,8 @@ class _CountHopController(TickedQueueingController):
     # -- clock callbacks ---------------------------------------------------------
     def _begin_stage_local(self, receiver: int) -> None:
         self.my_offset = None
-        self._reported_counts = {}
+        if self.is_coordinator:
+            self._reported_counts = {}
         if receiver == 0:
             # A new phase begins: everything queued becomes old.
             self.queue.age_all()
@@ -194,23 +191,27 @@ class _CountHopController(TickedQueueingController):
         )
 
     # -- coordinator helpers ------------------------------------------------------
-    def _coordinator_total(self) -> int:
-        receiver = self.clock.receiver
-        own = 0 if receiver == COORDINATOR else self.queue.count_old_for(receiver)
-        return own + sum(self._reported_counts.values())
+    def _fix_stage_total(self) -> None:
+        """Fix the Deliver-substage length and the offsets table.
 
-    def _coordinator_offset_for(self, station: int) -> int:
-        """Deliver-substage slot offset of ``station`` (coordinator's view)."""
+        Called once per stage, after Report.  Workers get running offsets
+        in name order after the coordinator's own packets; the receiver
+        gets the final sum.  The coordinator's old count for the receiver
+        cannot change before Assign: Report and Assign messages carry no
+        packet, injections land as new, and packets age only when a phase
+        begins.
+        """
         receiver = self.clock.receiver
-        own = 0 if receiver == COORDINATOR else self.queue.count_old_for(receiver)
-        offset = own
+        offset = 0 if receiver == COORDINATOR else self.queue.count_old_for(receiver)
+        reported = self._reported_counts
+        self.clock.total = offset + sum(reported.values())
+        self.my_offset = 0
+        offsets = self._offsets = [0] * self.n
         for r in range(self.n):
-            if r in (receiver, COORDINATOR):
-                continue
-            if r == station:
-                return offset
-            offset += self._reported_counts.get(r, 0)
-        return offset
+            if r not in (COORDINATOR, receiver):
+                offsets[r] = offset
+                offset += reported.get(r, 0)
+        offsets[receiver] = offset
 
     # -- StationController interface -----------------------------------------------
     def wakes(self, round_no: int) -> bool:
@@ -218,61 +219,54 @@ class _CountHopController(TickedQueueingController):
         clock.tick(round_no)
         if round_no < self.n:
             return False
-        substage, slot = clock.substage(round_no)
         receiver = clock.receiver
-        if substage == "report":
+        if round_no < clock.assign_at:
             if self.is_coordinator:
                 return True
             return (
-                slot == self.station_id
+                round_no - clock.stage_start == self.station_id
                 and self.station_id != receiver
                 and self.my_count > 0
             )
-        if substage == "assign":
-            if self.is_coordinator:
-                return True
-            return slot == self.station_id
-        # deliver
+        if round_no < clock.deliver_at:
+            return self.is_coordinator or round_no - clock.assign_at == self.station_id
         if self.station_id == receiver:
             return True
         if clock.total is None or self.my_offset is None:
             return False
+        slot = round_no - clock.deliver_at
         if self.is_coordinator:
             return slot < (0 if receiver == COORDINATOR else self.my_count)
         return self.my_offset <= slot < self.my_offset + self.my_count
 
     def act(self, round_no: int) -> Message | None:
         clock = self.clock
-        substage, slot = clock.substage(round_no)
         receiver = clock.receiver
-        if substage == "report":
+        if round_no < clock.assign_at:
             if (
                 not self.is_coordinator
-                and slot == self.station_id
+                and round_no - clock.stage_start == self.station_id
                 and self.station_id != receiver
                 and self.my_count > 0
             ):
                 return self.transmit(None, control={"count": self.my_count})
             return None
-        if substage == "assign":
+        if round_no < clock.deliver_at:
+            slot = round_no - clock.assign_at
             if self.is_coordinator and slot != COORDINATOR:
                 if clock.total is None:
-                    clock.total = self._coordinator_total()
-                    self.my_offset = 0
+                    self._fix_stage_total()
                 return self.transmit(
                     None,
-                    control={
-                        "offset": self._coordinator_offset_for(slot),
-                        "total": clock.total,
-                    },
+                    control={"offset": self._offsets[slot], "total": clock.total},
                     intended_receiver=slot,
                 )
             return None
-        # deliver
         if self.station_id == receiver:
             return None
         if self.my_offset is None:
             return None
+        slot = round_no - clock.deliver_at
         in_my_slot = (
             slot < self.my_count
             if self.is_coordinator
@@ -286,12 +280,13 @@ class _CountHopController(TickedQueueingController):
         return self.transmit(packet, intended_receiver=receiver)
 
     def on_heard(self, round_no: int, message: Message, feedback: Feedback) -> None:
-        substage, slot = self.clock.substage(round_no)
-        if substage == "report" and self.is_coordinator:
-            count = message.control.get("count")
-            if count is not None:
-                self._reported_counts[message.sender] = int(count)
-        elif substage == "assign" and message.sender == COORDINATOR:
+        clock = self.clock
+        if round_no < clock.assign_at:
+            if self.is_coordinator:
+                count = message.control.get("count")
+                if count is not None:
+                    self._reported_counts[message.sender] = int(count)
+        elif round_no < clock.deliver_at and message.sender == COORDINATOR:
             if message.intended_receiver == self.station_id:
                 # The message's "total" equals the clock's (the coordinator
                 # wrote both); only the private offset needs remembering.
@@ -299,19 +294,20 @@ class _CountHopController(TickedQueueingController):
 
     def on_silence(self, round_no: int) -> None:
         # The coordinator treats a silent Report slot as a zero count.
-        substage, slot = self.clock.substage(round_no)
-        if substage == "report" and self.is_coordinator:
-            self._reported_counts.setdefault(slot, 0)
+        clock = self.clock
+        if round_no < clock.assign_at and self.is_coordinator:
+            self._reported_counts.setdefault(round_no - clock.stage_start, 0)
 
     def after_feedback(self, round_no: int, feedback: Feedback) -> None:
         # The coordinator fixes the stage total at the end of the Report
         # substage so that the state machine can advance even if every
         # Assign message targets a station other than itself.
-        if self.is_coordinator:
-            substage, slot = self.clock.substage(round_no)
-            if substage == "report" and slot == self.n - 1 and self.clock.total is None:
-                self.clock.total = self._coordinator_total()
-                self.my_offset = 0
+        if (
+            self.is_coordinator
+            and round_no == self.clock.assign_at - 1
+            and self.clock.total is None
+        ):
+            self._fix_stage_total()
 
 
 class _CountHopBlockDriver(RoundBlockDriver):
@@ -401,20 +397,20 @@ class _CountHopBlockDriver(RoundBlockDriver):
         clock = self._clock
         if t < clock.n:
             return -1
-        substage, slot = clock.substage(t)
-        receiver = clock.receiver
-        if substage == "report":
+        if t < clock.assign_at:
+            slot = t - clock.stage_start
             if (
-                slot not in (COORDINATOR, receiver)
+                slot not in (COORDINATOR, clock.receiver)
                 and self._controllers[slot].my_count > 0
             ):
                 return slot
             return -1
-        if substage == "assign":
-            return COORDINATOR if slot != COORDINATOR else -1
+        if t < clock.deliver_at:
+            return COORDINATOR if t - clock.assign_at != COORDINATOR else -1
         plan = clock._deliver_plan
         if plan is None:
             plan = clock._build_deliver_plan()
+        slot = t - clock.deliver_at
         sender = plan[slot] if 0 <= slot < len(plan) else None
         return -1 if sender is None else sender
 
@@ -422,28 +418,24 @@ class _CountHopBlockDriver(RoundBlockDriver):
         clock = self._clock
         if t < clock.n:
             return
-        substage, slot = clock.substage(t)
-        if substage == "report":
+        if t < clock.assign_at:
             coordinator = self._controllers[COORDINATOR]
-            coordinator._reported_counts.setdefault(slot, 0)
-            if slot == clock.n - 1 and clock.total is None:
-                clock.total = coordinator._coordinator_total()
-                coordinator.my_offset = 0
+            coordinator._reported_counts.setdefault(t - clock.stage_start, 0)
+            if t == clock.assign_at - 1 and clock.total is None:
+                coordinator._fix_stage_total()
 
     def heard_round(self, t: int, sender: int, message: Message) -> tuple[int, ...]:
         clock = self._clock
-        substage, slot = clock.substage(t)
         controllers = self._controllers
-        if substage == "report":
+        if t < clock.assign_at:
             coordinator = controllers[COORDINATOR]
             count = message.control.get("count")
             if count is not None:
                 coordinator._reported_counts[sender] = int(count)
-            if slot == clock.n - 1 and clock.total is None:
-                clock.total = coordinator._coordinator_total()
-                coordinator.my_offset = 0
+            if t == clock.assign_at - 1 and clock.total is None:
+                coordinator._fix_stage_total()
             return ()
-        if substage == "assign":
+        if t < clock.deliver_at:
             target = message.intended_receiver
             if target is not None and target != COORDINATOR:
                 controllers[target].my_offset = int(message.control["offset"])

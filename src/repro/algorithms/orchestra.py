@@ -20,8 +20,10 @@ During a season each musician switches on
 
 Thus at most three stations are on per round (conductor, learner,
 receiver): energy cap 3.  At the start of each of its seasons the
-conductor computes the schedule for its next season from its old, not yet
-scheduled packets, in injection order.
+conductor computes the schedule for its next season from its old packets,
+in injection order, skipping only those of the schedule it is about to
+send.  With it the conductor builds a teach table, mapping each learner
+to the ascending tuple of its slots, which the learner's round sends.
 
 The season/baton state machine is identical at every station (the
 conductor transmits in every round, so every musician reliably hears its
@@ -123,7 +125,8 @@ class _OrchestraController(TickedQueueingController):
         # Conductor-only state.
         self._current_schedule: dict[int, Packet] = {}
         self._pending_schedule: dict[int, Packet] = {}
-        self._scheduled_ids: set[int] = set()
+        # learner -> ascending slots of its packets in the pending schedule
+        self._teach: dict[int, tuple[int, ...]] = {}
         self._is_big = False
         if clock.conductor == self.station_id:
             self._start_conducting()
@@ -135,19 +138,27 @@ class _OrchestraController(TickedQueueingController):
 
     # -- season bookkeeping -------------------------------------------------------
     def _start_conducting(self) -> None:
-        """Called when this station becomes the conductor of a new season."""
+        """Called when this station becomes the conductor of a new season.
+
+        Of the packets it ever scheduled, only those it is about to send
+        can still be queued: only the conductor transmits, so every round
+        is heard and each earlier packet left the queue in its own slot.
+        """
         self._current_schedule = self._pending_schedule
-        self._pending_schedule = {}
+        sending = {packet.packet_id for packet in self._current_schedule.values()}
+        self._pending_schedule = pending = {}
+        self._teach = teach = {}
         old_packets = self.queue.old_packets()
         self._is_big = len(old_packets) >= self.n**2 - 1
         slot = 0
         for packet in old_packets:
             if slot >= self.clock.season_length:
                 break
-            if packet.packet_id in self._scheduled_ids:
+            if packet.packet_id in sending:
                 continue
-            self._pending_schedule[slot] = packet
-            self._scheduled_ids.add(packet.packet_id)
+            pending[slot] = packet
+            # Slots rise, so each learner's teach tuple stays ascending.
+            teach[packet.destination] = teach.get(packet.destination, ()) + (slot,)
             slot += 1
 
     def _on_season_start(self, next_conductor: int) -> None:
@@ -180,15 +191,12 @@ class _OrchestraController(TickedQueueingController):
             return None
         r = round_no % clock.season_length
         learner = clock.musicians_sorted[r]
-        teach_rounds = tuple(
-            sorted(
-                slot
-                for slot, packet in self._pending_schedule.items()
-                if packet.destination == learner
-            )
-        )
         packet = self._current_schedule.get(r)
-        control = {"teach": teach_rounds, "big": self._is_big, "learner": learner}
+        control = {
+            "teach": self._teach.get(learner, ()),
+            "big": self._is_big,
+            "learner": learner,
+        }
         return self.transmit(
             packet,
             control=control,
@@ -202,7 +210,7 @@ class _OrchestraController(TickedQueueingController):
         if message.control.get("big"):
             clock.big_announced = True
         if message.control.get("learner") == self.station_id:
-            taught = frozenset(int(x) for x in message.control.get("teach", ()))
+            taught = frozenset(message.control.get("teach", ()))
             self._next_receive[clock.conductor] = taught
 
     def on_inject(self, round_no: int, packet: Packet) -> None:
@@ -272,7 +280,7 @@ class _OrchestraBlockDriver(RoundBlockDriver):
         learner = control.get("learner")
         if learner is not None and learner != sender:
             controllers[learner]._next_receive[sender] = frozenset(
-                int(x) for x in control.get("teach", ())
+                control.get("teach", ())
             )
         return changed
 

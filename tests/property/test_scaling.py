@@ -9,12 +9,18 @@ bytes, never of wall time, so it cannot flap on a loaded host.
   horizon must leave the ledger — and its pickled bytes — about flat.
   The per-round series still grow with the horizon by design, so the
   guard pins the ledger, not the whole ``RunResult``.
+* Controller state: an Orchestra conductor keeps only the schedules of
+  its current and next seasons and one teach table, not every packet id
+  it ever scheduled.  Against uniform traffic at rho=0.9 the backlog is
+  92 and 101 packets at the two horizons, so quadrupling the horizon
+  must leave the pickled controllers about flat.
 * Packet queue: Count-Hop, Adjust-Window, k-Cycle connectors and
   k-Clique pick the oldest packet for a destination (or a set of them),
   usually far below the queue head, then remove it by identity.  Each
-  pick-and-remove must cost the same number of Python calls — the
-  generated ``Packet.__eq__`` included — whether 500 or 2,000 packets sit
-  ahead of it.
+  pick-and-remove must cost the same number of Python calls whether 500
+  or 2,000 packets sit ahead of it.  ``Packet`` compares as a tuple, in
+  C, so the guard's packets come from a subclass whose ``__eq__`` is a
+  Python call: a scan that compares packets by value then counts.
 * Service: ``repro serve`` advances a job from each result as it lands,
   so the server's work per landed result must not depend on how many
   specs the job or the server has seen.  Work is counted as Python lines
@@ -31,8 +37,11 @@ import time
 import pytest
 
 import repro.sim
-from repro.channel.packet import Packet
+from repro.adversary.stochastic import UniformRandomAdversary
+from repro.channel.block import BlockEngine
+from repro.channel.packet import Packet, PacketFactory
 from repro.core.queues import PacketQueue
+from repro.core.registry import make_algorithm
 from repro.sim import (
     FailedResult,
     RunSpec,
@@ -81,6 +90,26 @@ class TestPacketLedger:
         assert long <= 1.5 * short, (short, long)
 
 
+def _pickled_orchestra_controllers(rounds: int) -> int:
+    """Pickled bytes of Orchestra n=8's controllers after a block run."""
+    algorithm = make_algorithm("orchestra", n=8)
+    adversary = UniformRandomAdversary(0.9, 2.0, seed=1, rng_version=2)
+    adversary.bind(algorithm.n, PacketFactory())
+    controllers = algorithm.build_controllers()
+    engine = BlockEngine(controllers, adversary)
+    engine.run(rounds)
+    assert engine.uses_block_compilation
+    return len(pickle.dumps(controllers))
+
+
+class TestControllerState:
+    def test_pickled_orchestra_controllers_stay_flat_when_the_horizon_grows_4x(
+        self,
+    ):
+        short, long = (_pickled_orchestra_controllers(r) for r in (SHORT, LONG))
+        assert long <= 1.5 * short, (short, long)
+
+
 class _PythonCalls:
     """Counts Python function calls on this thread while active."""
 
@@ -97,6 +126,17 @@ class _PythonCalls:
 
     def __exit__(self, *exc_info) -> None:
         sys.setprofile(None)
+
+
+class _CountedPacket(Packet):
+    """A packet whose value comparison runs as one Python call."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return tuple.__eq__(self, other)
+
+    __hash__ = Packet.__hash__
 
 
 PICKS = 100
@@ -116,13 +156,17 @@ def _calls_per_pick(name: str, backlog: int) -> float:
     arg, picked_new = QUEUE_PICKS[name]
     queue = PacketQueue()
     ids = itertools.count()
+
+    def packet(destination: int) -> _CountedPacket:
+        return _CountedPacket(destination, injected_at=0, origin=0, packet_id=next(ids))
+
     for _ in range(backlog // 2):
-        queue.push(Packet(destination=0, injected_at=0, origin=0, packet_id=next(ids)))
+        queue.push(packet(0))
     queue.age_all()
     for _ in range(backlog - backlog // 2):
-        queue.push(Packet(destination=0, injected_at=0, origin=0, packet_id=next(ids)))
+        queue.push(packet(0))
     for i in range(2 * (PICKS + 1)):
-        queue.push(Packet(destination=1 + i % 2, injected_at=0, origin=0, packet_id=next(ids)))
+        queue.push(packet(1 + i % 2))
     if not picked_new:
         queue.age_all()
     pick = getattr(queue, name)

@@ -1,14 +1,18 @@
 """Fine-grained behavioural tests of algorithm internals via execution traces.
 
 These tests pin down protocol details that the end-to-end tests cannot
-distinguish: Orchestra's season structure and baton movement, Count-Hop's
-substage structure, k-Cycle's connector relaying, and Adjust-Window's
-gossip encoding.
+distinguish: Orchestra's season structure, baton movement and teach
+tuples, Count-Hop's substage structure and Deliver offsets, k-Cycle's
+connector relaying, and Adjust-Window's gossip encoding.
 """
 
 import pytest
 
-from repro.adversary import NoInjectionAdversary, SingleTargetAdversary
+from repro.adversary import (
+    NoInjectionAdversary,
+    SingleTargetAdversary,
+    UniformRandomAdversary,
+)
 from repro.algorithms import CountHop, KCycle, Orchestra
 from repro.algorithms.adjust_window import WindowLayout, _GossipRecord
 from repro.channel.feedback import ChannelOutcome
@@ -75,6 +79,47 @@ class TestOrchestraSeasons:
             if event.delivered_packet is not None:
                 assert event.message.sender == event.delivered_packet.origin
 
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            UniformRandomAdversary(0.9, 2.0, seed=3),
+            SingleTargetAdversary(1.0, 2.0, source=3, destination=1),
+        ],
+        ids=["uniform", "big-conductor"],
+    )
+    def test_taught_slots_are_the_next_seasons_sends_and_none_repeats(
+        self, adversary
+    ):
+        """Each learner is taught exactly the slots in which its conductor's
+        next season sends it a packet, and no packet is sent twice."""
+        n = 5
+        result = run_simulation(Orchestra(n), adversary, 4000, record_trace=True)
+        season_length = n - 1
+        seasons: dict[int, list] = {}
+        for start in range(0, len(result.trace), season_length):
+            season = result.trace[start : start + season_length]
+            seasons.setdefault(season[0].message.sender, []).append(season)
+        taught = 0
+        for runs in seasons.values():
+            for season, next_season in zip(runs, runs[1:]):
+                for event in season:
+                    learner = event.message.control["learner"]
+                    sent = tuple(
+                        slot
+                        for slot, later in enumerate(next_season)
+                        if later.message.packet is not None
+                        and later.message.packet.destination == learner
+                    )
+                    assert event.message.control["teach"] == sent
+                    taught += len(sent)
+        assert taught > 1000
+        sent_ids = [
+            event.message.packet.packet_id
+            for event in result.trace
+            if event.message.packet is not None
+        ]
+        assert len(sent_ids) == len(set(sent_ids))
+
 
 class TestCountHopStages:
     def test_coordinator_listens_through_report_substage(self):
@@ -115,6 +160,50 @@ class TestCountHopStages:
         assert light, "Count-Hop coordination uses light messages"
         for message in light:
             assert ("count" in message.control) or ("offset" in message.control)
+
+    def test_assigned_offsets_are_the_deliver_slots_each_station_sends_in(self):
+        """The coordinator sends first, then each worker, in name order,
+        sends its reported count in consecutive Deliver slots from its
+        assigned offset; the receiver is assigned the stage total."""
+        n = 5
+        result = run_simulation(
+            CountHop(n),
+            UniformRandomAdversary(0.5, 2.0, seed=4),
+            3000,
+            record_trace=True,
+        )
+        trace = result.trace
+        start, receiver, stages = n, 0, 0
+        while start + 2 * n <= len(trace):
+            report = [e.message for e in trace[start : start + n] if e.message]
+            assign = [e.message for e in trace[start + n : start + 2 * n] if e.message]
+            counts = {m.sender: m.control["count"] for m in report}
+            offsets = {m.intended_receiver: m.control["offset"] for m in assign}
+            total = assign[0].control["total"]
+            deliver_at = start + 2 * n
+            if deliver_at + total > len(trace):
+                break
+            senders = [
+                e.message.sender if e.message else None
+                for e in trace[deliver_at : deliver_at + total]
+            ]
+            own = total - sum(counts.values())
+            if receiver == 0:
+                assert own == 0
+            else:
+                assert offsets[receiver] == total
+                assert senders[:own] == [0] * own
+            offset = own
+            for station in range(1, n):
+                if station != receiver:
+                    count = counts.get(station, 0)
+                    assert offsets[station] == offset
+                    assert senders[offset : offset + count] == [station] * count
+                    assert senders.count(station) == count
+                    offset += count
+            start, receiver = deliver_at + total, (receiver + 1) % n
+            stages += 1
+        assert stages > 20
 
 
 class TestKCycleRelaying:
