@@ -34,6 +34,7 @@ deterministically inject network faults (``--fault-net-*``) for testing.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -94,14 +95,37 @@ def _adversary_fragment(name: str, rho: float, beta: float, seed: int | None) ->
     return spec_fragment(name, **params)
 
 
-def _worker_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
+    """argparse type: an int of at least 1."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
     if value < 1:
-        raise argparse.ArgumentTypeError("workers must be at least 1")
+        raise argparse.ArgumentTypeError("must be at least 1")
     return value
+
+
+def _finite_seconds(text: str, *, positive: bool) -> float:
+    """``text`` as a finite float above 0 (``positive``) or of at least 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    return _finite_seconds(text, positive=True)
+
+
+def _seconds(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    return _finite_seconds(text, positive=False)
 
 
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
@@ -178,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table_p = sub.add_parser("table1", help="regenerate Table 1 (paper vs measured)")
     table_p.add_argument("--full", action="store_true", help="full-size experiments")
-    table_p.add_argument("--workers", type=_worker_count, default=1,
+    table_p.add_argument("--workers", type=_at_least_one, default=1,
                          help="parallel worker processes per adversary family")
     table_p.add_argument("--cache", action="store_true",
                          help="reuse finished runs from the default on-disk cache")
@@ -198,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--adversary", default="spray", choices=rate_adversaries())
     sweep_p.add_argument("--seed", type=int, default=None,
                          help="RNG seed for stochastic adversaries")
-    sweep_p.add_argument("--workers", type=_worker_count, default=1,
+    sweep_p.add_argument("--workers", type=_at_least_one, default=1,
                          help="parallel worker processes (1 = serial fallback)")
     sweep_p.add_argument("--cache", action="store_true",
                          help="reuse finished runs from the default on-disk cache")
@@ -238,25 +262,26 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p.add_argument("--spill-dir", default=None,
                           help="accepted and ignored: workers keep no results "
                           "on disk")
-    worker_p.add_argument("--rpc-timeout", type=float, default=10.0,
+    worker_p.add_argument("--rpc-timeout", type=_positive_seconds, default=10.0,
                           help="per-request timeout for queue RPCs")
-    worker_p.add_argument("--rpc-max-attempts", type=int, default=4,
+    worker_p.add_argument("--rpc-max-attempts", type=_at_least_one, default=4,
                           help="attempts per RPC before giving up")
-    worker_p.add_argument("--rpc-breaker-threshold", type=int, default=5,
+    worker_p.add_argument("--rpc-breaker-threshold", type=_at_least_one, default=5,
                           help="consecutive RPC failures before the circuit "
                           "opens (fail fast)")
-    worker_p.add_argument("--rpc-breaker-reset", type=float, default=1.0,
+    worker_p.add_argument("--rpc-breaker-reset", type=_positive_seconds, default=1.0,
                           help="seconds before an open circuit admits a probe")
     worker_p.add_argument("--owner", default=None,
                           help="lease owner name (default: worker-<pid>)")
-    worker_p.add_argument("--poll", type=float, default=0.2,
-                          help="seconds between claim attempts when idle")
-    worker_p.add_argument("--max-idle", type=float, default=None,
+    worker_p.add_argument("--poll", type=_seconds, default=0.2,
+                          help="longest an idle claim waits at the server for "
+                          "work; also the pause after a failed claim")
+    worker_p.add_argument("--max-idle", type=_seconds, default=None,
                           help="exit after this many idle seconds "
                           "(default: wait forever)")
     worker_p.add_argument("--exit-when-drained", action="store_true",
                           help="exit as soon as no shard is pending or leased")
-    worker_p.add_argument("--wait-for-queue", type=float, default=0.0,
+    worker_p.add_argument("--wait-for-queue", type=_seconds, default=0.0,
                           metavar="SECONDS",
                           help="wait up to SECONDS for the server to come up "
                           "and hold work")
@@ -293,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8750,
                          help="listen port (0 = ephemeral, printed on boot)")
-    serve_p.add_argument("--lease-ttl", type=float, default=15.0,
+    serve_p.add_argument("--lease-ttl", type=_positive_seconds, default=15.0,
                          help="seconds before an unrenewed worker lease may "
                          "be stolen")
-    serve_p.add_argument("--shard-size", type=int, default=4,
+    serve_p.add_argument("--shard-size", type=_at_least_one, default=4,
                          help="specs per work-queue shard")
-    serve_p.add_argument("--fallback-after", type=float, default=2.0,
+    serve_p.add_argument("--fallback-after", type=_seconds, default=2.0,
                          help="seconds of stalled progress with no live lease "
                          "before the server executes shards itself")
     serve_p.add_argument("--fault-seed", type=int, default=0,
@@ -327,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="RNG seed for stochastic adversaries")
     submit_p.add_argument("--engine", default="auto", choices=ENGINE_KINDS,
                           help="engine selector (default: auto)")
-    submit_p.add_argument("--shard-size", type=int, default=None,
+    submit_p.add_argument("--shard-size", type=_at_least_one, default=None,
                           help="override the server's specs-per-shard")
-    submit_p.add_argument("--timeout", type=float, default=300.0,
+    submit_p.add_argument("--timeout", type=_positive_seconds, default=300.0,
                           help="seconds to wait for the job to complete")
     submit_p.add_argument("--progress", action="store_true",
                           help="stderr line per streamed progress snapshot")

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import math
 import socket
 import time
 from dataclasses import dataclass, field
@@ -145,18 +146,21 @@ class RpcPolicy:
     breaker_reset: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # Chained compares reject NaN too, which ``x <= 0`` lets through.
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
+        if not (self.backoff_base >= 0 and self.backoff_cap >= 0):
             raise ValueError("backoff must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_reset <= 0:
-            raise ValueError("breaker_reset must be positive")
+        if not 0 < self.breaker_reset < math.inf:
+            raise ValueError(
+                f"breaker_reset must be positive and finite, got {self.breaker_reset!r}"
+            )
 
     def backoff_delay(self, key: str, attempt: int) -> float:
         """Deterministic delay before retry ``attempt`` (1-based) of ``key``."""
@@ -229,8 +233,8 @@ class CircuitBreaker:
     ) -> None:
         if threshold < 1:
             raise ValueError("threshold must be at least 1")
-        if reset <= 0:
-            raise ValueError("reset must be positive")
+        if not 0 < reset < math.inf:
+            raise ValueError(f"reset must be positive and finite, got {reset!r}")
         self.threshold = threshold
         self.reset = reset
         self.stats = stats if stats is not None else RpcStats()

@@ -10,7 +10,9 @@ worker's HTTP client for them):
   unsettled is not enqueued again, so overlapping jobs share its run;
 * a worker **claims** a shard and receives an opaque lease *token*;
   the lease carries a **TTL** (measured on the server's monotonic
-  clock) that the worker **heartbeats** while it executes;
+  clock) that the worker **heartbeats** while it executes.  A claim on
+  an empty queue may **wait** at the server: an enqueue or a reclaimed
+  lease wakes it;
 * each finished spec's result **rides the next heartbeat**:
   :meth:`WorkQueue.record` stores it in the server's
   :class:`~repro.sim.cache.ResultCache` and only then marks the spec
@@ -39,6 +41,7 @@ budget bounds faults per spec across the whole fleet, not per process.
 from __future__ import annotations
 
 import base64
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -144,17 +147,20 @@ class WorkQueue:
 
     Every state change happens under the one lock, so racing claims
     from the HTTP handler threads and the fallback drain have exactly
-    one winner.
+    one winner; a claim held on an empty queue waits on a condition over
+    that lock, which every enqueue and reclaimed lease notifies.
     ``cache`` is where :meth:`record` stores delivered results;
     ``lease_ttl`` is the seconds before an unrenewed lease may be stolen.
     """
 
     def __init__(self, cache: ResultCache, *, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
+        if not 0 < lease_ttl < math.inf:
+            raise ValueError(f"lease_ttl must be positive and finite, got {lease_ttl!r}")
         self.lease_ttl = float(lease_ttl)
         self.cache = cache
         self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._closed = False
         self._pending: OrderedDict[str, _Shard] = OrderedDict()
         self._leased: dict[str, _Shard] = {}
         self._tokens: dict[str, _Shard] = {}
@@ -204,18 +210,25 @@ class WorkQueue:
             for key in batch:
                 self._waiting.setdefault(key, []).append(job)
             self._pending.update(zip(ids, shards))
+            self._work.notify_all()
         return ids
 
-    def claim(self, owner: str) -> WorkLease | None:
+    def claim(self, owner: str, wait: float = 0.0) -> WorkLease | None:
         """Lease the oldest pending shard to ``owner``, or None.
 
         Expired leases are reclaimed first, so a lone worker can steal
-        back its own lapsed lease.  The lease carries only the specs
-        with no stored result; a shard whose every spec was delivered
-        before its holder could complete it retires here instead.
+        back its own lapsed lease.  With nothing pending, the claim waits
+        up to ``wait`` seconds for an enqueue or a reclaimed lease (or
+        :meth:`close`), then reclaims again.  The lease carries only the
+        specs with no stored result; a shard whose every spec was
+        delivered before its holder could complete it retires here
+        instead.
         """
         with self._lock:
             self._reclaim_expired()
+            if wait > 0:
+                self._work.wait_for(lambda: self._pending or self._closed, wait)
+                self._reclaim_expired()
             while self._pending:
                 _, shard = self._pending.popitem(last=False)
                 specs = [
@@ -250,6 +263,7 @@ class WorkQueue:
         shard.takeovers += 1
         self._pending[shard.shard_id] = shard
         self._pending.move_to_end(shard.shard_id, last=False)
+        self._work.notify_all()
 
     def _retire(self, shard: _Shard) -> None:
         """Drop a shard from the lines and spend every token issued on it."""
@@ -355,6 +369,12 @@ class WorkQueue:
         """True when no shard is pending or leased (not even an expired one)."""
         counts = self.counts()
         return counts["pending"] == 0 and counts["leased"] == 0
+
+    def close(self) -> None:
+        """Release every held claim now, and hold none from here on."""
+        with self._lock:
+            self._closed = True
+            self._work.notify_all()
 
 
 @dataclass
@@ -464,9 +484,14 @@ class RemoteWorkQueue:
             f"{self.base_url}/{action}", body, key=f"queue/{action}/{key}"
         )
 
-    def claim(self, owner: str) -> RemoteWorkLease | None:
+    def claim(self, owner: str, wait: float = 0.0) -> RemoteWorkLease | None:
+        """Claim a shard, letting the server hold the claim up to ``wait``
+        seconds for work; None when there is none or on any RPC failure."""
+        body: dict = {"owner": owner}
+        if wait > 0:
+            body["wait"] = wait
         try:
-            payload = self._post("claim", {"owner": owner}, key=owner)
+            payload = self._post("claim", body, key=owner)
         except RpcError:
             return None
         lease = payload.get("lease") if isinstance(payload, dict) else None

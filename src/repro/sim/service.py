@@ -28,7 +28,10 @@ Robustness posture:
   the result, then advances every job waiting on that spec (overlapping
   jobs share one run of a spec in flight).  Nothing polls status
   records, so the server's work per result does not grow with the job
-  or with the server's history.
+  or with the server's history.  A job's progress stream ends as soon
+  as its last result lands, and an idle worker's claim waits at the
+  server (up to :data:`MAX_CLAIM_WAIT` seconds) until a shard is
+  enqueued or a lease is reclaimed.
 * **Idempotent results** — results live in the content-addressed cache,
   so at-least-once delivery is invisible to clients: two holders of a
   stolen shard deliver bit-identical bytes for a spec, and atomic
@@ -52,7 +55,9 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ``GET /api/jobs/<id>/stream``   ndjson snapshots until the job completes
 ``GET /api/jobs/<id>/results``  per-spec outcomes (409 until complete)
 ``GET /api/queue``              shard counts, drained flag, lease TTL
-``POST /api/queue/claim``       ``{"owner"}`` → token-addressed lease or null
+``POST /api/queue/claim``       ``{"owner", "wait"?}`` → token-addressed lease
+                                or null; an empty queue holds the claim up
+                                to ``wait`` seconds for work
 ``POST /api/queue/heartbeat``   ``{"token", "spec_hash"?, "payload"?,
                                 "sidecar"?}`` renews by lease TTL and stores
                                 the base64 result it carries (410 when lost)
@@ -68,6 +73,7 @@ import base64
 import binascii
 import http.client
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -83,6 +89,7 @@ from .netclient import (
     CHECKSUM_MISMATCH_HEADER,
     PAYLOAD_CHECKSUM_HEADER,
     ResilientClient,
+    RpcHttpError,
     RpcPolicy,
     payload_digest,
 )
@@ -93,6 +100,7 @@ from .specs import RunSpec
 from .worker import process_lease
 
 __all__ = [
+    "MAX_CLAIM_WAIT",
     "SweepJob",
     "SweepService",
     "fetch_results",
@@ -100,6 +108,17 @@ __all__ = [
     "submit_batch",
     "wait_for_job",
 ]
+
+#: Longest a claim waits at the server for work, whatever it asks for,
+#: so no client parks a handler thread for long.
+MAX_CLAIM_WAIT = 5.0
+
+
+def _check_shard_size(value: object) -> int:
+    """``value`` if it is an int of at least 1 (bools rejected), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"shard_size must be an integer of at least 1, got {value!r}")
+    return value
 
 
 def _is_failed_record(record: object) -> bool:
@@ -188,6 +207,16 @@ class SweepService:
         The result cache the service owns (default:
         :func:`~repro.sim.cache.default_cache_dir`); the queue and the
         job records live in this process's memory.
+    lease_ttl, shard_size, fallback_after:
+        Seconds before an unrenewed lease may be stolen, specs per
+        shard (a job may ask for another), and seconds of stalled
+        progress with no live lease before the server runs shards itself.
+    poll:
+        Seconds between a progress stream's snapshots while its job
+        runs, and between a job monitor's lease reclaims and stall
+        checks.  Nothing waits on it for an event: a stream ends as soon
+        as its job finishes, and a held claim wakes as soon as work is
+        enqueued or a lease is reclaimed.
     fault_plan:
         Optional *server-side* network fault injector: queue endpoint
         responses draw ``net_fault(f"srv:{key}", attempt)`` coins and
@@ -206,11 +235,17 @@ class SweepService:
         poll: float = 0.1,
         fault_plan: FaultPlan | None = None,
     ) -> None:
+        if not 0 <= fallback_after < math.inf:
+            raise ValueError(
+                f"fallback_after must be finite and non-negative, got {fallback_after!r}"
+            )
+        if not 0 < poll < math.inf:
+            raise ValueError(f"poll must be positive and finite, got {poll!r}")
         if cache_dir is None:
             cache_dir = default_cache_dir()
         self.cache = ResultCache(cache_dir)
         self.queue = WorkQueue(self.cache, lease_ttl=lease_ttl)
-        self.shard_size = shard_size
+        self.shard_size = _check_shard_size(shard_size)
         self.fallback_after = fallback_after
         self.poll = poll
         self.fault_plan = fault_plan
@@ -241,7 +276,12 @@ class SweepService:
         so an entry from another cache version is recomputed.  Each
         remaining spec hash is enqueued once, however often the batch
         holds it, and not at all while another job's shard holds it.
+        ``shard_size`` (default: the service's) must be an int of at
+        least 1; anything else raises :class:`ValueError`.
         """
+        shard_size = _check_shard_size(
+            self.shard_size if shard_size is None else shard_size
+        )
         specs = [
             s if isinstance(s, RunSpec) else RunSpec.from_dict(s) for s in spec_dicts
         ]
@@ -263,7 +303,7 @@ class SweepService:
             job.shard_ids = self.queue.enqueue(
                 misses.values(),
                 job,
-                shard_size=shard_size or self.shard_size,
+                shard_size=shard_size,
                 prefix=job_id,
             )
         with self._lock:
@@ -322,7 +362,9 @@ class SweepService:
         return out
 
     def close(self) -> None:
+        """Stop the job monitors and release every held claim with no lease."""
         self._closed.set()
+        self.queue.close()
 
 
 def make_server(
@@ -509,7 +551,7 @@ def make_server(
                     return
                 if snap["complete"]:
                     return
-                time.sleep(service.poll)
+                job.finished.wait(service.poll)
 
         def do_POST(self) -> None:
             parts = [p for p in self.path.split("?")[0].split("/") if p]
@@ -560,7 +602,14 @@ def make_server(
             if fault == "refuse":
                 return
             if action == "claim":
-                lease = service.queue.claim(str(payload.get("owner", "worker")))
+                wait = payload.get("wait", 0.0)
+                # JSON numbers decode to exactly int or float, so bools fail.
+                if type(wait) not in (int, float) or not 0 <= wait < math.inf:
+                    self._send_json({"error": "wait must be a finite number >= 0"}, 400)
+                    return
+                lease = service.queue.claim(
+                    str(payload.get("owner", "worker")), min(wait, MAX_CLAIM_WAIT)
+                )
                 record = None
                 if lease is not None:
                     record = {
@@ -704,7 +753,11 @@ def wait_for_job(
     for every streamed line.  Every socket operation is bounded by
     ``read_timeout`` — a hung server reads as a dropped stream, never a
     wedged client — and reconnects back off exponentially (reset on a
-    successful connect) until the ``timeout`` deadline expires.
+    successful connect) until the ``timeout`` deadline expires.  A 404
+    raises :class:`~repro.sim.netclient.RpcHttpError` at once: the stream
+    is exempt from injected server faults, so it means the server does
+    not know ``job_id`` (jobs live in its memory: it restarted, or the id
+    is wrong).
     """
     deadline = time.monotonic() + timeout
     url = f"{base_url.rstrip('/')}/api/jobs/{job_id}/stream"
@@ -723,7 +776,10 @@ def wait_for_job(
                         on_progress(last)
                     if last.get("complete"):
                         return last
-        except (OSError, urlerror.URLError, ValueError, http.client.HTTPException):
+        except urlerror.HTTPError as exc:
+            if exc.code == 404:
+                raise RpcHttpError(404, f"unknown job {job_id} at {base_url}") from None
+        except (OSError, ValueError, http.client.HTTPException):
             pass
         remaining = deadline - time.monotonic()
         if remaining <= 0:

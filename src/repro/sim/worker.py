@@ -40,6 +40,7 @@ Crash semantics are the point:
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -219,7 +220,13 @@ def run_worker(
     owner:
         Lease owner name (defaults to ``worker-<pid>``), for debugging.
     poll:
-        Seconds between claim attempts while the queue is empty.
+        Longest an idle claim waits at the server for work; also the
+        pause after a failed claim.  The worker asks the server to hold
+        each claim up to ``min(poll, rpc timeout / 2)`` and, after an
+        empty or failed answer, sleeps only what is left of ``poll``
+        since the claim was sent, so a new shard is picked up as soon as
+        it is enqueued and an unreachable server is still asked at most
+        once per ``poll``.
     max_idle:
         Exit after this many consecutive seconds without claiming
         anything (``None`` = wait forever, for daemon workers).
@@ -234,8 +241,14 @@ def run_worker(
         Seconds to wait for the server to be reachable with at least one
         shard ever enqueued before entering the claim loop.
     """
+    for name, value in (
+        ("poll", poll), ("max_idle", max_idle or 0.0), ("wait_for_queue", wait_for_queue)
+    ):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     client = ResilientClient(rpc_policy, fault_plan=fault_plan)
     queue = RemoteWorkQueue(server_url, client=client)
+    hold = min(poll, client.policy.timeout / 2)
     deadline = time.monotonic() + wait_for_queue
     while time.monotonic() < deadline and not queue.ready():
         time.sleep(min(poll, 0.05))
@@ -245,16 +258,16 @@ def run_worker(
     idle_since: float | None = None
 
     while True:
-        lease = queue.claim(owner)
+        sent = time.monotonic()
+        lease = queue.claim(owner, wait=hold)
         if lease is None:
             if exit_when_drained and queue.drained():
                 break
-            now = time.monotonic()
             if idle_since is None:
-                idle_since = now
-            if max_idle is not None and now - idle_since >= max_idle:
+                idle_since = sent
+            if max_idle is not None and time.monotonic() - idle_since >= max_idle:
                 break
-            time.sleep(poll)
+            time.sleep(max(0.0, sent + poll - time.monotonic()))
             continue
         idle_since = None
         stats.claims += 1

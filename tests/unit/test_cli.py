@@ -258,6 +258,36 @@ class TestDistributedCommands:
         args = build_parser().parse_args(["serve", "--queue-dir", "q"])
         assert args.queue_dir == "q"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--server", "http://127.0.0.1:1", "--poll", "-1"],
+            ["worker", "--server", "http://127.0.0.1:1", "--poll", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--rpc-timeout", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--rpc-timeout", "inf"],
+            ["worker", "--server", "http://127.0.0.1:1", "--rpc-breaker-reset", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--max-idle", "-2"],
+            ["serve", "--lease-ttl", "0"],
+            ["serve", "--lease-ttl", "nan"],
+            ["serve", "--fallback-after", "nan"],
+            ["serve", "--shard-size", "0"],
+            ["submit", "--server", "http://127.0.0.1:1", "--algorithm", "k-cycle",
+             "--n", "4", "--k", "2", "--shard-size", "0"],
+            ["submit", "--server", "http://127.0.0.1:1", "--algorithm", "k-cycle",
+             "--n", "4", "--k", "2", "--timeout", "nan"],
+        ],
+    )
+    def test_bad_service_timing_or_sizing_exits_2_with_usage(self, argv, capsys):
+        # Each used to crash later with a traceback, or (a NaN TTL or
+        # fallback) to switch work stealing or the fallback off silently.
+        # The parser alone is exercised, so a regression cannot boot a
+        # server that blocks the test.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "usage:" in err and "Traceback" not in err
+
     def test_submit_requires_server(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -316,6 +346,37 @@ class TestDistributedCommands:
                   "--algorithm", "k-cycle", "--n", "4", "--k", "2",
                   "--rates", "0.1", "--rounds", "300"])
         assert str(info.value).startswith("submit failed: ")
+
+    def test_submit_fails_fast_when_the_server_forgot_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        import threading
+        import time
+
+        from repro.sim import SweepService, make_server
+
+        # The server restarted between the submit and the wait: it
+        # answers the job's stream with 404.
+        monkeypatch.setattr(
+            "repro.sim.service.submit_batch", lambda *a, **k: {"job": "job-999"}
+        )
+        service = SweepService(tmp_path / "cache", poll=0.05)
+        server = make_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(SystemExit) as info:
+                main(["submit",
+                      "--server", f"http://127.0.0.1:{server.server_address[1]}",
+                      "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+                      "--rates", "0.1", "--rounds", "300", "--timeout", "30"])
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
+        assert str(info.value).startswith("submit failed: ")
+        assert "job-999" in str(info.value)
+        assert time.monotonic() - start < 5.0
 
     def test_submit_round_trips_through_a_live_server(self, capsys, tmp_path):
         import threading

@@ -42,6 +42,14 @@ class TestRpcPolicy:
         with pytest.raises(ValueError):
             RpcPolicy(breaker_reset=0)
 
+    @pytest.mark.parametrize("name", ["timeout", "breaker_reset"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_durations_are_rejected(self, name, value):
+        # A NaN or infinite timeout used to pass ``timeout <= 0`` and
+        # fail only at the first socket call.
+        with pytest.raises(ValueError, match=name):
+            RpcPolicy(**{name: value})
+
     def test_backoff_is_deterministic_and_replayable(self):
         policy = RpcPolicy(backoff_base=0.1, backoff_cap=2.0, jitter=0.25, seed=7)
         twin = RpcPolicy(backoff_base=0.1, backoff_cap=2.0, jitter=0.25, seed=7)

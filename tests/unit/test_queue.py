@@ -125,6 +125,77 @@ class TestEnqueueClaim:
             queue.enqueue([second], _job([second]), shard_size=1, prefix="job-1")
 
 
+def _hold(queue, wait=5.0):
+    """Run ``queue.claim("held", wait)`` in a thread; the returned dict
+    gets the lease and the monotonic time the claim returned."""
+    out: dict = {}
+
+    def claim():
+        out["lease"] = queue.claim("held", wait=wait)
+        out["at"] = time.monotonic()
+
+    thread = threading.Thread(target=claim, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let the claim reach its hold
+    return thread, out
+
+
+class TestClaimHold:
+    """A claim on an empty queue waits for work instead of answering None."""
+
+    def test_an_enqueue_wakes_a_held_claim(self, tmp_path):
+        queue = _queue(tmp_path)
+        thread, out = _hold(queue)
+        specs = _specs(1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
+        enqueued = time.monotonic()
+        thread.join(timeout=10)
+        assert out["lease"] is not None and out["lease"].specs == specs
+        assert out["at"] - enqueued < 0.5
+
+    def test_a_reclaimed_lease_wakes_a_held_claim(self, tmp_path, monkeypatch):
+        now = [100.0]  # the queue's lease clock, advanced by hand
+        monkeypatch.setattr(queue_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        queue = _queue(tmp_path, lease_ttl=10.0)
+        specs = _specs(1)
+        queue.enqueue(specs, _job(specs), shard_size=1)
+        assert queue.claim("victim") is not None
+        thread, out = _hold(queue)
+        now[0] += 11.0  # the victim's lease lapses while the claim is held
+        assert queue.reclaim_expired() == 1
+        reclaimed = time.monotonic()
+        thread.join(timeout=10)
+        assert out["lease"] is not None and out["lease"].takeovers == 1
+        assert out["at"] - reclaimed < 0.5
+
+    def test_with_nothing_arriving_a_claim_answers_none_after_its_wait(self, tmp_path):
+        queue = _queue(tmp_path)
+        start = time.monotonic()
+        assert queue.claim("w", wait=0.3) is None
+        assert 0.28 <= time.monotonic() - start < 2.0
+        start = time.monotonic()
+        assert queue.claim("w") is None and queue.claim("w", wait=0) is None
+        assert time.monotonic() - start < 0.1
+
+    def test_close_releases_a_held_claim_at_once(self, tmp_path):
+        queue = _queue(tmp_path)
+        thread, out = _hold(queue)
+        queue.close()
+        closed = time.monotonic()
+        thread.join(timeout=10)
+        assert out["lease"] is None and out["at"] - closed < 0.5
+        start = time.monotonic()
+        assert queue.claim("w", wait=5.0) is None  # a closed queue holds none
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("ttl", [0, -1.0, float("nan"), float("inf")])
+    def test_a_lease_ttl_must_be_positive_and_finite(self, tmp_path, ttl):
+        # A NaN TTL would make every lease immortal: expires <= now is
+        # never true, so no lease could be stolen.
+        with pytest.raises(ValueError, match="lease_ttl"):
+            _queue(tmp_path, lease_ttl=ttl)
+
+
 class TestLeaseLifecycle:
     def test_heartbeat_extends_expiry(self, tmp_path, monkeypatch):
         now = [100.0]  # the queue's monotonic clock, advanced by hand

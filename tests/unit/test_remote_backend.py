@@ -6,8 +6,10 @@ checksum-verified, kept for a superseded token, rejected outside the
 token's shard), completions checked against their shard, two holders of
 a stolen shard converging on one cache entry, the local quarantine race,
 the ndjson stream's mid-stream disconnect behaviour, job submission
-(startup race, malformed specs), and the :class:`RemoteWorkQueue` lease
-protocol (claim / heartbeat / complete / 410 on a lost lease).
+(startup race, malformed specs), the :class:`RemoteWorkQueue` lease
+protocol (claim / heartbeat / complete / 410 on a lost lease), and the
+event-driven waits: a stream that ends when the last result lands, and
+claims held at the server until work arrives.
 """
 
 import base64
@@ -18,10 +20,12 @@ import socket
 import threading
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib import error as urlerror
 
 import pytest
 
+import repro.sim.service as service_module
 from repro.sim import (
     FailedResult,
     FaultPlan,
@@ -35,7 +39,7 @@ from repro.sim import (
     spec_fragment,
 )
 from repro.sim.cache import encode_entry
-from repro.sim.netclient import ResilientClient, RpcPolicy
+from repro.sim.netclient import ResilientClient, RpcHttpError, RpcPolicy
 from repro.sim.queue import LeaseLostError, status_record
 from repro.sim.service import submit_batch, wait_for_job
 
@@ -74,6 +78,19 @@ _FAST = RpcPolicy(
 )
 
 
+@contextlib.contextmanager
+def _serving(service):
+    """Serve ``service`` on an ephemeral localhost port; yield its base URL."""
+    server = make_server(service, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        service.close()
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture()
 def live_server(tmp_path):
     service = SweepService(
@@ -83,13 +100,8 @@ def live_server(tmp_path):
         fallback_after=60.0,
         poll=0.05,
     )
-    server = make_server(service, "127.0.0.1", 0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield service, base
-    service.close()
-    server.shutdown()
-    server.server_close()
+    with _serving(service) as base:
+        yield service, base
 
 
 def _failed(spec):
@@ -303,6 +315,209 @@ class TestStreamDisconnect:
         with pytest.raises(TimeoutError):
             wait_for_job(base, "job-1", timeout=1.0, read_timeout=0.5)
         assert time.monotonic() - start < 10  # bounded, not wedged
+
+
+class TestWaitForJob:
+    def test_an_unknown_job_fails_at_once(self, live_server):
+        # Jobs live in the server's memory: after a restart the stream
+        # answers 404, and waiting out the deadline cannot change that.
+        _, base = live_server
+        start = time.monotonic()
+        with pytest.raises(RpcHttpError, match="job-999"):
+            wait_for_job(base, "job-999", timeout=30)
+        assert time.monotonic() - start < 1.0
+
+
+def _claim_in_thread(base, wait):
+    """Claim over HTTP with ``wait`` in a thread; the returned dict gets
+    the lease and the monotonic time the claim returned."""
+    out: dict = {}
+
+    def claim():
+        out["lease"] = RemoteWorkQueue(base, policy=_FAST).claim("held", wait=wait)
+        out["at"] = time.monotonic()
+
+    thread = threading.Thread(target=claim, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let the claim reach its hold at the server
+    return thread, out
+
+
+class _EmptyQueueHandler(BaseHTTPRequestHandler):
+    """A server that answers every claim with no lease at once, ignoring
+    ``wait`` (as a server from before held claims did)."""
+
+    protocol_version = "HTTP/1.0"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.claims.append((time.monotonic(), json.loads(body)))
+        reply = b'{"lease": null}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+
+class TestEventDrivenWaits:
+    def test_the_stream_ends_as_soon_as_the_last_result_lands(self, tmp_path):
+        # Snapshots every 5 s: a stream that slept between them would
+        # report the finished job up to 5 s after its result landed.
+        service = SweepService(tmp_path / "cache", fallback_after=60.0, poll=5.0)
+        spec = _spec()
+        result = execute_spec(spec)
+        with _serving(service) as base:
+            job = service.submit([spec.to_dict()])
+            streaming, out = threading.Event(), {}
+
+            def follow():
+                out["snap"] = wait_for_job(
+                    base, job.job_id, timeout=30, on_progress=lambda _: streaming.set()
+                )
+                out["at"] = time.monotonic()
+
+            thread = threading.Thread(target=follow, daemon=True)
+            thread.start()
+            assert streaming.wait(10)
+            service.queue.claim("w").heartbeat(spec, result)
+            landed = time.monotonic()
+            thread.join(timeout=30)
+        assert out["snap"]["complete"] and out["snap"]["done"] == 1
+        assert out["at"] - landed < 1.0
+
+    def test_a_held_claim_answers_soon_after_a_submit(self, live_server):
+        service, base = live_server
+        thread, out = _claim_in_thread(base, wait=4.0)
+        spec = _spec()
+        service.submit([spec.to_dict()])
+        submitted = time.monotonic()
+        thread.join(timeout=10)
+        assert out["lease"] is not None and out["lease"].specs == [spec]
+        assert out["at"] - submitted < 0.5
+
+    @pytest.mark.parametrize("wait", ['"1"', "true", "-1", "NaN", "Infinity"])
+    def test_a_wait_that_is_not_a_finite_non_negative_number_is_a_400(
+        self, live_server, wait
+    ):
+        service, base = live_server
+        service.submit([_spec().to_dict()])
+        body = f'{{"owner": "w", "wait": {wait}}}'.encode()
+        assert _post_status(f"{base}/api/queue/claim", body) == 400
+        assert service.queue.counts()["leased"] == 0  # nothing was leased
+
+    def test_a_wait_above_the_cap_is_held_no_longer_than_the_cap(
+        self, live_server, monkeypatch
+    ):
+        _, base = live_server
+        monkeypatch.setattr(service_module, "MAX_CLAIM_WAIT", 0.3)
+        start = time.monotonic()
+        assert _post_status(f"{base}/api/queue/claim", b'{"owner": "w", "wait": 60}') == 200
+        assert 0.28 <= time.monotonic() - start < 3.0
+
+    def test_close_releases_a_held_claim_at_once(self, live_server):
+        service, base = live_server
+        thread, out = _claim_in_thread(base, wait=4.0)
+        service.close()
+        closed = time.monotonic()
+        thread.join(timeout=10)
+        assert out["lease"] is None and out["at"] - closed < 0.5
+
+    def test_an_idle_worker_picks_up_a_submitted_job_at_once(self, live_server):
+        service, base = live_server
+        spec, out = _spec(), {}
+
+        def submit_later():
+            time.sleep(0.3)
+            out["submitted"] = time.monotonic()
+            service.submit([spec.to_dict()])
+
+        submitter = threading.Thread(target=submit_later, daemon=True)
+        submitter.start()
+        # A 3-s poll: a worker that slept it out between claims would
+        # first see the job about 3 s after it was submitted.
+        stats = run_worker(base, rpc_policy=_FAST, poll=3.0, max_shards=1)
+        submitter.join(timeout=10)
+        assert stats.shards_completed == 1
+        assert time.monotonic() - out["submitted"] < 1.5
+
+    def test_a_worker_asks_a_dead_server_at_most_once_per_poll(self, monkeypatch):
+        calls = []
+        claim = RemoteWorkQueue.claim
+
+        def counted(queue, owner, wait=0.0):
+            calls.append(wait)
+            return claim(queue, owner, wait)
+
+        monkeypatch.setattr(RemoteWorkQueue, "claim", counted)
+        stats = run_worker(
+            f"http://127.0.0.1:{_dead_port()}", rpc_policy=_FAST, poll=0.1, max_idle=1.0
+        )
+        assert stats.claims == 0
+        assert 1 <= len(calls) <= 11
+
+    def test_a_worker_waits_poll_between_claims_a_server_answers_at_once(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _EmptyQueueHandler)
+        server.claims = []
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            run_worker(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                rpc_policy=_FAST,
+                poll=0.2,
+                max_idle=1.0,
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        times = [at for at, _ in server.claims]
+        # The worker asked for a hold of its poll (under half its timeout).
+        assert [body["wait"] for _, body in server.claims] == [0.2] * len(times)
+        assert 3 <= len(times) <= 7
+        assert min(b - a for a, b in zip(times, times[1:])) >= 0.15
+
+
+class TestServiceOptions:
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"shard_size": 0},
+            {"shard_size": True},
+            {"shard_size": 2.0},
+            {"poll": 0},
+            {"poll": float("nan")},
+            {"fallback_after": -1.0},
+            {"fallback_after": float("nan")},
+            {"lease_ttl": float("inf")},
+        ],
+    )
+    def test_a_bad_service_option_is_rejected(self, tmp_path, option):
+        with pytest.raises(ValueError):
+            SweepService(tmp_path / "cache", **option)
+
+    @pytest.mark.parametrize("shard_size", [0, -2, True, "2"])
+    def test_a_job_with_a_bad_shard_size_is_a_400(self, live_server, shard_size):
+        # 0 used to read as "the server's default".
+        service, base = live_server
+        body = json.dumps({"specs": [_spec().to_dict()], "shard_size": shard_size})
+        assert _post_status(f"{base}/api/jobs", body.encode()) == 400
+        assert not service.jobs
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"poll": -1.0},
+            {"poll": float("nan")},
+            {"max_idle": float("nan")},
+            {"wait_for_queue": float("inf")},
+        ],
+    )
+    def test_a_bad_worker_timing_is_rejected(self, option):
+        with pytest.raises(ValueError):
+            run_worker(f"http://127.0.0.1:{_dead_port()}", **option)
 
 
 class TestSubmitBatch:
