@@ -8,7 +8,7 @@ bookkeeping.
 """
 
 from .block import BlockEngine
-from .energy import EnergyCapViolation, EnergyMonitor, EnergyReport
+from .energy import EnergyCapViolation, EnergyMonitor
 from .engine import DEFAULT_VIEW_WINDOW, AdversaryView, EngineConfig, RoundEngine
 from .events import ExecutionTrace, InjectionEvent, RoundEvent
 from .feedback import ChannelOutcome, Feedback
@@ -25,7 +25,6 @@ __all__ = [
     "EngineConfig",
     "EnergyCapViolation",
     "EnergyMonitor",
-    "EnergyReport",
     "ExecutionTrace",
     "Feedback",
     "InjectionEvent",

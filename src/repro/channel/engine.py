@@ -407,6 +407,9 @@ class RoundEngine:
 
             collector = MetricsCollector()
         self.collector = collector
+        # Sized up front, as the kernel does, so a run that raises in
+        # its first round leaves the same per-station maxima.
+        collector.begin_stations(self.n)
         self.energy = EnergyMonitor(
             cap=self.config.energy_cap, enforce=self.config.enforce_energy_cap
         )

@@ -25,10 +25,11 @@ actually need:
 * **Wake schedules** — three tiers.  When every controller declares
   ``static_wake_schedule`` and the algorithm's published
   :class:`~repro.core.schedule.ObliviousSchedule` has a finite period, the
-  per-round awake set is a precomputed tuple lookup and the per-round
-  awake *counts* become a precomputed numpy series flushed to the energy
-  monitor and collector in one batch.  Otherwise, when every controller
-  declares ``ticked_wakes`` and shares a
+  per-round awake set is a precomputed tuple lookup.  When no count of
+  the period exceeds the cap, the per-round awake *counts* also become a
+  precomputed numpy series, appended to the collector's energy series in
+  one batch per block with no per-round cap check.  Otherwise, when every
+  controller declares ``ticked_wakes`` and shares a
   :class:`~repro.core.schedule.WakeOracle`, the kernel issues one
   ``tick(t)`` plus one batch ``awake_stations(t)`` per round.  Only runs
   declaring neither fall back to ``n`` stateful ``wakes(t)`` calls.
@@ -68,8 +69,8 @@ every block goes through one loop, :meth:`KernelEngine._run_rounds`.  A
 block a driver accepts runs the single-transmitter steps; every other
 block (no driver, a declined block, an ineligible run) runs the fan-out
 steps, where every awake station acts and hears feedback.  Injections,
-wakes and energy, quiescent elision, the series appends and the
-exception-safe fold are written once for both.
+wakes and the cap check, quiescent elision, the series appends and the
+exception-safe end-of-block flush are written once for both.
 
 Per-round :class:`~repro.channel.feedback.Feedback` allocation is
 eliminated through a :class:`~repro.channel.feedback.FeedbackPool`:
@@ -249,8 +250,7 @@ class KernelEngine:
         )
         self._queue_sizes = [ctrl.queued_packets() for ctrl in self.controllers]
         self._total_queue = sum(self._queue_sizes)
-        if self._incremental_metrics:
-            self.collector.begin_stations(self.n)
+        self.collector.begin_stations(self.n)
 
         # -- negotiation: quiescence skipping ----------------------------------
         # Eliding a span requires knowing, without running the adversary,
@@ -349,10 +349,10 @@ class KernelEngine:
         via ``advance_silent_span``, ``hook`` (the block driver's
         ``advance_span``) keeps private canonical state current, the
         ticked tier's oracle jumps via ``advance_span``, and the span's
-        energy counts and flat queue series are flushed as batch
-        appends (the caller's fold adds the counts to the monitor's
-        totals).  On the cap-safe static tier the caller's static count
-        list already holds the span's energy counts.
+        flat queue series and (ticked tier) its awake counts are each
+        appended to the collector in one extend.  On the cap-safe
+        static tier the caller's static count list already holds the
+        span's awake counts, and the caller appends them.
 
         Returns ``t`` when nothing was elided: an injection lands at
         ``t``, or the oracle's span counts are missing or break the cap.
@@ -384,10 +384,8 @@ class KernelEngine:
             hook(t, span_end)
         if span_counts is not None:
             oracle.advance_span(t, span_end)
-            span_ints = span_counts.tolist()
-            self.energy.per_round.extend(span_ints)
-            self.collector.energy_series.extend(span_ints)
-        self.collector.record_queue_span(0, span_end - t)
+            self.collector.energy_series.extend(span_counts.tolist())
+        self.collector.total_queue_series.extend([0] * (span_end - t))
         self.quiescent_rounds_elided += span_end - t
         return span_end
 
@@ -400,26 +398,16 @@ class KernelEngine:
     ) -> int:
         """Apply lowered segment ``seg`` in bulk; return the new total queue.
 
-        Flushes the span's total-queue series and per-station sizes and
-        maxima from the segment's queue-delta CSR, then materialises the
-        span's planned injections in plan order (so packet ids match the
-        per-round path), resolves the plan-index delivery references
-        against them and commits the driver's state.  Outcome counts and
-        energy are the caller's.
+        Materialises the span's planned injections in plan order (so
+        packet ids match the per-round path) and resolves the plan-index
+        delivery references against them.  Only then does it flush the
+        span's total-queue series and per-station sizes and maxima from
+        the segment's queue-delta CSR, so a delivery that raises leaves
+        the queue series no longer than the energy series.  Last, it
+        commits the driver's state.  Outcome counts and energy are the
+        caller's.
         """
         collector = self.collector
-        values = seg.delta_values
-        totals = segment_round_totals(seg.delta_offsets, values, total_queue)
-        collector.record_round_totals(totals.tolist())
-        if values.shape[0]:
-            per_station_max = collector.per_station_max_queue
-            base = np.asarray(queue_sizes, dtype=np.int64)
-            sizes, peaks = per_station_flow(seg.delta_stations, values, base)
-            for i in np.unique(seg.delta_stations).tolist():
-                queue_sizes[i] = int(sizes[i])
-                if peaks[i] > per_station_max[i]:
-                    per_station_max[i] = int(peaks[i])
-            total_queue = int(totals[-1])
         make = self.adversary.factory.make
         record_injection = collector.record_injection
         offsets = plan.offsets
@@ -441,6 +429,18 @@ class KernelEngine:
             if type(delivered) is int:
                 delivered = packets[delivered - j0]
             collector.record_delivery(delivered, delivered.destination, rnd)
+        values = seg.delta_values
+        totals = segment_round_totals(seg.delta_offsets, values, total_queue)
+        collector.total_queue_series.extend(totals.tolist())
+        if values.shape[0]:
+            per_station_max = collector.per_station_max_queue
+            base = np.asarray(queue_sizes, dtype=np.int64)
+            sizes, peaks = per_station_flow(seg.delta_stations, values, base)
+            for i in np.unique(seg.delta_stations).tolist():
+                queue_sizes[i] = int(sizes[i])
+                if peaks[i] > per_station_max[i]:
+                    per_station_max[i] = int(peaks[i])
+            total_queue = int(totals[-1])
         seg.commit(packets)
         return total_queue
 
@@ -507,10 +507,10 @@ class KernelEngine:
         With ``driver`` (a block it accepted) only the driver's named
         transmitter acts and the driver applies the round's feedback
         effects; without, every awake station acts and hears feedback.
-        The loop keeps every per-round quantity in locals and flushes the
-        aggregate counters (energy totals, outcome counts, rounds
-        observed) once at the end — also on exceptions, so partial state
-        stays consistent with what the reference loop would have
+        The loop keeps the outcome counts in locals and, on the static
+        tier, takes the block's awake counts from the precomputed series;
+        it flushes both once at the end — also on exceptions, so partial
+        state stays consistent with what the reference loop would have
         recorded up to the failing round.
         """
         controllers = self.controllers
@@ -556,9 +556,8 @@ class KernelEngine:
         pool_heard = pool.heard
         silence_feedback = pool.silence()
         collision_feedback = pool.collision()
-        # Collector/monitor internals, appended to directly in the loop;
-        # their aggregate counters are reconciled in the finally block.
-        energy_per_round = energy.per_round
+        # Collector internals, appended to directly in the loop; the
+        # outcome counts are reconciled in the finally block.
         total_queue_series = collector.total_queue_series
         energy_series = collector.energy_series
         per_station_max = collector.per_station_max_queue
@@ -569,22 +568,16 @@ class KernelEngine:
         collision = ChannelOutcome.COLLISION
         n_silence = n_heard = n_collision = 0
         rounds_done = 0
-        # The monitor's totals are folded in by the finally block from
-        # the chunk's slice of its per-round series.
-        energy_mark = len(energy_per_round)
         # Vectorised energy bookkeeping (schedule fast path, cap-safe):
         # the chunk's awake counts are materialised once from the
-        # per-period numpy series and flushed by the finally block.
-        # ``energized`` mirrors the reference loop's accounting point
-        # (step 2): the round that raises after it still has its count
-        # recorded in the energy monitor, but not in the collector.
+        # per-period numpy series and flushed by the finally block, up
+        # to the last completed round.
         counts_list = None
         if self._period_counts is not None:
             counts = self._period_counts
             counts_list = counts[
                 np.arange(start, stop, dtype=np.int64) % len(counts)
             ].tolist()
-        energized = 0
 
         compiled = driver is not None
         span_hook = None
@@ -633,8 +626,6 @@ class KernelEngine:
                         )
                         if span_end > t:
                             span = span_end - t
-                            if counts_list is not None:
-                                energized += span
                             n_silence += span
                             rounds_done += span
                             t = span_end
@@ -660,7 +651,6 @@ class KernelEngine:
                             heard = count_transmitting(seg.transmitters)
                             n_heard += heard
                             n_silence += span - heard
-                            energized += span
                             rounds_done += span
                             self.lowered_segments += 1
                             self.lowered_rounds += span
@@ -696,11 +686,10 @@ class KernelEngine:
                         inject_into[station](t, packet)
                         record_injection(packet, t)
 
-                # 2. On/off decisions and energy accounting.  Compiled
+                # 2. On/off decisions and the energy cap check.  Compiled
                 #    steps on the static tier test awakeness through the
                 #    period's membership matrix and need no awake tuple.
                 if counts_list is not None:
-                    energized += 1
                     if not compiled:
                         awake = period[t % period_len]
                 else:
@@ -714,7 +703,6 @@ class KernelEngine:
                             i for i, ctrl in enumerate(controllers) if ctrl.wakes(t)
                         )
                     awake_count = len(awake)
-                    energy_per_round.append(awake_count)
                     if cap is not None and awake_count > cap:
                         energy.violations += 1
                         if enforce_cap:
@@ -840,8 +828,6 @@ class KernelEngine:
                 else:
                     queue_sizes = [p() for p in poll]
                     total_queue = sum(queue_sizes)
-                    collector.begin_stations(n)
-                    per_station_max = collector.per_station_max_queue
                     for i, size in enumerate(queue_sizes):
                         if size > per_station_max[i]:
                             per_station_max[i] = size
@@ -866,10 +852,9 @@ class KernelEngine:
                         )
                 t += 1
         finally:
-            # Reconcile the chunk's locals with the engine, collector and
-            # monitor, so that after an exception the aggregate counters
-            # match what the reference loop would have recorded up to
-            # the failing round.
+            # Reconcile the block's locals with the engine and collector,
+            # so that after an exception the collector holds what the
+            # reference loop would have recorded up to the failing round.
             self._queue_sizes = queue_sizes
             self._total_queue = total_queue
             self.round_no += rounds_done
@@ -882,18 +867,9 @@ class KernelEngine:
                 # per chunk; the view's queries are exact between flushes.
                 view.flush_window()
             if counts_list is not None:
-                # The monitor takes the static series up to the last round
-                # that reached step 2, the collector up to the last
-                # completed round.
-                energy_per_round.extend(counts_list[:energized])
-                collector.record_energy_series(counts_list[:rounds_done])
-            chunk_counts = energy_per_round[energy_mark:]
-            if chunk_counts:
-                energy.total_station_rounds += sum(chunk_counts)
-                peak = max(chunk_counts)
-                if peak > energy.max_awake:
-                    energy.max_awake = peak
-            collector.rounds_observed += rounds_done
+                # The static tier's awake counts, up to the last completed
+                # round, like the queue series appended per round.
+                energy_series.extend(counts_list[:rounds_done])
             outcome_counts = collector.outcome_counts
             for outcome, count in (
                 (silence, n_silence),

@@ -171,7 +171,7 @@ def _add_net_fault_args(parser: argparse.ArgumentParser) -> None:
                         help="injected probability of an HTTP 500")
     parser.add_argument("--fault-net-corrupt-rate", type=float, default=0.0,
                         help="injected probability of a bit-flipped body")
-    parser.add_argument("--fault-stall-seconds", type=float, default=1.0,
+    parser.add_argument("--fault-stall-seconds", type=_seconds, default=1.0,
                         help="how long an injected net timeout/stall lasts")
 
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "to N times (deterministic exponential backoff), then "
                          "quarantine it as a FAILED row instead of aborting "
                          "the sweep; exit status 3 flags quarantined points")
-    sweep_p.add_argument("--spec-timeout", type=float, default=None,
+    sweep_p.add_argument("--spec-timeout", type=_positive_seconds, default=None,
                          metavar="SECONDS",
                          help="fault-tolerant mode: kill and retry any point "
                          "running longer than SECONDS (the worker pool is "

@@ -62,7 +62,6 @@ class MetricsCollector:
     energy_series: list[int] = field(default_factory=list)
     outcome_counts: dict[ChannelOutcome, int] = field(default_factory=dict)
     delays: list[int] = field(default_factory=list)
-    rounds_observed: int = 0
     injected_count: int = 0
     delivered_count: int = 0
 
@@ -97,79 +96,34 @@ class MetricsCollector:
         awake_count: int,
         outcome: ChannelOutcome,
     ) -> None:
-        """Register the end-of-round system state (polled path).
+        """Register the end-of-round system state (reference loop).
 
-        The engine hands over every station's queue size each round.  The
-        kernel's incremental path instead calls :meth:`begin_stations`
-        once, :meth:`record_station_queue` only for stations whose queue
-        changed, and :meth:`record_round_total` once per round; both paths
-        accumulate identical statistics.
+        The reference engine hands over every station's queue size each
+        round.  The kernel and block engines instead size the per-station
+        maxima with :meth:`begin_stations` and write the collector's
+        lists themselves: the maxima of the stations whose queue can have
+        changed, and the series one round or one batch at a time.  Both
+        paths accumulate identical statistics.
         """
         self.begin_stations(len(queue_sizes))
         for i, q in enumerate(queue_sizes):
             if q > self.per_station_max_queue[i]:
                 self.per_station_max_queue[i] = q
-        self.record_round_total(round_no, int(sum(queue_sizes)), awake_count, outcome)
+        self.total_queue_series.append(int(sum(queue_sizes)))
+        self.energy_series.append(awake_count)
+        self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
 
-    # -- incremental engine-facing API (kernel loop) -------------------------
     def begin_stations(self, n: int) -> None:
         """Size the per-station maxima before incremental updates start."""
         if not self.per_station_max_queue:
             self.per_station_max_queue = [0] * n
 
-    def record_station_queue(self, station: int, size: int) -> None:
-        """Update one station's queue-size maximum (changed stations only)."""
-        if size > self.per_station_max_queue[station]:
-            self.per_station_max_queue[station] = size
-
-    def record_round_total(
-        self,
-        round_no: int,
-        total_queue: int,
-        awake_count: int,
-        outcome: ChannelOutcome,
-    ) -> None:
-        """Register the end-of-round totals (incremental path)."""
-        self.rounds_observed += 1
-        self.total_queue_series.append(total_queue)
-        self.energy_series.append(awake_count)
-        self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
-
-    def record_energy_series(self, awake_counts: "list[int]") -> None:
-        """Batch-append per-round awake counts (vectorised schedule path).
-
-        The kernel engine precomputes the whole run's awake counts as a
-        numpy series from the published schedule's period and flushes them
-        here in one call instead of one ``energy_series.append`` per
-        round; the resulting list is element-for-element identical to the
-        per-round path.
-        """
-        self.energy_series.extend(awake_counts)
-
-    def record_queue_span(self, total_queue: int, rounds: int) -> None:
-        """Batch-append a flat stretch of the total-queue series.
-
-        The kernel engine's quiescent-span fast path records ``rounds``
-        consecutive rounds whose total queue size is ``total_queue`` (0
-        in practice) in one extend instead of one append per round; the
-        per-station maxima are untouched because no queue changed.  Like
-        :meth:`record_energy_series` this leaves ``rounds_observed`` to
-        the caller's end-of-run reconciliation.
-        """
-        self.total_queue_series.extend([total_queue] * rounds)
-
-    def record_round_totals(self, totals: "list[int]") -> None:
-        """Batch-append end-of-round total queue sizes (lowered segments).
-
-        The block engine's segment-lowering path computes a whole span's
-        running totals with one vectorised kernel and flushes them here;
-        like :meth:`record_queue_span` this leaves ``rounds_observed``
-        and the per-station maxima (updated from the segment's own
-        per-station flow kernel) to the caller.
-        """
-        self.total_queue_series.extend(totals)
-
     # -- derived statistics ----------------------------------------------------
+    @property
+    def rounds_observed(self) -> int:
+        """Rounds recorded so far: one total-queue entry per round."""
+        return len(self.total_queue_series)
+
     @property
     def pending_count(self) -> int:
         """Packets injected but not yet delivered."""

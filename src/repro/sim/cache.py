@@ -77,7 +77,11 @@ __all__ = [
 # Version 4: ``Packet`` became a tuple subclass in place of a frozen
 # dataclass, so a version-3 payload whose backlog holds packets no longer
 # unpickles either; the bump makes every version-3 entry the same miss.
-CACHE_VERSION = 4
+# Version 5: ``RunResult`` lost its ``energy`` report (the collector's
+# ``energy_series`` is the one record of each round's awake count), so a
+# version-4 payload sets a field the class no longer has and no longer
+# unpickles; the bump makes every version-4 entry the same miss.
+CACHE_VERSION = 5
 
 #: Length of the payload checksum header: 64 hex chars + ``\n``.
 _CHECKSUM_HEADER_LEN = 65

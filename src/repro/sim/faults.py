@@ -72,6 +72,7 @@ faults per spec across the whole fleet, not per process.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -180,8 +181,10 @@ class FaultPlan:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.fault_budget < 0:
             raise ValueError("fault_budget must be non-negative")
-        if self.stall_seconds < 0:
-            raise ValueError("stall_seconds must be non-negative")
+        if not 0 <= self.stall_seconds < math.inf:
+            raise ValueError(
+                f"stall_seconds must be finite and non-negative, got {self.stall_seconds!r}"
+            )
         if self.attempt_offset < 0:
             raise ValueError("attempt_offset must be non-negative")
 

@@ -145,10 +145,15 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.spec_timeout is not None and self.spec_timeout <= 0:
-            raise ValueError("spec_timeout must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
+        if self.spec_timeout is not None and not 0 < self.spec_timeout < math.inf:
+            raise ValueError(
+                "spec_timeout must be positive and finite (or None), "
+                f"got {self.spec_timeout!r}"
+            )
+        for name in ("backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.serial_degrade_after < 1:
             raise ValueError("serial_degrade_after must be at least 1")
 

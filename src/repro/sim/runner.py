@@ -7,7 +7,6 @@ from typing import Callable, Mapping, Sequence
 
 from ..adversary.base import Adversary
 from ..channel.block import BlockEngine
-from ..channel.energy import EnergyReport
 from ..channel.engine import EngineConfig, RoundEngine
 from ..channel.events import ExecutionTrace
 from ..channel.kernel import KernelEngine
@@ -59,7 +58,6 @@ class RunResult:
     rounds: int
     summary: RunSummary
     collector: MetricsCollector
-    energy: EnergyReport
     trace: ExecutionTrace | None = None
     #: Concrete engine kind that executed the run ("block" / "kernel" /
     #: "reference"), after ``auto`` resolution.
@@ -173,7 +171,6 @@ def run_simulation(
         rounds=rounds,
         summary=collector.summary(run_label),
         collector=collector,
-        energy=eng.energy.report(),
         trace=eng.trace,
         engine_used=kind,
         negotiation=eng.negotiation() if kind != "reference" else None,

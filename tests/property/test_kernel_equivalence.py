@@ -106,9 +106,6 @@ def test_fast_engines_match_reference_summaries(triple):
 
     for fast in (block, kernel):
         assert fast.summary.as_dict() == reference.summary.as_dict()
-        assert fast.energy.rounds == reference.energy.rounds
-        assert fast.energy.total_station_rounds == reference.energy.total_station_rounds
-        assert fast.energy.max_awake == reference.energy.max_awake
         # Fine-grained collector state, not just the condensed summary.
         kc, rc = fast.collector, reference.collector
         assert kc.total_queue_series == rc.total_queue_series

@@ -82,7 +82,9 @@ def test_parallel_summaries_equal_serial(pool, specs):
     serial = [execute_spec(spec) for spec in specs]
     parallel = pool.run(specs)
     assert [r.summary for r in parallel] == [r.summary for r in serial]
-    assert [r.energy for r in parallel] == [r.energy for r in serial]
+    assert [r.collector.energy_series for r in parallel] == [
+        r.collector.energy_series for r in serial
+    ]
 
 
 def test_run_specs_order_preserved(pool):

@@ -115,13 +115,6 @@ def test_span_skipping_kernel_matches_reference_and_per_round_kernel(
     assert _collector_state(block.collector) == _collector_state(
         reference.collector
     )
-    assert (
-        skipping.energy.total_station_rounds
-        == reference.energy.total_station_rounds
-    )
-    assert skipping.energy.max_awake == reference.energy.max_awake
-    assert block.energy.total_station_rounds == reference.energy.total_station_rounds
-    assert block.energy.max_awake == reference.energy.max_awake
 
 
 def _build_kernel(common, plan_chunk=64, engine_cls=KernelEngine, **config_kwargs):
@@ -242,7 +235,6 @@ def test_cap_rejected_span_runs_per_round_on_every_engine():
             reference.collector
         )
         assert engine.energy.violations == reference.energy.violations
-        assert engine.energy.report() == reference.energy.report()
         assert engine.quiescent_rounds_elided == 0
         assert engine.negotiation()["quiescence_skipping"] is False
 

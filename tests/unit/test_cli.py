@@ -275,6 +275,15 @@ class TestDistributedCommands:
              "--n", "4", "--k", "2", "--shard-size", "0"],
             ["submit", "--server", "http://127.0.0.1:1", "--algorithm", "k-cycle",
              "--n", "4", "--k", "2", "--timeout", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-stall-seconds", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-stall-seconds", "-1"],
+            ["serve", "--fault-stall-seconds", "inf"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1", "--rounds", "200", "--spec-timeout", "nan"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1", "--rounds", "200", "--spec-timeout", "inf"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1", "--rounds", "200", "--spec-timeout", "0"],
         ],
     )
     def test_bad_service_timing_or_sizing_exits_2_with_usage(self, argv, capsys):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.sim import (
+    ExecutionPolicy,
     FailedResult,
     FaultPlan,
     SweepManifest,
@@ -81,11 +82,48 @@ class TestFaultPlanCoin:
             FaultPlan(fault_budget=-1)
         with pytest.raises(ValueError):
             FaultPlan(stall_seconds=-1.0)
+        # An injected stall sleeps stall_seconds: NaN makes time.sleep
+        # raise mid-run, and inf never wakes.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="stall_seconds"):
+                FaultPlan(stall_seconds=bad)
+        assert FaultPlan(stall_seconds=0.0).stall_seconds == 0.0
 
     def test_active(self):
         assert not FaultPlan().active
         assert FaultPlan(transient_rate=0.1).active
         assert FaultPlan(corrupt_rate=0.1).active
+
+
+class TestExecutionPolicy:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"max_retries": -1},
+            {"spec_timeout": 0},
+            {"spec_timeout": -1.0},
+            # A NaN or infinite timeout arms a deadline that never fires
+            # (monotonic() + nan), switching the timeout off silently.
+            {"spec_timeout": float("nan")},
+            {"spec_timeout": float("inf")},
+            {"backoff_base": -0.1},
+            {"backoff_base": float("nan")},
+            {"backoff_base": float("inf")},
+            {"backoff_cap": -1.0},
+            {"backoff_cap": float("nan")},
+            {"backoff_cap": float("inf")},
+            {"serial_degrade_after": 0},
+        ],
+    )
+    def test_validation(self, options):
+        with pytest.raises(ValueError):
+            ExecutionPolicy(**options)
+
+    def test_finite_timings_are_accepted(self):
+        policy = ExecutionPolicy(spec_timeout=0.5, backoff_base=0.0, backoff_cap=0.0)
+        assert policy.spec_timeout == 0.5
+        assert policy.backoff_delay(3) == 0.0
+        assert ExecutionPolicy(spec_timeout=None).spec_timeout is None
 
 
 class TestFaultPlanWorkerSide:

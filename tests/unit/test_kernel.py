@@ -133,7 +133,7 @@ class TestNegotiation:
         assert len(engine.view.awake_history) == 1  # bounded window
         # ... but the on-round counts cover all 50 rounds.
         total_on = sum(engine.view.station_on_rounds(i) for i in range(9))
-        assert total_on == sum(engine.energy.per_round)
+        assert total_on == sum(engine.collector.energy_series)
 
     def test_full_history_opt_in_overrides_profile(self):
         engine = build_kernel(
@@ -196,9 +196,6 @@ class TestNegotiation:
         )
         reference.run(137)
         assert kernel.collector.energy_series == reference.collector.energy_series
-        assert kernel.energy.per_round == reference.energy.per_round
-        assert kernel.energy.total_station_rounds == reference.energy.total_station_rounds
-        assert kernel.energy.max_awake == reference.energy.max_awake
 
 
 class TestFeedbackPool:
@@ -248,6 +245,8 @@ class TestPolledFallback:
             schedule=algorithm.oblivious_schedule(),
         )
         assert not engine.uses_incremental_metrics
+        # Sized at construction on every path, as on the reference engine.
+        assert engine.collector.per_station_max_queue == [0] * 9
         engine.run(100)
         assert engine.collector.rounds_observed == 100
 
@@ -286,12 +285,15 @@ class TestSemantics:
             EngineConfig(energy_cap=2, enforce_energy_cap=True),
             schedule=algorithm.oblivious_schedule(),
         )
-        with pytest.raises(EnergyCapViolation):
+        with pytest.raises(EnergyCapViolation) as info:
             engine.run(10)
-        # The violating round was observed before the raise, like the
-        # reference engine's EnergyMonitor.observe.
+        # Three stations wake in round 0.  The violation is counted, as
+        # the reference engine's EnergyMonitor.observe counts it, but the
+        # round never completes, so the collector records nothing of it.
+        assert (info.value.round_no, info.value.awake, info.value.cap) == (0, 3, 2)
         assert engine.energy.violations == 1
-        assert engine.energy.total_station_rounds == sum(engine.energy.per_round)
+        assert engine.collector.energy_series == []
+        assert engine.collector.rounds_observed == 0
 
     def test_resumed_runs_accumulate(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.4, 2.0))

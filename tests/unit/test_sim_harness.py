@@ -21,7 +21,7 @@ class TestRunner:
         assert result.n == 4
         assert result.rounds == 1500
         assert result.summary.rounds == 1500
-        assert result.energy.rounds == 1500
+        assert len(result.collector.energy_series) == 1500
         assert result.summary.injected == result.collector.injected_count
 
     def test_rejects_zero_rounds(self):

@@ -15,6 +15,7 @@ from repro.adversary import (
     SingleTargetAdversary,
 )
 from repro.algorithms import CountHop, KCycle
+from repro.channel.energy import EnergyCapViolation
 from repro.sim import (
     ParallelExecutor,
     ResultCache,
@@ -505,31 +506,32 @@ class TestSweepForwarding:
         assert series.points[0].result.trace is not None
         assert len(series.points[0].result.trace) == 150
 
-    def test_sweep_forwards_energy_cap(self):
-        series = sweep(
+    @staticmethod
+    def _count_hop_sweep(**options):
+        return sweep(
             "demo",
             "rho",
             [0.2],
             lambda rho: spec_fragment("count-hop", n=4),
             lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
             150,
-            energy_cap=3,
+            **options,
         )
-        assert series.points[0].result.energy.cap == 3
+
+    def test_sweep_forwards_energy_cap(self):
+        # Count-Hop keeps within its own cap of 2; a forwarded cap of 1
+        # is enforced instead, and its two-station rounds break it.
+        assert not self._count_hop_sweep().points[0].failed
+        with pytest.raises(EnergyCapViolation) as info:
+            self._count_hop_sweep(energy_cap=1)
+        assert (info.value.awake, info.value.cap) == (2, 1)
 
     def test_sweep_forwarding_applies_to_spec_path_too(self):
-        series = sweep(
-            "demo",
-            "rho",
-            [0.2],
-            lambda rho: spec_fragment("count-hop", n=4),
-            lambda rho: spec_fragment("single-target", rho=rho, beta=1.0),
-            150,
-            energy_cap=3,
-            record_trace=True,
-        )
-        result = series.points[0].result
-        assert result.energy.cap == 3 and result.trace is not None
+        result = self._count_hop_sweep(record_trace=True).points[0].result
+        assert result.trace is not None
+        with pytest.raises(EnergyCapViolation) as info:
+            self._count_hop_sweep(energy_cap=1, record_trace=True)
+        assert (info.value.awake, info.value.cap) == (2, 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_rejects_live_objects(self, workers):
