@@ -39,8 +39,8 @@ schedule-published k-Cycle at n=64 in the paper's energy-frugal regime
 (including batched injection planning); the Count-Hop / Orchestra /
 Adjust-Window / k-Subsets rows track the ticked-wakes tier (shared state
 machine, one tick + one batch awake-set query per round) per algorithm,
-the adaptive rows track the windowed-view path with its schedule-backed
-batch maintenance, and the low-rate bursty rows track the quiescence
+the adaptive rows track the windowed-view path (one view update per
+round), and the low-rate bursty rows track the quiescence
 axis (whole injection-free spans elided in one step — the win that
 moves low-rate runs from O(rounds) toward O(busy rounds)), so a
 regression in any negotiation branch shows up in the trajectory.
@@ -145,7 +145,7 @@ CONFIGS: list[tuple[str, dict]] = [
         ),
     ),
     (
-        "k-cycle n=64 k=4, adaptive adversary (batched windowed view)",
+        "k-cycle n=64 k=4, adaptive adversary (windowed view path)",
         dict(
             algorithm="k-cycle",
             algorithm_params={"n": 64, "k": 4},

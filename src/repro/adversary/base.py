@@ -64,11 +64,6 @@ class ObservationProfile:
         if self.window is not None and self.window < 0:
             raise ValueError("observation window must be >= 0 (or None)")
 
-    @property
-    def is_oblivious(self) -> bool:
-        """True when the adversary never reads the execution history."""
-        return self.window == 0
-
     @classmethod
     def oblivious(cls) -> "ObservationProfile":
         """The adversary ignores the view entirely (fixed injection pattern)."""
@@ -279,8 +274,7 @@ class Adversary(abc.ABC):
         that never read the view should return
         :meth:`ObservationProfile.oblivious` (the kernel then skips view
         maintenance entirely), and subclasses that genuinely need the
-        unbounded history must return :meth:`ObservationProfile.full` (or
-        the run must set ``EngineConfig(full_history=True)``).
+        unbounded history must return :meth:`ObservationProfile.full`.
         """
         return ObservationProfile.windowed(DEFAULT_OBSERVATION_WINDOW)
 

@@ -125,18 +125,19 @@ class BlockEngine(KernelEngine):
         self.lowered_rounds = 0
 
     # -- negotiated capabilities ----------------------------------------------
-    @property
-    def uses_block_compilation(self) -> bool:
-        """True when the run is eligible for compiled round blocks."""
-        return self._driver is not None
-
     def negotiation(self) -> dict:
+        """The kernel's report plus block eligibility and the tier counters.
+
+        ``block_compilation``: the run is eligible for compiled round
+        blocks; ``segment_lowering``: it is, and lowering is switched on.
+        """
         data = super().negotiation()
-        data["block_compilation"] = self.uses_block_compilation
+        eligible = self._driver is not None
+        data["block_compilation"] = eligible
         data["blocks_compiled"] = self.blocks_compiled
         data["blocks_fallback"] = self.blocks_fallback
         data["block_decline_reasons"] = dict(self.block_decline_reasons)
-        data["segment_lowering"] = self.uses_block_compilation and self.config.lowering
+        data["segment_lowering"] = eligible and self.config.lowering
         data["lowered_segments"] = self.lowered_segments
         data["lowered_rounds"] = self.lowered_rounds
         return data

@@ -33,8 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .energy import EnergyMonitor
 from .events import ExecutionTrace, InjectionEvent, RoundEvent
 from .feedback import ChannelOutcome, Feedback
@@ -52,22 +50,21 @@ __all__ = [
     "DEFAULT_VIEW_WINDOW",
     "EngineConfig",
     "RoundEngine",
-    "ScheduleBackedView",
     "check_message",
     "negotiated_view_window",
     "validate_controllers",
 ]
 
 #: Default batching granularity (in rounds) of the kernel engine's chunked
-#: machinery: injection plans are requested and the schedule-backed view's
-#: history ring is refreshed once per this many rounds.
+#: machinery: injection plans are requested once per this many rounds.
 DEFAULT_PLAN_CHUNK = 4096
 
 #: History window the reference engine keeps even for adversaries that
 #: declared a smaller (or zero) observation window: short-run debugging and
 #: engine-level tests read the view directly, so the checked loop never
 #: truncates below this many rounds.  Long runs thereby stay at O(window)
-#: memory instead of O(rounds) unless ``EngineConfig(full_history=True)``.
+#: memory instead of O(rounds), unless the adversary declares
+#: :meth:`~repro.adversary.base.ObservationProfile.full`.
 DEFAULT_VIEW_WINDOW = 1024
 
 
@@ -156,123 +153,13 @@ class AdversaryView:
         return min(range(self.n), key=lambda i: (self.station_on_rounds(i), i))
 
 
-class ScheduleBackedView(AdversaryView):
-    """Adversary view whose awake-derived state comes from the schedule.
-
-    Used by the kernel engine for *windowed* adversaries when the run is
-    on the static-schedule fast path: the per-round awake sets are a pure
-    function of the published periodic schedule, so none of the per-round
-    pushes that derive from them are necessary.  Maintenance becomes
-
-    * **O(1) per round** (:meth:`observe_scheduled`): one outcome push
-      and two reference assignments — no awake tuple append, no queue
-      snapshot copy, no per-station count loop;
-    * **one vectorised add per period**: exact per-station on-counts are
-      ``full_periods * period_totals + prefix[pos]`` against the
-      schedule's precomputed on-count prefix series
-      (:meth:`~repro.core.schedule.ObliviousSchedule.period_on_count_prefix`);
-    * **one ring refresh per chunk** (:meth:`flush_window`): the bounded
-      ``awake_history`` ring is rebuilt from the period in bulk.
-
-    The query API (:meth:`last_awake`, :meth:`station_on_rounds`,
-    :meth:`least_on_station`, ``queue_sizes``, ``delivered_total``,
-    ``outcome_history``) is exact after every round — property-tested
-    against the incremental :meth:`AdversaryView.observe_round` path.
-    Only the raw ``awake_history`` attribute lags at chunk granularity
-    between flushes; in-repo adversaries read awake-set history solely
-    through the query methods.
-
-    ``queue_sizes`` deliberately aliases the engine's live size list: the
-    kernel only mutates it *after* the round's injections are decided, so
-    every adversary read observes the end-of-previous-round snapshot the
-    reference loop would have copied.
-    """
-
-    __slots__ = (
-        "_period",
-        "_period_len",
-        "_prefix",
-        "_period_totals",
-        "_base_counts",
-        "_completed",
-        "_flushed",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        window: int,
-        period: tuple[tuple[int, ...], ...],
-        prefix: "np.ndarray",
-    ) -> None:
-        super().__init__(n=n, window=window)
-        if len(prefix) != len(period) + 1:
-            raise ValueError("on-count prefix series does not match the period")
-        self._period = period
-        self._period_len = len(period)
-        self._prefix = prefix
-        self._period_totals = prefix[-1]
-        self._base_counts = np.zeros(n, dtype=np.int64)
-        self._completed = 0
-        self._flushed = 0
-
-    # -- engine-facing update ----------------------------------------------
-    def observe_scheduled(
-        self,
-        outcome: ChannelOutcome,
-        queue_sizes: list[int],
-        delivered_total: int,
-    ) -> None:
-        """Record one completed round whose awake set the schedule implies."""
-        self.outcome_history.append(outcome)
-        self.queue_sizes = queue_sizes
-        self.delivered_total = delivered_total
-        completed = self._completed + 1
-        self._completed = completed
-        if completed % self._period_len == 0:
-            self._base_counts += self._period_totals
-
-    def flush_window(self) -> None:
-        """Advance the awake-history ring to cover all completed rounds."""
-        completed, flushed = self._completed, self._flushed
-        if completed == flushed:
-            return
-        start = flushed
-        window = self.window
-        if window is not None and completed - flushed > window:
-            start = completed - window
-        period, period_len = self._period, self._period_len
-        self.awake_history.extend(
-            period[t % period_len] for t in range(start, completed)
-        )
-        self._flushed = completed
-
-    # -- adversary-facing queries -------------------------------------------
-    def last_awake(self) -> tuple[int, ...]:
-        if not self._completed:
-            return ()
-        return self._period[(self._completed - 1) % self._period_len]
-
-    def station_on_rounds(self, station: int) -> int:
-        pos = self._completed % self._period_len
-        return int(self._base_counts[station] + self._prefix[pos, station])
-
-    def least_on_station(self) -> int:
-        pos = self._completed % self._period_len
-        # np.argmin returns the first minimum, matching the (count, name)
-        # tie-break of the incremental path.
-        return int(np.argmin(self._base_counts + self._prefix[pos]))
-
-
-def negotiated_view_window(adversary: "Adversary", full_history: bool) -> int | None:
+def negotiated_view_window(adversary: "Adversary") -> int | None:
     """The history window an adversary's observation profile asks for.
 
     ``None`` means unbounded.  Objects without an ``observation_profile``
     capability (duck-typed so the channel layer stays decoupled from the
     adversary package) conservatively get full history.
     """
-    if full_history:
-        return None
     profile = getattr(adversary, "observation_profile", None)
     if profile is None:
         return None
@@ -283,15 +170,9 @@ def negotiated_view_window(adversary: "Adversary", full_history: bool) -> int | 
 class EngineConfig:
     """Configuration knobs of :class:`RoundEngine` (and the kernel loop).
 
-    ``full_history`` overrides the adversary's declared observation
-    profile and keeps the unbounded :class:`AdversaryView` histories of
-    the original engine — the opt-in for debugging sessions and for
-    adversaries written before observation profiles existed.
-
     ``plan_chunk`` is the kernel loop's batching granularity in rounds:
     how many rounds of injections one ``plan_injections`` call
-    materialises (the blocks a driver cuts replay that plan), and how
-    often the schedule-backed view's history ring is refreshed.  Purely
+    materialises (the blocks a driver cuts replay that plan).  Purely
     an execution-strategy knob — results are bit-identical for every
     value (property-tested) — exposed for tuning and for tests that want
     many chunk boundaries.  Ignored by the reference loop.
@@ -317,7 +198,6 @@ class EngineConfig:
     record_trace: bool = False
     check_plain_packet: bool = False
     max_control_bits: int | None = None
-    full_history: bool = False
     plan_chunk: int = DEFAULT_PLAN_CHUNK
     quiescence_skip: bool = True
     lowering: bool = True
@@ -417,7 +297,7 @@ class RoundEngine:
         # The checked loop keeps the view observable for tests/debugging:
         # at least DEFAULT_VIEW_WINDOW rounds of history even when the
         # adversary declared a smaller (or zero) observation window.
-        window = negotiated_view_window(adversary, self.config.full_history)
+        window = negotiated_view_window(adversary)
         if window is not None:
             window = max(window, DEFAULT_VIEW_WINDOW)
         self.view = AdversaryView(n=self.n, window=window)

@@ -10,11 +10,9 @@ actually need:
   :class:`~repro.adversary.base.ObservationProfile` decides whether the
   :class:`~repro.channel.engine.AdversaryView` is maintained at all
   (oblivious adversaries skip it entirely), kept as a bounded window, or
-  kept unbounded.  Windowed adversaries on the static-schedule fast path
-  get a :class:`~repro.channel.engine.ScheduleBackedView`: per-round
-  maintenance drops to O(1), on-counts advance once per period from the
-  schedule's precomputed prefix series, and the history ring is refreshed
-  once per chunk.
+  kept unbounded.  A maintained view is fed one
+  :meth:`~repro.channel.engine.AdversaryView.observe_round` per round, as
+  on the reference loop.
 * **Batched injection** — adversaries declaring ``plans_injections``
   (every oblivious family) have whole chunks of injections materialised
   by one :meth:`~repro.adversary.base.Adversary.plan_injections` call;
@@ -97,7 +95,6 @@ from .energy import EnergyCapViolation, EnergyMonitor
 from .engine import (
     AdversaryView,
     EngineConfig,
-    ScheduleBackedView,
     check_message,
     negotiated_view_window,
     validate_controllers,
@@ -184,15 +181,15 @@ class KernelEngine:
         self._schedule = schedule
 
         # -- negotiation: adversary observation --------------------------------
-        self._window = negotiated_view_window(adversary, self.config.full_history)
-        self.view = AdversaryView(n=self.n, window=self._window)
-        self._observe_view = self._window != 0
+        window = negotiated_view_window(adversary)
+        self.view = AdversaryView(n=self.n, window=window)
+        self._observe_view = window != 0
 
         # -- negotiation: batched injection planning ---------------------------
         # Planning adversaries are oblivious by contract; requiring the
-        # negotiated window to be 0 keeps a full_history override (or a
-        # mis-declared adversary) on the checked per-round path.
-        self._planned_injections = self._window == 0 and bool(
+        # negotiated window to be 0 keeps a mis-declared adversary on the
+        # checked per-round path.
+        self._planned_injections = window == 0 and bool(
             getattr(adversary, "plans_injections", False)
         )
 
@@ -203,19 +200,6 @@ class KernelEngine:
             getattr(ctrl, "static_wake_schedule", False) for ctrl in self.controllers
         ):
             self._period_awake = schedule.periodic_awake_sets()
-        # -- negotiation: schedule-backed windowed view ------------------------
-        self._scheduled_view = False
-        if (
-            self._period_awake is not None
-            and self._observe_view
-            and self._window is not None
-        ):
-            prefix = schedule.period_on_count_prefix()
-            if prefix is not None:
-                self.view = ScheduleBackedView(
-                    self.n, self._window, self._period_awake, prefix
-                )
-                self._scheduled_view = True
         if self._period_awake is not None:
             # The per-period awake-count series (cached on the schedule).
             # When the cap can never be exceeded (or there is none) the
@@ -281,59 +265,29 @@ class KernelEngine:
         self._poll = [ctrl.queued_packets for ctrl in self.controllers]
         self._inject_into = [ctrl.on_inject for ctrl in self.controllers]
 
-    # -- negotiated capabilities (introspection for tests/reports) -----------
-    @property
-    def uses_schedule_fast_path(self) -> bool:
-        """True when awake sets come from the precomputed schedule period."""
-        return self._period_awake is not None
-
-    @property
-    def uses_ticked_wakes(self) -> bool:
-        """True when awake sets come from one shared tick + batch query."""
-        return self._wake_oracle is not None
-
-    @property
-    def uses_vectorised_energy(self) -> bool:
-        """True when per-round awake counts come from the precomputed series."""
-        return self._period_counts is not None
-
-    @property
-    def uses_incremental_metrics(self) -> bool:
-        """True when only awake/injected stations are re-polled per round."""
-        return self._incremental_metrics
-
-    @property
-    def maintains_view(self) -> bool:
-        """True unless the adversary declared itself oblivious."""
-        return self._observe_view
-
-    @property
-    def uses_planned_injections(self) -> bool:
-        """True when injections are consumed from chunked plans."""
-        return self._planned_injections
-
-    @property
-    def uses_batched_view(self) -> bool:
-        """True when the adversary view is schedule-backed (batched)."""
-        return self._scheduled_view
-
-    @property
-    def uses_quiescence_skipping(self) -> bool:
-        """True when injection-free all-queues-empty spans are elided."""
-        return self._silence_capable
-
+    # -- negotiated capabilities (the one report for tests, CLI and runs) -----
     def negotiation(self) -> dict:
-        """The negotiated capabilities as a plain dict (reports/CLI)."""
+        """The negotiated capabilities as a plain dict.
+
+        ``schedule_fast_path``: awake sets come from the precomputed
+        schedule period; ``ticked_wakes``: from one shared tick plus a
+        batch query; ``vectorised_energy``: awake counts come from the
+        precomputed series; ``incremental_metrics``: only awake or
+        injected stations are re-polled; ``maintains_view``: the
+        adversary is not oblivious; ``planned_injections``: injections
+        come from chunked plans; ``quiescence_skipping``: injection-free
+        all-queues-empty spans are elided (cleared for the rest of the run
+        when a span's batch awake counts are missing or break the cap).
+        """
         return {
             "engine": type(self).__name__,
-            "schedule_fast_path": self.uses_schedule_fast_path,
-            "ticked_wakes": self.uses_ticked_wakes,
-            "vectorised_energy": self.uses_vectorised_energy,
-            "incremental_metrics": self.uses_incremental_metrics,
-            "maintains_view": self.maintains_view,
-            "planned_injections": self.uses_planned_injections,
-            "batched_view": self.uses_batched_view,
-            "quiescence_skipping": self.uses_quiescence_skipping,
+            "schedule_fast_path": self._period_awake is not None,
+            "ticked_wakes": self._wake_oracle is not None,
+            "vectorised_energy": self._period_counts is not None,
+            "incremental_metrics": self._incremental_metrics,
+            "maintains_view": self._observe_view,
+            "planned_injections": self._planned_injections,
+            "quiescence_skipping": self._silence_capable,
             "quiescent_rounds_elided": self.quiescent_rounds_elided,
         }
 
@@ -527,8 +481,6 @@ class KernelEngine:
         incremental = self._incremental_metrics
         heard_only_polls = self._heard_only_polls
         observe_view = self._observe_view
-        scheduled_view = self._scheduled_view
-        observe_scheduled = view.observe_scheduled if scheduled_view else None
         planned = self._planned_injections
         # An unbound adversary has no factory; the first plan_injections
         # call raises the same RuntimeError inject() would, before this
@@ -837,19 +789,11 @@ class KernelEngine:
                 rounds_done += 1
 
                 # 8. Adversary view update (skipped for oblivious
-                #    adversaries, which every compiled block has; O(1) on
-                #    the schedule-backed path, where awake-derived state
-                #    comes from the period series and the live size list
-                #    is aliased rather than copied).
+                #    adversaries, which every compiled block has).
                 if observe_view:
-                    if scheduled_view:
-                        observe_scheduled(
-                            outcome, queue_sizes, collector.delivered_count
-                        )
-                    else:
-                        view.observe_round(
-                            awake, outcome, list(queue_sizes), collector.delivered_count
-                        )
+                    view.observe_round(
+                        awake, outcome, list(queue_sizes), collector.delivered_count
+                    )
                 t += 1
         finally:
             # Reconcile the block's locals with the engine and collector,
@@ -862,10 +806,6 @@ class KernelEngine:
                 # The cached plan is fully consumed; only aborted chunks
                 # leave a remainder for the next call to replay.
                 self._plan_state = None
-            if scheduled_view:
-                # Bring the lazily maintained history ring current once
-                # per chunk; the view's queries are exact between flushes.
-                view.flush_window()
             if counts_list is not None:
                 # The static tier's awake counts, up to the last completed
                 # round, like the queue series appended per round.

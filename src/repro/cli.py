@@ -95,14 +95,35 @@ def _adversary_fragment(name: str, rho: float, beta: float, seed: int | None) ->
     return spec_fragment(name, **params)
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type: an int of at least 1."""
+def _int_at_least(text: str, lowest: int) -> int:
+    """``text`` as an int of at least ``lowest``."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be at least {lowest}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative(text: str) -> int:
+    """argparse type: an int of at least 0."""
+    return _int_at_least(text, 0)
+
+
+def _probability(text: str) -> float:
+    """argparse type: a finite float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
     return value
 
 
@@ -161,15 +182,15 @@ def _fault_plan_from_args(args: argparse.Namespace) -> FaultPlan | None:
 
 def _add_net_fault_args(parser: argparse.ArgumentParser) -> None:
     """The deterministic network-fault injection knobs (worker + serve)."""
-    parser.add_argument("--fault-net-refuse-rate", type=float, default=0.0,
+    parser.add_argument("--fault-net-refuse-rate", type=_probability, default=0.0,
                         help="injected probability of a refused connection")
-    parser.add_argument("--fault-net-timeout-rate", type=float, default=0.0,
+    parser.add_argument("--fault-net-timeout-rate", type=_probability, default=0.0,
                         help="injected probability of a request timeout/stall")
-    parser.add_argument("--fault-net-torn-rate", type=float, default=0.0,
+    parser.add_argument("--fault-net-torn-rate", type=_probability, default=0.0,
                         help="injected probability of a torn (truncated) response")
-    parser.add_argument("--fault-net-error-rate", type=float, default=0.0,
+    parser.add_argument("--fault-net-error-rate", type=_probability, default=0.0,
                         help="injected probability of an HTTP 500")
-    parser.add_argument("--fault-net-corrupt-rate", type=float, default=0.0,
+    parser.add_argument("--fault-net-corrupt-rate", type=_probability, default=0.0,
                         help="injected probability of a bit-flipped body")
     parser.add_argument("--fault-stall-seconds", type=_seconds, default=1.0,
                         help="how long an injected net timeout/stall lasts")
@@ -232,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stderr ticker as sweep points finish")
     sweep_p.add_argument("--engine", default="auto", choices=ENGINE_KINDS,
                          help="engine selector (default: auto)")
-    sweep_p.add_argument("--max-retries", type=int, default=None, metavar="N",
+    sweep_p.add_argument("--max-retries", type=_non_negative, default=None, metavar="N",
                          help="fault-tolerant mode: retry each failed point up "
                          "to N times (deterministic exponential backoff), then "
                          "quarantine it as a FAILED row instead of aborting "
@@ -285,21 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="wait up to SECONDS for the server to come up "
                           "and hold work")
-    worker_p.add_argument("--max-retries", type=int, default=2,
+    worker_p.add_argument("--max-retries", type=_non_negative, default=2,
                           help="per-spec retry budget inside this worker")
     worker_p.add_argument("--fault-seed", type=int, default=0,
                           help="fault-injection seed (testing)")
-    worker_p.add_argument("--fault-kill-rate", type=float, default=0.0,
+    worker_p.add_argument("--fault-kill-rate", type=_probability, default=0.0,
                           help="injected probability this worker hard-exits "
                           "mid-spec (testing; the shard's lease expires and "
                           "is stolen)")
-    worker_p.add_argument("--fault-lease-rate", type=float, default=0.0,
+    worker_p.add_argument("--fault-lease-rate", type=_probability, default=0.0,
                           help="injected probability this worker abandons a "
                           "claimed shard without heartbeating (testing)")
-    worker_p.add_argument("--fault-transient-rate", type=float, default=0.0,
+    worker_p.add_argument("--fault-transient-rate", type=_probability, default=0.0,
                           help="injected probability of a retryable exception "
                           "per attempt (testing)")
-    worker_p.add_argument("--fault-budget", type=int, default=1,
+    worker_p.add_argument("--fault-budget", type=_non_negative, default=1,
                           help="max faulted attempts per spec across the "
                           "whole fleet")
     _add_net_fault_args(worker_p)
@@ -328,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "before the server executes shards itself")
     serve_p.add_argument("--fault-seed", type=int, default=0,
                          help="server-side network fault-injection seed (testing)")
-    serve_p.add_argument("--fault-budget", type=int, default=1,
+    serve_p.add_argument("--fault-budget", type=_non_negative, default=1,
                          help="max injected net faults per request key")
     _add_net_fault_args(serve_p)
 

@@ -165,30 +165,6 @@ class ObliviousSchedule(abc.ABC):
         """
         return None
 
-    def period_on_count_prefix(self) -> "np.ndarray | None":
-        """Per-station on-count prefix sums over one period, if periodic.
-
-        Row ``p`` of the returned ``(period_length + 1, n)`` int64 array
-        holds, for every station, the number of on-rounds among the first
-        ``p`` rounds of the period (row 0 is all zeros, the last row the
-        full-period totals).  This is the per-period series behind the
-        kernel engine's batched windowed-view maintenance: a station's
-        exact on-count after ``f`` full periods plus ``p`` rounds is
-        ``f * prefix[-1] + prefix[p]``, so the view advances its counts
-        once per period instead of once per awake station per round.
-        Schedules without a finite period return ``None``.
-        """
-        period = self.periodic_awake_sets()
-        if period is None:
-            return None
-        prefix = np.zeros((len(period) + 1, self.n), dtype=np.int64)
-        for t, awake in enumerate(period):
-            row = prefix[t + 1]
-            row[:] = prefix[t]
-            if awake:
-                row[list(awake)] += 1
-        return prefix
-
     def periodic_awake_counts(self) -> "np.ndarray | None":
         """Per-round awake counts over one period, if periodic.
 

@@ -66,14 +66,8 @@ class SweepSeries:
     def latencies(self) -> list[int]:
         return [p.latency for p in self.points]
 
-    def max_queues(self) -> list[int]:
-        return [p.max_queue for p in self.points]
-
     def stabilities(self) -> list[bool]:
         return [p.stable for p in self.points]
-
-    def energies(self) -> list[float]:
-        return [p.energy_per_round for p in self.points]
 
     def failed_points(self) -> list[SweepPoint]:
         """Quarantined points (empty for a fault-free sweep)."""

@@ -264,7 +264,7 @@ def test_mixed_eligible_and_declined_blocks_match_reference():
     declined blocks run through the kernel loop and the mix must still be
     bit-identical.  Decline every other block to interleave the paths."""
     engine = _build_engine(COMMON, BlockEngine, plan_chunk=50)
-    assert engine.uses_block_compilation
+    assert engine.negotiation()["block_compilation"]
 
     driver = engine.controllers[0].block_driver
     original = driver.begin_block
@@ -364,7 +364,7 @@ def test_block_engine_requires_shared_driver():
     """Controllers with per-station (non-shared) drivers must not
     negotiate block compilation — the driver is one object for the run."""
     engine = _build_engine(COMMON, BlockEngine)
-    assert engine.uses_block_compilation
+    assert engine.negotiation()["block_compilation"]
     # Simulate a buggy algorithm attaching distinct drivers.
     algorithm = make_algorithm("k-cycle", n=8, k=3)
     adversary = make_adversary("random", rho=0.3, beta=2.0, seed=29)
@@ -379,7 +379,7 @@ def test_block_engine_requires_shared_driver():
         config=EngineConfig(enforce_energy_cap=False),
         schedule=algorithm.oblivious_schedule(),
     )
-    assert not engine.uses_block_compilation
+    assert not engine.negotiation()["block_compilation"]
     engine.run(50)  # still runs, via the kernel loop
     assert engine.blocks_compiled == 0
 

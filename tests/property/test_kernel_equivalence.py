@@ -193,14 +193,14 @@ def test_planned_injection_chunk_boundaries_match_reference(
 
 @pytest.mark.parametrize("engine", ["kernel", "block"])
 @pytest.mark.parametrize("plan_chunk", [1, 13, 4096])
-def test_batched_windowed_view_chunk_boundaries_match_reference(
+def test_windowed_view_chunk_boundaries_match_reference(
     plan_chunk, engine, execute_with_options
 ):
-    """The schedule-backed view path (windowed adversary on the static
-    schedule tier) is bit-identical to the reference loop at every ring
-    flush cadence.  The block engine cannot compile these runs (the
-    adversary does not plan injections), so its rows pin the per-block
-    kernel fallback."""
+    """A windowed adversary on the static schedule tier, whose view the
+    fast engines feed one ``observe_round`` per round, is bit-identical
+    to the reference loop at every chunk size.  The block engine cannot
+    compile these runs (the adversary does not plan injections), so its
+    rows pin the per-block kernel fallback."""
     common = dict(
         algorithm="k-cycle",
         algorithm_params={"n": 12, "k": 4},

@@ -149,7 +149,7 @@ def test_negotiation_engages_for_every_declared_algorithm():
             BURSTY_COMMON, algorithm=algorithm, algorithm_params=params
         )
         engine = _build_kernel(common)
-        assert engine.uses_quiescence_skipping, algorithm
+        assert engine.negotiation()["quiescence_skipping"], algorithm
         engine.run(400)
         assert engine.quiescent_rounds_elided > 0, algorithm
 
@@ -164,14 +164,14 @@ def test_holdouts_do_not_negotiate_span_skipping():
             BURSTY_COMMON, algorithm=algorithm, algorithm_params=params
         )
         engine = _build_kernel(common)
-        assert not engine.uses_quiescence_skipping, algorithm
+        assert not engine.negotiation()["quiescence_skipping"], algorithm
         engine.run(200)
         assert engine.quiescent_rounds_elided == 0, algorithm
 
 
 def test_quiescence_skip_config_knob_disables_the_fast_path():
     engine = _build_kernel(BURSTY_COMMON, quiescence_skip=False)
-    assert not engine.uses_quiescence_skipping
+    assert not engine.negotiation()["quiescence_skipping"]
     engine.run(300)
     assert engine.quiescent_rounds_elided == 0
 
@@ -225,7 +225,8 @@ def test_cap_rejected_span_runs_per_round_on_every_engine():
         _capped_k_subsets(cls) for cls in (RoundEngine, KernelEngine, BlockEngine)
     )
     # Negotiation cannot see the cap conflict; only the first probe can.
-    assert kernel.uses_quiescence_skipping and block.uses_quiescence_skipping
+    assert kernel.negotiation()["quiescence_skipping"]
+    assert block.negotiation()["quiescence_skipping"]
     for engine in (reference, kernel, block):
         engine.run(1234)
         engine.run(1766)

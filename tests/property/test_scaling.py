@@ -109,7 +109,7 @@ def _pickled_orchestra_controllers(rounds: int) -> int:
     controllers = algorithm.build_controllers()
     engine = BlockEngine(controllers, adversary)
     engine.run(rounds)
-    assert engine.uses_block_compilation
+    assert engine.negotiation()["block_compilation"]
     return len(pickle.dumps(controllers))
 
 
@@ -130,7 +130,7 @@ def _count_hop_block_engine() -> BlockEngine:
     adversary = SingleSourceSprayAdversary(0.3, 2.0)
     adversary.bind(algorithm.n, PacketFactory())
     engine = BlockEngine(algorithm.build_controllers(), adversary)
-    assert engine.uses_block_compilation
+    assert engine.negotiation()["block_compilation"]
     return engine
 
 

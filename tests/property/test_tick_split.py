@@ -208,8 +208,8 @@ def test_kernel_negotiates_ticked_tier(algorithm_key, algorithm_params):
         config=EngineConfig(enforce_energy_cap=False),
         schedule=algorithm.oblivious_schedule(),
     )
-    assert engine.uses_ticked_wakes
-    assert not engine.uses_schedule_fast_path
+    assert engine.negotiation()["ticked_wakes"]
+    assert not engine.negotiation()["schedule_fast_path"]
     engine.run(150)
     assert engine.collector.rounds_observed == 150
 
@@ -227,8 +227,8 @@ def test_schedule_published_algorithms_use_the_static_tier_instead():
         config=EngineConfig(enforce_energy_cap=False),
         schedule=algorithm.oblivious_schedule(),
     )
-    assert not engine.uses_ticked_wakes
-    assert engine.uses_schedule_fast_path
+    assert not engine.negotiation()["ticked_wakes"]
+    assert engine.negotiation()["schedule_fast_path"]
 
 
 @pytest.mark.parametrize(

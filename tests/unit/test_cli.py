@@ -284,6 +284,25 @@ class TestDistributedCommands:
              "--rates", "0.1", "--rounds", "200", "--spec-timeout", "inf"],
             ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
              "--rates", "0.1", "--rounds", "200", "--spec-timeout", "0"],
+            # Retry budgets, fault budgets and fault rates: each used to
+            # pass the parser and exit 1 with the library's ValueError.
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1", "--rounds", "200", "--max-retries", "-1"],
+            ["worker", "--server", "http://127.0.0.1:1", "--max-retries", "-1"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-budget", "-3"],
+            ["serve", "--fault-budget", "-1"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-kill-rate", "nan"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-kill-rate", "1.5"],
+            ["worker", "--server", "http://127.0.0.1:1", "--fault-lease-rate", "-0.1"],
+            ["worker", "--server", "http://127.0.0.1:1",
+             "--fault-transient-rate", "inf"],
+            ["worker", "--server", "http://127.0.0.1:1",
+             "--fault-net-refuse-rate", "nan"],
+            ["serve", "--fault-net-timeout-rate", "2"],
+            ["serve", "--fault-net-torn-rate", "-1"],
+            ["serve", "--fault-net-error-rate", "inf"],
+            ["worker", "--server", "http://127.0.0.1:1",
+             "--fault-net-corrupt-rate", "nan"],
         ],
     )
     def test_bad_service_timing_or_sizing_exits_2_with_usage(self, argv, capsys):
@@ -296,6 +315,15 @@ class TestDistributedCommands:
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert "usage:" in err and "Traceback" not in err
+
+    def test_fault_and_retry_bounds_are_accepted(self):
+        args = build_parser().parse_args(
+            ["worker", "--server", "http://127.0.0.1:1", "--max-retries", "0",
+             "--fault-budget", "0", "--fault-kill-rate", "1",
+             "--fault-net-torn-rate", "0"]
+        )
+        assert (args.max_retries, args.fault_budget) == (0, 0)
+        assert (args.fault_kill_rate, args.fault_net_torn_rate) == (1.0, 0.0)
 
     def test_submit_requires_server(self):
         with pytest.raises(SystemExit):

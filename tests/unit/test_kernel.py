@@ -9,6 +9,7 @@ from repro.adversary import (
     SingleTargetAdversary,
 )
 from repro.algorithms import CountHop, KCycle, KSubsets, Orchestra
+from repro.channel.block import BlockEngine
 from repro.channel.energy import EnergyCapViolation
 from repro.channel.engine import DEFAULT_VIEW_WINDOW, EngineConfig, RoundEngine
 from repro.channel.feedback import ChannelOutcome, Feedback, FeedbackPool
@@ -33,10 +34,54 @@ def build_kernel(algorithm, adversary, **config_kwargs):
 
 
 class TestNegotiation:
+    @pytest.mark.parametrize(
+        "engine_cls, extra_keys",
+        [
+            (KernelEngine, ()),
+            (
+                BlockEngine,
+                (
+                    "block_compilation",
+                    "blocks_compiled",
+                    "blocks_fallback",
+                    "block_decline_reasons",
+                    "segment_lowering",
+                    "lowered_segments",
+                    "lowered_rounds",
+                ),
+            ),
+        ],
+    )
+    def test_negotiation_reports_exactly_these_keys(self, engine_cls, extra_keys):
+        # negotiation() is the only report of what an engine negotiated:
+        # every result stores it and `repro run --negotiation` prints it
+        # in this order, so a key that appears or vanishes changes both.
+        algorithm = KCycle(9, 3)
+        adversary = SingleTargetAdversary(0.2, 1.0).bind(9, PacketFactory())
+        engine = engine_cls(
+            algorithm.build_controllers(),
+            adversary,
+            config=EngineConfig(energy_cap=algorithm.energy_cap),
+            schedule=algorithm.oblivious_schedule(),
+        )
+        assert list(engine.negotiation()) == [
+            "engine",
+            "schedule_fast_path",
+            "ticked_wakes",
+            "vectorised_energy",
+            "incremental_metrics",
+            "maintains_view",
+            "planned_injections",
+            "quiescence_skipping",
+            "quiescent_rounds_elided",
+            *extra_keys,
+        ]
+        assert engine.negotiation()["engine"] == engine_cls.__name__
+
     def test_schedule_fast_path_for_pure_wake_controllers(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
-        assert engine.uses_schedule_fast_path
-        assert engine.uses_incremental_metrics
+        assert engine.negotiation()["schedule_fast_path"]
+        assert engine.negotiation()["incremental_metrics"]
 
     def test_no_schedule_fast_path_when_wakes_has_side_effects(self):
         # k-Subsets publishes a schedule but its wake protocol advances a
@@ -44,44 +89,28 @@ class TestNegotiation:
         # static_wake_schedule; the shared phase clock puts them on the
         # ticked tier instead of the per-station fallback.
         engine = build_kernel(KSubsets(6, 3), SingleTargetAdversary(0.2, 1.0))
-        assert not engine.uses_schedule_fast_path
-        assert engine.uses_ticked_wakes
+        assert not engine.negotiation()["schedule_fast_path"]
+        assert engine.negotiation()["ticked_wakes"]
 
     def test_planned_injections_for_oblivious_adversaries(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
-        assert engine.uses_planned_injections
+        assert engine.negotiation()["planned_injections"]
         engine.run(50)
         assert engine.collector.injected_count > 0
 
     def test_planned_injections_skipped_for_windowed_adversaries(self):
         engine = build_kernel(KCycle(9, 3), AdaptiveStarvationAdversary(0.5, 1.0))
-        assert not engine.uses_planned_injections
+        assert not engine.negotiation()["planned_injections"]
 
-    def test_planned_injections_skipped_under_full_history_override(self):
-        # full_history forces an unbounded view; the conservative kernel
-        # keeps such runs on the checked per-round inject() path.
-        engine = build_kernel(
-            KCycle(9, 3), SingleTargetAdversary(0.2, 1.0), full_history=True
-        )
-        assert not engine.uses_planned_injections
-
-    def test_batched_view_for_windowed_adversary_on_schedule_path(self):
-        engine = build_kernel(KCycle(9, 3), AdaptiveStarvationAdversary(0.5, 1.0))
-        assert engine.uses_batched_view
-        assert engine.maintains_view
-
-    def test_batched_view_needs_the_static_schedule_tier(self):
-        # The ticked tier has no precomputed awake-count series to back
-        # the view, so windowed adversaries stay on incremental updates.
+    def test_windowed_adversary_on_ticked_tier_maintains_view(self):
+        # The view is fed the same per-round updates on every wake tier.
         engine = build_kernel(CountHop(5), AdaptiveStarvationAdversary(0.5, 1.0))
-        assert not engine.uses_batched_view
-        assert engine.maintains_view
-
-    def test_batched_view_skipped_for_full_history(self):
-        engine = build_kernel(
-            KCycle(9, 3), AdaptiveStarvationAdversary(0.5, 1.0), full_history=True
-        )
-        assert not engine.uses_batched_view
+        negotiated = engine.negotiation()
+        assert negotiated["ticked_wakes"]
+        assert negotiated["maintains_view"]
+        engine.run(60)
+        total_on = sum(engine.view.station_on_rounds(i) for i in range(5))
+        assert total_on == sum(engine.collector.energy_series)
 
     def test_aborted_run_replays_the_cached_plan_remainder(self):
         # A plan consumes the leaky-bucket budget for its whole chunk up
@@ -101,7 +130,7 @@ class TestNegotiation:
             EngineConfig(energy_cap=1, enforce_energy_cap=True),
             schedule=algorithm.oblivious_schedule(),
         )
-        assert engine.uses_planned_injections
+        assert engine.negotiation()["planned_injections"]
         with pytest.raises(EnergyCapViolation):
             engine.run(400)
         consumed = adversary.constraint.total_injected
@@ -116,11 +145,11 @@ class TestNegotiation:
 
     def test_no_schedule_fast_path_without_published_schedule(self):
         engine = build_kernel(Orchestra(6), SingleTargetAdversary(0.2, 1.0))
-        assert not engine.uses_schedule_fast_path
+        assert not engine.negotiation()["schedule_fast_path"]
 
     def test_oblivious_adversary_skips_view_maintenance(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
-        assert not engine.maintains_view
+        assert not engine.negotiation()["maintains_view"]
         engine.run(50)
         assert len(engine.view.awake_history) == 0
 
@@ -128,20 +157,12 @@ class TestNegotiation:
         adversary = AdaptiveStarvationAdversary(0.5, 1.0)
         assert adversary.observation_profile() == ObservationProfile.windowed(1)
         engine = build_kernel(KCycle(9, 3), adversary, enforce_energy_cap=False)
-        assert engine.maintains_view
+        assert engine.negotiation()["maintains_view"]
         engine.run(50)
         assert len(engine.view.awake_history) == 1  # bounded window
         # ... but the on-round counts cover all 50 rounds.
         total_on = sum(engine.view.station_on_rounds(i) for i in range(9))
         assert total_on == sum(engine.collector.energy_series)
-
-    def test_full_history_opt_in_overrides_profile(self):
-        engine = build_kernel(
-            KCycle(9, 3), SingleTargetAdversary(0.2, 1.0), full_history=True
-        )
-        assert engine.maintains_view
-        engine.run(40)
-        assert len(engine.view.awake_history) == 40
 
     def test_record_trace_rejected(self):
         with pytest.raises(ValueError, match="does not record traces"):
@@ -149,8 +170,8 @@ class TestNegotiation:
 
     def test_ticked_tier_for_state_machine_algorithms(self):
         engine = build_kernel(CountHop(6), SingleTargetAdversary(0.2, 1.0))
-        assert engine.uses_ticked_wakes
-        assert not engine.uses_schedule_fast_path
+        assert engine.negotiation()["ticked_wakes"]
+        assert not engine.negotiation()["schedule_fast_path"]
 
     def test_ticked_tier_requires_one_shared_oracle(self):
         algorithm = CountHop(6)
@@ -162,13 +183,13 @@ class TestNegotiation:
         engine = KernelEngine(
             controllers, adversary, MetricsCollector(), EngineConfig(energy_cap=2)
         )
-        assert not engine.uses_ticked_wakes
+        assert not engine.negotiation()["ticked_wakes"]
 
     def test_vectorised_energy_only_when_cap_safe(self):
         # k-Cycle's period never wakes more than k stations: with the cap
         # at k the awake-count series is precomputed...
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
-        assert engine.uses_vectorised_energy
+        assert engine.negotiation()["vectorised_energy"]
         # ... but a tighter cap can be violated, so the kernel keeps the
         # per-round checks (and raises exactly like the reference loop).
         algorithm = KCycle(9, 3)
@@ -180,12 +201,12 @@ class TestNegotiation:
             EngineConfig(energy_cap=2, enforce_energy_cap=False),
             schedule=algorithm.oblivious_schedule(),
         )
-        assert not tight.uses_vectorised_energy
+        assert not tight.negotiation()["vectorised_energy"]
 
     def test_vectorised_energy_series_matches_reference(self):
         algorithm = KCycle(9, 3)
         kernel = build_kernel(algorithm, SingleTargetAdversary(0.4, 2.0))
-        assert kernel.uses_vectorised_energy
+        assert kernel.negotiation()["vectorised_energy"]
         kernel.run(137)
         adversary = SingleTargetAdversary(0.4, 2.0).bind(9, PacketFactory())
         reference = RoundEngine(
@@ -244,7 +265,7 @@ class TestPolledFallback:
             EngineConfig(energy_cap=3),
             schedule=algorithm.oblivious_schedule(),
         )
-        assert not engine.uses_incremental_metrics
+        assert not engine.negotiation()["incremental_metrics"]
         # Sized at construction on every path, as on the reference engine.
         assert engine.collector.per_station_max_queue == [0] * 9
         engine.run(100)
