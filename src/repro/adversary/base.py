@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import eq, le
 from typing import Sequence
 
 import numpy as np
@@ -186,11 +188,7 @@ class InjectionPlan:
         destinations: Sequence[int],
     ) -> "InjectionPlan":
         """Assemble a plan from per-round counts plus flat pair arrays."""
-        offsets = [0] * (len(counts) + 1)
-        acc = 0
-        for r, count in enumerate(counts):
-            acc += count
-            offsets[r + 1] = acc
+        offsets = list(accumulate(counts, initial=0))
         return cls(start, stop, offsets, list(sources), list(destinations))
 
     def pairs_for(self, round_no: int) -> list[InjectionDemand]:
@@ -213,14 +211,14 @@ class InjectionPlan:
             or len(self.sources) != len(self.destinations)
         ):
             raise ValueError("plan offsets disagree with the pair arrays")
-        if any(a > b for a, b in zip(self.offsets, self.offsets[1:])):
+        if not all(map(le, self.offsets, self.offsets[1:])):
             raise ValueError("plan offsets must be non-decreasing")
         if self.sources:
             if min(self.sources) < 0 or max(self.sources) >= n:
                 raise ValueError(f"plan injects into stations outside [0, {n})")
             if min(self.destinations) < 0 or max(self.destinations) >= n:
                 raise ValueError(f"plan addresses stations outside [0, {n})")
-            if any(s == d for s, d in zip(self.sources, self.destinations)):
+            if any(map(eq, self.sources, self.destinations)):
                 raise ValueError(
                     "a packet's destination must differ from its source"
                 )

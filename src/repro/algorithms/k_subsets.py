@@ -53,6 +53,8 @@ from ..protocols.token_ring import TokenRingReplica
 
 __all__ = ["KSubsets"]
 
+_tuple_new = tuple.__new__
+
 #: Refuse to enumerate more subsets than this; the algorithm is meant for
 #: small systems (its latency is at least C(n, k) by design).
 MAX_THREADS = 20000
@@ -214,7 +216,7 @@ class _KSubsetsController(StationController):
         if len(queue) >= self.k:
             control[TokenRingReplica.BIG_FLAG] = True
         self._in_flight = (thread, packet)
-        return Message(sender=self.station_id, packet=packet, control=control)
+        return _tuple_new(Message, (self.station_id, packet, control, None))
 
     def on_feedback(self, round_no: int, feedback: Feedback) -> None:
         thread = round_no % self.gamma

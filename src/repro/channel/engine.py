@@ -123,10 +123,6 @@ class AdversaryView:
         self._observed_rounds += 1
 
     # -- adversary-facing queries -------------------------------------------
-    def last_awake(self) -> tuple[int, ...]:
-        """Awake set of the most recent completed round (empty if none)."""
-        return self.awake_history[-1] if self.awake_history else ()
-
     def station_on_rounds(self, station: int) -> int:
         """How many completed rounds ``station`` has spent switched on.
 

@@ -59,7 +59,9 @@ actually need:
   kernels of :mod:`repro._accel` flush without per-round Python.
   Lowering runs only on the cap-safe static tier, whose series supplies
   the span's energy counts, and the span's packets are created (in plan
-  order, so ids match) only after the driver returns a segment.
+  order, so ids match) only after the driver returns a segment: one
+  factory call builds them, one ``tuple.__new__`` each, and one
+  collector call each records the span's injections and its deliveries.
 
 :meth:`KernelEngine.run` plans one injection-plan chunk at a time; a
 driver may cut the chunk into blocks, which replay the chunk's plan, and
@@ -353,36 +355,37 @@ class KernelEngine:
         """Apply lowered segment ``seg`` in bulk; return the new total queue.
 
         Materialises the span's planned injections in plan order (so
-        packet ids match the per-round path) and resolves the plan-index
-        delivery references against them.  Only then does it flush the
-        span's total-queue series and per-station sizes and maxima from
-        the segment's queue-delta CSR, so a delivery that raises leaves
-        the queue series no longer than the energy series.  Last, it
-        commits the driver's state.  Outcome counts and energy are the
-        caller's.
+        packet ids match the per-round path) with one factory call,
+        records them with one collector call, and resolves the plan-index
+        delivery references against them for one batch delivery call.
+        Only then does it flush the span's total-queue series and
+        per-station sizes and maxima from the segment's queue-delta CSR,
+        so a delivery that raises leaves the queue series no longer than
+        the energy series.  Last, it commits the driver's state.  Outcome
+        counts and energy are the caller's.
         """
         collector = self.collector
-        make = self.adversary.factory.make
-        record_injection = collector.record_injection
-        offsets = plan.offsets
-        base_round = plan.start
-        j0 = offsets[seg.start - base_round]
+        rel_start = seg.start - plan.start
+        rel_stop = seg.stop - plan.start
+        j0 = plan.offsets[rel_start]
+        j1 = plan.offsets[rel_stop]
         packets: list = []
-        if offsets[seg.stop - base_round] > j0:
-            rounds = plan.injection_rounds()
-            for pos in range(bisect_left(rounds, seg.start), len(rounds)):
-                r = rounds[pos]
-                if r >= seg.stop:
-                    break
-                rel = r - base_round
-                for j in range(offsets[rel], offsets[rel + 1]):
-                    packet = make(plan.destinations[j], r, plan.sources[j])
-                    record_injection(packet, r)
-                    packets.append(packet)
-        for rnd, delivered in seg.deliveries:
-            if type(delivered) is int:
-                delivered = packets[delivered - j0]
-            collector.record_delivery(delivered, delivered.destination, rnd)
+        if j1 > j0:
+            # Each planned packet's injection round, in plan order.
+            offsets = plan.as_arrays()[0]
+            injected_at = np.repeat(
+                np.arange(seg.start, seg.stop, dtype=np.int64),
+                np.diff(offsets[rel_start : rel_stop + 1]),
+            ).tolist()
+            packets = self.adversary.factory.make_many(
+                plan.destinations[j0:j1], injected_at, plan.sources[j0:j1]
+            )
+            collector.record_injections(packets, injected_at)
+        if seg.deliveries:
+            delivery_rounds, refs = zip(*seg.deliveries)
+            delivered = [packets[d - j0] if type(d) is int else d for d in refs]
+            stations = [packet.destination for packet in delivered]
+            collector.record_deliveries(delivered, stations, delivery_rounds)
         values = seg.delta_values
         totals = segment_round_totals(seg.delta_offsets, values, total_queue)
         collector.total_queue_series.extend(totals.tolist())

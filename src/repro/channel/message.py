@@ -12,17 +12,20 @@ distinguishes two message disciplines:
 The :class:`Message` class models both.  Control information is stored as a
 small mapping so that algorithm code stays readable; :meth:`control_bits`
 accounts for its encoded size so tests can check the O(log n) discipline.
+A :class:`Message` is an immutable tuple of its four fields, which the
+controllers' hot paths build with one ``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .packet import Packet
 
 __all__ = ["Message", "control_bit_cost"]
+
+_tuple_new = tuple.__new__
 
 
 def control_bit_cost(value: Any) -> int:
@@ -44,9 +47,20 @@ def control_bit_cost(value: Any) -> int:
     raise TypeError(f"unsupported control value type: {type(value)!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class _MessageFields(NamedTuple):
+    sender: int
+    packet: Packet | None
+    control: Mapping[str, Any]
+    intended_receiver: int | None
+
+
+class Message(_MessageFields):
     """One round's worth of transmission by a single station.
+
+    An immutable tuple subclass with no per-instance ``__dict__``: it
+    equals the plain 4-tuple of its fields.  The keyword constructor
+    gives each message a fresh empty ``control`` mapping by default; hot
+    paths skip it and build the tuple with one ``tuple.__new__``.
 
     Attributes
     ----------
@@ -65,10 +79,12 @@ class Message:
         the message.
     """
 
-    sender: int
-    packet: Packet | None = None
-    control: Mapping[str, Any] = field(default_factory=dict)
-    intended_receiver: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, sender, packet=None, control=None, intended_receiver=None):
+        if control is None:
+            control = {}
+        return _tuple_new(cls, (sender, packet, control, intended_receiver))
 
     @property
     def is_light(self) -> bool:

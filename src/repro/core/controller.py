@@ -19,6 +19,8 @@ from .schedule import WakeOracle
 
 __all__ = ["QueueingController", "TickedQueueingController"]
 
+_tuple_new = tuple.__new__
+
 
 class QueueingController(StationController):
     """Station controller with a local queue and standard bookkeeping.
@@ -80,14 +82,12 @@ class QueueingController(StationController):
 
         The packet (if any) stays in the queue until the channel feedback
         confirms it was heard; a collision therefore leaves the queue
-        untouched.
+        untouched.  One ``tuple.__new__`` builds the message, skipping
+        :meth:`Message.__new__`.
         """
         self._in_flight = packet
-        return Message(
-            sender=self.station_id,
-            packet=packet,
-            control=control or {},
-            intended_receiver=intended_receiver,
+        return _tuple_new(
+            Message, (self.station_id, packet, control or {}, intended_receiver)
         )
 
     # -- StationController plumbing ----------------------------------------------

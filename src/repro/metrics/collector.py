@@ -27,6 +27,9 @@ order, so no high-water mark can stand in for the delivered set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter, ne, sub
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +38,10 @@ from ..channel.packet import Packet
 from .summary import RunSummary
 
 __all__ = ["DeliveryError", "MetricsCollector"]
+
+_packet_id = attrgetter("packet_id")
+_destination = attrgetter("destination")
+_injected_round = itemgetter(1)
 
 
 class DeliveryError(RuntimeError):
@@ -88,6 +95,54 @@ class MetricsCollector:
             )
         self.delivered_count += 1
         self.delays.append(round_no - entry[1])
+
+    def record_injections(
+        self, packets: Sequence[Packet], rounds: Sequence[int]
+    ) -> None:
+        """Register ``packets[k]`` injected in ``rounds[k]``, for every k.
+
+        The same as :meth:`record_injection` on each pair in order, in
+        C-level passes.  A batch holding a still-pending id, or one id
+        twice, is replayed one packet at a time, so the error names the
+        same packet and leaves the same ledger as the per-packet calls.
+        """
+        records = self.records
+        batch = dict(zip(map(_packet_id, packets), zip(packets, rounds)))
+        if len(batch) < len(packets) or not records.keys().isdisjoint(batch):
+            for packet, round_no in zip(packets, rounds):
+                self.record_injection(packet, round_no)
+            return
+        records.update(batch)
+        self.injected_count += len(batch)
+
+    def record_deliveries(
+        self,
+        packets: Sequence[Packet],
+        stations: Sequence[int],
+        rounds: Sequence[int],
+    ) -> None:
+        """Register ``packets[k]`` consumed by ``stations[k]`` in ``rounds[k]``.
+
+        The same as :meth:`record_delivery` on each triple in order, in
+        C-level passes.  A batch with a wrong destination or an id that
+        is not pending (including one delivered twice in the batch) is
+        put back and replayed one packet at a time, so the error names
+        the same packet and leaves ``delivered_count``, ``delays`` and
+        the ledger at the last good delivery, with ``len(records) ==
+        pending_count``.
+        """
+        records = self.records
+        if not any(map(ne, stations, map(_destination, packets))):
+            entries = list(map(records.pop, map(_packet_id, packets), repeat(None)))
+            if all(entries):
+                self.delivered_count += len(entries)
+                self.delays.extend(map(sub, rounds, map(_injected_round, entries)))
+                return
+            for packet, entry in zip(packets, entries):
+                if entry is not None:
+                    records[packet.packet_id] = entry
+        for packet, station, round_no in zip(packets, stations, rounds):
+            self.record_delivery(packet, station, round_no)
 
     def record_round(
         self,

@@ -582,18 +582,18 @@ def test_an_abort_inside_a_lowered_segment_keeps_both_series_aligned():
     )
     engine = _build_engine(common, BlockEngine)
     collector = engine.collector
-    record_delivery = collector.record_delivery
+    record_deliveries = collector.record_deliveries
 
-    def exploding(packet, station, round_no):
-        # The fourth lowered segment's first delivery raises.
+    def exploding(packets, stations, rounds):
+        # The fourth lowered segment's batch of deliveries raises.
         if (
             engine.lowered_segments == 3
             and sys._getframe(1).f_code.co_name == "_flush_segment"
         ):
             raise Boom()
-        return record_delivery(packet, station, round_no)
+        return record_deliveries(packets, stations, rounds)
 
-    collector.record_delivery = exploding
+    collector.record_deliveries = exploding
     with pytest.raises(Boom):
         engine.run(1500)
     assert engine.lowered_segments == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.feedback import ChannelOutcome
-from repro.channel.packet import Packet
+from repro.channel.packet import Packet, PacketFactory
 from repro.metrics import (
     DeliveryError,
     MetricsCollector,
@@ -186,6 +186,86 @@ class TestPendingLedger:
             c.record_round(t, [1, 0], 1, ChannelOutcome.SILENCE)
         assert c.max_pending_age() == 4  # the delivered packet's age is gone
         assert c.observed_latency() == 7  # its delay still counts
+
+
+class TestBatchBookkeeping:
+    """The batch calls a lowered span uses equal the per-packet calls,
+    also in what they leave behind when one raises."""
+
+    @staticmethod
+    def _packets(count, start=0):
+        return PacketFactory(start).make_many(
+            [1 + k % 3 for k in range(count)], list(range(count)), [0] * count
+        )
+
+    def test_record_injections_equals_per_packet_calls(self):
+        packets = self._packets(6)
+        rounds = [p.injected_at for p in packets]
+        batched, one_by_one = MetricsCollector(), MetricsCollector()
+        batched.record_injections(packets, rounds)
+        for packet, round_no in zip(packets, rounds):
+            one_by_one.record_injection(packet, round_no)
+        assert list(batched.records.items()) == list(one_by_one.records.items())
+        assert batched.injected_count == one_by_one.injected_count == 6
+
+    @pytest.mark.parametrize("repeat_in_batch", [False, True])
+    def test_record_injections_rejects_a_pending_id(self, repeat_in_batch):
+        early, *batch = self._packets(4)
+        c = MetricsCollector()
+        c.record_injection(early, 0)
+        # The offender is the third packet: a pending id, or the batch's
+        # first packet again.
+        batch.insert(2, batch[0] if repeat_in_batch else early)
+        with pytest.raises(DeliveryError, match="injected while pending"):
+            c.record_injections(batch, [7] * len(batch))
+        assert c.records == {
+            early.packet_id: (early, 0),
+            batch[0].packet_id: (batch[0], 7),
+            batch[1].packet_id: (batch[1], 7),
+        }
+        assert c.injected_count == 3 == len(c.records) == c.pending_count
+
+    def test_record_deliveries_equals_per_packet_calls(self):
+        packets = self._packets(6)
+        batched, one_by_one = MetricsCollector(), MetricsCollector()
+        for c in (batched, one_by_one):
+            c.record_injections(packets, [p.injected_at for p in packets])
+        delivered = [packets[4], packets[0], packets[2]]
+        stations = [p.destination for p in delivered]
+        rounds = [9, 10, 12]
+        batched.record_deliveries(delivered, stations, rounds)
+        for args in zip(delivered, stations, rounds):
+            one_by_one.record_delivery(*args)
+        assert batched.delays == one_by_one.delays == [5, 10, 10]
+        assert batched.delivered_count == one_by_one.delivered_count == 3
+        assert list(batched.records.items()) == list(one_by_one.records.items())
+        assert len(batched.records) == batched.pending_count == 3
+
+    @pytest.mark.parametrize("offender", ["never injected", "delivered twice"])
+    def test_record_deliveries_rejects_an_id_that_is_not_pending(self, offender):
+        a, b, c_, d = self._packets(4)
+        stray = self._packets(1, start=100)[0]
+        c = MetricsCollector()
+        c.record_injections([a, b, c_, d], [0, 1, 2, 3])
+        # The third delivery names a packet that is not pending by then.
+        bad = stray if offender == "never injected" else a
+        batch = [a, b, bad, c_]
+        with pytest.raises(DeliveryError, match="not pending"):
+            c.record_deliveries(batch, [p.destination for p in batch], [5, 6, 7, 8])
+        assert c.delivered_count == 2 and c.delays == [5, 5]
+        assert c.records == {c_.packet_id: (c_, 2), d.packet_id: (d, 3)}
+        assert len(c.records) == c.pending_count == 2
+
+    def test_record_deliveries_rejects_a_wrong_station(self):
+        a, b, c_ = self._packets(3)
+        c = MetricsCollector()
+        c.record_injections([a, b, c_], [0, 1, 2])
+        stations = [a.destination, b.destination + 1, c_.destination]
+        with pytest.raises(DeliveryError, match="destination"):
+            c.record_deliveries([a, b, c_], stations, [4, 5, 6])
+        assert c.delivered_count == 1 and c.delays == [4]
+        assert c.records == {b.packet_id: (b, 1), c_.packet_id: (c_, 2)}
+        assert len(c.records) == c.pending_count == 2
 
 
 class TestStability:
