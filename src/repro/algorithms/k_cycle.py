@@ -24,16 +24,22 @@ their destination — routing is indirect.
 Paper bounds (Table 1): latency at most ``(32 + beta) * n`` for injection
 rates ``rho < (k-1)/(n-1)``; by Theorem 6 no k-energy-oblivious algorithm
 is stable for ``rho > k/n``.
+
+On the block engine one shared driver runs the protocol for every
+station: round by round inside compiled blocks, and, on the cap-safe
+static tier, as lowered spans that play a whole busy period across
+activity segments in closed form.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from ..channel.feedback import ChannelOutcome, Feedback
 from ..channel.message import Message
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import RoundBlockDriver
+from ..core.blocks import LoweredSegment, RoundBlockDriver, SegmentBuilder, resolve_refs
 from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
 from ..core.schedule import PeriodicSchedule
@@ -233,6 +239,13 @@ class _KCycleBlockDriver(RoundBlockDriver):
     :meth:`advance_span` hook applies the active-round count of the same
     jump to the canonical copy so the end-of-segment write-back stays
     consistent.
+
+    :meth:`lower_segment` plays a whole busy period from snapshots of the
+    queues and of every group's token instead, across activity segments.
+    Its commit writes each group's token into every member's replica
+    (for the group the canonical copy mirrors, the copy's state carried
+    forward) and drops the canonical copy and the segment cache, so the
+    next per-round round reloads them from the members.
     """
 
     def __init__(self, controllers: list[_KCycleController]) -> None:
@@ -345,6 +358,238 @@ class _KCycleBlockDriver(RoundBlockDriver):
             self._controllers[self._connector].adopt(packet)
             return (sender, self._connector)
         return (sender,)
+
+    def lower_segment(self, start: int, stop: int, plan) -> LoweredSegment | None:
+        """Drain simulation: the span in closed form, across activity segments.
+
+        Group ``(t // delta) % num_groups`` is on in round ``t``.  Each
+        round first takes its planned arrivals into their sources' new
+        packets (a station receives while it sleeps).  Then the active
+        group's token holder sends its oldest old packet, or, as the
+        group's forward connector, its oldest old packet addressed inside
+        the group.  A packet for a member is delivered, and any other
+        packet becomes the forward connector's newest packet.  A silent
+        round advances the group's token, and a completed phase makes
+        every member's new packets old.  A group with nothing queued when
+        its activity segment begins stays silent until the next arrival,
+        and those rounds are recorded in one step.
+
+        The simulation works on snapshot lists: an entry is a queued
+        packet or the plan index of an arrival, and a connector's pick
+        from below the head leaves None behind.  Each forward connector
+        keeps a cursor into its old list for its group, so a pick never
+        rescans the out-of-group packets ahead of it.  The span ends at
+        ``stop``, or once no packet is queued and none is planned to
+        arrive, which leaves the silent tail to the engine's quiescent
+        elision.  Nothing is touched until ``commit``.
+        """
+        controllers = self._controllers
+        n = self.n
+        groups = self._groups
+        delta = self._delta
+        num_groups = self._num_groups
+        connectors = self._forward_connector
+        member_sets = self._member_sets
+        offsets = plan.offsets
+        plan_base = plan.start
+        sources = plan.sources
+        plan_destinations = plan.destinations
+        ai = offsets[start - plan_base]
+        live = offsets[stop - plan_base] - ai
+        old: list[list] = []
+        new: list[list] = []
+        for ctrl in controllers:
+            queue = ctrl.queue
+            queued_old = queue.old_packets()
+            queued_new = queue.new_packets()
+            live += len(queued_old) + len(queued_new)
+            old.append(queued_old)
+            new.append(queued_new)
+        if live == 0:
+            return None  # idle span: elision or the per-round steps take it
+        # Token state per group: the canonical copy for the group it
+        # mirrors (the members' replicas lag it), a member's otherwise.
+        canonical = self._canonical
+        pos: list[int] = []
+        phase: list[int] = []
+        for g in range(num_groups):
+            if canonical is not None and g == self._group:
+                replica = canonical
+            else:
+                replica = controllers[groups[g][0]].replicas[g]
+            pos.append(replica.token_pos)
+            phase.append(replica.phase_no)
+        inj_rounds = plan.injection_rounds()
+        ip = bisect_left(inj_rounds, start)
+        n_inj = len(inj_rounds)
+        next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
+        head = [0] * n  # per station: where its oldest old entry may sit
+        cursor = [0] * num_groups  # per group: its forward connector's scan
+        dirty = [False] * n  # stations whose queue contents change in-span
+        rows = SegmentBuilder()
+        delta_stations = rows.stations
+        net = rows.net
+        t_append = rows.transmitters.append
+        t_extend = rows.transmitters.extend
+        o_append = rows.offsets.append
+        o_extend = rows.offsets.extend
+        s_append = delta_stations.append
+        v_append = rows.values.append
+        d_append = rows.deliveries.append
+        t = start
+        cut = stop
+        g = -1
+        seg_end = start  # the first round loads its activity segment
+        while t < stop:
+            if live == 0:
+                # Drained with no arrivals left: the tail is all silent —
+                # cut here so the engine's elision takes it in one step.
+                cut = t
+                break
+            if t == seg_end:
+                if g >= 0:
+                    pos[g] = p
+                block = t // delta
+                g = block % num_groups
+                seg_end = min((block + 1) * delta, stop)
+                members = groups[g]
+                size = len(members)
+                inside = member_sets[g]
+                connector = connectors[g]
+                p = pos[g]
+                for m in members:
+                    if new[m] or head[m] < len(old[m]):
+                        break
+                else:
+                    # Nothing queued in the group: it is silent until the
+                    # next arrival, and its phase ends age nothing.
+                    quiet = (next_arrival if next_arrival < seg_end else seg_end) - t
+                    if quiet:
+                        t_extend([-1] * quiet)
+                        o_extend([len(delta_stations)] * quiet)
+                        p += quiet
+                        if p >= size:
+                            phase[g] += p // size
+                            p %= size
+                        t += quiet
+                        continue
+            arrived = t == next_arrival
+            if arrived:
+                row_start = len(delta_stations)
+                hi = offsets[t - plan_base + 1]
+                while ai < hi:
+                    s = sources[ai]
+                    new[s].append(ai)
+                    dirty[s] = True
+                    if len(delta_stations) == row_start:
+                        s_append(s)
+                        v_append(1)
+                    else:
+                        net(row_start, s, 1)
+                    ai += 1
+                ip += 1
+                next_arrival = (
+                    inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
+                )
+            holder = members[p]
+            entries = old[holder]
+            end = len(entries)
+            if holder == connector:
+                # Entries before the cursor were picked or leave the
+                # group, and those before the head were sent.
+                i = cursor[g]
+                if i < head[holder]:
+                    i = head[holder]
+                while i < end:
+                    e = entries[i]
+                    if e is not None and (
+                        plan_destinations[e] if type(e) is int else e.destination
+                    ) in inside:
+                        entries[i] = None
+                        break
+                    i += 1
+                else:
+                    e = None
+                cursor[g] = i
+            else:
+                i = head[holder]
+                while i < end:
+                    e = entries[i]
+                    i += 1
+                    if e is not None:
+                        break
+                else:
+                    e = None
+                head[holder] = i
+            if e is None:
+                t_append(-1)
+                p += 1
+                if p == size:
+                    # The phase ends: every member's new packets age.
+                    p = 0
+                    phase[g] += 1
+                    for m in members:
+                        if new[m]:
+                            old[m].extend(new[m])
+                            new[m] = []
+                            dirty[m] = True
+            else:
+                t_append(holder)
+                dirty[holder] = True
+                if holder == connector or (
+                    plan_destinations[e] if type(e) is int else e.destination
+                ) in inside:
+                    d_append((t, e))
+                    live -= 1
+                    if arrived:
+                        net(row_start, holder, -1)
+                    else:
+                        s_append(holder)
+                        v_append(-1)
+                else:
+                    # The packet leaves the group: the forward connector
+                    # relays it, as a new packet.
+                    new[connector].append(e)
+                    dirty[connector] = True
+                    if arrived:
+                        net(row_start, holder, -1)
+                        net(row_start, connector, 1)
+                    else:
+                        s_append(holder)
+                        v_append(-1)
+                        s_append(connector)
+                        v_append(1)
+            o_append(len(delta_stations))
+            t += 1
+        if g >= 0:
+            pos[g] = p
+
+        j0 = offsets[start - plan_base]
+
+        def commit(packets: list) -> None:
+            # Swap in the changed queues; a station's old packets are its
+            # entries from its head on, without the picked ones.
+            for s in range(n):
+                if dirty[s]:
+                    survivors = [e for e in old[s][head[s] :] if e is not None]
+                    controllers[s].queue.replace(
+                        resolve_refs(survivors, packets, j0),
+                        resolve_refs(new[s], packets, j0),
+                    )
+            # Every member's replica of each group takes the group's
+            # state, the canonical copy's included; the canonical copy and
+            # the segment cache reload at the next per-round round.
+            for group, ring in enumerate(groups):
+                token_pos = pos[group]
+                for m in ring:
+                    replica = controllers[m].replicas[group]
+                    replica.token_pos = token_pos
+                    replica.holder = ring[token_pos]
+                    replica.phase_no = phase[group]
+            self._canonical = None
+            self._seg_start = self._seg_end = 0
+
+        return rows.segment(start, cut, commit)
 
 
 @register_algorithm("k-cycle")

@@ -53,15 +53,17 @@ actually need:
   driver's named transmitter acts, the driver applies the round's
   feedback effects to every awake station directly, and only the
   stations it reports changed are re-polled.  Inside such chunks the
-  always-on token rings (RRW, OF-RRW, MBTF) may also prove whole spans in
-  closed form, planned injections included, and export them as
-  :class:`~repro.core.blocks.LoweredSegment` arrays that the numpy
-  kernels of :mod:`repro._accel` flush without per-round Python.
-  Lowering runs only on the cap-safe static tier, whose series supplies
-  the span's energy counts, and the span's packets are created (in plan
-  order, so ids match) only after the driver returns a segment: one
-  factory call builds them, one ``tuple.__new__`` each, and one
-  collector call each records the span's injections and its deliveries.
+  always-on token rings (RRW, OF-RRW, MBTF) and k-Cycle may also prove
+  whole busy periods in closed form, planned injections included, and
+  export them as :class:`~repro.core.blocks.LoweredSegment` arrays that
+  the numpy kernels of :mod:`repro._accel` flush without per-round
+  Python.  Lowering runs only on the cap-safe static tier, whose series
+  supplies the span's energy counts and whose membership matrix checks
+  that every lowered delivery lands at an awake station.  The span's
+  packets are created (in plan order, so ids match) only after the
+  driver returns a segment: one factory call builds them, one
+  ``tuple.__new__`` each, and one collector call each records the
+  span's injections and its deliveries.
 
 :meth:`KernelEngine.run` plans one injection-plan chunk at a time; a
 driver may cut the chunk into blocks, which replay the chunk's plan, and
@@ -93,6 +95,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .._accel import count_transmitting, per_station_flow, segment_round_totals
+from ..core.blocks import resolve_refs
 from .energy import EnergyCapViolation, EnergyMonitor
 from .engine import (
     AdversaryView,
@@ -354,7 +357,10 @@ class KernelEngine:
     ) -> int:
         """Apply lowered segment ``seg`` in bulk; return the new total queue.
 
-        Materialises the span's planned injections in plan order (so
+        First checks, with one lookup in the period's membership matrix,
+        that every delivery's destination is awake in its round, and
+        raises ``ValueError`` naming the first that is not.  Then
+        materialises the span's planned injections in plan order (so
         packet ids match the per-round path) with one factory call,
         records them with one collector call, and resolves the plan-index
         delivery references against them for one batch delivery call.
@@ -369,6 +375,20 @@ class KernelEngine:
         rel_stop = seg.stop - plan.start
         j0 = plan.offsets[rel_start]
         j1 = plan.offsets[rel_stop]
+        if seg.deliveries:
+            delivery_rounds, refs = zip(*seg.deliveries)
+            destinations = plan.destinations
+            stations = [
+                destinations[d] if type(d) is int else d.destination for d in refs
+            ]
+            member = self._period_member
+            awake = member[np.asarray(delivery_rounds) % len(member), stations]
+            if not awake.all():
+                k = int(np.argmin(awake))
+                raise ValueError(
+                    f"driver lowered a delivery in round {delivery_rounds[k]} "
+                    f"to station {stations[k]}, which is asleep in that round"
+                )
         packets: list = []
         if j1 > j0:
             # Each planned packet's injection round, in plan order.
@@ -382,21 +402,21 @@ class KernelEngine:
             )
             collector.record_injections(packets, injected_at)
         if seg.deliveries:
-            delivery_rounds, refs = zip(*seg.deliveries)
-            delivered = [packets[d - j0] if type(d) is int else d for d in refs]
-            stations = [packet.destination for packet in delivered]
-            collector.record_deliveries(delivered, stations, delivery_rounds)
+            collector.record_deliveries(
+                resolve_refs(refs, packets, j0), stations, delivery_rounds
+            )
         values = seg.delta_values
         totals = segment_round_totals(seg.delta_offsets, values, total_queue)
         collector.total_queue_series.extend(totals.tolist())
         if values.shape[0]:
+            # An untouched station keeps its size, which its maximum
+            # already covers, so whole-list updates change only the
+            # touched stations' entries.
             per_station_max = collector.per_station_max_queue
             base = np.asarray(queue_sizes, dtype=np.int64)
             sizes, peaks = per_station_flow(seg.delta_stations, values, base)
-            for i in np.unique(seg.delta_stations).tolist():
-                queue_sizes[i] = int(sizes[i])
-                if peaks[i] > per_station_max[i]:
-                    per_station_max[i] = int(peaks[i])
+            queue_sizes[:] = sizes.tolist()
+            per_station_max[:] = np.maximum(peaks, per_station_max).tolist()
             total_queue = int(totals[-1])
         seg.commit(packets)
         return total_queue

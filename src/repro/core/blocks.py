@@ -39,8 +39,11 @@ Contract (all rounds ``t`` are absolute round numbers):
   engine flushes it with the numpy kernels of :mod:`repro._accel`
   instead of round-at-a-time Python.  Returning ``None`` is always safe —
   the engine falls back to the per-round protocol and probes again later.
-  The engine only asks on the cap-safe static wake tier (RRW, OF-RRW and
-  MBTF lower; the other drivers keep the default None).
+  The engine only asks on the cap-safe static wake tier: the token
+  ring (RRW, OF-RRW and MBTF) and k-Cycle lower, and the other drivers
+  keep the default None.  Both lowerings record their spans through one
+  :class:`SegmentBuilder` and resolve their plan indices with
+  :func:`resolve_refs`.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ import abc
 import dataclasses
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from ..adversary.base import InjectionPlan
-    from .feedback import Message
-    from .packet import Packet
+    from ..channel.message import Message
+    from ..channel.packet import Packet
 
-__all__ = ["LoweredSegment", "RoundBlockDriver"]
+__all__ = ["LoweredSegment", "RoundBlockDriver", "SegmentBuilder", "resolve_refs"]
 
 
 @dataclasses.dataclass(slots=True)
@@ -90,9 +93,9 @@ class LoweredSegment:
       by absolute index into the injection plan's ``sources`` — the
       engine materialises those packets (in plan order, preserving
       packet-id assignment) only after accepting the segment and
-      resolves the indices.  Lowered segments must only be produced
-      when the driver can prove awakeness of every delivery destination
-      (always-on schedules).
+      resolves the indices.  Every delivery's destination must be awake
+      under the static schedule in its round; the engine checks this
+      against the schedule's membership matrix and raises otherwise.
     * ``commit(packets)`` applies all controller/replica state
       mutations of the span in one step; ``packets`` are the span's
       materialised injections ordered by plan index (commit replays the
@@ -109,6 +112,67 @@ class LoweredSegment:
     delta_offsets: "np.ndarray"
     deliveries: "list[tuple[int, Packet | int]]"
     commit: "Callable[[list[Packet]], None]"
+
+
+class SegmentBuilder:
+    """The per-round lists a driver's simulation of a span fills.
+
+    Each simulated round appends one ``transmitters`` entry (the heard
+    sender, or -1), its net queue changes to ``stations``/``values``
+    and the row's end to ``offsets``; each heard packet whose
+    destination is awake goes to ``deliveries``.  Hot loops bind the
+    lists' ``append`` methods; :meth:`net` adds a change to a row that
+    may already hold the station, and :meth:`segment` assembles the
+    :class:`LoweredSegment`.
+    """
+
+    __slots__ = ("transmitters", "stations", "values", "offsets", "deliveries")
+
+    def __init__(self) -> None:
+        self.transmitters: list[int] = []
+        self.stations: list[int] = []
+        self.values: list[int] = []
+        self.offsets: list[int] = [0]
+        self.deliveries: list[tuple[int, object]] = []
+
+    def net(self, row_start: int, station: int, value: int) -> None:
+        """Add ``value`` to ``station``'s entry in the row from ``row_start``.
+
+        The row keeps one net entry per station (see
+        :class:`LoweredSegment`), so a station that already has one there
+        gets the sum.
+        """
+        stations = self.stations
+        for k in range(row_start, len(stations)):
+            if stations[k] == station:
+                self.values[k] += value
+                return
+        stations.append(station)
+        self.values.append(value)
+
+    def segment(
+        self, start: int, stop: int, commit: "Callable[[list[Packet]], None]"
+    ) -> LoweredSegment:
+        """The recorded rounds ``[start, stop)`` as a :class:`LoweredSegment`."""
+        return LoweredSegment(
+            start=start,
+            stop=stop,
+            transmitters=np.asarray(self.transmitters, dtype=np.int64),
+            delta_stations=np.asarray(self.stations, dtype=np.int64),
+            delta_values=np.asarray(self.values, dtype=np.int64),
+            delta_offsets=np.asarray(self.offsets, dtype=np.int64),
+            deliveries=self.deliveries,
+            commit=commit,
+        )
+
+
+def resolve_refs(entries, packets: "list[Packet]", j0: int) -> "list[Packet]":
+    """``entries`` as packets: a plan index ``e`` names ``packets[e - j0]``.
+
+    ``packets`` are a span's materialised injections, whose first has
+    plan index ``j0``; any other entry is a packet already and stays.
+    """
+    return [packets[e - j0] if type(e) is int else e for e in entries]
 
 
 class RoundBlockDriver(abc.ABC):

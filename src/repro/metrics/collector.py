@@ -44,6 +44,25 @@ _destination = attrgetter("destination")
 _injected_round = itemgetter(1)
 
 
+def _array(values: list[int]) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _peak(series: np.ndarray) -> int:
+    """A series' maximum, 0 for an empty one."""
+    return int(series.max()) if series.size else 0
+
+
+def _mean(series: np.ndarray) -> float:
+    """A series' mean, 0.0 for an empty one."""
+    return float(series.mean()) if series.size else 0.0
+
+
+def _total(series: np.ndarray) -> int:
+    """A series' sum."""
+    return int(series.sum())
+
+
 class DeliveryError(RuntimeError):
     """A correctness violation: wrong destination, a delivery of a packet
     that is not pending, or an injection of a pending packet's id."""
@@ -186,11 +205,11 @@ class MetricsCollector:
 
     def max_queue(self) -> int:
         """Maximum total number of queued packets observed in any round."""
-        return max(self.total_queue_series, default=0)
+        return _peak(self.queue_series_array())
 
     def max_delay(self) -> int:
         """Maximum delay among *delivered* packets (0 when none delivered)."""
-        return max(self.delays, default=0)
+        return _peak(_array(self.delays))
 
     def max_pending_age(self) -> int:
         """Age (rounds since injection) of the oldest still-undelivered packet."""
@@ -206,11 +225,14 @@ class MetricsCollector:
         still queued at the end contribute their current age, which lower
         bounds their eventual delay.
         """
-        return max(self.max_delay(), self.max_pending_age())
+        return self._latency(self.max_delay())
+
+    def _latency(self, max_delay: int) -> int:
+        return max(max_delay, self.max_pending_age())
 
     def mean_delay(self) -> float:
         """Average delay of delivered packets."""
-        return float(np.mean(self.delays)) if self.delays else 0.0
+        return _mean(_array(self.delays))
 
     def delivery_ratio(self) -> float:
         """Fraction of injected packets delivered by the end of the run."""
@@ -226,23 +248,24 @@ class MetricsCollector:
 
     def total_energy(self) -> int:
         """Total station-rounds of energy spent."""
-        return int(sum(self.energy_series))
+        return _total(_array(self.energy_series))
 
     def energy_per_round(self) -> float:
         """Average number of awake stations per round."""
-        if not self.energy_series:
-            return 0.0
-        return float(np.mean(self.energy_series))
+        return _mean(_array(self.energy_series))
 
     def energy_per_delivery(self) -> float:
         """Station-rounds spent per delivered packet (inf when none delivered)."""
+        return self._per_delivery(self.total_energy())
+
+    def _per_delivery(self, total_energy: int) -> float:
         if self.delivered_count == 0:
             return float("inf")
-        return self.total_energy() / self.delivered_count
+        return total_energy / self.delivered_count
 
     def queue_series_array(self) -> np.ndarray:
         """Total queue-size time series as a numpy array."""
-        return np.asarray(self.total_queue_series, dtype=np.int64)
+        return _array(self.total_queue_series)
 
     def undelivered_packets(self) -> list[Packet]:
         """Packets injected but never delivered, by (injection round, id)."""
@@ -250,24 +273,33 @@ class MetricsCollector:
         return [packet for packet, _ in pending]
 
     def summary(self, label: str = "") -> RunSummary:
-        """Condense the collected statistics into a :class:`RunSummary`."""
+        """Condense the collected statistics into a :class:`RunSummary`.
+
+        Each series becomes an array once, and every statistic is read
+        from those arrays with the same helpers the single-statistic
+        methods use.
+        """
         from .stability import assess_stability
 
-        verdict = assess_stability(self.queue_series_array())
+        queue = self.queue_series_array()
+        energy = _array(self.energy_series)
+        delays = _array(self.delays)
+        verdict = assess_stability(queue)
+        max_delay = _peak(delays)
         return RunSummary(
             label=label,
             rounds=self.rounds_observed,
             injected=self.injected_count,
             delivered=self.delivered_count,
-            max_queue=self.max_queue(),
-            max_delay=self.max_delay(),
-            observed_latency=self.observed_latency(),
-            mean_delay=self.mean_delay(),
+            max_queue=_peak(queue),
+            max_delay=max_delay,
+            observed_latency=self._latency(max_delay),
+            mean_delay=_mean(delays),
             delivery_ratio=self.delivery_ratio(),
             throughput=self.throughput(),
-            energy_per_round=self.energy_per_round(),
-            max_energy=max(self.energy_series, default=0),
-            energy_per_delivery=self.energy_per_delivery(),
+            energy_per_round=_mean(energy),
+            max_energy=_peak(energy),
+            energy_per_delivery=self._per_delivery(_total(energy)),
             queue_growth_rate=verdict.growth_rate,
             stable=verdict.stable,
         )

@@ -37,7 +37,7 @@ import numpy as np
 from ..channel.feedback import ChannelOutcome, Feedback
 from ..channel.message import Message
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
-from ..core.blocks import LoweredSegment, RoundBlockDriver
+from ..core.blocks import LoweredSegment, RoundBlockDriver, SegmentBuilder, resolve_refs
 from ..core.controller import QueueingController
 from ..core.registry import register_algorithm
 from ..core.schedule import AlwaysOnSchedule, ObliviousSchedule
@@ -230,20 +230,18 @@ class _RingBlockDriver(RoundBlockDriver):
         next_arrival = inj_rounds[ip] if ip < n_inj and inj_rounds[ip] < stop else stop
         consumed = [0] * n
         dirty = [False] * n  # stations whose queue contents change in-span
-        transmitters: list[int] = []
-        deliveries: list[tuple[int, object]] = []
-        delta_stations: list[int] = []
-        delta_values: list[int] = []
-        delta_offsets: list[int] = [0]
+        rows = SegmentBuilder()
+        delta_stations = rows.stations
+        net = rows.net
         phases = 0
         t = start
         cut = stop
         holder = order[pos]
-        t_append = transmitters.append
-        o_append = delta_offsets.append
+        t_append = rows.transmitters.append
+        o_append = rows.offsets.append
         s_append = delta_stations.append
-        v_append = delta_values.append
-        d_append = deliveries.append
+        v_append = rows.values.append
+        d_append = rows.deliveries.append
         # The holder's cursor is kept in locals between token moves (the
         # hot drain loop reads it every round).  The holder sets the big
         # bit while ``hold_len - hold_i >= threshold``, i.e. up to index
@@ -280,13 +278,11 @@ class _RingBlockDriver(RoundBlockDriver):
                                 order = moved_to_front(order, holder)
                                 pos = 0
                     dirty[s] = True
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == s:
-                            delta_values[k] += 1
-                            break
-                    else:
+                    if len(delta_stations) == row_start:
                         s_append(s)
                         v_append(1)
+                    else:
+                        net(row_start, s, 1)
                     ai += 1
                 ip += 1
                 next_arrival = (
@@ -299,13 +295,7 @@ class _RingBlockDriver(RoundBlockDriver):
                     t_append(holder)
                     # Net the consumption against a same-round arrival at
                     # the holder: one entry per (round, station).
-                    for k in range(row_start, len(delta_stations)):
-                        if delta_stations[k] == holder:
-                            delta_values[k] -= 1
-                            break
-                    else:
-                        s_append(holder)
-                        v_append(-1)
+                    net(row_start, holder, -1)
                     o_append(len(delta_stations))
                     t += 1
                     continue
@@ -363,9 +353,6 @@ class _RingBlockDriver(RoundBlockDriver):
             # outright: the survivors of ``pending`` up to ``old_counts``
             # are the old store, the rest and OF-RRW's unpromoted
             # ``later`` tail the new store.  Swap them in wholesale.
-            def resolve(entries: list) -> list:
-                return [packets[e - j0] if type(e) is int else e for e in entries]
-
             for s in range(n):
                 if not dirty[s]:
                     continue
@@ -373,23 +360,15 @@ class _RingBlockDriver(RoundBlockDriver):
                 c = consumed[s]
                 b = max(old_counts[s], c)
                 controllers[s].queue.replace(
-                    resolve(seq[c:b]), resolve(seq[b:] + later[s])
+                    resolve_refs(seq[c:b], packets, j0),
+                    resolve_refs(seq[b:] + later[s], packets, j0),
                 )
             canonical.members = order
             canonical.token_pos = pos
             canonical.phase_no += phases
             canonical.holder = order[pos]
 
-        return LoweredSegment(
-            start=start,
-            stop=cut,
-            transmitters=np.asarray(transmitters, dtype=np.int64),
-            delta_stations=np.asarray(delta_stations, dtype=np.int64),
-            delta_values=np.asarray(delta_values, dtype=np.int64),
-            delta_offsets=np.asarray(delta_offsets, dtype=np.int64),
-            deliveries=deliveries,
-            commit=commit,
-        )
+        return rows.segment(start, cut, commit)
 
 
 class _TokenRing(RoutingAlgorithm):

@@ -22,6 +22,7 @@ import sys
 
 import pytest
 
+from repro.adversary.traces import InjectionTrace, ReplayAdversary
 from repro.channel.block import BlockEngine
 from repro.channel.energy import EnergyCapViolation
 from repro.channel.engine import DEFAULT_PLAN_CHUNK, EngineConfig, RoundEngine
@@ -389,9 +390,10 @@ def test_block_engine_requires_shared_driver():
 # ---------------------------------------------------------------------------
 
 #: (algorithm, params, adversary, adversary_params) grids on which the
-#: always-on token-ring drivers provably lower spans (drain spans and
-#: dense arrival absorption) — each case must produce lowered_rounds > 0,
-#: so a regression that silently stops lowering fails loudly here.
+#: always-on token-ring drivers and k-Cycle's driver provably lower spans
+#: (drain spans and dense arrival absorption) — each case must produce
+#: lowered_rounds > 0, so a regression that silently stops lowering fails
+#: loudly here.
 LOWERING_CASES = [
     ("rrw", {"n": 16}, "bursty", {"rho": 0.5, "beta": 8.0, "idle_rounds": 200}),
     ("rrw", {"n": 32}, "random", {"rho": 0.9, "beta": 2.0, "seed": 9}),
@@ -405,18 +407,41 @@ LOWERING_CASES = [
     # Threshold 0: every send is big, but a holder with nothing to send
     # sends nothing and so moves nowhere.
     ("mbtf", {"n": 8, "big_threshold": 0}, "random", {"rho": 0.5, "beta": 2.0, "seed": 9}),
+    # k-Cycle lowers across activity segments: n=9 k=3 has five groups,
+    # and n=8 k=4's wrap group [6, 7, 0, 1] shares two stations with
+    # group 0.
+    ("k-cycle", {"n": 9, "k": 3}, "spray", {"rho": 0.3, "beta": 2.0}),
+    ("k-cycle", {"n": 9, "k": 3}, "random", {"rho": 0.3, "beta": 2.0, "seed": 9}),
+    ("k-cycle", {"n": 9, "k": 3}, "round-robin", {"rho": 0.3, "beta": 2.0}),
+    ("k-cycle", {"n": 8, "k": 4}, "spray", {"rho": 0.35, "beta": 2.0}),
+    ("k-cycle", {"n": 8, "k": 4}, "random", {"rho": 0.35, "beta": 2.0, "seed": 9}),
+    ("k-cycle", {"n": 8, "k": 4}, "round-robin", {"rho": 0.35, "beta": 2.0}),
+    # Sparse bursts: drained spans are cut, and elision takes the tail.
+    (
+        "k-cycle",
+        {"n": 16, "k": 4},
+        "bursty",
+        {"rho": 0.05, "beta": 4.0, "idle_rounds": 150},
+    ),
 ]
 
 
 def _ring_state(engine) -> list:
-    """Each controller's replica state and its queue's old/new split."""
+    """Each controller's replica state and its queue's old/new split.
+
+    A k-Cycle controller keeps one replica per group it belongs to."""
 
     def packets(queued) -> list:
         return [(p.destination, p.injected_at, p.origin) for p in queued]
 
+    def replicas(ctrl):
+        if hasattr(ctrl, "replicas"):
+            return {g: vars(replica) for g, replica in ctrl.replicas.items()}
+        return vars(ctrl.replica)
+
     return [
         (
-            vars(ctrl.replica),
+            replicas(ctrl),
             packets(ctrl.queue.old_packets()),
             packets(ctrl.queue.new_packets()),
         )
@@ -492,16 +517,10 @@ def test_lowered_ring_state_matches_per_round_at_every_run_boundary(
     )
 
 
-#: Sparse-traffic grids for the schedule-driven k-family: mostly silent
+#: Sparse-traffic grids for k-Clique and k-Subsets: mostly silent
 #: rounds, which these drivers leave to the quiescent-span elision the
 #: kernel and block loops share instead of lowering them.
 SILENT_SPAN_CASES = [
-    (
-        "k-cycle",
-        {"n": 16, "k": 4},
-        "bursty",
-        {"rho": 0.05, "beta": 4.0, "idle_rounds": 150},
-    ),
     (
         "k-clique",
         {"n": 16, "k": 6},
@@ -518,10 +537,11 @@ SILENT_SPAN_CASES = [
 def test_k_family_silent_spans_take_the_shared_elision_path(
     algorithm, params, adversary, adversary_params
 ):
-    """With lowering enabled the k-family drivers still lower nothing;
-    the block loop elides their silent spans through the kernel's span
-    method (plus the driver's ``advance_span`` hook), so block and
-    kernel elide the same rounds and match the reference bit for bit."""
+    """With lowering enabled the k-Clique and k-Subsets drivers still
+    lower nothing; the block loop elides their silent spans through the
+    kernel's span method (plus the driver's ``advance_span`` hook), so
+    block and kernel elide the same rounds and match the reference bit
+    for bit."""
     common = _lowering_common(algorithm, params, adversary, adversary_params)
     block = _build_engine(common, BlockEngine)
     kernel = _build_engine(common, KernelEngine)
@@ -630,6 +650,90 @@ def test_lowered_equivalence_on_batched_rng_traffic():
         ), algorithm
 
 
+#: n=8 k=4 (delta 28): groups [0, 1, 2, 3], [3, 4, 5, 6] and [6, 7, 0, 1]
+#: with forward connectors 3, 6 and 0, as (round, source, destination).
+#: Connector 3 gets two packets that leave group 0 ahead of one for
+#: station 1; station 1's packet for station 7 must cross two groups;
+#: station 5 receives while group 0 is on and it sleeps.
+K_CYCLE_JOURNEYS = [(0, 3, 5), (0, 3, 4), (1, 3, 1), (2, 1, 7), (3, 5, 0)]
+
+
+def _k_cycle_journeys(engine_cls, lowering=True):
+    algorithm = make_algorithm("k-cycle", n=8, k=4)
+    trace = InjectionTrace.from_entries(K_CYCLE_JOURNEYS)
+    adversary = ReplayAdversary(0.3, 4.0, trace)
+    adversary.bind(algorithm.n, PacketFactory())
+    config = EngineConfig(enforce_energy_cap=False, lowering=lowering)
+    if engine_cls is RoundEngine:
+        return RoundEngine(algorithm.build_controllers(), adversary, config=config)
+    return engine_cls(
+        algorithm.build_controllers(),
+        adversary,
+        config=config,
+        schedule=algorithm.oblivious_schedule(),
+    )
+
+
+def test_k_cycle_lowers_each_journey_whole_in_one_span():
+    """One lowered span carries every packet of K_CYCLE_JOURNEYS from
+    injection to delivery, and is cut when the last one lands.  Connector
+    3 sends its packet for station 1 (plan index 2) in round 8, from
+    behind two older packets that leave group 0.  The packet for station
+    7 (index 3) is heard from station 1 in round 5 and from station 3 in
+    round 30, each time relayed, before station 6 delivers it in group
+    2.  Station 5's packet (index 4), which arrived while it slept, is
+    relayed in round 37.  Lowered, per-round and reference runs agree."""
+    engine = _k_cycle_journeys(BlockEngine)
+    driver = engine.controllers[0].block_driver
+    lower_segment = driver.lower_segment
+    segments = []
+
+    def recording(start, stop, plan):
+        segment = lower_segment(start, stop, plan)
+        segments.append((stop, segment))
+        return segment
+
+    driver.lower_segment = recording
+    engine.run(300)
+    ((stop, segment),) = segments
+    assert (segment.start, segment.stop, stop) == (0, 58, 300)
+    assert segment.deliveries == [(8, 2), (28, 0), (29, 1), (56, 3), (57, 4)]
+    heard = {t: s for t, s in enumerate(segment.transmitters.tolist()) if s >= 0}
+    assert heard == {5: 1, 8: 3, 28: 3, 29: 3, 30: 3, 37: 5, 56: 6, 57: 6}
+    assert engine.quiescent_rounds_elided == 300 - 58
+
+    per_round = _k_cycle_journeys(BlockEngine, lowering=False)
+    per_round.run(300)
+    assert per_round.lowered_rounds == 0
+    assert _collector_state(engine.collector) == _collector_state(per_round.collector)
+    assert _ring_state(engine) == _ring_state(per_round)
+    reference = _k_cycle_journeys(RoundEngine)
+    reference.run(300)
+    assert _collector_state(engine.collector) == _collector_state(reference.collector)
+
+
+def test_a_lowered_delivery_to_an_asleep_station_is_refused():
+    """The flush checks each lowered delivery against the static
+    schedule: a span claiming that station 5 (group 1 only) received its
+    packet in round 8, while group 0 is on, raises before anything is
+    recorded."""
+    engine = _k_cycle_journeys(BlockEngine)
+    driver = engine.controllers[0].block_driver
+    lower_segment = driver.lower_segment
+
+    def misdelivering(start, stop, plan):
+        segment = lower_segment(start, stop, plan)
+        segment.deliveries[0] = (8, 0)  # plan index 0 is for station 5
+        return segment
+
+    driver.lower_segment = misdelivering
+    with pytest.raises(ValueError, match="round 8 to station 5, which is asleep"):
+        engine.run(300)
+    assert engine.round_no == 0
+    assert engine.collector.injected_count == 0
+    assert engine.adversary.factory.created == 0
+
+
 def test_lowering_toggle_is_reported_in_negotiation():
     common = _lowering_common(
         "rrw", {"n": 16}, "random", {"rho": 0.5, "beta": 2.0, "seed": 3}
@@ -660,8 +764,11 @@ _REPORT_DECLINE = (
             {"n": 8, "k": 3},
             "spray",
             {"rho": 0.05, "beta": 2.0},
+            # Every block lowers one span.  The one that drains at round
+            # 547 is cut there, and elision takes the 12 quiet rounds up
+            # to the next arrival.
             dict(blocks_compiled=12, blocks_fallback=0, block_decline_reasons={},
-                 lowered_segments=0, lowered_rounds=0, quiescent_rounds_elided=154),
+                 lowered_segments=12, lowered_rounds=988, quiescent_rounds_elided=12),
         ),
         (
             "count-hop",

@@ -30,6 +30,13 @@ host.
   or 2,000 packets sit ahead of it.  ``Packet`` compares as a tuple, in
   C, so the guard's packets come from a subclass whose ``__eq__`` is a
   Python call: a scan that compares packets by value then counts.
+* Lowered k-Cycle spans: a forward connector sends only its oldest old
+  packet addressed inside its group, usually from below out-of-group
+  packets it relays on later.  Its simulated pick keeps a cursor for
+  the span, so each extra lowered round must cost the same number of
+  Python calls whether 500 or 2,000 such packets sit ahead.  The guard's
+  packets read their destination through a Python call, so a pick that
+  rescans them counts.
 * Service: ``repro serve`` advances a job from each result as it lands,
   so the server's work per landed result must not depend on how many
   specs the job or the server has seen.  Work is counted as Python lines
@@ -48,6 +55,7 @@ import pytest
 
 import repro.sim
 from repro.adversary import SingleSourceSprayAdversary
+from repro.adversary.base import InjectionPlan
 from repro.adversary.stochastic import UniformRandomAdversary
 from repro.channel.block import BlockEngine
 from repro.channel.packet import Packet, PacketFactory
@@ -233,6 +241,58 @@ class TestQueuePicks:
     @pytest.mark.parametrize("name", sorted(QUEUE_PICKS))
     def test_pick_and_remove_cost_stays_flat_when_the_backlog_grows_4x(self, name):
         small, large = (_calls_per_pick(name, backlog) for backlog in (500, 2_000))
+        assert large <= 1.5 * small, (small, large)
+
+
+class _DestinationCallPacket(Packet):
+    """A packet whose destination is read through one Python call."""
+
+    __slots__ = ()
+
+    @property
+    def destination(self):
+        return tuple.__getitem__(self, 0)
+
+
+#: Lowered spans of 2 and 6 super-periods of k-Cycle n=8 k=4 (3 x 28 rounds).
+SHORT_SPAN, LONG_SPAN = 168, 504
+
+
+def _calls_per_lowered_round(backlog: int) -> float:
+    """Python calls per round that a longer lowered k-Cycle span adds, when
+    group 0's forward connector holds ``backlog`` old packets for group 1
+    ahead of more than enough old packets for group 0."""
+    algorithm = make_algorithm("k-cycle", n=8, k=4)
+    controllers = algorithm.build_controllers()
+    driver = controllers[0].block_driver
+    connector = driver._forward_connector[0]
+    queue = controllers[connector].queue
+    ids = itertools.count()
+
+    def packet(destination: int) -> _DestinationCallPacket:
+        return _DestinationCallPacket(
+            destination, injected_at=0, origin=connector, packet_id=next(ids)
+        )
+
+    for _ in range(backlog):
+        queue.push(packet(5))  # leaves group 0; sent while group 1 is on
+    for _ in range(LONG_SPAN):
+        queue.push(packet(1))  # the connector's picks while group 0 is on
+    queue.age_all()
+    plan = InjectionPlan(0, LONG_SPAN, [0] * (LONG_SPAN + 1), [], [])
+
+    def calls(stop: int) -> int:
+        with _PythonCalls() as counter:
+            segment = driver.lower_segment(0, stop, plan)
+        assert segment.stop == stop
+        return counter.calls
+
+    return (calls(LONG_SPAN) - calls(SHORT_SPAN)) / (LONG_SPAN - SHORT_SPAN)
+
+
+class TestLoweredConnectorPicks:
+    def test_lowered_round_cost_stays_flat_when_the_backlog_grows_4x(self):
+        small, large = (_calls_per_lowered_round(b) for b in (500, 2_000))
         assert large <= 1.5 * small, (small, large)
 
 

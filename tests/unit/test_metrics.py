@@ -110,6 +110,42 @@ class TestMetricsCollector:
         assert "STABLE" in summary.format_row()
         assert "max queue" in RunSummary.header()
 
+    @pytest.mark.parametrize("rounds", [0, 1, 57])
+    def test_summary_reads_each_statistic_off_the_series(self, rounds):
+        """The summary converts each series once; every value equals the
+        plain-list definition and the single-statistic method, as a
+        Python int or float."""
+        c = MetricsCollector()
+        factory = PacketFactory()
+        for t in range(rounds):
+            packet = factory.make(1, t, 0)
+            c.record_injection(packet, t)
+            if t % 3:
+                c.record_delivery(packet, 1, t + t % 7)
+            c.record_round(t, [t % 5, t % 4], 1 + t % 3, ChannelOutcome.SILENCE)
+        summary = c.summary()
+        energy, delays, queue = c.energy_series, c.delays, c.total_queue_series
+        expected = {
+            "max_queue": max(queue, default=0),
+            "max_delay": max(delays, default=0),
+            "mean_delay": float(np.mean(delays)) if delays else 0.0,
+            "energy_per_round": float(np.mean(energy)) if energy else 0.0,
+            "max_energy": max(energy, default=0),
+            "energy_per_delivery": (
+                sum(energy) / c.delivered_count if c.delivered_count else float("inf")
+            ),
+        }
+        for name, value in expected.items():
+            assert getattr(summary, name) == value, name
+            assert type(getattr(summary, name)) is type(value), name
+        assert summary.max_queue == c.max_queue()
+        assert summary.max_delay == c.max_delay()
+        assert summary.observed_latency == c.observed_latency()
+        assert summary.mean_delay == c.mean_delay()
+        assert summary.energy_per_round == c.energy_per_round()
+        assert summary.energy_per_delivery == c.energy_per_delivery()
+        assert type(c.total_energy()) is int and c.total_energy() == sum(energy)
+
 
 class TestPendingLedger:
     """``records`` holds the undelivered packets, nothing else."""
