@@ -39,7 +39,7 @@ schedule-published k-Cycle at n=64 in the paper's energy-frugal regime
 (including batched injection planning); the Count-Hop / Orchestra /
 Adjust-Window / k-Subsets rows track the ticked-wakes tier (shared state
 machine, one tick + one batch awake-set query per round) per algorithm,
-the adaptive rows track the windowed-view path (one view update per
+the adaptive rows track the observed-view path (one view update per
 round), and the low-rate bursty rows track the quiescence
 axis (whole injection-free spans elided in one step — the win that
 moves low-rate runs from O(rounds) toward O(busy rounds)), so a
@@ -135,7 +135,7 @@ CONFIGS: list[tuple[str, dict]] = [
         ),
     ),
     (
-        "k-cycle n=32 k=4, adaptive adversary (windowed view path)",
+        "k-cycle n=32 k=4, adaptive adversary (observed view path)",
         dict(
             algorithm="k-cycle",
             algorithm_params={"n": 32, "k": 4},
@@ -145,7 +145,7 @@ CONFIGS: list[tuple[str, dict]] = [
         ),
     ),
     (
-        "k-cycle n=64 k=4, adaptive adversary (windowed view path)",
+        "k-cycle n=64 k=4, adaptive adversary (observed view path)",
         dict(
             algorithm="k-cycle",
             algorithm_params={"n": 64, "k": 4},

@@ -12,14 +12,7 @@ from .adaptive import (
     LeastOnStationAdversary,
     ScheduleLike,
 )
-from .base import (
-    DEFAULT_OBSERVATION_WINDOW,
-    Adversary,
-    InjectionDemand,
-    InjectionPlan,
-    ObliviousAdversary,
-    ObservationProfile,
-)
+from .base import Adversary, InjectionDemand, InjectionPlan, ObliviousAdversary
 from .leaky_bucket import (
     AdversaryType,
     LeakyBucketConstraint,
@@ -51,7 +44,6 @@ __all__ = [
     "AdversaryType",
     "AlternatingPairAdversary",
     "BurstThenIdleAdversary",
-    "DEFAULT_OBSERVATION_WINDOW",
     "DEFAULT_RNG_VERSION",
     "GroupLocalAdversary",
     "HotspotAdversary",
@@ -64,7 +56,6 @@ __all__ = [
     "LeastOnStationAdversary",
     "NoInjectionAdversary",
     "ObliviousAdversary",
-    "ObservationProfile",
     "RandomWalkAdversary",
     "RecordingAdversary",
     "ReplayAdversary",

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Protocol, Sequence, runtime_checkable
 
 from ..channel.engine import AdversaryView
-from .base import Adversary, InjectionDemand, ObliviousAdversary, ObservationProfile
+from .base import Adversary, InjectionDemand, ObliviousAdversary
 from .patterns import _cycle_skipping
 
 __all__ = [
@@ -247,12 +247,6 @@ class AdaptiveStarvationAdversary(Adversary):
     def __init__(self, rho: float = 1.0, beta: float = 1.0) -> None:
         super().__init__(rho, beta)
         self._source_cursor = 0
-
-    def observation_profile(self) -> ObservationProfile:
-        # Only the per-station on-round *counts* are read; those are
-        # maintained incrementally from round 0 whatever the window, so a
-        # minimal one-round window suffices.
-        return ObservationProfile.windowed(1)
 
     def _most_starved(self, view: AdversaryView) -> int:
         assert self.n is not None

@@ -25,64 +25,10 @@ from ..channel.engine import AdversaryView
 from ..channel.packet import Packet, PacketFactory
 from .leaky_bucket import AdversaryType, LeakyBucketConstraint
 
-__all__ = [
-    "Adversary",
-    "DEFAULT_OBSERVATION_WINDOW",
-    "InjectionDemand",
-    "InjectionPlan",
-    "ObliviousAdversary",
-    "ObservationProfile",
-]
+__all__ = ["Adversary", "InjectionDemand", "InjectionPlan", "ObliviousAdversary"]
 
 # A demand is a (source station, destination station) pair.
 InjectionDemand = tuple[int, int]
-
-#: History window granted to adversaries that do not declare a profile of
-#: their own.  Large enough for any bounded-lookback heuristic, small
-#: enough that week-long runs stay at O(window) memory.
-DEFAULT_OBSERVATION_WINDOW = 1024
-
-
-@dataclass(frozen=True, slots=True)
-class ObservationProfile:
-    """How much of the execution history an adversary actually observes.
-
-    The engine negotiates the cheapest correct :class:`AdversaryView` from
-    this declaration: an *oblivious* adversary (window 0) gets a view that
-    is never updated, a *windowed* adversary a bounded ring buffer of the
-    last ``window`` rounds, and a *full-history* adversary (window None)
-    the unbounded record the worst-case model permits.  Per-station
-    on-round counts (:meth:`AdversaryView.station_on_rounds`) are
-    maintained incrementally from round 0 whenever the view is updated at
-    all, so a bounded window never changes their values.
-    """
-
-    #: Number of completed rounds visible in the view's histories;
-    #: ``0`` means the adversary never reads the view, ``None`` means the
-    #: full unbounded history is required.
-    window: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.window is not None and self.window < 0:
-            raise ValueError("observation window must be >= 0 (or None)")
-
-    @classmethod
-    def oblivious(cls) -> "ObservationProfile":
-        """The adversary ignores the view entirely (fixed injection pattern)."""
-        return cls(window=0)
-
-    @classmethod
-    def windowed(cls, window: int) -> "ObservationProfile":
-        """The adversary reads at most the last ``window`` completed rounds."""
-        if window < 1:
-            raise ValueError("a windowed profile needs window >= 1")
-        return cls(window=window)
-
-    @classmethod
-    def full(cls) -> "ObservationProfile":
-        """The adversary may read the entire execution history."""
-        return cls(window=None)
-
 
 @dataclass(slots=True)
 class InjectionPlan:
@@ -233,14 +179,14 @@ class Adversary(abc.ABC):
         The leaky-bucket type of the adversary.
     """
 
-    #: Capability flag read by the kernel engine: when True, the adversary
-    #: implements :meth:`plan_injections` and its injections for a whole
-    #: chunk of rounds can be materialised up front — the kernel then
-    #: consumes injections as array slices instead of calling
-    #: :meth:`inject` once per round.  Only meaningful for adversaries
-    #: whose demands never read the execution view (the per-round
-    #: :meth:`inject` stays the universal fallback and the reference-loop
-    #: path).
+    #: The adversary's one capability, read by the kernel and block
+    #: engines.  When True, the adversary never reads the
+    #: :class:`~repro.channel.engine.AdversaryView` and implements
+    #: :meth:`plan_injections`: whole chunks of injections are
+    #: materialised up front and consumed as array slices, and the view
+    #: is never fed.  When False, the engines call :meth:`inject` once per
+    #: round and feed the view after every round.  The reference loop
+    #: always does the latter.
     plans_injections: bool = False
 
     def __init__(self, rho: float, beta: float) -> None:
@@ -261,20 +207,6 @@ class Adversary(abc.ABC):
 
     def on_bind(self, n: int) -> None:
         """Hook for subclasses that need to precompute per-``n`` state."""
-
-    # -- capability declaration ---------------------------------------------
-    def observation_profile(self) -> ObservationProfile:
-        """Declare how much execution history this adversary observes.
-
-        The engines size the :class:`~repro.channel.engine.AdversaryView`
-        from this declaration.  The conservative default grants a bounded
-        window of :data:`DEFAULT_OBSERVATION_WINDOW` rounds; subclasses
-        that never read the view should return
-        :meth:`ObservationProfile.oblivious` (the kernel then skips view
-        maintenance entirely), and subclasses that genuinely need the
-        unbounded history must return :meth:`ObservationProfile.full`.
-        """
-        return ObservationProfile.windowed(DEFAULT_OBSERVATION_WINDOW)
 
     @property
     def rho(self) -> float:
@@ -356,10 +288,10 @@ class ObliviousAdversary(Adversary):
     """Base class of adversaries whose demands never read the view.
 
     Subclasses decide their injections from ``(round_no, budget)`` and
-    internal state alone; declaring that lets the kernel engine skip all
-    :class:`~repro.channel.engine.AdversaryView` maintenance — and makes
-    the injections *plannable*: because demands cannot depend on the
-    execution, whole chunks of rounds can be materialised up front.
+    internal state alone.  That makes the injections *plannable*
+    (:attr:`plans_injections`): because demands cannot depend on the
+    execution, whole chunks of rounds can be materialised up front, and
+    the kernel and block engines never feed the view.
     Every subclass implements :meth:`_plan_chunk` with batched pair
     generation; :meth:`plan_injections` wraps its output in an
     :class:`InjectionPlan`.
@@ -390,6 +322,3 @@ class ObliviousAdversary(Adversary):
         raise NotImplementedError(
             f"{type(self).__name__} does not implement _plan_chunk"
         )
-
-    def observation_profile(self) -> ObservationProfile:
-        return ObservationProfile.oblivious()

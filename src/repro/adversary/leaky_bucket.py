@@ -36,8 +36,8 @@ class AdversaryType:
     """The ``(rho, beta)`` type of a leaky-bucket adversary.
 
     ``rho`` is the injection rate (``0 < rho <= 1``) and ``beta >= 0`` is
-    the burstiness coefficient.  The paper assumes ``beta >= 1``; we allow
-    ``beta = 0`` for degenerate test scenarios.
+    the burstiness coefficient, a finite number.  The paper assumes
+    ``beta >= 1``; we allow ``beta = 0`` for degenerate test scenarios.
     """
 
     rho: float
@@ -46,8 +46,10 @@ class AdversaryType:
     def __post_init__(self) -> None:
         if not 0 < self.rho <= 1:
             raise ValueError(f"injection rate rho must be in (0, 1], got {self.rho}")
-        if self.beta < 0:
-            raise ValueError(f"burstiness coefficient beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"burstiness coefficient beta must be finite and >= 0, got {self.beta}"
+            )
 
     @property
     def burstiness(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..channel.engine import AdversaryView
-from .base import Adversary, InjectionDemand, ObliviousAdversary, ObservationProfile
+from .base import Adversary, InjectionDemand, ObliviousAdversary
 from .leaky_bucket import AdversaryType, verify_injection_record
 
 __all__ = ["TraceEntry", "InjectionTrace", "RecordingAdversary", "ReplayAdversary"]
@@ -76,7 +76,12 @@ class InjectionTrace:
 
 
 class RecordingAdversary(Adversary):
-    """Wraps another adversary and records every injection it makes."""
+    """Wraps another adversary and records every injection it makes.
+
+    It records round by round and so does not plan its injections: the
+    engines call :meth:`inject` every round and feed the view, which the
+    wrapped adversary's demands may read.
+    """
 
     def __init__(self, inner: Adversary) -> None:
         super().__init__(inner.rho, inner.beta)
@@ -86,11 +91,6 @@ class RecordingAdversary(Adversary):
     def on_bind(self, n: int) -> None:
         if self.inner.n is None:
             self.inner.bind(n, self.factory)
-
-    def observation_profile(self) -> ObservationProfile:
-        # Recording adds no observation of its own; the wrapped adversary's
-        # declaration decides what the engine must maintain.
-        return self.inner.observation_profile()
 
     def demand(
         self, round_no: int, budget: int, view: AdversaryView

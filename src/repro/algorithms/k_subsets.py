@@ -116,9 +116,7 @@ class _KSubsetsController(StationController):
 
     # Thread queues shrink only when an own transmission is confirmed
     # heard; phase-boundary reassignment moves packets between internal
-    # queues without changing the total, so heard-only polling is safe.
-    queue_changes_on_heard_only = True
-
+    # queues without changing the total, so the queue contract holds.
     ticked_wakes = True
 
     # Holding no packets the thread's MBTF holder withholds, a silent

@@ -9,7 +9,7 @@ bookkeeping.
 
 from .block import BlockEngine
 from .energy import EnergyCapViolation, EnergyMonitor
-from .engine import DEFAULT_VIEW_WINDOW, AdversaryView, EngineConfig, RoundEngine
+from .engine import AdversaryView, EngineConfig, RoundEngine
 from .events import ExecutionTrace, InjectionEvent, RoundEvent
 from .feedback import ChannelOutcome, Feedback
 from .kernel import KernelEngine
@@ -21,7 +21,6 @@ __all__ = [
     "AdversaryView",
     "BlockEngine",
     "ChannelOutcome",
-    "DEFAULT_VIEW_WINDOW",
     "EngineConfig",
     "EnergyCapViolation",
     "EnergyMonitor",

@@ -16,14 +16,14 @@ RRW/OF-RRW, MBTF) make almost all of that provably redundant:
   outcome, applied directly by the driver (one or two targeted mutations
   instead of ``n`` ``on_feedback`` dispatches);
 * only driver-reported stations can have changed queue sizes, so heard
-  rounds poll a handful of stations instead of the whole awake set.
+  rounds poll a handful of stations instead of the whole awake set (the
+  kernel's queue contract already spares silent rounds any poll).
 
 Negotiation: the engine compiles blocks when the run is on the kernel's
-static-schedule or ticked wake tier with planned injections, incremental
-heard-only queue metrics, the silence invariant on every controller, and
-one shared driver attached to all controllers.  Restricted drivers for
-beaconing algorithms (Count-Hop, Orchestra) set
-``relies_on_silence_invariant = False``, which waives the
+static-schedule or ticked wake tier with planned injections, the silence
+invariant on every controller, and one shared driver attached to all
+controllers.  Restricted drivers for beaconing algorithms (Count-Hop,
+Orchestra) set ``relies_on_silence_invariant = False``, which waives the
 silence-invariant conjunction: the loop then calls the named
 transmitter's ``act`` unconditionally (beacons are sent with empty
 queues) and the driver aligns chunk boundaries with its phase structure
@@ -90,8 +90,6 @@ class BlockEngine(KernelEngine):
         if not (
             driver is not None
             and self._planned_injections
-            and self._incremental_metrics
-            and self._heard_only_polls
             and (self._period_awake is not None or self._wake_oracle is not None)
             and (
                 self._act_unconditional

@@ -29,8 +29,7 @@ skipping the bookkeeping a given run does not need.
 from __future__ import annotations
 
 import operator
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .energy import EnergyMonitor
@@ -47,11 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "AdversaryView",
     "DEFAULT_PLAN_CHUNK",
-    "DEFAULT_VIEW_WINDOW",
     "EngineConfig",
     "RoundEngine",
     "check_message",
-    "negotiated_view_window",
     "validate_controllers",
 ]
 
@@ -59,107 +56,40 @@ __all__ = [
 #: machinery: injection plans are requested once per this many rounds.
 DEFAULT_PLAN_CHUNK = 4096
 
-#: History window the reference engine keeps even for adversaries that
-#: declared a smaller (or zero) observation window: short-run debugging and
-#: engine-level tests read the view directly, so the checked loop never
-#: truncates below this many rounds.  Long runs thereby stay at O(window)
-#: memory instead of O(rounds), unless the adversary declares
-#: :meth:`~repro.adversary.base.ObservationProfile.full`.
-DEFAULT_VIEW_WINDOW = 1024
 
-
-@dataclass(slots=True)
 class AdversaryView:
-    """What an (adaptive) adversary may observe about the execution.
+    """What the adaptive adversary observes: per-station on-round counts.
 
     The adversarial model places no restriction on the adversary's
-    knowledge — it is a worst-case abstraction — so the view exposes the
-    history of awake sets, the channel outcomes and per-station queue
-    sizes up to and including the *previous* round.  Injections for round
-    ``t`` are decided before the stations of round ``t`` act.
-
-    ``window`` bounds how many completed rounds the histories retain
-    (``None`` keeps everything).  Per-station on-round counts are
-    maintained incrementally from round 0 whenever the engine feeds the
-    view through :meth:`observe_round`, so
-    :meth:`station_on_rounds` is exact regardless of the window.
+    knowledge, but the paper's one adaptive construction (the cap-2
+    impossibility, Theorem 2) reads only how often each station has been
+    switched on in the completed rounds.  The engines feed the view once
+    per round through :meth:`observe_round`, after the round completes,
+    so injections for round ``t`` see the counts of rounds ``[0, t)``.
     """
 
-    n: int
-    round_no: int = 0
-    awake_history: list[tuple[int, ...]] = field(default_factory=list)
-    outcome_history: list[ChannelOutcome] = field(default_factory=list)
-    queue_sizes: list[int] = field(default_factory=list)
-    delivered_total: int = 0
-    window: int | None = None
-    _on_counts: list[int] | None = field(default=None, init=False)
-    _observed_rounds: int = field(default=0, init=False)
+    __slots__ = ("n", "_on_counts")
 
-    def __post_init__(self) -> None:
-        if self.window is not None:
-            if self.window < 0:
-                raise ValueError("view window must be >= 0 (or None)")
-            self.awake_history = deque(self.awake_history, maxlen=self.window)
-            self.outcome_history = deque(self.outcome_history, maxlen=self.window)
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._on_counts = [0] * n
 
     # -- engine-facing update ------------------------------------------------
-    def observe_round(
-        self,
-        awake: tuple[int, ...],
-        outcome: ChannelOutcome,
-        queue_sizes: list[int],
-        delivered_total: int,
-    ) -> None:
-        """Record one completed round (called by the engines, once per round)."""
-        self.awake_history.append(awake)
-        self.outcome_history.append(outcome)
-        self.queue_sizes = queue_sizes
-        self.delivered_total = delivered_total
+    def observe_round(self, awake: Sequence[int]) -> None:
+        """Count one completed round's awake stations (once per round)."""
         counts = self._on_counts
-        if counts is None:
-            counts = self._on_counts = [0] * self.n
         for i in awake:
             counts[i] += 1
-        self._observed_rounds += 1
 
     # -- adversary-facing queries -------------------------------------------
     def station_on_rounds(self, station: int) -> int:
-        """How many completed rounds ``station`` has spent switched on.
-
-        Exact from round 0 (independent of the history window) when the
-        view is engine-maintained; hand-assembled views (tests) fall back
-        to counting over whatever history is present.
-        """
-        if self._observed_rounds:
-            assert self._on_counts is not None
-            return self._on_counts[station]
-        return sum(1 for awake in self.awake_history if station in awake)
+        """How many completed rounds ``station`` has spent switched on."""
+        return self._on_counts[station]
 
     def least_on_station(self) -> int:
-        """The station with the fewest on-rounds (ties broken by name).
-
-        Equivalent to minimising ``(station_on_rounds(i), i)`` over all
-        stations, but in one pass over the incrementally maintained count
-        table instead of ``n`` method calls — the hot query of the
-        starvation-style adaptive adversaries.
-        """
+        """The station with the fewest on-rounds (ties broken by name)."""
         counts = self._on_counts
-        if self._observed_rounds and counts is not None:
-            return counts.index(min(counts))
-        return min(range(self.n), key=lambda i: (self.station_on_rounds(i), i))
-
-
-def negotiated_view_window(adversary: "Adversary") -> int | None:
-    """The history window an adversary's observation profile asks for.
-
-    ``None`` means unbounded.  Objects without an ``observation_profile``
-    capability (duck-typed so the channel layer stays decoupled from the
-    adversary package) conservatively get full history.
-    """
-    profile = getattr(adversary, "observation_profile", None)
-    if profile is None:
-        return None
-    return profile().window
+        return counts.index(min(counts))
 
 
 @dataclass(slots=True)
@@ -290,13 +220,9 @@ class RoundEngine:
             cap=self.config.energy_cap, enforce=self.config.enforce_energy_cap
         )
         self.trace = ExecutionTrace() if self.config.record_trace else None
-        # The checked loop keeps the view observable for tests/debugging:
-        # at least DEFAULT_VIEW_WINDOW rounds of history even when the
-        # adversary declared a smaller (or zero) observation window.
-        window = negotiated_view_window(adversary)
-        if window is not None:
-            window = max(window, DEFAULT_VIEW_WINDOW)
-        self.view = AdversaryView(n=self.n, window=window)
+        # The checked loop feeds the view every round, whatever the
+        # adversary, so tests and debugging can always read it.
+        self.view = AdversaryView(self.n)
         self.round_no = 0
 
     # -- main loop ---------------------------------------------------------
@@ -308,7 +234,6 @@ class RoundEngine:
     def step(self) -> RoundEvent:
         """Simulate a single round and return its event record."""
         t = self.round_no
-        self.view.round_no = t
 
         # 1. Adversarial injections (stations receive packets even when off).
         injections = self._inject(t)
@@ -370,9 +295,7 @@ class RoundEngine:
         self.collector.record_round(t, queue_sizes, len(awake), outcome)
 
         # 8. Adversary view update.
-        self.view.observe_round(
-            awake, outcome, queue_sizes, self.collector.delivered_count
-        )
+        self.view.observe_round(awake)
 
         event = RoundEvent(
             round_no=t,

@@ -6,20 +6,16 @@ bookkeeping, energy enforcement and message discipline checks — but builds
 the cheapest correct loop from what the run's components declare they
 actually need:
 
-* **Adversary observation** — the adversary's
-  :class:`~repro.adversary.base.ObservationProfile` decides whether the
-  :class:`~repro.channel.engine.AdversaryView` is maintained at all
-  (oblivious adversaries skip it entirely), kept as a bounded window, or
-  kept unbounded.  A maintained view is fed one
-  :meth:`~repro.channel.engine.AdversaryView.observe_round` per round, as
-  on the reference loop.
-* **Batched injection** — adversaries declaring ``plans_injections``
-  (every oblivious family) have whole chunks of injections materialised
-  by one :meth:`~repro.adversary.base.Adversary.plan_injections` call;
-  the loop then consumes them as array slices (a round without
-  injections costs two list lookups) instead of calling
-  ``inject(round_no, view)`` every round.  The per-round ``inject`` stays
-  the universal fallback and the reference-loop path.
+* **Injection and observation** — the adversary's one capability,
+  ``plans_injections``, decides both.  A planning adversary (every
+  oblivious family) has whole chunks of injections materialised by one
+  :meth:`~repro.adversary.base.Adversary.plan_injections` call; the loop
+  consumes them as array slices (a round without injections costs two
+  list lookups) and never feeds the
+  :class:`~repro.channel.engine.AdversaryView`.  Any other adversary is
+  called through ``inject(round_no, view)`` every round, and the view
+  gets one :meth:`~repro.channel.engine.AdversaryView.observe_round` per
+  round, as on the reference loop.
 * **Wake schedules** — three tiers.  When every controller declares
   ``static_wake_schedule`` and the algorithm's published
   :class:`~repro.core.schedule.ObliviousSchedule` has a finite period, the
@@ -31,10 +27,11 @@ actually need:
   :class:`~repro.core.schedule.WakeOracle`, the kernel issues one
   ``tick(t)`` plus one batch ``awake_stations(t)`` per round.  Only runs
   declaring neither fall back to ``n`` stateful ``wakes(t)`` calls.
-* **Incremental metrics** — when every controller declares
-  ``queue_metrics_incremental``, only stations that were awake or received
-  an injection are re-polled for their queue size; everyone else is known
-  unchanged.
+* **Queue polls** — every controller keeps the queue contract of
+  :class:`~repro.channel.station.StationController` (a queue changes only
+  in ``on_inject`` or in a HEARD round), so after a round only its
+  injectees and, in a heard round, its awake stations are re-polled for
+  their queue size; everyone else is known unchanged.
 * **Quiescence skipping** — when every controller declares
   ``silence_invariant`` (holding no packets, an awake station never
   transmits, and silent rounds only advance clock-like state) and the
@@ -97,13 +94,7 @@ import numpy as np
 from .._accel import count_transmitting, per_station_flow, segment_round_totals
 from ..core.blocks import resolve_refs
 from .energy import EnergyCapViolation, EnergyMonitor
-from .engine import (
-    AdversaryView,
-    EngineConfig,
-    check_message,
-    negotiated_view_window,
-    validate_controllers,
-)
+from .engine import AdversaryView, EngineConfig, check_message, validate_controllers
 from .feedback import ChannelOutcome, FeedbackPool
 from .message import Message
 from .station import StationController
@@ -185,18 +176,11 @@ class KernelEngine:
         # block engine's awake-membership matrix).
         self._schedule = schedule
 
-        # -- negotiation: adversary observation --------------------------------
-        window = negotiated_view_window(adversary)
-        self.view = AdversaryView(n=self.n, window=window)
-        self._observe_view = window != 0
-
         # -- negotiation: batched injection planning ---------------------------
-        # Planning adversaries are oblivious by contract; requiring the
-        # negotiated window to be 0 keeps a mis-declared adversary on the
-        # checked per-round path.
-        self._planned_injections = window == 0 and bool(
-            getattr(adversary, "plans_injections", False)
-        )
+        # A planning adversary never reads the view, so only the others
+        # have it fed, once per round.
+        self.view = AdversaryView(self.n)
+        self._planned_injections = bool(getattr(adversary, "plans_injections", False))
 
         # -- negotiation: wake schedule ----------------------------------------
         self._period_awake: tuple[tuple[int, ...], ...] | None = None
@@ -228,15 +212,6 @@ class KernelEngine:
             ):
                 self._wake_oracle = oracle
 
-        # -- negotiation: incremental queue metrics ----------------------------
-        self._incremental_metrics = all(
-            getattr(ctrl, "queue_metrics_incremental", False)
-            for ctrl in self.controllers
-        )
-        self._heard_only_polls = self._incremental_metrics and all(
-            getattr(ctrl, "queue_changes_on_heard_only", False)
-            for ctrl in self.controllers
-        )
         self._queue_sizes = [ctrl.queued_packets() for ctrl in self.controllers]
         self._total_queue = sum(self._queue_sizes)
         self.collector.begin_stations(self.n)
@@ -245,14 +220,13 @@ class KernelEngine:
         # Eliding a span requires knowing, without running the adversary,
         # that no injection falls inside it (planned injections), that no
         # controller state beyond what advance_silent_span reproduces can
-        # change (silence_invariant everywhere), that queue metrics stay
-        # flat without polling (incremental), and a tier that can supply
+        # change (silence_invariant everywhere), and a tier that can supply
         # the span's awake counts in batch (cap-safe static schedule or a
-        # wake oracle answering quiescent_awake_counts).
+        # wake oracle answering quiescent_awake_counts).  Queues stay flat
+        # without polling: no round of the span is heard.
         self._silence_capable = (
             self.config.quiescence_skip
             and self._planned_injections
-            and self._incremental_metrics
             and (self._period_counts is not None or self._wake_oracle is not None)
             and all(
                 getattr(ctrl, "silence_invariant", False)
@@ -277,20 +251,19 @@ class KernelEngine:
         ``schedule_fast_path``: awake sets come from the precomputed
         schedule period; ``ticked_wakes``: from one shared tick plus a
         batch query; ``vectorised_energy``: awake counts come from the
-        precomputed series; ``incremental_metrics``: only awake or
-        injected stations are re-polled; ``maintains_view``: the
-        adversary is not oblivious; ``planned_injections``: injections
-        come from chunked plans; ``quiescence_skipping``: injection-free
-        all-queues-empty spans are elided (cleared for the rest of the run
-        when a span's batch awake counts are missing or break the cap).
+        precomputed series; ``maintains_view``: the adversary does not
+        plan, so the view is fed every round; ``planned_injections``:
+        injections come from chunked plans; ``quiescence_skipping``:
+        injection-free all-queues-empty spans are elided (cleared for the
+        rest of the run when a span's batch awake counts are missing or
+        break the cap).
         """
         return {
             "engine": type(self).__name__,
             "schedule_fast_path": self._period_awake is not None,
             "ticked_wakes": self._wake_oracle is not None,
             "vectorised_energy": self._period_counts is not None,
-            "incremental_metrics": self._incremental_metrics,
-            "maintains_view": self._observe_view,
+            "maintains_view": not self._planned_injections,
             "planned_injections": self._planned_injections,
             "quiescence_skipping": self._silence_capable,
             "quiescent_rounds_elided": self.quiescent_rounds_elided,
@@ -501,9 +474,6 @@ class KernelEngine:
         oracle = self._wake_oracle
         oracle_tick = oracle.tick if oracle is not None else None
         oracle_awake = oracle.awake_stations if oracle is not None else None
-        incremental = self._incremental_metrics
-        heard_only_polls = self._heard_only_polls
-        observe_view = self._observe_view
         planned = self._planned_injections
         # An unbound adversary has no factory; the first plan_injections
         # call raises the same RuntimeError inject() would, before this
@@ -645,8 +615,6 @@ class KernelEngine:
                             record_injection(packet, t)
                             injections.append((station, packet))
                 else:
-                    if observe_view:
-                        view.round_no = t
                     injections = inject(t, view)
                     for station, packet in injections:
                         if not 0 <= station < n:
@@ -772,38 +740,27 @@ class KernelEngine:
                     # Drop the loop's reference so the pool sees itself as
                     # the sole owner next round and can recycle the instance.
                     feedback = None
-                    # Heard-only capability: only a heard round can change
-                    # an awake queue other than through an injection.
-                    changed = (
-                        awake
-                        if outcome is heard_outcome or not heard_only_polls
-                        else ()
-                    )
+                    # The queue contract: only a heard round can change an
+                    # awake queue other than through an injection.
+                    changed = awake if outcome is heard_outcome else ()
 
-                # 7. Metrics: queue sizes after the round.  Incremental runs
-                #    re-poll only stations whose queues can have changed:
-                #    this round's injectees plus ``changed`` (polls are
-                #    pure reads, so a station polled twice is harmless).
-                if incremental:
-                    if injections:
-                        for station, _ in injections:
-                            size = poll[station]()
-                            if size != queue_sizes[station]:
-                                total_queue += size - queue_sizes[station]
-                                queue_sizes[station] = size
-                                if size > per_station_max[station]:
-                                    per_station_max[station] = size
-                    for i in changed:
-                        size = poll[i]()
-                        if size != queue_sizes[i]:
-                            total_queue += size - queue_sizes[i]
-                            queue_sizes[i] = size
-                            if size > per_station_max[i]:
-                                per_station_max[i] = size
-                else:
-                    queue_sizes = [p() for p in poll]
-                    total_queue = sum(queue_sizes)
-                    for i, size in enumerate(queue_sizes):
+                # 7. Metrics: queue sizes after the round.  Only stations
+                #    whose queues can have changed are re-polled: this
+                #    round's injectees plus ``changed`` (polls are pure
+                #    reads, so a station polled twice is harmless).
+                if injections:
+                    for station, _ in injections:
+                        size = poll[station]()
+                        if size != queue_sizes[station]:
+                            total_queue += size - queue_sizes[station]
+                            queue_sizes[station] = size
+                            if size > per_station_max[station]:
+                                per_station_max[station] = size
+                for i in changed:
+                    size = poll[i]()
+                    if size != queue_sizes[i]:
+                        total_queue += size - queue_sizes[i]
+                        queue_sizes[i] = size
                         if size > per_station_max[i]:
                             per_station_max[i] = size
                 total_queue_series.append(total_queue)
@@ -811,12 +768,10 @@ class KernelEngine:
                     energy_series.append(awake_count)
                 rounds_done += 1
 
-                # 8. Adversary view update (skipped for oblivious
-                #    adversaries, which every compiled block has).
-                if observe_view:
-                    view.observe_round(
-                        awake, outcome, list(queue_sizes), collector.delivered_count
-                    )
+                # 8. Adversary view update, for an adversary that does not
+                #    plan (so the fan-out steps ran and set ``awake``).
+                if not planned:
+                    view.observe_round(awake)
                 t += 1
         finally:
             # Reconcile the block's locals with the engine and collector,

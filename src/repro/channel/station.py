@@ -40,6 +40,15 @@ __all__ = ["StationController"]
 class StationController(abc.ABC):
     """Abstract per-station controller.
 
+    Every controller keeps one queue contract: :meth:`queued_packets`
+    changes only inside :meth:`on_inject`, or in a round whose channel
+    outcome is HEARD (a confirmed own transmission removes a packet, a
+    heard foreign packet may be adopted).  The kernel and block engines
+    rely on it: after a round they re-poll only its injectees and, in a
+    heard round, its awake stations.  Moving packets between a
+    controller's own internal queues is allowed at any time, as long as
+    the total does not change outside those two cases.
+
     Parameters
     ----------
     station_id:
@@ -56,24 +65,6 @@ class StationController(abc.ABC):
     #: ``wakes`` advances internal state machines (Count-Hop, Orchestra,
     #: Adjust-Window, k-Subsets) must leave this False.
     static_wake_schedule: bool = False
-
-    #: Capability flag read by the kernel engine: when True (the default),
-    #: :meth:`queued_packets` can only change inside :meth:`on_inject`,
-    #: :meth:`act` or :meth:`on_feedback`, so the engine re-polls only
-    #: stations that were awake or received an injection this round
-    #: instead of all ``n``.  Opt out (set False) if the queue size can
-    #: change anywhere else — e.g. inside :meth:`wakes` — and the engine
-    #: falls back to polling every station every round.
-    queue_metrics_incremental: bool = True
-
-    #: Stronger capability (opt-in, declared by
-    #: :class:`~repro.core.controller.QueueingController`): the queue size
-    #: changes only via :meth:`on_inject` or during rounds whose channel
-    #: outcome is HEARD (a confirmed own transmission removes a packet, a
-    #: heard foreign packet may be adopted).  The kernel then skips queue
-    #: polls entirely on silent and collision rounds.  Leave False if a
-    #: controller drops or requeues packets on silence/collision.
-    queue_changes_on_heard_only: bool = False
 
     #: Capability flag read by the kernel engine: when True, the wake
     #: protocol is *tick-split* — all per-round state transitions happen
@@ -175,7 +166,8 @@ class StationController(abc.ABC):
 
         Used by the metrics collector; the value must count every packet
         this station is currently responsible for (injected or adopted and
-        not yet heard on the channel / consumed).
+        not yet heard on the channel / consumed).  It may change only as
+        the class docstring's queue contract allows.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

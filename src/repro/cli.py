@@ -66,7 +66,7 @@ def _algorithm_fragment(name: str, n: int, k: int | None) -> dict:
     """Declarative algorithm fragment, passing k only where it applies."""
     if name in ("k-cycle", "k-clique", "k-subsets"):
         if k is None:
-            raise SystemExit(f"algorithm {name!r} requires --k")
+            raise ValueError(f"algorithm {name!r} requires --k")
         return spec_fragment(name, n=n, k=k)
     return spec_fragment(name, n=n)
 
@@ -95,6 +95,30 @@ def _adversary_fragment(name: str, rho: float, beta: float, seed: int | None) ->
     return spec_fragment(name, **params)
 
 
+def _checked_spec(
+    args: argparse.Namespace, rho: float, seed: int | None, **kwargs
+) -> RunSpec:
+    """The spec of one rate, its algorithm and adversary built once.
+
+    A bad model parameter (``--k`` missing or out of range, a rate or
+    burstiness the leaky bucket refuses, ``--rounds`` below 1) raises
+    ``ValueError`` here, before anything runs, and becomes a usage error
+    (exit 2); errors raised while the run executes stay as they are.
+    """
+    try:
+        spec = RunSpec.from_fragments(
+            _algorithm_fragment(args.algorithm, args.n, args.k),
+            _adversary_fragment(args.adversary, rho, args.beta, seed),
+            args.rounds,
+            engine=args.engine,
+            **kwargs,
+        )
+        spec.build_adversary(spec.build_algorithm())
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    return spec
+
+
 def _int_at_least(text: str, lowest: int) -> int:
     """``text`` as an int of at least ``lowest``."""
     try:
@@ -114,6 +138,17 @@ def _at_least_one(text: str) -> int:
 def _non_negative(text: str) -> int:
     """argparse type: an int of at least 0."""
     return _int_at_least(text, 0)
+
+
+def _rates(text: str) -> list[float]:
+    """argparse type: a non-empty comma-separated list of floats."""
+    try:
+        rates = [float(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid rate list: {text!r}") from exc
+    if not rates:
+        raise argparse.ArgumentTypeError(f"expected at least one rate, got {text!r}")
+    return rates
 
 
 def _probability(text: str) -> float:
@@ -220,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine selector (default: auto)")
     run_p.add_argument("--negotiation", action="store_true",
                        help="print the engine's negotiated-capability report")
+    run_p.set_defaults(usage_error=run_p.error)
 
     table_p = sub.add_parser("table1", help="regenerate Table 1 (paper vs measured)")
     table_p.add_argument("--full", action="store_true", help="full-size experiments")
@@ -236,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--algorithm", required=True, choices=available_algorithms())
     sweep_p.add_argument("--n", type=int, required=True)
     sweep_p.add_argument("--k", type=int, default=None)
-    sweep_p.add_argument("--rates", default="0.1,0.3,0.5,0.7,0.9",
+    sweep_p.add_argument("--rates", type=_rates, default="0.1,0.3,0.5,0.7,0.9",
                          help="comma-separated injection rates")
     sweep_p.add_argument("--beta", type=float, default=2.0)
     sweep_p.add_argument("--rounds", type=int, default=8_000)
@@ -272,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "it records as failed are skipped without burning a "
                          "new retry budget (done points come back as cache "
                          "hits when --cache/--cache-dir is set)")
+    sweep_p.set_defaults(usage_error=sweep_p.error)
 
     worker_p = sub.add_parser(
         "worker",
@@ -363,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=available_algorithms())
     submit_p.add_argument("--n", type=int, required=True)
     submit_p.add_argument("--k", type=int, default=None)
-    submit_p.add_argument("--rates", default="0.1,0.3,0.5,0.7,0.9",
+    submit_p.add_argument("--rates", type=_rates, default="0.1,0.3,0.5,0.7,0.9",
                           help="comma-separated injection rates")
     submit_p.add_argument("--beta", type=float, default=2.0)
     submit_p.add_argument("--rounds", type=int, default=8_000)
@@ -379,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seconds to wait for the job to complete")
     submit_p.add_argument("--progress", action="store_true",
                           help="stderr line per streamed progress snapshot")
+    submit_p.set_defaults(usage_error=submit_p.error)
     return parser
 
 
@@ -394,14 +432,7 @@ def _cmd_list() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = _effective_seed(args.adversary, args.seed)
-    result = execute_spec(
-        RunSpec.from_fragments(
-            _algorithm_fragment(args.algorithm, args.n, args.k),
-            _adversary_fragment(args.adversary, args.rho, args.beta, seed),
-            args.rounds,
-            engine=args.engine,
-        )
-    )
+    result = execute_spec(_checked_spec(args, args.rho, seed))
     if args.negotiation:
         print(f"engine: {result.engine_used}")
         if result.negotiation is None:
@@ -436,11 +467,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rates = [float(x) for x in args.rates.split(",") if x]
-    seed = _effective_seed(args.adversary, args.seed)
-
     if args.resume and not args.manifest:
-        raise SystemExit("--resume requires --manifest PATH")
+        args.usage_error("--resume requires --manifest PATH")
+    seed = _effective_seed(args.adversary, args.seed)
+    for rho in args.rates:
+        _checked_spec(args, rho, seed)
     policy = None
     if args.max_retries is not None or args.spec_timeout is not None:
         policy_kwargs: dict = {}
@@ -470,7 +501,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series = sweep(
             args.algorithm,
             "rho",
-            rates,
+            args.rates,
             lambda rho: _algorithm_fragment(args.algorithm, args.n, args.k),
             lambda rho: _adversary_fragment(args.adversary, rho, args.beta, seed),
             args.rounds,
@@ -552,17 +583,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .sim.netclient import RpcError
     from .sim.service import fetch_results, submit_batch, wait_for_job
 
-    rates = [float(x) for x in args.rates.split(",") if x]
     seed = _effective_seed(args.adversary, args.seed)
     specs = [
-        RunSpec.from_fragments(
-            _algorithm_fragment(args.algorithm, args.n, args.k),
-            _adversary_fragment(args.adversary, rho, args.beta, seed),
-            args.rounds,
-            label=f"{args.algorithm}[rho={rho}]",
-            engine=args.engine,
-        ).to_dict()
-        for rho in rates
+        _checked_spec(args, rho, seed, label=f"{args.algorithm}[rho={rho}]").to_dict()
+        for rho in args.rates
     ]
 
     def on_progress(snap: dict) -> None:

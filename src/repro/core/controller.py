@@ -37,13 +37,6 @@ class QueueingController(StationController):
     * dispatches heard messages to :meth:`on_heard`.
     """
 
-    #: Queueing controllers only remove a packet when its transmission is
-    #: confirmed heard, and only adopt packets they hear — so the queue
-    #: size never changes on silent or collision rounds.  Subclasses that
-    #: break this (dropping packets on collision, requeueing on silence)
-    #: must reset the flag.
-    queue_changes_on_heard_only = True
-
     def __init__(self, station_id: int, n: int) -> None:
         super().__init__(station_id, n)
         self.queue = PacketQueue()

@@ -32,8 +32,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 
-import numpy as np
-
 from ..channel.feedback import ChannelOutcome, Feedback
 from ..channel.message import Message
 from ..core.algorithm import AlgorithmProperties, RoutingAlgorithm
@@ -170,7 +168,8 @@ class _RingBlockDriver(RoundBlockDriver):
         Arrived-in-span packets are referenced by plan index; the
         simulation walks snapshots only — no controller state is touched
         until ``commit``.  Every station is always on, so every heard
-        packet is delivered.
+        packet is delivered.  With nothing queued and no arrival planned
+        it returns None, as k-Cycle's lowering does.
         """
         controllers = self._controllers
         canonical = self._canonical
@@ -206,24 +205,7 @@ class _RingBlockDriver(RoundBlockDriver):
         ai = offsets[start - plan_base]
         live += offsets[stop - plan_base] - ai
         if live == 0:
-            # All-silent span: queues empty and no arrivals planned.
-            # (Reachable only when the engine's quiescent-span elision is
-            # off; the token advance has a closed form of its own.)
-            span = stop - start
-
-            def commit_silent(packets: list) -> None:
-                canonical.advance_silence(span)
-
-            return LoweredSegment(
-                start=start,
-                stop=stop,
-                transmitters=np.full(span, -1, dtype=np.int64),
-                delta_stations=np.empty(0, dtype=np.int64),
-                delta_values=np.empty(0, dtype=np.int64),
-                delta_offsets=np.zeros(span + 1, dtype=np.int64),
-                deliveries=[],
-                commit=commit_silent,
-            )
+            return None  # idle span: elision or the per-round steps take it
         inj_rounds = plan.injection_rounds()
         ip = bisect_left(inj_rounds, start)
         n_inj = len(inj_rounds)

@@ -714,12 +714,30 @@ def run_specs(
 ) -> list[RunResult | FailedResult]:
     """Execute ``specs`` on ``executor``, or on a one-shot executor.
 
-    An explicit ``executor`` wins: its own workers, cache, chunking,
-    policy and manifest apply, and only ``progress`` is forwarded.
-    Otherwise an executor is built from the other options and its pool
-    torn down after this one batch.
+    An explicit ``executor`` runs the batch with its own workers, cache,
+    chunking, policy and manifest, and only ``progress`` is forwarded;
+    passing any of those options alongside it raises ``ValueError``
+    instead of ignoring them.  Otherwise an executor is built from the
+    options and its pool torn down after this one batch.
     """
     if executor is not None:
+        ignored = [
+            name
+            for name, given in (
+                ("workers", workers != 1),
+                ("cache", cache is not None),
+                ("chunk_size", chunk_size is not None),
+                ("policy", policy is not None),
+                ("manifest", manifest is not None),
+            )
+            if given
+        ]
+        if ignored:
+            raise ValueError(
+                f"run_specs got an executor and {', '.join(ignored)}, which "
+                "only configure a one-shot executor; configure the executor "
+                "instead"
+            )
         return executor.run(specs, progress=progress)
     with ParallelExecutor(
         workers, cache=cache, chunk_size=chunk_size, policy=policy, manifest=manifest

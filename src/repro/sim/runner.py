@@ -201,7 +201,8 @@ def worst_case_over(
     dicts; the family runs as one spec batch through
     :func:`~repro.sim.parallel.run_specs` (on ``executor`` when given,
     else on ``workers`` processes with an optional on-disk ``cache``;
-    ``workers=1`` is the serial fallback).  An
+    ``workers=1`` is the serial fallback; an ``executor`` beside
+    ``workers``, ``cache`` or ``policy`` raises ``ValueError``).  An
     :class:`~repro.sim.parallel.ExecutionPolicy` (or a supervised
     ``executor``) makes the family fault-tolerant; quarantined
     :class:`~repro.sim.faults.FailedResult` entries stay in the returned

@@ -139,7 +139,9 @@ def sweep(
     :func:`~repro.sim.parallel.run_specs`: on ``executor`` when given,
     else on ``workers`` processes with an optional on-disk ``cache``
     (``workers=1`` is the serial fallback and produces bit-identical
-    results).
+    results).  ``executor`` excludes ``workers``, ``cache``, ``policy``
+    and ``manifest``, which would configure only a one-shot executor:
+    passing both raises ``ValueError``.
 
     An :class:`~repro.sim.parallel.ExecutionPolicy` (``policy``) makes
     the sweep fault-tolerant — worker crashes, transient exceptions and

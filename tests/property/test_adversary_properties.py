@@ -31,8 +31,7 @@ def _drive(adversary, n, rounds):
         injections = adversary.inject(t, view)
         counts.append(len(injections))
         pairs.extend((s, p.destination) for s, p in injections)
-        view.awake_history.append(tuple(range(n)))
-        view.round_no = t + 1
+        view.observe_round(range(n))
     return counts, pairs
 
 

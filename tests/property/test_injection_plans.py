@@ -35,7 +35,6 @@ from repro.adversary import (
     UniformRandomAdversary,
 )
 from repro.channel.engine import AdversaryView
-from repro.channel.feedback import ChannelOutcome
 from repro.channel.packet import PacketFactory
 from repro.core.registry import make_algorithm
 
@@ -91,7 +90,7 @@ def _make_trace():
 
 
 def _per_round_pairs_via_inject(adversary, rounds):
-    view = AdversaryView(n=N, window=0)
+    view = AdversaryView(n=N)
     out = []
     for t in range(rounds):
         out.append(
@@ -170,7 +169,7 @@ def test_plans_compose_with_per_round_injection(family):
 
     expected = _per_round_pairs_via_inject(reference, 120)
 
-    view = AdversaryView(n=N, window=0)
+    view = AdversaryView(n=N)
     got = []
     plan = mixed.plan_injections(0, 40)
     got.extend(plan.pairs_for(t) for t in range(40))
@@ -265,16 +264,10 @@ def test_plan_validate_rejects_malformed_plans():
 
 def test_least_on_station_tie_break_matches_name_order():
     view = AdversaryView(n=4)
-    view.observe_round((1, 2), ChannelOutcome.SILENCE, [0] * 4, 0)
-    view.observe_round((2, 3), ChannelOutcome.SILENCE, [0] * 4, 0)
+    view.observe_round((1, 2))
+    view.observe_round((2, 3))
     # Stations 0 has 0 on-rounds; 1 and 3 have one each; 2 has two.
     assert view.least_on_station() == 0
-    view.observe_round((0,), ChannelOutcome.SILENCE, [0] * 4, 0)
+    view.observe_round((0,))
     # Now 0, 1, 3 all have one on-round: the smallest name wins.
     assert view.least_on_station() == 0
-
-
-def test_hand_assembled_view_still_supports_least_on_station():
-    view = AdversaryView(n=3)
-    view.awake_history = [(0, 1), (0, 2), (0, 1)]
-    assert view.least_on_station() == 2

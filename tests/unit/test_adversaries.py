@@ -33,7 +33,7 @@ def drive(adversary, n, rounds):
     for t in range(rounds):
         injections = adversary.inject(t, view)
         per_round.append(injections)
-        view.awake_history.append(tuple(range(n)))
+        view.observe_round(range(n))
     return per_round
 
 
@@ -220,8 +220,9 @@ class TestAdaptive:
         adversary = AdaptiveStarvationAdversary(1.0, 1.0)
         adversary.bind(4)
         view = AdversaryView(n=4)
-        # History: station 3 has been on the least.
-        view.awake_history = [(0, 1, 2), (0, 1, 2), (0, 1, 3)]
+        # Station 3 has been on the least.
+        for awake in [(0, 1, 2), (0, 1, 2), (0, 1, 3)]:
+            view.observe_round(awake)
         injections = adversary.inject(0, view)
         assert injections
         for station, packet in injections:

@@ -163,8 +163,8 @@ class TestCommands:
         assert len(manifest["entries"]) == 2
         assert all(e["status"] == "done" for e in manifest["entries"].values())
 
-    def test_sweep_resume_requires_manifest(self):
-        with pytest.raises(SystemExit, match="--resume requires --manifest"):
+    def test_sweep_resume_requires_manifest(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(
                 [
                     "sweep",
@@ -174,6 +174,38 @@ class TestCommands:
                     "--resume",
                 ]
             )
+        assert info.value.code == 2
+        assert "--resume requires --manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--algorithm", "k-cycle", "--n", "4", "--k", "9"],
+            ["run", "--algorithm", "k-cycle", "--n", "4", "--k", "2", "--rho", "1.5"],
+            ["run", "--algorithm", "k-cycle", "--n", "4", "--k", "2", "--rounds", "0"],
+            ["run", "--algorithm", "k-cycle", "--n", "4", "--k", "2", "--beta", "nan"],
+            ["run", "--algorithm", "k-cycle", "--n", "4", "--k", "2", "--beta", "inf"],
+            ["run", "--algorithm", "k-cycle", "--n", "4"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1,abc", "--rounds", "100"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", ",", "--rounds", "100"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1,1.5", "--rounds", "100"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--rates", "0.1",
+             "--rounds", "100"],
+            ["sweep", "--algorithm", "k-cycle", "--n", "4", "--k", "2",
+             "--rates", "0.1", "--rounds", "100", "--resume"],
+        ],
+    )
+    def test_bad_model_parameters_exit_2_with_usage(self, argv, capsys):
+        # Each used to print a traceback (exit 1), exit 1 without a usage
+        # line, or (an empty rate list) print an empty table and exit 0.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "usage:" in err and "Traceback" not in err
 
     def test_sweep_resume_skips_quarantined_points(self, capsys, tmp_path):
         manifest_path = tmp_path / "manifest.json"

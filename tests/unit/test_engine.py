@@ -181,14 +181,12 @@ class TestInjectionPath:
         assert len(controllers[1].injected) == engine.collector.injected_count > 0
         assert all(p.destination == 2 for p in controllers[1].injected)
 
-    def test_view_tracks_awake_history(self, scripted_controller_cls):
+    def test_view_counts_each_station_on_rounds(self, scripted_controller_cls):
         controllers = [
             scripted_controller_cls(0, 2, awake_rounds=lambda t: t % 2 == 0),
             scripted_controller_cls(1, 2),
         ]
         engine = build_engine(controllers)
         engine.run(4)
-        assert engine.view.awake_history[0] == (0, 1)
-        assert engine.view.awake_history[1] == (1,)
         assert engine.view.station_on_rounds(0) == 2
         assert engine.view.station_on_rounds(1) == 4

@@ -5,13 +5,14 @@ import pytest
 from repro.adversary import (
     AdaptiveStarvationAdversary,
     NoInjectionAdversary,
-    ObservationProfile,
+    RecordingAdversary,
+    SingleSourceSprayAdversary,
     SingleTargetAdversary,
 )
 from repro.algorithms import CountHop, KCycle, KSubsets, Orchestra
 from repro.channel.block import BlockEngine
 from repro.channel.energy import EnergyCapViolation
-from repro.channel.engine import DEFAULT_VIEW_WINDOW, EngineConfig, RoundEngine
+from repro.channel.engine import EngineConfig, RoundEngine
 from repro.channel.feedback import ChannelOutcome, Feedback, FeedbackPool
 from repro.channel.kernel import KernelEngine
 from repro.channel.message import Message
@@ -69,7 +70,6 @@ class TestNegotiation:
             "schedule_fast_path",
             "ticked_wakes",
             "vectorised_energy",
-            "incremental_metrics",
             "maintains_view",
             "planned_injections",
             "quiescence_skipping",
@@ -81,7 +81,6 @@ class TestNegotiation:
     def test_schedule_fast_path_for_pure_wake_controllers(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
         assert engine.negotiation()["schedule_fast_path"]
-        assert engine.negotiation()["incremental_metrics"]
 
     def test_no_schedule_fast_path_when_wakes_has_side_effects(self):
         # k-Subsets publishes a schedule but its wake protocol advances a
@@ -98,11 +97,11 @@ class TestNegotiation:
         engine.run(50)
         assert engine.collector.injected_count > 0
 
-    def test_planned_injections_skipped_for_windowed_adversaries(self):
+    def test_planned_injections_skipped_for_adaptive_adversaries(self):
         engine = build_kernel(KCycle(9, 3), AdaptiveStarvationAdversary(0.5, 1.0))
         assert not engine.negotiation()["planned_injections"]
 
-    def test_windowed_adversary_on_ticked_tier_maintains_view(self):
+    def test_adaptive_adversary_on_ticked_tier_maintains_view(self):
         # The view is fed the same per-round updates on every wake tier.
         engine = build_kernel(CountHop(5), AdaptiveStarvationAdversary(0.5, 1.0))
         negotiated = engine.negotiation()
@@ -151,16 +150,14 @@ class TestNegotiation:
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.2, 1.0))
         assert not engine.negotiation()["maintains_view"]
         engine.run(50)
-        assert len(engine.view.awake_history) == 0
+        assert [engine.view.station_on_rounds(i) for i in range(9)] == [0] * 9
 
-    def test_windowed_adversary_gets_bounded_view_with_exact_counts(self):
+    def test_adaptive_adversary_on_static_tier_counts_every_round(self):
         adversary = AdaptiveStarvationAdversary(0.5, 1.0)
-        assert adversary.observation_profile() == ObservationProfile.windowed(1)
         engine = build_kernel(KCycle(9, 3), adversary, enforce_energy_cap=False)
+        assert engine.negotiation()["schedule_fast_path"]
         assert engine.negotiation()["maintains_view"]
         engine.run(50)
-        assert len(engine.view.awake_history) == 1  # bounded window
-        # ... but the on-round counts cover all 50 rounds.
         total_on = sum(engine.view.station_on_rounds(i) for i in range(9))
         assert total_on == sum(engine.collector.energy_series)
 
@@ -219,6 +216,61 @@ class TestNegotiation:
         assert kernel.collector.energy_series == reference.collector.energy_series
 
 
+class TestObservation:
+    """One observation rule on every engine: the view is fed exactly when
+    the adversary does not plan its injections (always, on the reference
+    loop), and then counts every completed round's awake stations."""
+
+    ALGORITHMS = {"k-cycle": lambda: KCycle(9, 3), "count-hop": lambda: CountHop(5)}
+    ADVERSARIES = {
+        "adaptive-starvation": lambda: AdaptiveStarvationAdversary(0.5, 1.0),
+        "recording(spray)": lambda: RecordingAdversary(
+            SingleSourceSprayAdversary(0.5, 1.0)
+        ),
+        "spray": lambda: SingleSourceSprayAdversary(0.5, 1.0),
+    }
+    ROUNDS = 300
+
+    def _run(self, engine_cls, algorithm_name, adversary_name):
+        algorithm = self.ALGORITHMS[algorithm_name]()
+        adversary = self.ADVERSARIES[adversary_name]()
+        adversary.bind(algorithm.n, PacketFactory())
+        config = EngineConfig(energy_cap=algorithm.energy_cap)
+        if engine_cls is RoundEngine:
+            engine = RoundEngine(algorithm.build_controllers(), adversary, config=config)
+        else:
+            engine = engine_cls(
+                algorithm.build_controllers(),
+                adversary,
+                config=config,
+                schedule=algorithm.oblivious_schedule(),
+            )
+        engine.run(self.ROUNDS)
+        on_rounds = [engine.view.station_on_rounds(i) for i in range(algorithm.n)]
+        return adversary, engine, on_rounds
+
+    @pytest.mark.parametrize("engine_cls", [RoundEngine, KernelEngine, BlockEngine])
+    @pytest.mark.parametrize("adversary_name", list(ADVERSARIES))
+    @pytest.mark.parametrize("algorithm_name", list(ALGORITHMS))
+    def test_the_view_is_fed_exactly_when_the_adversary_does_not_plan(
+        self, engine_cls, adversary_name, algorithm_name
+    ):
+        adversary, engine, on_rounds = self._run(
+            engine_cls, algorithm_name, adversary_name
+        )
+        observed = engine_cls is RoundEngine or not adversary.plans_injections
+        if engine_cls is not RoundEngine:
+            assert engine.negotiation()["maintains_view"] == (
+                not adversary.plans_injections
+            )
+        if observed:
+            *_, reference = self._run(RoundEngine, algorithm_name, adversary_name)
+            assert on_rounds == reference
+            assert sum(on_rounds) == sum(engine.collector.energy_series)
+        else:
+            assert on_rounds == [0] * len(on_rounds)
+
+
 class TestFeedbackPool:
     def _message(self, sender=0):
         return Message(sender=sender, packet=None, control={})
@@ -252,48 +304,6 @@ class TestFeedbackPool:
         assert not retained.delivered
 
 
-class TestPolledFallback:
-    def test_opt_out_controller_forces_full_polls(self):
-        algorithm = KCycle(9, 3)
-        controllers = algorithm.build_controllers()
-        controllers[0].queue_metrics_incremental = False
-        adversary = SingleTargetAdversary(0.2, 1.0).bind(9, PacketFactory())
-        engine = KernelEngine(
-            controllers,
-            adversary,
-            MetricsCollector(),
-            EngineConfig(energy_cap=3),
-            schedule=algorithm.oblivious_schedule(),
-        )
-        assert not engine.negotiation()["incremental_metrics"]
-        # Sized at construction on every path, as on the reference engine.
-        assert engine.collector.per_station_max_queue == [0] * 9
-        engine.run(100)
-        assert engine.collector.rounds_observed == 100
-
-    def test_polled_and_incremental_collect_identically(self):
-        def collect(opt_out: bool):
-            algorithm = KCycle(9, 3)
-            controllers = algorithm.build_controllers()
-            if opt_out:
-                controllers[0].queue_metrics_incremental = False
-            adversary = SingleTargetAdversary(0.6, 2.0).bind(9, PacketFactory())
-            engine = KernelEngine(
-                controllers,
-                adversary,
-                MetricsCollector(),
-                EngineConfig(energy_cap=3),
-                schedule=algorithm.oblivious_schedule(),
-            )
-            engine.run(400)
-            return engine.collector
-
-        polled, incremental = collect(True), collect(False)
-        assert polled.total_queue_series == incremental.total_queue_series
-        assert polled.per_station_max_queue == incremental.per_station_max_queue
-        assert polled.outcome_counts == incremental.outcome_counts
-
-
 class TestSemantics:
     def test_energy_cap_enforced(self):
         algorithm = KCycle(9, 3)
@@ -315,6 +325,8 @@ class TestSemantics:
         assert engine.energy.violations == 1
         assert engine.collector.energy_series == []
         assert engine.collector.rounds_observed == 0
+        # Sized at construction, as on the reference engine.
+        assert engine.collector.per_station_max_queue == [0] * 9
 
     def test_resumed_runs_accumulate(self):
         engine = build_kernel(KCycle(9, 3), SingleTargetAdversary(0.4, 2.0))
@@ -328,14 +340,6 @@ class TestSemantics:
         assert (
             engine.collector.total_queue_series == other.collector.total_queue_series
         )
-
-    def test_reference_window_default_is_bounded(self):
-        # Satellite fix: even the reference engine no longer grows its view
-        # without bound for adversaries with a declared (finite) window.
-        algorithm = KCycle(9, 3)
-        adversary = SingleTargetAdversary(0.2, 1.0).bind(9, PacketFactory())
-        engine = RoundEngine(algorithm.build_controllers(), adversary)
-        assert engine.view.window == DEFAULT_VIEW_WINDOW
 
     def test_run_simulation_engine_selector_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):

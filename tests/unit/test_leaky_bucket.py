@@ -29,6 +29,13 @@ class TestAdversaryType:
         with pytest.raises(ValueError):
             AdversaryType(rho=0.5, beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        # NaN used to pass and fail later in floor(); inf raised
+        # OverflowError there instead of a ValueError here.
+        with pytest.raises(ValueError, match="finite"):
+            AdversaryType(rho=0.5, beta=beta)
+
     def test_window_bound_of_empty_interval(self):
         assert AdversaryType(rho=0.5, beta=2.0).window_bound(0) == 0.0
 

@@ -17,11 +17,14 @@ from repro.adversary import (
 from repro.algorithms import CountHop, KCycle
 from repro.channel.energy import EnergyCapViolation
 from repro.sim import (
+    ExecutionPolicy,
     ParallelExecutor,
     ResultCache,
     RunSpec,
+    SweepManifest,
     execute_spec,
     run_simulation,
+    run_specs,
     spec_fragment,
     sweep,
     worst_case_over,
@@ -582,6 +585,43 @@ class TestWorstCaseTieBreak:
                 100,
                 workers=workers,
             )
+
+
+class TestRunSpecsWithAnExecutor:
+    @pytest.mark.parametrize(
+        "option", ["workers", "cache", "chunk_size", "policy", "manifest"]
+    )
+    def test_options_the_executor_would_ignore_are_refused(self, option, tmp_path):
+        # Each used to be dropped silently: the executor's own settings
+        # ran the batch (a cache given here, for one, got no entry).
+        value = {
+            "workers": lambda: 2,
+            "cache": lambda: ResultCache(tmp_path),
+            "chunk_size": lambda: 2,
+            "policy": lambda: ExecutionPolicy(max_retries=1),
+            "manifest": lambda: SweepManifest(tmp_path / "manifest.json"),
+        }[option]()
+        with ParallelExecutor(1) as executor:
+            with pytest.raises(ValueError, match=option):
+                run_specs([_spec()], executor=executor, **{option: value})
+        assert list(tmp_path.glob("*.pkl")) == []
+
+    def test_sweep_and_worst_case_refuse_a_policy_beside_an_executor(self):
+        policy = ExecutionPolicy(max_retries=1)
+        with ParallelExecutor(1) as executor:
+            with pytest.raises(ValueError, match="policy"):
+                sweep(
+                    "demo", "rho", [0.2],
+                    lambda rho: spec_fragment("count-hop", n=4),
+                    lambda rho: spec_fragment("spray", rho=rho, beta=1.0),
+                    100, executor=executor, policy=policy,
+                )
+            with pytest.raises(ValueError, match="policy"):
+                worst_case_over(
+                    lambda: spec_fragment("count-hop", n=4),
+                    [lambda: spec_fragment("spray", rho=0.2, beta=1.0)],
+                    100, executor=executor, policy=policy,
+                )
 
 
 class TestChunkingAndProgress:
